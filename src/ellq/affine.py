@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactq import QPolynomial, RationalFunction
+from .exactq import QPolynomial, RationalFunction, rref
 from .elliptic import elliptic_fake_degree
 from .fourier import ef_matrix, fourier_matrix, generic_degree
 from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group)
@@ -280,27 +280,11 @@ def ef_affine_elliptic_in_basis(datum: AffineDatum, basis_values: list[list],
     v = [[Fraction(basis_values[i][k]) for i in range(n)] for k in range(n)]
     dv = [[sum(d[k][l] * v[l][i] for l in range(n)) for i in range(n)]
           for k in range(n)]
-    vinv = _mat_inverse(v)
+    _, rank, vinv = rref(v)
+    if rank < n:
+        raise ValueError("degenerate basis")
     return [[sum(vinv[i][k] * dv[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
-
-
-def _mat_inverse(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("degenerate basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------

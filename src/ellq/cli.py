@@ -74,6 +74,11 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except BrokenPipeError:  # pragma: no cover
         return 0
+    except (ValueError, KeyError, NotImplementedError) as e:
+        # input outside the supported scope (GroupTooLargeError is a ValueError)
+        print(f"ellq: error: {e.args[0] if e.args else type(e).__name__}",
+              file=sys.stderr)
+        return 2
 
 
 def _dispatch(args) -> int:

@@ -116,11 +116,6 @@ def mn_character(lam: Partition, alpha: Partition) -> int:
     return total
 
 
-def sign_of_class(alpha: Partition) -> int:
-    """Sign character of S_n on cycle type alpha."""
-    return -1 if (sum(alpha) - len(alpha)) % 2 else 1
-
-
 def conjugacy_class_size_sn(alpha: Partition) -> int:
     """Size of the S_n class of cycle type alpha."""
     n = sum(alpha)

@@ -5,13 +5,14 @@ cyclotomic denominators of the sign character's fake degree.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
-                     factor_cyclotomic, one_minus_qpow)
+from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum,
+                     factor_cyclotomic, one_minus_qpow, poly_lcm, rref)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -68,17 +69,16 @@ def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction
     return elliptic_pairing(x.group, x.values, y.values)
 
 
+def sq_pairing(W: WeylGroupData, values: Sequence) -> RationalFunction:
+    """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
+    terms = ((Fraction(v) * c.char_poly.evaluate(Fraction(1)) * c.size, c.char_poly)
+             for c, v in zip(W.classes(), values) if c.elliptic)
+    return class_sum(terms) * Fraction(1, W.order)
+
+
 def elliptic_fake_degree(W: WeylGroupData, values: Sequence) -> RationalFunction:
     """F = ((q-1)^l / |W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
-    total = RationalFunction(QPolynomial.zero())
-    for c, v in zip(W.classes(), values):
-        if not c.elliptic or v == 0:
-            continue
-        det1 = c.char_poly.evaluate(Fraction(1))
-        total = total + RationalFunction(QPolynomial.of(Fraction(v) * det1 * c.size)) \
-            / RationalFunction(c.char_poly)
-    pref = RationalFunction((RF_Q - 1).num ** W.rank) * Fraction(1, W.order)
-    return pref * total
+    return RationalFunction((RF_Q - 1).num ** W.rank) * sq_pairing(W, values)
 
 
 def elliptic_fake_degree_irrep(W: WeylGroupData, label: str) -> RationalFunction:
@@ -128,37 +128,11 @@ def dn_fake_closed(lam) -> RationalFunction:
 
 def hook_content_pairing(W: WeylGroupData, lam) -> RationalFunction:
     """<lam x empty, S_q E>^el over W(B_n): the fake degree without (q-1)^n."""
-    values = W.class_function_bipartition(tuple(lam), ())
-    return elliptic_fake_degree(W, values) / RationalFunction((RF_Q - 1).num ** W.rank)
+    return sq_pairing(W, W.class_function_bipartition(tuple(lam), ()))
 
 
 # ---------------------------------------------------------------------------
 # linear independence of 1/det(1 - q w) over elliptic classes
-
-
-def matrix_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col]
-        m[rank] = [x / inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 @dataclass
@@ -180,59 +154,22 @@ def independence_check(spec: GroupSpec) -> IndependenceReport:
     W = build_group(spec)
     ell = W.elliptic_classes()
     charpolys = [W.classes()[i].char_poly for i in ell]
-    lcm = QPolynomial.one()
-    from .exactq import poly_gcd
-    for cp in charpolys:
-        g = poly_gcd(lcm, cp)
-        lcm = lcm * (cp // g)
+    lcm = poly_lcm(charpolys)
     width = lcm.degree + 1
-    rows = []
-    for cp in charpolys:
-        num = lcm // cp
-        rows.append([num.coeff(i) for i in range(width)])
+    rows = [[num.coeff(i) for i in range(width)] for num in (lcm // cp for cp in charpolys)]
     n = len(rows)
-    # eliminate with an identity tail so kernel vectors drop out directly
-    aug = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(rows)]
-    rank = 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, n):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = aug[rank][col]
-        aug[rank] = [x / inv for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
-        rank += 1
+    _, rank, transform = rref(rows)
+    types = tuple(str(W.classes()[i].signed_type or W.classes()[i].char_poly) for i in ell)
     deps = []
-    for r in range(rank, n):
-        combo = aug[r][width:]
-        den = 1
-        for c in combo:
-            den = den * c.denominator // _igcd(den, c.denominator)
-        ints = tuple(int(c * den) for c in combo)
-        types = tuple(str(W.classes()[ell[i]].signed_type or W.classes()[ell[i]].char_poly)
-                      for i in range(n))
-        deps.append((ints, types))
+    for combo in transform[rank:]:
+        den = math.lcm(*(c.denominator for c in combo))
+        deps.append((tuple(int(c * den) for c in combo), types))
     pairs = []
     for a in range(n):
         for b in range(a + 1, n):
             if charpolys[a] == charpolys[b]:
                 pairs.append((ell[a], ell[b], str(charpolys[a])))
     return IndependenceReport(spec, n, rank, rank == n, pairs, deps)
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +192,7 @@ def radical_check(W: WeylGroupData) -> RadicalReport:
     n = len(table.values)
     gram = [[elliptic_pairing(W, table.values[i], table.values[j]) for j in range(n)]
             for i in range(n)]
-    rank = matrix_rank([[Fraction(x) for x in row] for row in gram])
+    rank = rref(gram)[1]
     ok = True
     n_gens = len(W.group.generators)
     for size in range(n_gens):

@@ -1,17 +1,24 @@
-"""Exact arithmetic in the indeterminate q.
+"""Exact arithmetic in the indeterminate q, and the exact linear algebra
+built on it.
 
 Polynomials are dense tuples of ``fractions.Fraction`` coefficients, constant
 term first.  Rational functions are kept in canonical form: numerator and
 denominator coprime, denominator monic.  Cyclotomic factorisation is by trial
 division by Phi_n for n up to a configurable bound (default 30, the largest
 index occurring in the E8 tables).
+
+Two cores serve the rest of the package.  ``rref`` is the one Gauss-Jordan
+elimination over Q: ranks, inverses, linear solves and left-kernel
+certificates all come from it.  ``class_sum`` is the one class-sum kernel:
+sums sum_i c_i / det(1 - q w_i), as in fake degrees and elliptic fake
+degrees, cleared to the lcm of the characteristic polynomials once.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -196,13 +203,6 @@ class QPolynomial:
         if isinstance(result, int):
             return Fraction(result)
         return result
-
-    def substitute_pow(self, k: int) -> "QPolynomial":
-        """Return self(q^k) for k >= 1."""
-        out = [Fraction(0)] * (k * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[i * k] = c
-        return QPolynomial(out)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -494,9 +494,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"evaluation at a pole: q = {x}")
         return self.num.evaluate(x) / d
 
-    def substitute_pow(self, k: int) -> "RationalFunction":
-        return RationalFunction(self.num.substitute_pow(k), self.den.substitute_pow(k))
-
     def sign_at_infinity(self) -> int:
         """Sign of the value for large real q (0 for the zero function)."""
         if self.is_zero():
@@ -585,3 +582,62 @@ RF_Q = RationalFunction(QPolynomial.q())
 def one_minus_qpow(k: int) -> RationalFunction:
     """1 - q^k as a rational function, any integer k."""
     return RF_ONE - RationalFunction.qpow(k)
+
+
+def cyclotomic_rf(n: int) -> RationalFunction:
+    """The cyclotomic polynomial Phi_n as a rational function."""
+    return RationalFunction(cyclotomic(n))
+
+
+def poly_lcm(polys: Iterable[QPolynomial]) -> QPolynomial:
+    """Least common multiple of nonzero polynomials, one gcd per input, in
+    input order."""
+    lcm = QPolynomial.one()
+    for p in polys:
+        lcm = lcm * (p // poly_gcd(lcm, p))
+    return lcm
+
+
+def class_sum(terms: Iterable[tuple[Scalar, QPolynomial]]) -> RationalFunction:
+    """sum c / d over the (c, d) pairs, over the lcm of the d.
+
+    Terms sharing a denominator are merged first; the sum is then one
+    numerator over one common denominator, reduced once, instead of a
+    polynomial gcd on every addition."""
+    merged: dict[QPolynomial, Scalar] = {}
+    for c, d in terms:
+        if c:
+            merged[d] = merged.get(d, 0) + c
+    lcm = poly_lcm(merged)
+    num = QPolynomial.zero()
+    for d, c in merged.items():
+        num = num + (lcm // d) * c
+    return RationalFunction(num, lcm)
+
+
+def rref(rows: Sequence[Sequence[Scalar]]
+         ) -> tuple[list[list[Fraction]], int, list[list[Fraction]]]:
+    """Gauss-Jordan elimination over Q: (R, rank, T) with T * rows = R.
+
+    R is the reduced row echelon form of rows and T is invertible; for a
+    square matrix of full rank T is the inverse, and otherwise the rows of T
+    from index rank on span the left kernel.  Each pivot is the first
+    nonzero entry of its column at or below the current row."""
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    aug = [[_frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    rank = 0
+    for col in range(width):
+        piv = next((r for r in range(rank, n) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        inv = aug[rank][col]
+        aug[rank] = [x / inv for x in aug[rank]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != rank and f != 0:
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
+        rank += 1
+    return [row[:width] for row in aug], rank, [row[width:] for row in aug]

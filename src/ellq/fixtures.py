@@ -1,5 +1,6 @@
-"""Fixture registry: published reference tables, standard classification data,
-and derived values, each with a provenance tag.
+"""Published reference tables: sign-character denominators, elliptic fake
+degree numerators, and the printed formal-degree and transform values that the
+verification suites compare against.
 
 The large numerator tables live in a JSON data file shipped with the package;
 a --fixtures directory can override it.  Everything else is embedded so the
@@ -9,28 +10,11 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
-
-
-@dataclass(frozen=True)
-class Provenance:
-    kind: str   # "published" | "standard" | "derived"
-    ref: str
-
-    def __str__(self):
-        return f"{self.kind}:{self.ref}"
-
-
-@dataclass
-class Fixture:
-    id: str
-    provenance: Provenance
-    payload: object
+from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic, cyclotomic_rf
 
 
 _FIXTURES_DIR: Optional[str] = None
@@ -99,17 +83,13 @@ def fake_degree_from_table(group: str, orbit: str, phi: str) -> RationalFunction
 # printed formal-degree values used by the verification suites
 
 
-def _phi(n: int) -> RationalFunction:
-    return RationalFunction(cyclotomic(n))
-
-
 def g2_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
     """The eight published formal degrees of the subregular packet of G2,
     exactly as printed (the g2 rows differ from every computed pipeline)."""
     q = RF_Q
-    a = q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(3))
-    b = q * (1 - q) ** 2 / (_phi(2) * _phi(6))       # as printed: a single Phi2
-    c = q * (1 - q) ** 2 / (_phi(3) * _phi(6))
+    a = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(3))
+    b = q * (1 - q) ** 2 / (cyclotomic_rf(2) * cyclotomic_rf(6))  # as printed: a single Phi2
+    c = q * (1 - q) ** 2 / (cyclotomic_rf(3) * cyclotomic_rf(6))
     return [
         (("1", "1"), a * Fraction(1, 6)),
         (("1", "r"), a * Fraction(1, 3)),
@@ -124,7 +104,7 @@ def g2_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
 
 def sp4_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
     q = RF_Q
-    x = q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(4)) * Fraction(1, 2)
+    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4)) * Fraction(1, 2)
     zero = RationalFunction(QPolynomial.zero())
     return [
         (("1", "1"), zero),
@@ -138,41 +118,3 @@ def ft_z2_printed() -> list[list[Fraction]]:
     h = Fraction(1, 2)
     return [[h, h, h, h], [h, h, -h, -h], [h, -h, h, -h], [h, -h, -h, h]]
 
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-def registry() -> list[Fixture]:
-    from .affine import (G2_BASIS, G2_CLASS_SIGNATURE, G2_EF_AFFINE_PRINTED,
-                         G2_EF_J0_PRINTED, G2_MU_EL)
-    items = [
-        Fixture("cyc-table", Provenance("published", "sign-character denominators"),
-                cyc_table()),
-        Fixture("numerator-tables", Provenance("published", "elliptic fake degree numerators"),
-                {g: numerator_table(g) for g in ("G2", "F4", "E6", "E7", "E8")}),
-        Fixture("ft-z2", Provenance("published", "rank-one transform matrix"), ft_z2_printed()),
-        Fixture("g2-formal-table", Provenance("published", "subregular G2 formal degrees"),
-                g2_formal_table_printed()),
-        Fixture("sp4-formal-table", Provenance("published", "Sp4 formal degrees"),
-                sp4_formal_table_printed()),
-        Fixture("g2-affine-basis", Provenance("published", "affine G2 elliptic character table"),
-                {"mu": G2_MU_EL, "basis": G2_BASIS, "signature": G2_CLASS_SIGNATURE}),
-        Fixture("g2-affine-ef", Provenance("published", "affine G2 transform matrices"),
-                {"j0": G2_EF_J0_PRINTED, "affine": G2_EF_AFFINE_PRINTED}),
-        Fixture("g2-families", Provenance("standard", "family partition of Irr W(G2)"),
-                "see fourier.families_for"),
-        Fixture("b2-families", Provenance("standard", "family partition of Irr W(B2)"),
-                "see fourier.families_for"),
-        Fixture("g2-springer-elliptic", Provenance("derived",
-                "solved from the published fake degrees; the elliptic fake map "
-                "is injective on W(G2)"), "see unipotent.g2_a1_fixture"),
-        Fixture("sp4-springer-elliptic", Provenance("derived",
-                "signs matched to the two published fake degrees"),
-                "see unipotent.sp4_22_fixture"),
-        Fixture("weighted-marks", Provenance("derived",
-                "principal sl2 weights solved from subsystem simple roots; "
-                "checked by the equidimensionality of the 0- and 2-eigenspaces"),
-                "see unipotent fixtures"),
-    ]
-    return items

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from .cyclo import CycNum
@@ -395,9 +396,19 @@ def _solve_in_span(basis_cols, targets, p):
 # Dixon's algorithm
 
 
+def isprime(n: int) -> bool:
+    """Primality by trial division; Dixon primes are a few thousand at most."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of the multiplicative group modulo the prime p."""
+    factors = [f for f in range(2, p) if (p - 1) % f == 0 and isprime(f)]
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+
+
 def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
-    from sympy import isprime
-    from math import isqrt
     p = max(2 * isqrt(order), min_above) + 1
     while not (isprime(p) and p % exponent == 1 % exponent):
         p += 1
@@ -457,6 +468,7 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
     # normalize: w[identity] = 1, then recover chi(1) and the values mod p
     sizes = [c.size for c in classes]
     inv_class = [class_of[group.inv(c.rep)] for c in classes]
+    bound = isqrt(group.order)
     rows_fp = []
     for (w,) in spaces:
         if w[0] % p == 0:
@@ -465,17 +477,14 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
         w = [x * scale % p for x in w]
         dot = sum(w[kx] * w[inv_class[kx]] * pow(sizes[kx], -1, p) for kx in range(kk)) % p
         chi1_sq = group.order * pow(dot, -1, p) % p
-        chi1 = _sqrt_mod(chi1_sq, p)
-        from math import isqrt
-        bound = isqrt(group.order)
-        chi1 = min(chi1, p - chi1)
-        if not (1 <= chi1 <= bound):
+        # chi(1) <= sqrt|G| < p/2, so at most one root of chi1_sq lies in range
+        chi1 = next((x for x in range(1, bound + 1) if x * x % p == chi1_sq), None)
+        if chi1 is None:
             raise RuntimeError("irreducible degree lift out of range")
         row = [chi1 * w[kx] * pow(sizes[kx], -1, p) % p for kx in range(kk)]
         rows_fp.append(row)
 
     # lift to exact cyclotomic values
-    from sympy import primitive_root
     omega = pow(primitive_root(p), (p - 1) // exponent, p)
     power_class = _power_map(group, classes, class_of)
     values = []
@@ -528,14 +537,6 @@ def _unit_vec(n, i):
     v = [0] * n
     v[i] = 1
     return v
-
-
-def _sqrt_mod(a, p):
-    from sympy.ntheory import sqrt_mod
-    r = sqrt_mod(a, p)
-    if r is None:
-        raise RuntimeError(f"no square root of {a} mod {p}")
-    return r
 
 
 def _power_map(group, classes, class_of):

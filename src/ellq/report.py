@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
+from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_rf
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
@@ -43,10 +43,6 @@ def _cmp(check_id, computed, expected, notes="", discrepancy_notes=None):
         return VerificationReport(check_id, DISCREPANCY, str(computed), str(expected),
                                   discrepancy_notes)
     return VerificationReport(check_id, FAIL, str(computed), str(expected), notes)
-
-
-def _phi(n):
-    return RationalFunction(cyclotomic(n))
 
 
 SUITES = ("cyc", "fourier", "g2-formal", "sp4", "g2-affine", "independence",
@@ -134,7 +130,8 @@ def _suite_g2_formal():
     out = []
     fix = FIXTURES["g2-a1"]()
     q = RF_Q
-    computed_g2_row = q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(6)) * Fraction(1, 2)
+    computed_g2_row = (q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(6))
+                       * Fraction(1, 2))
     mx_levi = mx_for("g2-a1", "g2")
     for entry, printed in g2_formal_table_printed():
         got = conjecture_rhs(fix, entry)
@@ -155,7 +152,7 @@ def _suite_g2_formal():
     # the q-part of the identity-component packet, against the product formula
     r = mx_for("g2-a1", "1")
     out.append(_cmp("g2-formal/mx-subregular", r.value.factored(),
-                    (q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(3))).factored()))
+                    (q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(3))).factored()))
     # independent product formula agrees with the transform pipeline on the
     # order-2 packet
     lhs = mx_levi.value * Fraction(1, 2)
@@ -177,7 +174,7 @@ def _suite_sp4():
     out = []
     fix = FIXTURES["sp4-22"]()
     q = RF_Q
-    x = q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(4))
+    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4))
     got = abs(bn_fake_closed((1, 1)))
     out.append(_cmp("sp4/fake-recovery", got.factored(), x.factored(),
                     notes="closed form for [1,1]x[] recovers the published "
@@ -254,9 +251,9 @@ def _suite_g2_affine():
     align = g2_class_alignment(d)
     q = RF_Q
     out.append(_cmp("g2-affine/nu-vertex1", nus[align[3]].factored(),
-                    ((q - 1) ** 2 / _phi(2) ** 2).factored()))
+                    ((q - 1) ** 2 / cyclotomic_rf(2) ** 2).factored()))
     out.append(_cmp("g2-affine/nu-vertex2", nus[align[4]].factored(),
-                    ((q - 1) ** 2 / _phi(3)).factored()))
+                    ((q - 1) ** 2 / cyclotomic_rf(3)).factored()))
 
     fixg2 = FIXTURES["g2-a1"]()
     targets = [

@@ -13,12 +13,15 @@ identity-component entries.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .cyclo import CycNum, CycPoly
-from .exactq import QPolynomial, RationalFunction, RF_ONE, RF_Q
+from .elliptic import sgn_fake_degree, sq_pairing
+from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, cyclotomic_rf,
+                     rref)
 from .fourier import fourier_matrix, small_group
 from .weylgrp import GroupSpec, WeylGroupData, build_group
 
@@ -68,23 +71,10 @@ SL2_DATUM = DualRootDatum("SL2", ((2,), (-2,)), simple=(0,), center_order=2)
 def solve_marks(datum: DualRootDatum, subsystem: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
     """The cocharacter h of the principal sl2 of a full-rank subsystem:
     gamma(h) = 2 on the given simple roots of the subsystem."""
-    n = datum.rank
-    rows = [list(map(Fraction, g)) for g in subsystem]
-    if len(rows) != n:
+    _, rank, inverse = rref(subsystem)
+    if len(subsystem) != datum.rank or rank != datum.rank:
         raise ValueError("subsystem must have full rank")
-    rhs = [Fraction(2)] * n
-    # solve rows . h = 2
-    aug = [rows[i] + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+    return tuple(2 * sum(row) for row in inverse)
 
 
 @dataclass
@@ -133,7 +123,7 @@ def m_x(param: EllipticParameter) -> MxResult:
     data = param.root_data()
     m = 1
     for k, _ in data:
-        m = m * k.denominator // _igcd(m, k.denominator)
+        m = math.lcm(m, k.denominator)
     num = CycPoly.one(m)
     den = CycPoly.one(m)
     num_shift = den_shift = 0
@@ -176,12 +166,6 @@ def m_x(param: EllipticParameter) -> MxResult:
     rf = RationalFunction(np, dp)
     sign = rf.sign_at_infinity()
     return MxResult(abs(rf), sign, dropped_num, dropped_den, param.is_elliptic())
-
-
-def _igcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +253,7 @@ def conj_equiv(fix: UnipotentFixture, s_label: str, phi_dim: int) -> RationalFun
     W = build_group(fix.base_weyl)
     phis = _phi_values_at(fix, s_label)
     values = _springer_class_function(fix, W, phis)
-    pairing = _pair_with_sq(W, values)
+    pairing = sq_pairing(W, values)
     a_su = centralizer_order_in_gamma(fix, s_label)
     pref = RationalFunction((RF_ONE - RF_Q).num ** W.rank) \
         * Fraction(phi_dim, a_su * fix.center_order)
@@ -281,36 +265,19 @@ def q_part_prediction(fix: UnipotentFixture, s_label: str) -> RationalFunction:
     W = build_group(fix.base_weyl)
     phis = _phi_values_at(fix, s_label)
     values = _springer_class_function(fix, W, phis)
-    return RationalFunction((RF_ONE - RF_Q).num ** W.rank) * _pair_with_sq(W, values)
-
-
-def _pair_with_sq(W: WeylGroupData, values) -> RationalFunction:
-    """< chi, 1/det(1 - q .) >^el as an exact rational function."""
-    total = RationalFunction(QPolynomial.zero())
-    for c, v in zip(W.classes(), values):
-        if not c.elliptic or v == 0:
-            continue
-        det1 = c.char_poly.evaluate(Fraction(1))
-        total = total + RationalFunction(QPolynomial.of(Fraction(v) * det1 * c.size)) \
-            / RationalFunction(c.char_poly)
-    return total * Fraction(1, W.order)
+    return RationalFunction((RF_ONE - RF_Q).num ** W.rank) * sq_pairing(W, values)
 
 
 # ---------------------------------------------------------------------------
 # fixtures
 
 
-def _phi(n: int) -> RationalFunction:
-    from .exactq import cyclotomic
-    return RationalFunction(cyclotomic(n))
-
-
 @functools.lru_cache(maxsize=None)
 def g2_a1_fixture() -> UnipotentFixture:
     """The subregular orbit of G2: component group S3, three packets."""
     q = RF_Q
-    cyc = _phi(2) ** 2 * _phi(3) * _phi(6)
-    f_triv = (q - 1) ** 2 * q * _phi(3) / cyc     # Springer-type (3)
+    cyc = cyclotomic_rf(2) ** 2 * cyclotomic_rf(3) * cyclotomic_rf(6)
+    f_triv = (q - 1) ** 2 * q * cyclotomic_rf(3) / cyc     # Springer-type (3)
     f_refl = -((q - 1) ** 2) * q ** 2 / cyc       # Springer-type (21)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
@@ -344,7 +311,6 @@ def g2_a1_fixture() -> UnipotentFixture:
 
 @functools.lru_cache(maxsize=None)
 def g2_regular_fixture() -> UnipotentFixture:
-    from .elliptic import sgn_fake_degree
     from .weylgrp import exponents_of
     f_sgn = sgn_fake_degree(exponents_of(GroupSpec("G2", 2)))
     return UnipotentFixture(
@@ -366,7 +332,7 @@ def g2_regular_fixture() -> UnipotentFixture:
 def sp4_22_fixture() -> UnipotentFixture:
     """u = (2,2) in Sp(4): quasi-distinguished, component group Z/2."""
     q = RF_Q
-    x = q * (1 - q) ** 2 / (_phi(2) ** 2 * _phi(4))
+    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4))
     return UnipotentFixture(
         name="sp4-22",
         datum=SP4_DATUM,
@@ -394,7 +360,6 @@ def sp4_22_fixture() -> UnipotentFixture:
 
 @functools.lru_cache(maxsize=None)
 def sp4_regular_fixture() -> UnipotentFixture:
-    from .elliptic import sgn_fake_degree
     from .weylgrp import exponents_of
     f_sgn = sgn_fake_degree(exponents_of(GroupSpec("B", 2)))
     return UnipotentFixture(

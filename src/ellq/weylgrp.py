@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import mn_character, partitions_of
-from .exactq import QPolynomial, RationalFunction, RF_ONE, RF_Q
+from .exactq import QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum
 from .groups import FiniteGroup, GroupTooLargeError
 
 DEFAULT_BOUND = 50000
@@ -42,6 +43,8 @@ class GroupSpec:
         s = s.strip()
         if s in ("G2", "F4"):
             return GroupSpec(s, int(s[1]))
+        if not s[1:].isdigit():
+            raise ValueError(f"group type {s!r} is not a family and a rank, e.g. B5")
         return GroupSpec(s[0].upper(), int(s[1:]))
 
     def __str__(self):
@@ -441,14 +444,6 @@ class WeylGroupData:
     def trivial_values(self) -> list[int]:
         return [1] * len(self.classes())
 
-    def reflection_values(self) -> list[Fraction]:
-        """Character of the reflection representation, from det(1 - q w)."""
-        out = []
-        for c in self.classes():
-            # trace(w) = -coefficient of q in det(1 - q w)
-            out.append(-c.char_poly.coeff(1))
-        return out
-
     def length_polynomial(self) -> QPolynomial:
         """Sum over w of q^length(w); requires length tracking."""
         if self.group.lengths is None:
@@ -514,15 +509,9 @@ def _transpose_b_m(m, b):
 
 def fake_degree_values(W: WeylGroupData, values: Sequence) -> QPolynomial:
     """f(q) = (1-q)^l P(q) (1/|W|) sum |C| chi(C) / det(1 - q C)."""
-    l = W.rank
-    pref = RationalFunction((RF_ONE - RF_Q).num ** l) * RationalFunction(W.poincare)
-    total = RationalFunction(QPolynomial.zero())
-    for c, v in zip(W.classes(), values):
-        if v == 0:
-            continue
-        total = total + RationalFunction(QPolynomial.of(v * c.size)) / RationalFunction(c.char_poly)
-    total = pref * total * Fraction(1, W.order)
-    return total.as_polynomial()
+    pref = RationalFunction((RF_ONE - RF_Q).num ** W.rank * W.poincare)
+    total = class_sum((v * c.size, c.char_poly) for c, v in zip(W.classes(), values))
+    return (pref * total * Fraction(1, W.order)).as_polynomial()
 
 
 def fake_degree(W: WeylGroupData, label: str) -> QPolynomial:
@@ -539,10 +528,6 @@ def parabolic_subgroup(W: WeylGroupData, gen_indices: Sequence[int]) -> FiniteGr
         return FiniteGroup([W.group.identity], W.group.mult, W.group.inv,
                            W.group.identity, generators=[])
     return W.group.subgroup(gens)
-
-
-def reflection_subgroup(W: WeylGroupData, reflections: Sequence) -> FiniteGroup:
-    return W.group.subgroup(list(reflections))
 
 
 def induce_class_function(W: WeylGroupData, H: FiniteGroup, h_values) -> list[Fraction]:
@@ -611,7 +596,7 @@ class ProductWeyl:
                 size *= c.size
                 cp = cp * c.char_poly
                 elliptic = elliptic and c.elliptic
-                order = order * c.order // _gcd(order, c.order)
+                order = math.lcm(order, c.order)
             out.append(WeylClassInfo(rep=combo, size=size, order=order,
                                      char_poly=cp, elliptic=elliptic))
         self._classes = out
@@ -641,8 +626,3 @@ class ProductWeyl:
             p = p * fake_degree_values(f, f.irrep_values(lab))
         return p
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -100,6 +100,24 @@ def test_independence_cli(capsys):
     assert "independent: False" in out and "dependency" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "E6"],
+    ["group", "--type", "X"],
+    ["group", "--type", "B7"],
+    ["efd", "--type", "A"],
+    ["verify", "bogus"],
+    ["independence", "--type", "B0"],
+    ["fourier", "--gamma", "S6"],
+    ["affine", "d4"],
+])
+def test_unsupported_input_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["group"])  # missing --type

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, factor_cyclotomic, one_minus_qpow,
-                         poly_gcd)
+                         poly_gcd, rref)
 
 
 def test_cyclotomic_small():
@@ -101,6 +101,22 @@ def test_json_round_trip():
     assert QPolynomial.from_json(p.to_json()) == p
     r = RationalFunction(p, QPolynomial.of(1, 2, 1))
     assert RationalFunction.from_json(r.to_json()) == r
+
+
+def test_rref_rank_inverse_and_left_kernel():
+    F = Fraction
+    reduced, rank, transform = rref([[2, 1], [1, 1]])
+    assert rank == 2
+    assert reduced == [[1, 0], [0, 1]]
+    assert transform == [[1, -1], [-1, 2]]
+    # row 1 is twice row 0; the pivot of column 1 is found in row 2
+    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    reduced, rank, transform = rref(a)
+    assert rank == 2
+    assert reduced == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
+    assert transform == [[0, 0, 1], [F(1, 2), 0, F(-1, 2)], [-2, 1, 0]]
+    assert [sum(t * row[j] for t, row in zip(transform[2], a)) for j in range(3)] == [0, 0, 0]
+    assert rref([]) == ([], 0, [])
 
 
 def test_factored_rendering():
