@@ -117,4 +117,3 @@ def sp4_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]
 def ft_z2_printed() -> list[list[Fraction]]:
     h = Fraction(1, 2)
     return [[h, h, h, h], [h, h, -h, -h], [h, -h, h, -h], [h, -h, -h, h]]
-

@@ -625,4 +625,3 @@ class ProductWeyl:
         for f, lab in zip(self.factors, label_combo):
             p = p * fake_degree_values(f, f.irrep_values(lab))
         return p
-
