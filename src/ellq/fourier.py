@@ -10,13 +10,15 @@ character values collapsing to rationals in the final matrices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
-from .cyclo import CycNum
+from .cyclo import CycNum, _zeta_power_basis
 from .exactq import QPolynomial, RationalFunction
-from .groups import CharacterTable, FiniteGroup
+from .groups import CharacterTable, ConjClass, FiniteGroup
 from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
 
 SUPPORTED_GAMMAS = ("trivial", "Z2", "Z2^2", "Z2^3", "Z2^4", "S3", "S4", "S5")
@@ -78,12 +80,16 @@ class FourierBlock:
     pairs: list[MPair]
     matrix: list[list]
     conductor: int
+    _positions: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._positions = {p.label: i for i, p in enumerate(self.pairs)}
 
     def index(self, label: tuple[str, str]) -> int:
-        for i, p in enumerate(self.pairs):
-            if p.label == tuple(label):
-                return i
-        raise KeyError(f"no pair {label} in M({self.gamma_name})")
+        try:
+            return self._positions[tuple(label)]
+        except KeyError:
+            raise KeyError(f"no pair {label} in M({self.gamma_name})") from None
 
     def entry(self, a, b):
         return self.matrix[self.index(a)][self.index(b)]
@@ -126,118 +132,166 @@ def _char_labels(table: CharacterTable) -> list[str]:
 
 
 @functools.lru_cache(maxsize=None)
+def _centralizers(gamma_name: str) -> tuple[list[ConjClass], list[FiniteGroup],
+                                            list[CharacterTable]]:
+    """The classes of Gamma, the centralizer of each class representative,
+    and the character table of each centralizer, built once per group."""
+    gamma = small_group(gamma_name)
+    classes = gamma.conjugacy_classes()
+    cents = [gamma.centralizer(c.rep) for c in classes]
+    return classes, cents, [cent.character_table() for cent in cents]
+
+
+@functools.lru_cache(maxsize=None)
 def m_set(gamma_name: str) -> list[MPair]:
     """Gamma-orbits of pairs (x, irreducible character of the centralizer)."""
-    gamma = small_group(gamma_name)
-    xl = _x_labels(gamma)
+    xl = _x_labels(small_group(gamma_name))
+    _, _, tables = _centralizers(gamma_name)
+    return [MPair(i, a, (xl[i], cl))
+            for i, table in enumerate(tables)
+            for a, cl in enumerate(_char_labels(table))]
+
+
+def _ring(v, m: int, scale=1) -> tuple[tuple[int, int], ...]:
+    """scale * v as a sparse element ((k, c), ...) = sum c zeta_m^k of the
+    integer group ring Z[Z/m]; scale must clear every denominator of v."""
+    terms = v.c.items() if isinstance(v, CycNum) else [(0, v)]
+    step = m // v.m if isinstance(v, CycNum) else 0
     out = []
-    for i, c in enumerate(gamma.conjugacy_classes()):
-        cent = gamma.centralizer(c.rep)
-        table = cent.character_table()
-        cl = _char_labels(table)
-        for a in range(len(table.values)):
-            out.append(MPair(i, a, (xl[i], cl[a])))
-    return out
-
-
-def _lift(v, m) -> CycNum:
-    if isinstance(v, CycNum):
-        if v.m == m:
-            return v
-        assert m % v.m == 0
-        scale = m // v.m
-        return CycNum(m, {(k * scale) % m: c for k, c in v.c.items()})
-    return CycNum.rational(m, v)
+    for k, c in terms:
+        c = Fraction(c) * scale
+        if c.denominator != 1:
+            raise ValueError(f"{scale} does not clear the denominators of {v}")
+        if c:
+            out.append((k * step % m, c.numerator))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def fourier_matrix(gamma_name: str) -> FourierBlock:
     """{(x,sigma),(y,tau)} = (1/|C(x)||C(y)|) sum over g with x g y g^-1 = g y g^-1 x
-    of sigma(g y g^-1) conj(tau(g^-1 x g)); exact and rational for all
-    supported groups."""
+    of sigma(g y g^-1) conj(tau(g^-1 x g)); exact and rational except for the
+    5- and 6-cycle pairs of S5.
+
+    The summand depends on g only through the class of u = g y g^-1 in C(x)
+    and the class of v = g^-1 x g in C(y).  So for each pair of Gamma-classes
+    x <= y one pass over Gamma counts the class pairs (u, v), and every entry
+    of that sub-block is
+        sum over (u, v) of count(u, v) sigma(u) conj(tau(v)) / |C(x)||C(y)|,
+    summed in the integer group ring Z[Z/m] of the exponent m of Gamma."""
     gamma = small_group(gamma_name)
     pairs = m_set(gamma_name)
-    classes = gamma.conjugacy_classes()
-    cents = []
-    tables = []
-    for c in classes:
-        cent = gamma.centralizer(c.rep)
-        cents.append(cent)
-        tables.append(cent.character_table())
+    classes, cents, tables = _centralizers(gamma_name)
     m = gamma.exponent()
+    values = [[[_ring(v, m) for v in row] for row in t.values] for t in tables]
+    members = [[a for a, p in enumerate(pairs) if p.x_class == i]
+               for i in range(len(classes))]
     n = len(pairs)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     mult, inv = gamma.mult, gamma.inv
-    for a in range(n):
-        pa = pairs[a]
-        x = classes[pa.x_class].rep
-        cx, tx = cents[pa.x_class], tables[pa.x_class]
-        for b in range(a, n):
-            pb = pairs[b]
-            y = classes[pb.x_class].rep
-            cy, ty = cents[pb.x_class], tables[pb.x_class]
-            total = CycNum.zero(m)
+    for i, ci in enumerate(classes):
+        x, cx = ci.rep, cents[i]
+        for j in range(i, len(classes)):
+            y, cy = classes[j].rep, cents[j]
+            counts: dict[tuple[int, int], int] = {}
             for g in gamma.elements:
                 u = mult(mult(g, y), inv(g))
-                if mult(x, u) != mult(u, x):
-                    continue
-                v = mult(mult(inv(g), x), g)
-                sa = _lift(tx.values[pa.char_index][cx.class_of(u)], m)
-                tb = _lift(ty.values[pb.char_index][cy.class_of(v)], m)
-                total = total + sa * tb.conj()
-            scale = Fraction(1, cx.order * cy.order)
-            val = total.as_rational() * scale if total.is_rational() else total * scale
-            matrix[a][b] = val
-            matrix[b][a] = val  # real symmetric
+                if mult(x, u) == mult(u, x):
+                    key = (cx.class_of(u), cy.class_of(mult(mult(inv(g), x), g)))
+                    counts[key] = counts.get(key, 0) + 1
+            den = cx.order * cy.order
+            for a in members[i]:
+                sigma = values[i][pairs[a].char_index]
+                for b in (b for b in members[j] if b >= a):
+                    tau = values[j][pairs[b].char_index]
+                    total: dict[int, int] = {}
+                    for (cu, cv), cnt in counts.items():
+                        for ka, ca in sigma[cu]:
+                            for kb, cb in tau[cv]:
+                                k = (ka - kb) % m
+                                total[k] = total.get(k, 0) + cnt * ca * cb
+                    if not any(c for k, c in total.items() if k):
+                        val = Fraction(total.get(0, 0), den)
+                    else:
+                        val = CycNum(m, {k: Fraction(c, den) for k, c in total.items() if c})
+                        if val.is_rational():
+                            val = val.as_rational()
+                    matrix[a][b] = val
+                    matrix[b][a] = val  # real symmetric
     block = FourierBlock(gamma_name, pairs, matrix, m)
     _check_block(block)
     return block
 
 
 def _check_block(block: FourierBlock) -> None:
-    """Exact symmetry, realness, and the involution property M^2 = 1."""
-    n = len(block.pairs)
+    """Exact symmetry, realness, and the involution property M^2 = 1, checked
+    on the integer matrix N = D M, D the lcm of all denominators of M: N is
+    symmetric and real, and N N = D^2 I.  Irrational entries are elements of
+    Z[Z/m]; each row-by-column sum is accumulated there and reduced mod Phi_m
+    once."""
+    mat = block.matrix
+    n = len(mat)
+    d = lcm(*(c.denominator for row in mat for v in row
+              for c in (v.c.values() if isinstance(v, CycNum) else (v,))))
     if block.is_rational():
-        mat = block.matrix
+        rows = [[v.numerator * (d // v.denominator) for v in row] for row in mat]
         for i in range(n):
-            for j in range(n):
-                if mat[i][j] != mat[j][i]:
+            for j in range(i + 1, n):
+                if rows[i][j] != rows[j][i]:
                     raise RuntimeError("Fourier matrix not symmetric")
-                s = sum(mat[i][k] * mat[k][j] for k in range(n))
-                if s != (1 if i == j else 0):
+        for i in range(n):
+            for j in range(i, n):
+                # N is symmetric, so column j of N is row j
+                if sum(map(mul, rows[i], rows[j])) != (d * d if i == j else 0):
                     raise RuntimeError("Fourier matrix not an involution")
         return
     m = block.conductor
-    mat = [[_lift(v, m) for v in row] for row in block.matrix]
+    # zeta_m^k in the power basis of Q(zeta_m), as sparse integer coordinates
+    powers = [[(i, int(c)) for i, c in enumerate(_zeta_power_basis(m, k)) if c]
+              for k in range(m)]
+    width = len(_zeta_power_basis(m, 0))
+
+    def reduce(coeffs) -> list[int]:
+        out = [0] * width
+        for k, c in coeffs:
+            if c:
+                for i, b in powers[k]:
+                    out[i] += c * b
+        return out
+
+    rows = [[_ring(v, m, d) for v in row] for row in mat]
+    reduced = [[reduce(v) for v in row] for row in rows]
     for i in range(n):
         for j in range(n):
-            if not (mat[i][j] - mat[j][i]).is_zero():
+            if reduced[i][j] != reduced[j][i]:
                 raise RuntimeError("Fourier matrix not symmetric")
-            if not (mat[i][j] - mat[i][j].conj()).is_zero():
+            if reduce(((-k) % m, c) for k, c in rows[i][j]) != reduced[i][j]:
                 raise RuntimeError("Fourier matrix not real")
-            s = CycNum.zero(m)
-            for k in range(n):
-                s = s + mat[i][k] * mat[k][j]
-            if not (s - CycNum.rational(m, 1 if i == j else 0)).is_zero():
+    identity = reduce([(0, d * d)])
+    zero = reduce([])
+    for i in range(n):
+        for j in range(i, n):
+            acc = [0] * m
+            for a, b in zip(rows[i], rows[j]):  # column j of N equals row j mod Phi_m
+                for ka, ca in a:
+                    for kb, cb in b:
+                        acc[(ka + kb) % m] += ca * cb
+            if reduce(enumerate(acc)) != (identity if i == j else zero):
                 raise RuntimeError("Fourier matrix not an involution")
 
 
 def special_column_entry(gamma_name: str, y_pair, rho1_pair) -> Fraction:
     """{(y,rho),(1,rho')} = rho(1) rho'(y) / |C(y)| (column with identity x-part)."""
     gamma = small_group(gamma_name)
-    pairs = m_set(gamma_name)
-    block_pairs = {p.label: p for p in pairs}
+    block_pairs = {p.label: p for p in m_set(gamma_name)}
     py = block_pairs[tuple(y_pair)]
     p1 = block_pairs[tuple(rho1_pair)]
-    classes = gamma.conjugacy_classes()
+    classes, cents, tables = _centralizers(gamma_name)
     if classes[p1.x_class].rep != gamma.identity:
         raise ValueError("second argument must have identity group element")
-    cy = gamma.centralizer(classes[py.x_class].rep)
-    ty = cy.character_table()
-    tg = gamma.character_table()
-    rho_dim = ty.values[py.char_index][0]
-    rho_prime_at_y = tg.values[p1.char_index][py.x_class]
-    return Fraction(rho_dim) * Fraction(rho_prime_at_y) / cy.order
+    rho_dim = tables[py.x_class].values[py.char_index][0]
+    rho_prime_at_y = tables[p1.x_class].values[p1.char_index][py.x_class]
+    return Fraction(rho_dim) * Fraction(rho_prime_at_y) / cents[py.x_class].order
 
 
 # ---------------------------------------------------------------------------

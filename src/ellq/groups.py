@@ -325,32 +325,33 @@ def _poly_quo_exact(f, d, p):
     return quo
 
 
-def _nullspace_mod(a, p):
-    """Basis of the right nullspace of square matrix a over F_p (as columns)."""
-    n = len(a)
-    m = [row[:] for row in a]
+def _rref_mod(rows, ncols, p):
+    """Gauss-Jordan elimination over F_p on the first ncols columns of a copy
+    of rows; returns the reduced rows and the pivot columns."""
+    m = [row[:] for row in rows]
     pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for row in range(r, n):
-            if m[row][col] % p:
-                piv = row
-                break
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((row for row in range(r, len(m)) if m[row][col] % p), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         inv = pow(m[r][col], -1, p)
         m[r] = [x * inv % p for x in m[r]]
-        for row in range(n):
+        for row in range(len(m)):
             if row != r and m[row][col] % p:
                 f = m[row][col]
                 m[row] = [(x - f * y) % p for x, y in zip(m[row], m[r])]
         pivots.append(col)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    return m, pivots
+
+
+def _nullspace_mod(a, p):
+    """Basis of the right nullspace of square matrix a over F_p (as columns)."""
+    n = len(a)
+    m, pivots = _rref_mod(a, n, p)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [0] * n
         v[fc] = 1
         for i, pc in enumerate(pivots):
@@ -362,34 +363,15 @@ def _nullspace_mod(a, p):
 def _solve_in_span(basis_cols, targets, p):
     """Express each target vector in the span of basis_cols; returns the
     coefficient matrix R with target_j = sum_i R[i][j] basis_i."""
-    n = len(basis_cols[0])
     d = len(basis_cols)
-    t = len(targets)
-    aug = [[basis_cols[i][row] for i in range(d)] + [tv[row] for tv in targets]
-           for row in range(n)]
-    r = 0
-    pivots = []
-    for col in range(d):
-        piv = None
-        for row in range(r, n):
-            if aug[row][col] % p:
-                piv = row
-                break
-        if piv is None:
-            raise ValueError("basis columns not independent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][col], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for row in range(n):
-            if row != r and aug[row][col] % p:
-                f = aug[row][col]
-                aug[row] = [(x - f * y) % p for x, y in zip(aug[row], aug[r])]
-        pivots.append(col)
-        r += 1
-    for row in range(r, n):
-        if any(x % p for x in aug[row][d:]):
-            raise ValueError("target not in span")
-    return [[aug[i][d + j] for j in range(t)] for i in range(d)]
+    aug = [[b[row] for b in basis_cols] + [tv[row] for tv in targets]
+           for row in range(len(basis_cols[0]))]
+    m, pivots = _rref_mod(aug, d, p)
+    if len(pivots) < d:
+        raise ValueError("basis columns not independent")
+    if any(x % p for row in m[d:] for x in row[d:]):
+        raise ValueError("target not in span")
+    return [row[d:] for row in m[:d]]
 
 
 # ---------------------------------------------------------------------------

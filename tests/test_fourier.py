@@ -1,11 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from ellq.cyclo import CycNum
 from ellq.exactq import RationalFunction, RF_ONE, RF_Q, cyclotomic
 from ellq.fixtures import ft_z2_printed
-from ellq.fourier import (ef_induction_check, ef_map, ef_matrix, families_for,
-                          fourier_matrix, generic_degree, m_set,
+from ellq.fourier import (_check_block, ef_induction_check, ef_map, ef_matrix,
+                          families_for, fourier_matrix, generic_degree, m_set,
                           plancherel_sum, small_group, special_column_entry,
                           xw_pairing)
 from ellq.weylgrp import GroupSpec, ProductWeyl, build_group
@@ -48,6 +50,121 @@ def test_blocks_are_symmetric_involutions():
     # construction time; exercise every supported group
     for name in ("trivial", "Z2", "Z2^2", "Z2^3", "S3", "S4", "S5"):
         fourier_matrix(name)
+
+
+def _lift(v, m) -> CycNum:
+    if isinstance(v, CycNum):
+        scale = m // v.m
+        return CycNum(m, {(k * scale) % m: c for k, c in v.c.items()})
+    return CycNum.rational(m, v)
+
+
+def _definitional_entries(name, x_labels=None):
+    """Reference route: the defining sum over every g in Gamma, one CycNum
+    product per step, for each pair of pairs a <= b whose group elements are
+    labelled in x_labels (all when None).  Returns {(a, b): entry}."""
+    gamma = small_group(name)
+    pairs = m_set(name)
+    classes = gamma.conjugacy_classes()
+    cents = [gamma.centralizer(c.rep) for c in classes]
+    tables = [c.character_table() for c in cents]
+    m = gamma.exponent()
+    mult, inv = gamma.mult, gamma.inv
+    chosen = [a for a, p in enumerate(pairs) if x_labels is None or p.label[0] in x_labels]
+    out = {}
+    for a in chosen:
+        pa = pairs[a]
+        x = classes[pa.x_class].rep
+        cx, tx = cents[pa.x_class], tables[pa.x_class]
+        for b in chosen:
+            if b < a:
+                continue
+            pb = pairs[b]
+            y = classes[pb.x_class].rep
+            cy, ty = cents[pb.x_class], tables[pb.x_class]
+            total = CycNum.zero(m)
+            for g in gamma.elements:
+                u = mult(mult(g, y), inv(g))
+                if mult(x, u) != mult(u, x):
+                    continue
+                v = mult(mult(inv(g), x), g)
+                sa = _lift(tx.values[pa.char_index][cx.class_of(u)], m)
+                tb = _lift(ty.values[pb.char_index][cy.class_of(v)], m)
+                total = total + sa * tb.conj()
+            scale = Fraction(1, cx.order * cy.order)
+            out[a, b] = total.as_rational() * scale if total.is_rational() else total * scale
+    return out
+
+
+@pytest.mark.parametrize("name,x_labels", [("S3", None), ("S4", None),
+                                           ("S5", ("g5", "g6"))])
+def test_entries_match_definitional_sum(name, x_labels):
+    entries = _definitional_entries(name, x_labels)
+    if name == "S5":
+        assert len({a for a, _ in entries}) == 11
+    block = fourier_matrix(name)
+    for (a, b), ref in entries.items():
+        for got in (block.matrix[a][b], block.matrix[b][a]):
+            assert type(got) is type(ref)
+            assert got == ref
+            assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z2^2", "Z2^3"])
+def test_abelian_entries_closed_form(name):
+    # for abelian Gamma, C(x) = Gamma and {(x,sigma),(y,tau)} = sigma(y) tau(x) / |Gamma|
+    # (the characters of Z2^k are real)
+    gamma = small_group(name)
+    classes = gamma.conjugacy_classes()
+    cents = [gamma.centralizer(c.rep) for c in classes]
+    tables = [c.character_table() for c in cents]
+    block = fourier_matrix(name)
+    for pa, row in zip(block.pairs, block.matrix):
+        x = classes[pa.x_class].rep
+        for pb, v in zip(block.pairs, row):
+            y = classes[pb.x_class].rep
+            sigma_y = tables[pa.x_class].values[pa.char_index][cents[pa.x_class].class_of(y)]
+            tau_x = tables[pb.x_class].values[pb.char_index][cents[pb.x_class].class_of(x)]
+            assert v == Fraction(sigma_y * tau_x, gamma.order)
+
+
+def _tampered(name, *positions):
+    """A copy of the block of Gamma with 1 added at each position."""
+    block = fourier_matrix(name)
+    mat = [row[:] for row in block.matrix]
+    for i, j in positions:
+        v = mat[i][j]
+        mat[i][j] = v + (CycNum.rational(v.m, 1) if isinstance(v, CycNum) else 1)
+    return dataclasses.replace(block, matrix=mat)
+
+
+def test_check_block_rejects_asymmetric_s3():
+    _check_block(_tampered("S3"))
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _check_block(_tampered("S3", (0, 1)))
+
+
+def test_check_block_rejects_non_involution_s3():
+    with pytest.raises(RuntimeError, match="not an involution"):
+        _check_block(_tampered("S3", (0, 1), (1, 0)))
+
+
+def test_check_block_rejects_non_involution_s5_irrational():
+    block = fourier_matrix("S5")
+    i, j = next((i, j) for i, row in enumerate(block.matrix)
+                for j, v in enumerate(row) if i < j and isinstance(v, CycNum))
+    _check_block(_tampered("S5"))
+    with pytest.raises(RuntimeError, match="not an involution"):
+        _check_block(_tampered("S5", (i, j), (j, i)))
+
+
+def test_block_index_lookup():
+    block = fourier_matrix("S4")
+    for i, p in enumerate(block.pairs):
+        assert block.index(p.label) == i
+        assert block.index(list(p.label)) == i
+    with pytest.raises(KeyError, match="no pair"):
+        block.index(("g7", "1"))
 
 
 def test_s5_has_exact_irrational_entries():

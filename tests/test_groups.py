@@ -2,8 +2,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import ellq
-from ellq.groups import isprime, primitive_root
+from ellq.groups import _nullspace_mod, _solve_in_span, isprime, primitive_root
 
 
 def test_character_table_imports_no_sympy():
@@ -29,3 +31,19 @@ def test_isprime_matches_sieve():
 
 def test_smallest_primitive_roots():
     assert [primitive_root(p) for p in (7, 23, 41, 71)] == [3, 5, 6, 7]
+
+
+def test_mod_p_nullspace_and_span_solve():
+    p = 7
+    # rank 2 over F_7: row 3 = row 1 + row 2
+    a = [[1, 2, 3], [0, 1, 4], [1, 3, 0]]
+    (v,) = _nullspace_mod(a, p)
+    assert v == [5, 3, 1]
+    assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
+    basis = [[1, 0, 2], [0, 1, 3]]
+    targets = [[2, 3, (2 * 2 + 3 * 3) % p], [1, 6, (2 + 18) % p]]
+    assert _solve_in_span(basis, targets, p) == [[2, 1], [3, 6]]
+    with pytest.raises(ValueError, match="not in span"):
+        _solve_in_span(basis, [[0, 0, 1]], p)
+    with pytest.raises(ValueError, match="not independent"):
+        _solve_in_span([[1, 0, 2], [2, 0, 4]], targets, p)
