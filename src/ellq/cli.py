@@ -156,13 +156,14 @@ def _cmd_efd(args) -> int:
     t = args.type.upper()
     if t in ("B", "D"):
         if not args.lam:
-            print("--lambda required for types B and D", file=sys.stderr)
-            return 2
+            raise ValueError("--lambda required for types B and D")
         lam = tuple(int(x) for x in args.lam.split(","))
+        if lam[-1] <= 0 or any(a < b for a, b in zip(lam, lam[1:])):
+            raise ValueError(f"--lambda {args.lam} is not a partition: "
+                             "parts must be positive and weakly decreasing")
         n = args.n or sum(lam)
         if sum(lam) != n:
-            print("partition size must equal --n", file=sys.stderr)
-            return 2
+            raise ValueError("partition size must equal --n")
         f = bn_fake_closed(lam) if t == "B" else dn_fake_closed(lam)
         payload = {"type": f"{t}{n}", "lambda": list(lam), "value": f.to_json(),
                    "factored": f.factored()}
@@ -215,8 +216,7 @@ _MX_IDS = {
 def _cmd_mx(args) -> int:
     from .unipotent import mx_for
     if args.fixture not in _MX_IDS:
-        print(f"unknown fixture; choose from {sorted(_MX_IDS)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown fixture; choose from {sorted(_MX_IDS)}")
     name, s = _MX_IDS[args.fixture]
     r = mx_for(name, s)
     payload = {"fixture": args.fixture, "value": r.value.to_json(),

@@ -5,6 +5,7 @@ cyclotomic denominators of the sign character's fake degree.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,10 +57,8 @@ def elliptic_pairing(W: WeylGroupData, f: Sequence, g: Sequence) -> Fraction:
     """<f, g>^el = (1/|W|) sum_w f(w) g(w) det(1 - w)."""
     total = Fraction(0)
     for c, a, b in zip(W.classes(), f, g):
-        if not c.elliptic:
-            continue
-        det1 = c.char_poly.evaluate(Fraction(1))
-        total += Fraction(c.size) * Fraction(a) * Fraction(b) * det1
+        if c.elliptic:
+            total += Fraction(c.size) * Fraction(a) * Fraction(b) * c.det1
     return total / W.order
 
 
@@ -71,7 +70,7 @@ def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction
 
 def sq_pairing(W: WeylGroupData, values: Sequence) -> RationalFunction:
     """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
-    terms = ((Fraction(v) * c.char_poly.evaluate(Fraction(1)) * c.size, c.char_poly)
+    terms = ((Fraction(v) * c.det1 * c.size, c.char_poly)
              for c, v in zip(W.classes(), values) if c.elliptic)
     return class_sum(terms) * Fraction(1, W.order)
 
@@ -209,5 +208,4 @@ def radical_check(W: WeylGroupData) -> RadicalReport:
 
 
 def _subsets(n, size):
-    import itertools
     return itertools.combinations(range(n), size)

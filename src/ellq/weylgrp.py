@@ -3,14 +3,18 @@ integer matrices on the root lattice for G2 and F4.
 
 Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
-fake degrees, and induction from subgroups.
+fake degrees, and induction from subgroups.  The classes of types A, B and D
+come in closed form from their signed cycle types; the elements are
+enumerated only when a character table, a class lookup or a subgroup needs
+them, and the enumerated classes are then checked against the closed form.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -41,11 +45,12 @@ class GroupSpec:
     @staticmethod
     def parse(s: str) -> "GroupSpec":
         s = s.strip()
-        if s in ("G2", "F4"):
-            return GroupSpec(s, int(s[1]))
+        u = s.upper()
+        if u in ("G2", "F4"):
+            return GroupSpec(u, int(u[1]))
         if not s[1:].isdigit():
             raise ValueError(f"group type {s!r} is not a family and a rank, e.g. B5")
-        return GroupSpec(s[0].upper(), int(s[1:]))
+        return GroupSpec(u[0], int(s[1:]))
 
     def __str__(self):
         if self.family in ("G2", "F4"):
@@ -137,9 +142,9 @@ def signed_cycle_type(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
 
 
-def char_poly_signed(w, family: str) -> QPolynomial:
-    """det(1 - q w) on the reflection representation."""
-    pos, neg = signed_cycle_type(w)
+def char_poly_signed(w, family: str, stype=None) -> QPolynomial:
+    """det(1 - q w) on the reflection representation, from w or its type (pos, neg)."""
+    pos, neg = stype or signed_cycle_type(w)
     p = QPolynomial.one()
     for r in pos:
         p = p * QPolynomial((1,) + (0,) * (r - 1) + (-1,))  # 1 - q^r
@@ -253,43 +258,158 @@ class WeylClassInfo:
     size: int
     order: int
     char_poly: QPolynomial
-    elliptic: bool
     signed_type: Optional[tuple] = None  # (pos, neg) for B/D; cycle type for A
+    det1: Fraction = field(init=False)  # det(1 - w), nonzero iff elliptic
+
+    def __post_init__(self):
+        self.det1 = self.char_poly.evaluate(Fraction(1))
+
+    @property
+    def elliptic(self) -> bool:
+        return self.det1 != 0
 
     def rep_str(self) -> str:
         return str(list(self.rep) if isinstance(self.rep, tuple) and not isinstance(self.rep[0], tuple) else [list(r) for r in self.rep])
 
 
-class WeylGroupData:
-    """A realized Weyl group together with its reflection-representation data."""
+# ---------------------------------------------------------------------------
+# closed-form classes of types A, B and D (Carter 1972; Geck-Pfeiffer 3.4)
 
-    def __init__(self, spec: GroupSpec, group: FiniteGroup, char_poly_fn):
+
+def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
+    """The classes of W(A_{n-1}), W(B_n) or W(D_n) from their signed cycle
+    types, in the order FiniteGroup.conjugacy_classes gives, with no group
+    enumerated.  D's types with only even positive cycles split in two."""
+    fam, n, k = spec.family, spec.rank, 2
+    if fam == "A":
+        n, k = n + 1, 1
+        types = [(lam, ()) for lam in partitions_of(n)]
+    else:
+        types = [(pos, neg) for j in range(n + 1) for pos in partitions_of(n - j)
+                 for neg in partitions_of(j) if fam == "B" or len(neg) % 2 == 0]
+    out = []
+    for pos, neg in types:
+        # |W(B_n)| / prod (2r)^m m!, over parts r of multiplicity m; n!/prod r^m m! in A
+        size = k ** n * math.factorial(n) // math.prod(
+            (k * r) ** m * math.factorial(m) for t in (pos, neg) for r, m in Counter(t).items())
+        split = fam == "D" and not neg and all(r % 2 == 0 for r in pos)
+        if split:
+            size //= 2
+        for half in ((0, 1) if split else (None,)):
+            out.append(WeylClassInfo(_least_element(n, pos, neg, fam != "A", half), size,
+                                     math.lcm(*pos, *(2 * r for r in neg)),
+                                     char_poly_signed(None, fam, (pos, neg)), (pos, neg)))
+    # the identity is the one class of size 1 and order 1, so it comes first
+    out.sort(key=lambda c: (c.size, c.order, repr(c.rep)))
+    return out
+
+
+def _least_element(n, pos, neg, signed, half):
+    """The (signed) permutation of type (pos, neg), and of D-half `half` unless
+    that is None, whose repr() is least: a depth-first search over positions,
+    trying values in str order, which is repr order entry by entry."""
+    want = Counter([(r, 1) for r in pos] + [(r, -1) for r in neg])
+    values = sorted((v for v in range(-n, n + 1) if v and (signed or v > 0)), key=str)
+    w, taken = [0] * n, [False] * (n + 1)
+
+    def feasible(k):
+        # the map i -> |w[i-1]| on 1..k: open paths from each point without a
+        # preimage, closed cycles through the rest
+        paths, closed, seen = [], Counter(), set()
+        for p in range(1, n + 1):
+            if not taken[p]:
+                path = [p]
+                while path[-1] <= k:
+                    path.append(abs(w[path[-1] - 1]))
+                seen.update(path)
+                paths.append(len(path))
+        for p in range(1, k + 1):
+            length, sign = 0, 1
+            while p not in seen:
+                seen.add(p)
+                length, sign, p = length + 1, sign * (1 if w[p - 1] > 0 else -1), abs(w[p - 1])
+            if length:
+                closed[length, sign] += 1
+        if closed - want:
+            return False
+        # the signs of cycles not yet closed are free
+        rest = sorted((want - closed).elements())
+        return _packable(tuple(sorted(paths, reverse=True)), tuple(r for r, _ in rest))
+
+    def search(k):
+        if k == n:
+            return half is None or _half(w) == half
+        for v in values:
+            if not taken[abs(v)]:
+                w[k], taken[abs(v)] = v, True
+                if feasible(k + 1) and search(k + 1):
+                    return True
+                taken[abs(v)] = False
+        return False
+
+    search(0)
+    return tuple(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _packable(paths, cycles) -> bool:
+    """Can paths of these lengths be joined into cycles of these lengths?"""
+    if not paths:
+        return not cycles
+    p, rest = paths[0], paths[1:]
+    return any(_packable(rest, tuple(sorted(
+        x for x in cycles[:i] + (c - p,) + cycles[i + 1:] if x)))
+        for i, c in enumerate(cycles) if c >= p and c not in cycles[:i])
+
+
+def _half(w) -> int:
+    """Which D_n-class of a split type holds w: the parity of the -1 entries of
+    the diagonal d with d w d unsigned, walked from each cycle's least point."""
+    seen, minus = set(), 0
+    for start in range(1, len(w) + 1):
+        d, i = 1, start
+        while i not in seen:
+            seen.add(i)
+            minus += d < 0
+            d, i = d * (1 if w[i - 1] > 0 else -1), abs(w[i - 1])
+    return minus % 2
+
+
+class WeylGroupData:
+    """A Weyl group with its reflection-representation data; `group` enumerates."""
+
+    def __init__(self, spec: GroupSpec, generate, char_poly_fn):
         self.spec = spec
-        self.group = group
         self.rank = spec.rank
+        self._generate = generate
+        self._group: Optional[FiniteGroup] = None
         self._char_poly_fn = char_poly_fn
         self._classes: Optional[list[WeylClassInfo]] = None
         self._table = None
         self._labels: Optional[list[str]] = None
         self.exponents = exponents_of(spec)
         self.poincare = poincare_polynomial(self.exponents)
+        self.order = group_order_from_exponents(self.exponents)
 
     @property
-    def order(self) -> int:
-        return self.group.order
+    def group(self) -> FiniteGroup:
+        if self._group is None:
+            grp = self._generate()
+            if self.spec.family in ("A", "B", "D"):
+                # enumeration is the independent second route to the classes
+                key = [(c.rep, c.size, c.order) for c in grp.conjugacy_classes()]
+                if key != [(c.rep, c.size, c.order) for c in self.classes()]:
+                    raise RuntimeError(f"classes of {self.spec} disagree with the closed form")
+            self._group = grp
+        return self._group
 
     def classes(self) -> list[WeylClassInfo]:
         if self._classes is None:
-            out = []
-            for c in self.group.conjugacy_classes():
-                cp = self._char_poly_fn(c.rep)
-                stype = None
-                if self.spec.family in ("A", "B", "D"):
-                    stype = signed_cycle_type(c.rep)
-                out.append(WeylClassInfo(
-                    rep=c.rep, size=c.size, order=c.order, char_poly=cp,
-                    elliptic=(cp.evaluate(Fraction(1)) != 0), signed_type=stype))
-            self._classes = out
+            if self.spec.family in ("A", "B", "D"):
+                self._classes = closed_form_classes(self.spec)
+            else:
+                self._classes = [WeylClassInfo(c.rep, c.size, c.order, self._char_poly_fn(c.rep))
+                                 for c in self.group.conjugacy_classes()]
         return self._classes
 
     def elliptic_classes(self) -> list[int]:
@@ -456,45 +576,36 @@ class WeylGroupData:
 
 @functools.lru_cache(maxsize=None)
 def build_group(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> WeylGroupData:
-    """Realize the Weyl group; raises GroupTooLargeError above the bound."""
+    """The Weyl group, to be enumerated on demand; raises GroupTooLargeError
+    when its order exceeds the bound."""
+    if group_order_from_exponents(exponents_of(spec)) > bound:
+        raise GroupTooLargeError(f"group exceeds enumeration bound {bound}")
     fam, n = spec.family, spec.rank
-    if fam == "A":
-        npts = n + 1
-        gens = []
-        for i in range(1, npts):
-            e = list(range(1, npts + 1))
-            e[i - 1], e[i] = e[i], e[i - 1]
-            gens.append(tuple(e))
-        grp = FiniteGroup.generate(gens, sp_mult, sp_inv, sp_identity(npts),
-                                   bound=bound, track_lengths=True)
-        return WeylGroupData(spec, grp, lambda w: char_poly_signed(w, "A"))
-    if fam in ("B", "D"):
-        gens = []
-        for i in range(1, n):
-            e = list(range(1, n + 1))
-            e[i - 1], e[i] = e[i], e[i - 1]
-            gens.append(tuple(e))
+    if fam in ("G2", "F4"):
+        gens = [simple_reflection_matrix(fam, j) for j in range(n)]
+        gram = GRAM[fam]
+        for g in gens:
+            if _transpose_b_m(g, gram) != gram:
+                raise RuntimeError("generator does not preserve the invariant form")
+        return WeylGroupData(spec, functools.partial(
+            FiniteGroup.generate, gens, mat_mult, mat_inverse, mat_identity(n),
+            bound=bound, track_lengths=True), char_poly_matrix)
+    npts = n + 1 if fam == "A" else n
+    gens = []
+    for i in range(1, npts):
+        e = list(range(1, npts + 1))
+        e[i - 1], e[i] = e[i], e[i - 1]
+        gens.append(tuple(e))
+    if fam != "A":
+        e = list(range(1, n + 1))
         if fam == "B":
-            e = list(range(1, n + 1))
             e[n - 1] = -n
-            gens.append(tuple(e))
         else:
-            e = list(range(1, n + 1))
             e[n - 2], e[n - 1] = -n, -(n - 1)
-            gens.append(tuple(e))
-        grp = FiniteGroup.generate(gens, sp_mult, sp_inv, sp_identity(n),
-                                   bound=bound, track_lengths=True)
-        return WeylGroupData(spec, grp, lambda w: char_poly_signed(w, fam))
-    # exceptional
-    gens = [simple_reflection_matrix(fam, j) for j in range(spec.rank)]
-    grp = FiniteGroup.generate(gens, mat_mult, mat_inverse,
-                               mat_identity(spec.rank), bound=bound,
-                               track_lengths=True)
-    gram = GRAM[fam]
-    for g in gens:
-        if _transpose_b_m(g, gram) != gram:
-            raise RuntimeError("generator does not preserve the invariant form")
-    return WeylGroupData(spec, grp, char_poly_matrix)
+        gens.append(tuple(e))
+    return WeylGroupData(spec, functools.partial(
+        FiniteGroup.generate, gens, sp_mult, sp_inv, sp_identity(npts),
+        bound=bound, track_lengths=True), lambda w: char_poly_signed(w, fam))
 
 
 def _transpose_b_m(m, b):
@@ -575,10 +686,7 @@ class ProductWeyl:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.order
-        return out
+        return math.prod(f.order for f in self.factors)
 
     def classes(self):
         """Product classes: tuples of factor class indices."""
@@ -587,18 +695,11 @@ class ProductWeyl:
         index_lists = [range(len(f.classes())) for f in self.factors]
         out = []
         for combo in itertools.product(*index_lists):
-            size = 1
-            cp = QPolynomial.one()
-            elliptic = True
-            order = 1
-            for f, i in zip(self.factors, combo):
-                c = f.classes()[i]
-                size *= c.size
-                cp = cp * c.char_poly
-                elliptic = elliptic and c.elliptic
-                order = math.lcm(order, c.order)
-            out.append(WeylClassInfo(rep=combo, size=size, order=order,
-                                     char_poly=cp, elliptic=elliptic))
+            cs = [f.classes()[i] for f, i in zip(self.factors, combo)]
+            out.append(WeylClassInfo(
+                rep=combo, size=math.prod(c.size for c in cs),
+                order=math.lcm(*(c.order for c in cs)),
+                char_poly=math.prod((c.char_poly for c in cs), start=QPolynomial.one())))
         self._classes = out
         return out
 

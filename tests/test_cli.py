@@ -109,6 +109,12 @@ def test_independence_cli(capsys):
     ["independence", "--type", "B0"],
     ["fourier", "--gamma", "S6"],
     ["affine", "d4"],
+    ["efd", "--type", "B", "--lambda", "1,2"],
+    ["efd", "--type", "B", "--lambda", "2,-1"],
+    ["efd", "--type", "B", "--lambda", "0"],
+    ["efd", "--type", "B"],
+    ["efd", "--type", "D", "--n", "3", "--lambda", "2,1,1"],
+    ["mx", "--fixture", "nope"],
 ])
 def test_unsupported_input_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -116,6 +122,16 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "--type", "g2", "--classes"],
+    ["independence", "--type", "f4"],
+])
+def test_lowercase_group_names(capsys, argv):
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    assert run(capsys, "--json", *[a.upper() if a in ("g2", "f4") else a for a in argv]) == (0, out)
 
 
 def test_usage_error_exit_2():

@@ -1,16 +1,22 @@
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ellq
 from ellq.combinat import mn_character, partitions_of
 from ellq.exactq import QPolynomial
 from ellq.groups import GroupTooLargeError
 from ellq.weylgrp import (GroupSpec, ProductWeyl, build_group,
+                          char_poly_signed, closed_form_classes,
                           exceptional_exponents, fake_degree,
                           fake_degree_values, group_order_from_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial,
-                          restrict_class_function)
+                          restrict_class_function, signed_cycle_type)
 
 
 def test_orders():
@@ -24,6 +30,82 @@ def test_orders():
 def test_enumeration_bound():
     with pytest.raises(GroupTooLargeError):
         build_group(GroupSpec("B", 7))
+
+
+CLASSICAL = ([GroupSpec("A", n) for n in range(1, 8)] + [GroupSpec("B", n) for n in range(1, 7)]
+             + [GroupSpec("D", n) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
+def test_closed_form_classes_match_enumeration(spec):
+    model = closed_form_classes(spec)
+    # an uncached group, so the enumeration is freed after the test
+    grp = build_group.__wrapped__(spec).group
+    enumerated = grp.conjugacy_classes()
+    assert len(model) == len(enumerated)
+    for c, e in zip(model, enumerated):
+        cp = char_poly_signed(e.rep, spec.family)
+        assert (c.rep, c.size, c.order) == (e.rep, e.size, e.order)
+        assert c.char_poly == cp
+        assert c.elliptic == (cp.evaluate(Fraction(1)) != 0)
+        assert c.signed_type == signed_cycle_type(e.rep)
+    by_type = {}
+    for i, c in enumerate(model):
+        by_type.setdefault(c.signed_type, []).append(i)
+    for stype, idxs in by_type.items():
+        split = (spec.family == "D" and not stype[1]
+                 and all(r % 2 == 0 for r in stype[0]))
+        assert len(idxs) == (2 if split else 1)
+        if split:
+            # the two halves are distinct classes of W(D_n)
+            a, b = (model[i].rep for i in idxs)
+            assert grp.class_of(a) != grp.class_of(b)
+
+
+def test_closed_form_classes_rank_8():
+    # no enumeration: |W(B_8)| is above the bound
+    p = {n: len(partitions_of(n)) for n in range(9)}
+    bipartitions = sum(p[k] * p[8 - k] for k in range(9))
+    even_neg = sum(p[8 - k] * sum(1 for lam in partitions_of(k) if len(lam) % 2 == 0)
+                   for k in range(9))
+    b8 = 2 ** 8 * math.factorial(8)
+    for spec, count, order in [(GroupSpec("B", 8), bipartitions, b8),
+                               (GroupSpec("D", 8), even_neg + p[4], b8 // 2),
+                               (GroupSpec("A", 8), len(partitions_of(9)), math.factorial(9))]:
+        classes = closed_form_classes(spec)
+        assert len(classes) == count
+        assert sum(c.size for c in classes) == order
+        for c in classes:
+            assert signed_cycle_type(c.rep) == c.signed_type
+
+
+def test_class_data_needs_no_enumeration():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    code = (
+        "from ellq.groups import FiniteGroup, GroupTooLargeError\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('enumerated')\n"
+        "FiniteGroup.generate = staticmethod(refuse)\n"
+        "from ellq.elliptic import bn_fake_closed, elliptic_fake_degree, independence_check\n"
+        "from ellq.weylgrp import GroupSpec, build_group\n"
+        "for t, counts in (('B6', (11, 10)), ('D6', (6, 6)), ('A7', (1, 1))):\n"
+        "    r = independence_check(GroupSpec.parse(t))\n"
+        "    assert (r.n_elliptic, r.rank) == counts, t\n"
+        "W = build_group(GroupSpec('B', 5))\n"
+        "for lam in ((5,), (3, 2), (2, 1, 1, 1)):\n"
+        "    values = W.class_function_bipartition(lam, ())\n"
+        "    assert elliptic_fake_degree(W, values) == bn_fake_closed(lam)\n"
+        "for t in ('B7', 'A8'):\n"
+        "    try:\n"
+        "        build_group(GroupSpec.parse(t))\n"
+        "    except GroupTooLargeError as e:\n"
+        "        assert str(e) == 'group exceeds enumeration bound 50000'\n"
+        "    else:\n"
+        "        raise AssertionError(t)\n"
+        "print('ok')\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "ok"
 
 
 def test_class_equation():
