@@ -161,7 +161,7 @@ def _cmd_efd(args) -> int:
         if lam[-1] <= 0 or any(a < b for a, b in zip(lam, lam[1:])):
             raise ValueError(f"--lambda {args.lam} is not a partition: "
                              "parts must be positive and weakly decreasing")
-        n = args.n or sum(lam)
+        n = args.n if args.n is not None else sum(lam)
         if sum(lam) != n:
             raise ValueError("partition size must equal --n")
         f = bn_fake_closed(lam) if t == "B" else dn_fake_closed(lam)
@@ -176,6 +176,8 @@ def _cmd_efd(args) -> int:
             lines.append(f"  definitional sum agrees: {g == f}")
         _emit(args, payload, lines)
         return 0
+    if args.lam is not None:
+        raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
     spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
     f = sgn_fake_degree(exponents_of(spec))
     payload = {"type": str(spec), "sign-character": f.to_json(), "factored": f.factored()}

@@ -10,11 +10,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .exactq import QPolynomial, cyclotomic
+from .exactq import QPolynomial, cyclotomic, exact_div
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_coeffs(m: int) -> tuple[Fraction, ...]:
+def _phi_coeffs(m: int) -> tuple[int, ...]:
     return cyclotomic(m).coeffs
 
 
@@ -158,7 +158,7 @@ class CycNum:
             r0, r1 = r1, rem
             s0, s1 = s1, s0 - qt * s1
         assert r0.degree == 0, "Phi_m not coprime to element (impossible in a field)"
-        inv_poly = s0 * (1 / r0.leading)
+        inv_poly = s0 * exact_div(1, r0.leading)
         inv_poly = inv_poly % b
         return CycNum(self.m, {i: c for i, c in enumerate(inv_poly.coeffs) if c})
 

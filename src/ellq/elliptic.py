@@ -55,11 +55,9 @@ class VirtualCharacter:
 
 def elliptic_pairing(W: WeylGroupData, f: Sequence, g: Sequence) -> Fraction:
     """<f, g>^el = (1/|W|) sum_w f(w) g(w) det(1 - w)."""
-    total = Fraction(0)
-    for c, a, b in zip(W.classes(), f, g):
-        if c.elliptic:
-            total += Fraction(c.size) * Fraction(a) * Fraction(b) * c.det1
-    return total / W.order
+    total = sum(c.size * a * b * c.det1
+                for c, a, b in zip(W.classes(), f, g) if c.elliptic)
+    return Fraction(total, W.order)
 
 
 def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction:
@@ -70,7 +68,7 @@ def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction
 
 def sq_pairing(W: WeylGroupData, values: Sequence) -> RationalFunction:
     """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
-    terms = ((Fraction(v) * c.det1 * c.size, c.char_poly)
+    terms = ((v * c.det1 * c.size, c.char_poly)
              for c, v in zip(W.classes(), values) if c.elliptic)
     return class_sum(terms) * Fraction(1, W.order)
 

@@ -1,9 +1,12 @@
 """Exact arithmetic in the indeterminate q, and the exact linear algebra
 built on it.
 
-Polynomials are dense tuples of ``fractions.Fraction`` coefficients, constant
-term first.  Rational functions are kept in canonical form: numerator and
-denominator coprime, denominator monic.  Cyclotomic factorisation is by trial
+Polynomials are dense tuples of coefficients, constant term first.  A
+coefficient is a Python ``int`` whenever it is integral and a
+``fractions.Fraction`` only when its denominator exceeds 1; every scalar
+division goes through ``exact_div``, so no coefficient is ever a float.
+Rational functions are kept in canonical form: numerator and denominator
+coprime, denominator monic.  Cyclotomic factorisation is by trial
 division by Phi_n for n up to a configurable bound (default 30, the largest
 index occurring in the E8 tables).
 
@@ -29,6 +32,23 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _norm(c) -> Scalar:
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is not int:
+        c = c if type(c) is Fraction else Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when the quotient is integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        return Fraction(a, b) if rem else quo
+    return _norm(_frac(a) / b)
+
+
 class QPolynomial:
     """A polynomial in q over the rationals.
 
@@ -39,10 +59,10 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _norm(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple[Scalar, ...] = tuple(cs)
 
     @staticmethod
     def of(*coeffs: Scalar) -> "QPolynomial":
@@ -78,18 +98,18 @@ class QPolynomial:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == (1,)
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> Scalar:
         if not self.coeffs:
-            return Fraction(0)
+            return 0
         return self.coeffs[-1]
 
-    def coeff(self, n: int) -> Fraction:
+    def coeff(self, n: int) -> Scalar:
         if 0 <= n < len(self.coeffs):
             return self.coeffs[n]
-        return Fraction(0)
+        return 0
 
     def low_degree(self) -> int:
         """Smallest degree with nonzero coefficient; -1 for zero."""
@@ -102,13 +122,13 @@ class QPolynomial:
         if self.is_zero() or self.leading == 1:
             return self
         lc = self.leading
-        return QPolynomial(c / lc for c in self.coeffs)
+        return QPolynomial(exact_div(c, lc) for c in self.coeffs)
 
     def shift(self, n: int) -> "QPolynomial":
         """Multiply by q^n (n >= 0)."""
         if self.is_zero():
             return self
-        return QPolynomial((Fraction(0),) * n + self.coeffs)
+        return QPolynomial((0,) * n + self.coeffs)
 
     def __add__(self, other):
         other = _coerce_poly(other)
@@ -145,7 +165,7 @@ class QPolynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return QPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -175,12 +195,12 @@ class QPolynomial:
         dv = other.coeffs
         dlead = dv[-1]
         dq = len(dv) - 1
-        quot = [Fraction(0)] * max(len(rem) - dq, 0)
+        quot = [0] * max(len(rem) - dq, 0)
         for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = c / dlead
+            f = c if dlead == 1 else exact_div(c, dlead)
             quot[i - dq] = f
             for j, d in enumerate(dv):
                 rem[i - dq + j] -= f * d
@@ -353,20 +373,27 @@ class CyclotomicFactorization:
         }
 
     def __str__(self):
-        parts = []
-        if self.scalar != 1 or not (self.factors or self.q_power or not self.remainder.is_one()):
-            parts.append(str(self.scalar))
-        if self.q_power == 1:
-            parts.append("q")
-        elif self.q_power > 1:
-            parts.append(f"q^{self.q_power}")
-        for n in sorted(self.factors):
-            m = self.factors[n]
-            base = "(q-1)" if n == 1 else ("(q+1)" if n == 2 else f"Phi{n}")
-            parts.append(base if m == 1 else f"{base}^{m}")
-        if not self.remainder.is_one():
-            parts.append(f"[{self.remainder}]")
-        return " * ".join(parts) if parts else "1"
+        return _render_cyclotomic(self.scalar, self, "(q+1)", " * ")
+
+
+def _render_cyclotomic(scalar: Scalar, f: CyclotomicFactorization,
+                       phi2: str, sep: str) -> str:
+    """scalar, q^k, Phi_n^m and [remainder], joined by sep; the scalar is
+    left out when it is 1 and something else is printed.  phi2 spells Phi_2."""
+    parts = []
+    if f.q_power == 1:
+        parts.append("q")
+    elif f.q_power > 1:
+        parts.append(f"q^{f.q_power}")
+    for n in sorted(f.factors):
+        m = f.factors[n]
+        base = "(q-1)" if n == 1 else (phi2 if n == 2 else f"Phi{n}")
+        parts.append(base if m == 1 else f"{base}^{m}")
+    if not f.remainder.is_one():
+        parts.append(f"[{f.remainder}]")
+    if scalar != 1 or not parts:
+        parts.insert(0, str(scalar))
+    return sep.join(parts)
 
 
 def factor_cyclotomic(p: QPolynomial, bound: int = DEFAULT_CYCLOTOMIC_BOUND) -> CyclotomicFactorization:
@@ -385,7 +412,7 @@ def factor_cyclotomic(p: QPolynomial, bound: int = DEFAULT_CYCLOTOMIC_BOUND) -> 
                 break
             factors[n] = factors.get(n, 0) + 1
             p = quo
-    scalar = p.leading if not p.is_zero() else Fraction(1)
+    scalar = Fraction(p.leading if not p.is_zero() else 1)
     return CyclotomicFactorization(scalar, v, factors, p.monic(), bound)
 
 
@@ -409,7 +436,7 @@ class RationalFunction:
             den = den // g
         lc = den.leading
         if lc != 1:
-            num = num * (1 / lc)
+            num = QPolynomial(exact_div(c, lc) for c in num.coeffs)
             den = den.monic()
         self.num = num
         self.den = den
@@ -528,33 +555,9 @@ class RationalFunction:
         if self.den.is_one():
             return str(numf)
         denf = factor_cyclotomic(self.den, bound)
-        scalar = numf.scalar / denf.scalar
-        num_parts = []
-        if scalar != 1:
-            num_parts.append(str(scalar))
-        if numf.q_power == 1:
-            num_parts.append("q")
-        elif numf.q_power > 1:
-            num_parts.append(f"q^{numf.q_power}")
-        for n in sorted(numf.factors):
-            m = numf.factors[n]
-            base = "(q-1)" if n == 1 else f"Phi{n}"
-            num_parts.append(base if m == 1 else f"{base}^{m}")
-        if not numf.remainder.is_one():
-            num_parts.append(f"[{numf.remainder}]")
-        den_parts = []
-        if denf.q_power == 1:
-            den_parts.append("q")
-        elif denf.q_power > 1:
-            den_parts.append(f"q^{denf.q_power}")
-        for n in sorted(denf.factors):
-            m = denf.factors[n]
-            base = "(q-1)" if n == 1 else f"Phi{n}"
-            den_parts.append(base if m == 1 else f"{base}^{m}")
-        if not denf.remainder.is_one():
-            den_parts.append(f"[{denf.remainder}]")
-        num_str = " * ".join(num_parts) if num_parts else "1"
-        return f"{num_str} / ({' '.join(den_parts)})"
+        scalar = exact_div(numf.scalar, denf.scalar)
+        return (f"{_render_cyclotomic(scalar, numf, 'Phi2', ' * ')}"
+                f" / ({_render_cyclotomic(1, denf, 'Phi2', ' ')})")
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

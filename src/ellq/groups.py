@@ -165,10 +165,8 @@ class CharacterTable:
 
     def inner_product(self, f, g) -> Fraction:
         """<f, g> = (1/|G|) sum |C| f(C) conj(g(C)) for rational class functions."""
-        total = Fraction(0)
-        for j, c in enumerate(self.classes):
-            total += c.size * Fraction(f[j]) * Fraction(g[j])
-        return total / self.group.order
+        total = sum(c.size * f[j] * g[j] for j, c in enumerate(self.classes))
+        return Fraction(total, self.group.order)
 
     def decompose(self, values) -> list[Fraction]:
         """Coordinates of a rational class function in the basis of irreducibles."""
@@ -559,13 +557,21 @@ def _verify_table(table: CharacterTable) -> None:
     m = table.conductor
     if not all(isinstance(v, int) and v == 1 for v in table.values[0]):
         raise RuntimeError("first row is not the trivial character")
+    # Rational rows (every row of a Weyl group) pair as a plain integer sum;
+    # a pair with an irrational value pairs in Q(zeta_m), each value lifted once.
+    rows = table.values
+    sizes = [c.size for c in table.classes]
+    integral = [all(type(v) is int for v in row) for row in rows]
+    lifted = [] if all(integral) else [[_as_cyc(v, m) for v in row] for row in rows]
     for a in range(n):
         for b in range(a, n):
-            total = CycNum.zero(m)
-            for j, c in enumerate(table.classes):
-                va = _as_cyc(table.values[a][j], m)
-                vb = _as_cyc(table.values[b][j], m)
-                total = total + va * vb.conj() * c.size
-            expected = Fraction(order if a == b else 0)
-            if not total.is_rational() or total.as_rational() != expected:
+            expected = order if a == b else 0
+            if integral[a] and integral[b]:
+                ok = sum(x * y * s for x, y, s in zip(rows[a], rows[b], sizes)) == expected
+            else:
+                total = CycNum.zero(m)
+                for va, vb, s in zip(lifted[a], lifted[b], sizes):
+                    total = total + va * vb.conj() * s
+                ok = total.is_rational() and total.as_rational() == expected
+            if not ok:
                 raise RuntimeError(f"row orthogonality fails for rows {a},{b}")

@@ -259,10 +259,10 @@ class WeylClassInfo:
     order: int
     char_poly: QPolynomial
     signed_type: Optional[tuple] = None  # (pos, neg) for B/D; cycle type for A
-    det1: Fraction = field(init=False)  # det(1 - w), nonzero iff elliptic
+    det1: int = field(init=False)  # det(1 - w), nonzero iff elliptic
 
     def __post_init__(self):
-        self.det1 = self.char_poly.evaluate(Fraction(1))
+        self.det1 = sum(self.char_poly.coeffs)
 
     @property
     def elliptic(self) -> bool:

@@ -115,6 +115,10 @@ def test_independence_cli(capsys):
     ["efd", "--type", "B"],
     ["efd", "--type", "D", "--n", "3", "--lambda", "2,1,1"],
     ["mx", "--fixture", "nope"],
+    ["efd", "--type", "B", "--n", "0", "--lambda", "3"],
+    ["efd", "--type", "G2", "--lambda", "1,2"],
+    ["efd", "--type", "F4", "--lambda", "1"],
+    ["efd", "--type", "A", "--n", "3", "--lambda", "9"],
 ])
 def test_unsupported_input_exit_2(capsys, argv):
     assert main(argv) == 2

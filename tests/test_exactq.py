@@ -123,3 +123,108 @@ def test_factored_rendering():
     f = (RF_Q - 1) ** 2 * cyclotomic(5) / (RationalFunction(cyclotomic(2)) ** 2
                                            * cyclotomic(3) * cyclotomic(6))
     assert f.factored() == "(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)"
+
+
+# -- the integer-first coefficient kernel against an all-Fraction reference --
+
+def _ref(p):
+    return [Fraction(c) for c in p.coeffs]
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                     for i in range(n))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        f = rem[i + len(b) - 1] / b[-1]
+        quot[i] = f
+        for j, y in enumerate(b):
+            rem[i + j] -= f * y
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_monic(a):
+    return [c / a[-1] for c in a] if a else a
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a)
+
+
+def _canonical(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.coeffs)
+
+
+_coeff = st.one_of(st.integers(-6, 6),
+                   st.integers(-6, 6).map(Fraction),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_poly = st.lists(_coeff, max_size=6).map(QPolynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly, _poly)
+def test_integer_kernel_matches_fraction_reference(p, d):
+    a, b = _ref(p), _ref(d)
+    results = [p, d, p + d, p - d, p * d, p.monic(), poly_gcd(p, d)]
+    assert _ref(p + d) == _ref_add(a, b)
+    assert _ref(p - d) == _ref_add(a, [-c for c in b])
+    assert _ref(p * d) == _ref_mul(a, b)
+    assert _ref(p.monic()) == _ref_monic(a)
+    assert _ref(poly_gcd(p, d)) == _ref_gcd(a, b)
+    if not d.is_zero():
+        quo, rem = divmod(p, d)
+        assert (_ref(quo), _ref(rem)) == _ref_divmod(a, b)
+        r = RationalFunction(p, d)
+        g = _ref_gcd(a, b)
+        num, den = _ref_divmod(a, g)[0], _ref_divmod(b, g)[0]
+        assert _ref(r.num) == ([c / den[-1] for c in num] if num else [])
+        assert _ref(r.den) == (_ref_monic(den) if num else [1])
+        results += [quo, rem, r.num, r.den]
+    assert all(_canonical(x) for x in results)
+
+
+def test_integer_kernel_pinned_cases():
+    F = Fraction
+    half = QPolynomial.of(1, 2).monic()
+    assert half.coeffs == (F(1, 2), 1) and type(half.coeffs[1]) is int
+    r = RationalFunction.of(1, 2)
+    assert r.num.coeffs == (F(1, 2),) and r.den.coeffs == (1,)
+    assert type(QPolynomial.of(F(4, 2), 0, F(-3, 1)).coeffs[0]) is int
+    # a non-integral scalar survives factoring, over 1 and over a denominator
+    assert RationalFunction.of(QPolynomial.of(1, 1), 2).factored() == "1/2 * (q+1)"
+    x = RationalFunction(QPolynomial.of(1, 1), QPolynomial.of(0, 2) * cyclotomic(3))
+    assert x.factored() == "1/2 * Phi2 / (q Phi3)"
+    assert factor_cyclotomic(QPolynomial.of(3, 3)).scalar == F(3)
+    assert type(factor_cyclotomic(QPolynomial.of(3, 3)).scalar) is Fraction
+
+
+def test_cycnum_inverse_is_exact():
+    from ellq.cyclo import CycNum
+    x = CycNum(5, {0: 1, 1: 2})  # 1 + 2 zeta_5, of norm 11
+    inv = x.inverse()
+    assert x * inv == 1
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator == 11)
+               for c in inv.c.values())
+    assert CycNum(5, {0: 3}).inverse() == Fraction(1, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import pytest
 
 import ellq
-from ellq.groups import _nullspace_mod, _solve_in_span, isprime, primitive_root
+from ellq.cyclo import CycNum
+from ellq.groups import (_nullspace_mod, _solve_in_span, _verify_table, isprime,
+                         primitive_root)
 
 
 def test_character_table_imports_no_sympy():
@@ -47,3 +50,32 @@ def test_mod_p_nullspace_and_span_solve():
         _solve_in_span(basis, [[0, 0, 1]], p)
     with pytest.raises(ValueError, match="not independent"):
         _solve_in_span([[1, 0, 2], [2, 0, 4]], targets, p)
+
+
+def _with_entry(table, i, j, value):
+    """A copy of the table with values[i][j] replaced."""
+    values = [list(row) for row in table.values]
+    values[i][j] = value
+    return dataclasses.replace(table, values=values)
+
+
+def test_verify_table_rejects_a_changed_integer_entry():
+    from ellq.weylgrp import GroupSpec, build_group
+    table = build_group(GroupSpec("B", 3)).character_table()
+    assert all(type(v) is int for row in table.values for v in row)
+    _verify_table(_with_entry(table, 2, 3, table.values[2][3]))
+    with pytest.raises(RuntimeError, match="row orthogonality"):
+        _verify_table(_with_entry(table, 2, 3, table.values[2][3] + 1))
+
+
+def test_verify_table_rejects_a_changed_irrational_entry():
+    from ellq.fourier import _centralizers
+    # the centralizer of a 5-cycle in S5 is Z5, whose characters are irrational
+    table = next(t for t in _centralizers("S5")[2]
+                 if any(isinstance(v, CycNum) for row in t.values for v in row))
+    i, j = next((i, j) for i, row in enumerate(table.values)
+                for j, v in enumerate(row) if isinstance(v, CycNum))
+    v = table.values[i][j]
+    _verify_table(_with_entry(table, i, j, v))
+    with pytest.raises(RuntimeError, match="row orthogonality"):
+        _verify_table(_with_entry(table, i, j, v + CycNum.rational(v.m, 1)))
