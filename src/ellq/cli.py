@@ -67,10 +67,10 @@ def main(argv=None) -> int:
     p.add_argument("--type", required=True)
 
     args = parser.parse_args(argv)
-    if args.fixtures:
-        from .fixtures import set_fixtures_dir
-        set_fixtures_dir(args.fixtures)
     try:
+        if args.fixtures:
+            from .fixtures import set_fixtures_dir
+            set_fixtures_dir(args.fixtures)
         return _dispatch(args)
     except BrokenPipeError:  # pragma: no cover
         return 0

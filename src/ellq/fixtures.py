@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from fractions import Fraction
 from importlib import resources
 from typing import Optional
@@ -17,23 +18,25 @@ from typing import Optional
 from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic, cyclotomic_rf
 
 
-_FIXTURES_DIR: Optional[str] = None
+_FIXTURES_FILE: Optional[str] = None
 
 
 def set_fixtures_dir(path: Optional[str]) -> None:
-    global _FIXTURES_DIR
-    _FIXTURES_DIR = path
+    """Read the tables from path/appendix_tables.json from now on, or from the
+    packaged file again if path is None; a missing file is a ValueError."""
+    global _FIXTURES_FILE
+    file = os.path.join(path, "appendix_tables.json") if path else None
+    if file and not os.path.isfile(file):
+        raise ValueError(f"fixtures file {file} not found")
+    _FIXTURES_FILE = file
     _appendix_raw.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)
 def _appendix_raw() -> dict:
-    if _FIXTURES_DIR:
-        import os
-        path = os.path.join(_FIXTURES_DIR, "appendix_tables.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                return json.load(fh)
+    if _FIXTURES_FILE:
+        with open(_FIXTURES_FILE) as fh:
+            return json.load(fh)
     with resources.files("ellq.data").joinpath("appendix_tables.json").open() as fh:
         return json.load(fh)
 

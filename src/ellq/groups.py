@@ -1,11 +1,14 @@
 """Generic finite group machinery: enumeration from generators, conjugacy
 classes, centralizers, subgroups, and exact character tables.
 
-The character table algorithm splits common eigenspaces of the class-sum
-matrices over a prime field F_p (p = 1 mod exponent, p > 2*sqrt(|G|)), lifts
-eigenvalue multiplicities to exact cyclotomic integers, and then verifies the
-full orthogonality relations exactly over Q(zeta).  Any verification failure
-is a hard error; no approximate tables are ever returned.
+Dixon's algorithm serves the groups with no closed-form table: G2, F4 and
+the centralizers in the Fourier groups Gamma (the tables of types A, B and D
+are closed form, in `weylgrp`).  It splits common eigenspaces of the
+class-sum matrices over a prime field F_p (p = 1 mod exponent,
+p > 2*sqrt(|G|)), lifts eigenvalue multiplicities to exact cyclotomic
+integers, and then verifies the full orthogonality relations exactly over
+Q(zeta).  Any verification failure is a hard error; no approximate tables
+are ever returned.
 """
 from __future__ import annotations
 
@@ -15,6 +18,10 @@ from math import isqrt
 from typing import Callable, Optional, Sequence
 
 from .cyclo import CycNum
+
+
+# the most elements any enumeration may produce
+DEFAULT_BOUND = 50000
 
 
 class GroupTooLargeError(ValueError):
@@ -46,7 +53,7 @@ class FiniteGroup:
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
-                 bound: int = 50000, track_lengths: bool = False) -> "FiniteGroup":
+                 bound: int = DEFAULT_BOUND, track_lengths: bool = False) -> "FiniteGroup":
         """Enumerate the group generated by `generators` by breadth-first closure."""
         lengths = {identity: 0}
         frontier = [identity]
@@ -146,13 +153,14 @@ class FiniteGroup:
 
 @dataclass
 class CharacterTable:
-    """Exact character table: rows = irreducibles, columns = conjugacy classes.
+    """Exact character table of a group of the given order: rows =
+    irreducibles, columns = conjugacy classes (anything with a `size`).
 
     Values are ints where the character is rational (always, for Weyl groups)
     and CycNum otherwise.
     """
-    group: FiniteGroup
-    classes: list[ConjClass]
+    order: int
+    classes: list
     values: list[list]  # values[i][j] = chi_i(class j)
     conductor: int
 
@@ -166,7 +174,7 @@ class CharacterTable:
     def inner_product(self, f, g) -> Fraction:
         """<f, g> = (1/|G|) sum |C| f(C) conj(g(C)) for rational class functions."""
         total = sum(c.size * f[j] * g[j] for j, c in enumerate(self.classes))
-        return Fraction(total, self.group.order)
+        return Fraction(total, self.order)
 
     def decompose(self, values) -> list[Fraction]:
         """Coordinates of a rational class function in the basis of irreducibles."""
@@ -500,15 +508,8 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             else:
                 srow.append(v)
         simple.append(srow)
-    simple.sort(key=_row_sort_key)
-    for i, row in enumerate(simple):
-        if all(isinstance(v, int) and v == 1 for v in row):
-            simple.insert(0, simple.pop(i))
-            break
-    else:
-        raise RuntimeError("trivial character missing from the table")
-
-    table = CharacterTable(group, classes, simple, exponent)
+    table = CharacterTable(group.order, classes, [simple[i] for i in row_order(simple)],
+                           exponent)
     _verify_table(table)
     return table
 
@@ -531,14 +532,18 @@ def _power_map(group, classes, class_of):
     return pm
 
 
-def _row_sort_key(row):
-    key = [row[0]]
-    for v in row[1:]:
-        if isinstance(v, int):
-            key.append((0, (Fraction(v),)))
-        else:
-            key.append((1, v.reduced()))
-    return key
+def row_order(rows) -> list[int]:
+    """The indices of character rows in table order: by degree, then value
+    by value with rationals before irrationals, and the trivial row first."""
+    def key(i):
+        return [rows[i][0]] + [(0, (Fraction(v),)) if isinstance(v, int) else (1, v.reduced())
+                               for v in rows[i][1:]]
+    order = sorted(range(len(rows)), key=key)
+    trivial = [k for k, i in enumerate(order) if all(type(v) is int and v == 1 for v in rows[i])]
+    if not trivial:
+        raise RuntimeError("trivial character missing from the table")
+    order.insert(0, order.pop(trivial[0]))
+    return order
 
 
 def _as_cyc(v, m) -> CycNum:
@@ -553,7 +558,7 @@ def _verify_table(table: CharacterTable) -> None:
     n = table.n_irreps
     if n != kk:
         raise RuntimeError("wrong number of irreducibles")
-    order = table.group.order
+    order = table.order
     m = table.conductor
     if not all(isinstance(v, int) and v == 1 for v in table.values[0]):
         raise RuntimeError("first row is not the trivial character")

@@ -3,10 +3,14 @@ integer matrices on the root lattice for G2 and F4.
 
 Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
-fake degrees, and induction from subgroups.  The classes of types A, B and D
-come in closed form from their signed cycle types; the elements are
-enumerated only when a character table, a class lookup or a subgroup needs
-them, and the enumerated classes are then checked against the closed form.
+fake degrees, and induction from subgroups.  The classes and the labelled
+character tables of types A, B and D come in closed form from their signed
+cycle types (Murnaghan-Nakayama, bipartition characters, and the split
+restrictions to D_n of Geck-Pfeiffer 5.6), checked by the orthogonality
+relations; Dixon's algorithm on the enumerated group serves G2 and F4 only.
+The elements of A, B and D are enumerated only when a class lookup or a
+subgroup needs them, and the enumerated classes are then checked against
+the closed form.
 """
 from __future__ import annotations
 
@@ -20,9 +24,8 @@ from typing import Optional, Sequence
 
 from .combinat import mn_character, partitions_of
 from .exactq import QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum
-from .groups import FiniteGroup, GroupTooLargeError
-
-DEFAULT_BOUND = 50000
+from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
+                     _verify_table, row_order)
 
 
 @dataclass(frozen=True)
@@ -375,6 +378,16 @@ def _half(w) -> int:
     return minus % 2
 
 
+def _split_difference(lam, c: WeylClassInfo) -> int:
+    """chi+ - chi- at the class c, for the halves of lam x lam restricted to
+    W(D_n): (-1)^half 2^l(mu) chi^lam(mu) on a split class of type (2mu, ()),
+    0 elsewhere (Geck-Pfeiffer 5.6)."""
+    pos, neg = c.signed_type
+    if neg or any(r % 2 for r in pos):
+        return 0
+    return (-1) ** _half(c.rep) * 2 ** len(pos) * mn_character(lam, tuple(r // 2 for r in pos))
+
+
 class WeylGroupData:
     """A Weyl group with its reflection-representation data; `group` enumerates."""
 
@@ -385,8 +398,9 @@ class WeylGroupData:
         self._group: Optional[FiniteGroup] = None
         self._char_poly_fn = char_poly_fn
         self._classes: Optional[list[WeylClassInfo]] = None
-        self._table = None
+        self._table: Optional[CharacterTable] = None
         self._labels: Optional[list[str]] = None
+        self._index: dict[str, int] = {}
         self.exponents = exponents_of(spec)
         self.poincare = poincare_polynomial(self.exponents)
         self.order = group_order_from_exponents(self.exponents)
@@ -415,94 +429,69 @@ class WeylGroupData:
     def elliptic_classes(self) -> list[int]:
         return [i for i, c in enumerate(self.classes()) if c.elliptic]
 
-    def character_table(self):
+    def character_table(self) -> CharacterTable:
         if self._table is None:
-            self._table = self.group.character_table()
-            for row in self._table.values:
-                if not all(isinstance(v, int) for v in row):
+            if self.spec.family in ("A", "B", "D"):
+                rows = self._closed_form_rows()
+                order = row_order([row for _, row in rows])
+                self._table = CharacterTable(self.order, self.classes(),
+                                             [rows[i][1] for i in order], conductor=1)
+                _verify_table(self._table)
+                labels = [rows[i][0] for i in order]
+                # of the two halves of a split restriction, "+" sorts first
+                self._set_labels([lab + ("+" if labels.index(lab) == k else "-")
+                                  if labels.count(lab) == 2 else lab
+                                  for k, lab in enumerate(labels)])
+            else:
+                self._table = self.group.character_table()
+                if not all(type(v) is int for row in self._table.values for v in row):
                     raise RuntimeError("Weyl group character table must be rational")
         return self._table
+
+    def _closed_form_rows(self) -> list[tuple[str, list[int]]]:
+        """(label, values) of the irreducibles of type A, B or D, unordered;
+        the two halves of a split D-restriction share their label."""
+        classes = self.classes()
+        if self.spec.family == "A":
+            return [(str(list(lam)), [mn_character(lam, c.signed_type[0]) for c in classes])
+                    for lam in partitions_of(self.rank + 1)]
+        n, rows = self.rank, []
+        for lam, gam in ((lam, gam) for k in range(n + 1) for lam in partitions_of(k)
+                         for gam in partitions_of(n - k)):
+            if self.spec.family == "D" and (gam, lam) < (lam, gam):
+                continue  # lam x gam and gam x lam restrict alike
+            label, res = f"{list(lam)}x{list(gam)}", self.class_function_bipartition(lam, gam)
+            if self.spec.family == "B" or lam != gam:
+                rows.append((label, res))
+                continue
+            # the restriction splits as chi+ + chi-
+            diff = [_split_difference(lam, c) for c in classes]
+            rows += [(label, [(r + d) // 2 for r, d in zip(res, diff)]),
+                     (label, [(r - d) // 2 for r, d in zip(res, diff)])]
+        return rows
 
     # -- irreducible labels ---------------------------------------------------
 
     def irrep_labels(self) -> list[str]:
         if self._labels is None:
-            self._labels = self._compute_labels()
+            table = self.character_table()  # which labels A, B and D itself
+            if self._labels is None:
+                self._set_labels(self._labels_g2(table) if self.spec.family == "G2"
+                                 else self._labels_generic(table))
         return self._labels
 
+    def _set_labels(self, labels: list[str]) -> None:
+        self._labels = labels
+        self._index = {lab: i for i, lab in enumerate(labels)}
+
     def irrep_index(self, label: str) -> int:
-        return self.irrep_labels().index(label)
+        self.irrep_labels()
+        if label not in self._index:
+            raise ValueError(f"{self.spec} has no irreducible labelled {label!r}")
+        return self._index[label]
 
     def irrep_values(self, label: str) -> list[int]:
         return self.character_table().values[self.irrep_index(label)]
-
-    def _compute_labels(self) -> list[str]:
-        table = self.character_table()
-        fam = self.spec.family
-        if fam == "A":
-            return self._labels_a(table)
-        if fam == "B":
-            return self._labels_b(table)
-        if fam == "D":
-            return self._labels_d(table)
-        if fam == "G2":
-            return self._labels_g2(table)
-        return self._labels_generic(table)
-
-    def _labels_a(self, table):
-        n = self.rank + 1
-        want = {}
-        for lam in partitions_of(n):
-            key = tuple(mn_character(lam, c.signed_type[0]) for c in self.classes())
-            want[key] = f"{list(lam)}"
-        return self._match_labels(table, want)
-
-    def _labels_b(self, table):
-        n = self.rank
-        want = {}
-        for total_l in range(n + 1):
-            for lam in partitions_of(total_l):
-                for gam in partitions_of(n - total_l):
-                    key = tuple(bipartition_value(lam, gam, c.signed_type[0], c.signed_type[1])
-                                for c in self.classes())
-                    want[key] = f"{list(lam)}x{list(gam)}"
-        return self._match_labels(table, want)
-
-    def _labels_d(self, table):
-        n = self.rank
-        rows = [tuple(r) for r in table.values]
-        labels: dict[int, str] = {}
-        used = set()
-        for total_l in range(n + 1):
-            for lam in partitions_of(total_l):
-                for gam in partitions_of(n - total_l):
-                    if (gam, lam) < (lam, gam):
-                        continue
-                    vals = tuple(bipartition_value(lam, gam, c.signed_type[0], c.signed_type[1])
-                                 for c in self.classes())
-                    if lam != gam:
-                        for i, r in enumerate(rows):
-                            if i not in used and r == vals:
-                                labels[i] = f"{list(lam)}x{list(gam)}"
-                                used.add(i)
-                                break
-                    else:
-                        # the restriction splits; its two constituents have
-                        # half the dimension and sum to the restricted values
-                        halves = [i for i, r in enumerate(rows)
-                                  if i not in used and r[0] * 2 == vals[0]]
-                        pair = [(i, j) for i in halves for j in halves if i < j
-                                and all(rows[i][k] + rows[j][k] == vals[k]
-                                        for k in range(len(vals)))]
-                        if pair:
-                            i, j = pair[0]
-                            labels[i] = f"{list(lam)}x{list(gam)}+"
-                            labels[j] = f"{list(lam)}x{list(gam)}-"
-                            used.add(i)
-                            used.add(j)
-        if len(labels) != len(rows):
-            raise RuntimeError("failed to label all D-type irreducibles")
-        return [labels[i] for i in range(len(rows))]
 
     def _labels_g2(self, table):
         # phi(d,b): dimension and b-invariant; the two linear b=3 characters are
@@ -532,15 +521,6 @@ class WeylGroupData:
                 idxs.sort(key=lambda i: table.values[i])
                 for k, i in enumerate(idxs):
                     labels[i] = f"phi({d},{b})" + "'" * (k + 1)
-        return labels
-
-    def _match_labels(self, table, want: dict[tuple, str]) -> list[str]:
-        labels = []
-        for row in table.values:
-            key = tuple(row)
-            if key not in want:
-                raise RuntimeError(f"unmatched character row {row}")
-            labels.append(want[key])
         return labels
 
     # -- class functions -------------------------------------------------------
@@ -575,11 +555,11 @@ class WeylGroupData:
 
 
 @functools.lru_cache(maxsize=None)
-def build_group(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> WeylGroupData:
+def build_group(spec: GroupSpec) -> WeylGroupData:
     """The Weyl group, to be enumerated on demand; raises GroupTooLargeError
-    when its order exceeds the bound."""
-    if group_order_from_exponents(exponents_of(spec)) > bound:
-        raise GroupTooLargeError(f"group exceeds enumeration bound {bound}")
+    when its order exceeds the enumeration bound."""
+    if group_order_from_exponents(exponents_of(spec)) > DEFAULT_BOUND:
+        raise GroupTooLargeError(f"group exceeds enumeration bound {DEFAULT_BOUND}")
     fam, n = spec.family, spec.rank
     if fam in ("G2", "F4"):
         gens = [simple_reflection_matrix(fam, j) for j in range(n)]
@@ -589,7 +569,7 @@ def build_group(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> WeylGroupData:
                 raise RuntimeError("generator does not preserve the invariant form")
         return WeylGroupData(spec, functools.partial(
             FiniteGroup.generate, gens, mat_mult, mat_inverse, mat_identity(n),
-            bound=bound, track_lengths=True), char_poly_matrix)
+            track_lengths=True), char_poly_matrix)
     npts = n + 1 if fam == "A" else n
     gens = []
     for i in range(1, npts):
@@ -605,7 +585,7 @@ def build_group(spec: GroupSpec, bound: int = DEFAULT_BOUND) -> WeylGroupData:
         gens.append(tuple(e))
     return WeylGroupData(spec, functools.partial(
         FiniteGroup.generate, gens, sp_mult, sp_inv, sp_identity(npts),
-        bound=bound, track_lengths=True), lambda w: char_poly_signed(w, fam))
+        track_lengths=True), lambda w: char_poly_signed(w, fam))
 
 
 def _transpose_b_m(m, b):

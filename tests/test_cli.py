@@ -119,6 +119,8 @@ def test_independence_cli(capsys):
     ["efd", "--type", "G2", "--lambda", "1,2"],
     ["efd", "--type", "F4", "--lambda", "1"],
     ["efd", "--type", "A", "--n", "3", "--lambda", "9"],
+    ["--fixtures", "/nonexistent", "verify", "appendix-g2"],
+    ["fake", "--type", "B3", "--irrep", "nope"],
 ])
 def test_unsupported_input_exit_2(capsys, argv):
     assert main(argv) == 2

@@ -62,6 +62,20 @@ def test_closed_form_classes_match_enumeration(spec):
             assert grp.class_of(a) != grp.class_of(b)
 
 
+@pytest.mark.parametrize("spec", CLASSICAL, ids=str)
+def test_closed_form_tables_match_dixon(spec):
+    W = build_group(spec)
+    # Dixon's algorithm on an uncached, enumerated group is the second route
+    dixon = build_group.__wrapped__(spec).group.character_table()
+    assert W.character_table().values == dixon.values
+    if str(spec) == "D4":
+        # the row order and the +/- convention of the split restrictions
+        assert W.irrep_labels() == [
+            "[]x[4]", "[]x[1, 1, 1, 1]", "[]x[2, 2]", "[1, 1]x[1, 1]+", "[2]x[2]+",
+            "[1, 1]x[1, 1]-", "[2]x[2]-", "[]x[2, 1, 1]", "[]x[3, 1]", "[1]x[3]",
+            "[1]x[1, 1, 1]", "[1, 1]x[2]", "[1]x[2, 1]"]
+
+
 def test_closed_form_classes_rank_8():
     # no enumeration: |W(B_8)| is above the bound
     p = {n: len(partitions_of(n)) for n in range(9)}
@@ -95,6 +109,12 @@ def test_class_data_needs_no_enumeration():
         "for lam in ((5,), (3, 2), (2, 1, 1, 1)):\n"
         "    values = W.class_function_bipartition(lam, ())\n"
         "    assert elliptic_fake_degree(W, values) == bn_fake_closed(lam)\n"
+        "from ellq.weylgrp import fake_degree\n"
+        "for t in ('B5', 'D5', 'A6'):\n"
+        "    W = build_group(GroupSpec.parse(t))\n"
+        "    assert len(W.character_table().values) == len(W.classes())\n"
+        "    for lab in W.irrep_labels():\n"
+        "        assert fake_degree(W, lab).evaluate(1) == W.irrep_values(lab)[0]\n"
         "for t in ('B7', 'A8'):\n"
         "    try:\n"
         "        build_group(GroupSpec.parse(t))\n"
