@@ -152,7 +152,7 @@ def _cmd_fake(args) -> int:
 def _cmd_efd(args) -> int:
     from .elliptic import (bn_fake_closed, dn_fake_closed, elliptic_fake_degree,
                            sgn_fake_degree)
-    from .weylgrp import GroupSpec, build_group, exponents_of
+    from .weylgrp import GroupSpec, WeylGroupData, build_group, exponents_of
     t = args.type.upper()
     if t in ("B", "D"):
         if not args.lam:
@@ -164,24 +164,28 @@ def _cmd_efd(args) -> int:
         n = args.n if args.n is not None else sum(lam)
         if sum(lam) != n:
             raise ValueError("partition size must equal --n")
+        spec = GroupSpec(t, n)
         f = bn_fake_closed(lam) if t == "B" else dn_fake_closed(lam)
         payload = {"type": f"{t}{n}", "lambda": list(lam), "value": f.to_json(),
                    "factored": f.factored()}
         lines = [f"F[{lam} x ()] over {t}{n}:", f"  raw: {f}", f"  factored: {f.factored()}"]
-        if args.definitional:
-            W = build_group(GroupSpec(t, n))
-            g = elliptic_fake_degree(W, W.class_function_bipartition(lam, ()))
-            payload["definitional"] = g.to_json()
-            payload["agree"] = g == f
-            lines.append(f"  definitional sum agrees: {g == f}")
-        _emit(args, payload, lines)
-        return 0
-    if args.lam is not None:
-        raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
-    spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
-    f = sgn_fake_degree(exponents_of(spec))
-    payload = {"type": str(spec), "sign-character": f.to_json(), "factored": f.factored()}
-    lines = [f"F[sgn] for {spec}:", f"  raw: {f}", f"  factored: {f.factored()}"]
+
+        def values(W):
+            return W.class_function_bipartition(lam, ())
+    else:
+        if args.lam is not None:
+            raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
+        spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
+        f = sgn_fake_degree(exponents_of(spec))
+        payload = {"type": str(spec), "sign-character": f.to_json(), "factored": f.factored()}
+        lines = [f"F[sgn] for {spec}:", f"  raw: {f}", f"  factored: {f.factored()}"]
+        values = WeylGroupData.sign_values
+    if args.definitional:
+        W = build_group(spec)
+        g = elliptic_fake_degree(W, values(W))
+        payload["definitional"] = g.to_json()
+        payload["agree"] = g == f
+        lines.append(f"  definitional sum agrees: {g == f}")
     _emit(args, payload, lines)
     return 0
 

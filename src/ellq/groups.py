@@ -37,10 +37,16 @@ class ConjClass:
 
 
 class FiniteGroup:
-    """A concrete finite group whose elements are hashable objects."""
+    """A concrete finite group whose elements are hashable objects.
+
+    `key` orders elements: each class is represented by its element of least
+    key, and classes of equal size and order are sorted by their
+    representatives' keys.  Subgroups and centralizers inherit it.
+    """
 
     def __init__(self, elements, mult: Callable, inv: Callable, identity,
-                 generators: Sequence = (), lengths: Optional[dict] = None):
+                 generators: Sequence = (), lengths: Optional[dict] = None,
+                 key: Callable = repr):
         self.elements = list(elements)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self.mult = mult
@@ -48,12 +54,14 @@ class FiniteGroup:
         self.identity = identity
         self.generators = list(generators)
         self.lengths = lengths
+        self.key = key
         self._classes: Optional[list[ConjClass]] = None
         self._class_of: Optional[dict] = None
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
-                 bound: int = DEFAULT_BOUND, track_lengths: bool = False) -> "FiniteGroup":
+                 bound: int = DEFAULT_BOUND, track_lengths: bool = False,
+                 key: Callable = repr) -> "FiniteGroup":
         """Enumerate the group generated by `generators` by breadth-first closure."""
         lengths = {identity: 0}
         frontier = [identity]
@@ -74,7 +82,7 @@ class FiniteGroup:
                                 f"group exceeds enumeration bound {bound}")
             frontier = nxt
         return FiniteGroup(elements, mult, inv, identity, generators,
-                           lengths if track_lengths else None)
+                           lengths if track_lengths else None, key)
 
     @property
     def order(self) -> int:
@@ -91,6 +99,8 @@ class FiniteGroup:
         """Orbit partition under conjugation, deterministically ordered."""
         if self._classes is not None:
             return self._classes
+        mult, key = self.mult, self.key
+        conjugators = [(s, self.inv(s)) for s in self.generators or self.elements]
         seen = set()
         raw = []
         for g in self.elements:
@@ -100,15 +110,15 @@ class FiniteGroup:
             frontier = [g]
             while frontier:
                 x = frontier.pop()
-                for s in self.generators or self.elements:
-                    y = self.mult(self.mult(s, x), self.inv(s))
+                for s, s_inv in conjugators:
+                    y = mult(mult(s, x), s_inv)
                     if y not in orbit:
                         orbit.add(y)
                         frontier.append(y)
             seen |= orbit
-            rep = min(orbit, key=self._element_key)
+            rep = min(orbit, key=key)
             raw.append(ConjClass(rep, len(orbit), self.element_order(rep), tuple(orbit)))
-        raw.sort(key=lambda c: (c.size, c.order, self._element_key(c.rep)))
+        raw.sort(key=lambda c: (c.size, c.order, key(c.rep)))
         # identity class first
         for i, c in enumerate(raw):
             if c.rep == self.identity:
@@ -121,9 +131,6 @@ class FiniteGroup:
                 self._class_of[x] = i
         return raw
 
-    def _element_key(self, g):
-        return repr(g)
-
     def class_of(self, g) -> int:
         self.conjugacy_classes()
         return self._class_of[g]
@@ -131,12 +138,11 @@ class FiniteGroup:
     def centralizer(self, x) -> "FiniteGroup":
         elems = [g for g in self.elements if self.mult(g, x) == self.mult(x, g)]
         return FiniteGroup(elems, self.mult, self.inv, self.identity,
-                           generators=elems)
+                           generators=elems, key=self.key)
 
     def subgroup(self, gens: Sequence) -> "FiniteGroup":
-        sub = FiniteGroup.generate(list(gens), self.mult, self.inv, self.identity,
-                                   bound=self.order)
-        return sub
+        return FiniteGroup.generate(list(gens), self.mult, self.inv, self.identity,
+                                    bound=self.order, key=self.key)
 
     def exponent(self) -> int:
         from math import lcm

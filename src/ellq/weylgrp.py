@@ -1,5 +1,6 @@
 """Concrete finite Weyl groups: signed permutations for the classical types,
-integer matrices on the root lattice for G2 and F4.
+permutations of the roots for G2 and F4, whose integer matrices on the root
+lattice are built only for det(1 - q w) and for display.
 
 Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
@@ -179,7 +180,9 @@ def bipartition_value(lam, gamma, pos, neg) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exceptional groups as integer matrices on the root lattice
+# exceptional groups as permutations of their roots (as in CHEVIE, Geck et al.
+# 1996): w is stored as bytes, w[i] the index of w(root i), so a product is one
+# bytes.translate and the matrix of w is read off its images of the simple roots
 
 CARTAN_PAIRING = {
     # P[i][j] = <alpha_i, alpha_j^vee>; G2: alpha1 short, alpha2 long
@@ -198,10 +201,6 @@ def mat_mult(a, b):
     n = len(a)
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
                  for i in range(n))
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def simple_reflection_matrix(family: str, j: int):
@@ -242,14 +241,48 @@ def _poly_det(rows) -> QPolynomial:
     return total
 
 
-def mat_inverse(m):
-    """Inverse of a finite-order integer matrix: the power just before the
-    order closes up."""
-    ident = mat_identity(len(m))
-    prev, x = ident, m
-    while x != ident:
-        prev, x = x, mat_mult(x, m)
-    return prev
+class RootPermutations:
+    """W(G2) or W(F4) acting on its roots, in simple-root coordinates with the
+    simple roots first: the generators, product, inverse and identity of the
+    permutation encoding, and the matrix of an element."""
+
+    def __init__(self, family: str, reflections):
+        n = len(reflections)
+        roots = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        index = {r: i for i, r in enumerate(roots)}
+        for r in roots:  # the loop also visits the roots appended on the way
+            for m in reflections:
+                image = _mat_vec(m, r)
+                if image not in index:
+                    index[image] = len(roots)
+                    roots.append(image)
+        if len(roots) != 2 * sum(EXPONENTS[family]):
+            raise RuntimeError(f"{family} has {len(roots)} roots, not twice the "
+                               "sum of its exponents")
+        self.rank, self.roots = n, roots
+        self.generators = [bytes(index[_mat_vec(m, r)] for r in roots) for m in reflections]
+        self.identity = bytes(range(len(roots)))
+        pad = bytes(256 - len(roots))
+        # (a b)[i] = a[b[i]]: translate b through a, padded to a full byte table
+        self.mult = lambda a, b: b.translate(a + pad)
+
+    @staticmethod
+    def inv(w: bytes) -> bytes:
+        out = bytearray(len(w))
+        for i, k in enumerate(w):
+            out[k] = i
+        return bytes(out)
+
+    def matrix(self, w: bytes):
+        """The matrix of w on root coordinates: column j is w(alpha_j)."""
+        return tuple(zip(*(self.roots[k] for k in w[:self.rank])))
+
+    def key(self, w: bytes) -> str:
+        return repr(self.matrix(w))
+
+
+def _mat_vec(m, v):
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +295,7 @@ class WeylClassInfo:
     order: int
     char_poly: QPolynomial
     signed_type: Optional[tuple] = None  # (pos, neg) for B/D; cycle type for A
+    matrix: Optional[tuple] = None  # of rep on root coordinates, for G2 and F4
     det1: int = field(init=False)  # det(1 - w), nonzero iff elliptic
 
     def __post_init__(self):
@@ -272,7 +306,7 @@ class WeylClassInfo:
         return self.det1 != 0
 
     def rep_str(self) -> str:
-        return str(list(self.rep) if isinstance(self.rep, tuple) and not isinstance(self.rep[0], tuple) else [list(r) for r in self.rep])
+        return str(list(self.rep) if self.matrix is None else [list(r) for r in self.matrix])
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +425,13 @@ def _split_difference(lam, c: WeylClassInfo) -> int:
 class WeylGroupData:
     """A Weyl group with its reflection-representation data; `group` enumerates."""
 
-    def __init__(self, spec: GroupSpec, generate, char_poly_fn):
+    def __init__(self, spec: GroupSpec, generate, char_poly_fn, matrix_fn=None):
         self.spec = spec
         self.rank = spec.rank
         self._generate = generate
         self._group: Optional[FiniteGroup] = None
         self._char_poly_fn = char_poly_fn
+        self._matrix_fn = matrix_fn
         self._classes: Optional[list[WeylClassInfo]] = None
         self._table: Optional[CharacterTable] = None
         self._labels: Optional[list[str]] = None
@@ -422,7 +457,8 @@ class WeylGroupData:
             if self.spec.family in ("A", "B", "D"):
                 self._classes = closed_form_classes(self.spec)
             else:
-                self._classes = [WeylClassInfo(c.rep, c.size, c.order, self._char_poly_fn(c.rep))
+                self._classes = [WeylClassInfo(c.rep, c.size, c.order, self._char_poly_fn(c.rep),
+                                               matrix=self._matrix_fn(c.rep))
                                  for c in self.group.conjugacy_classes()]
         return self._classes
 
@@ -562,14 +598,16 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
         raise GroupTooLargeError(f"group exceeds enumeration bound {DEFAULT_BOUND}")
     fam, n = spec.family, spec.rank
     if fam in ("G2", "F4"):
-        gens = [simple_reflection_matrix(fam, j) for j in range(n)]
+        reflections = [simple_reflection_matrix(fam, j) for j in range(n)]
         gram = GRAM[fam]
-        for g in gens:
-            if _transpose_b_m(g, gram) != gram:
+        for m in reflections:
+            if _transpose_b_m(m, gram) != gram:
                 raise RuntimeError("generator does not preserve the invariant form")
+        phi = RootPermutations(fam, reflections)
         return WeylGroupData(spec, functools.partial(
-            FiniteGroup.generate, gens, mat_mult, mat_inverse, mat_identity(n),
-            track_lengths=True), char_poly_matrix)
+            FiniteGroup.generate, phi.generators, phi.mult, phi.inv, phi.identity,
+            track_lengths=True, key=phi.key),
+            lambda w: char_poly_matrix(phi.matrix(w)), phi.matrix)
     npts = n + 1 if fam == "A" else n
     gens = []
     for i in range(1, npts):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,17 @@ def test_efd_json_round_trip(capsys):
     from ellq.elliptic import bn_fake_closed
     from ellq.exactq import RationalFunction
     assert RationalFunction.from_json(data["value"]) == bn_fake_closed((1, 1))
+
+
+@pytest.mark.parametrize("group", ["G2", "F4"])
+def test_efd_sgn_definitional(capsys, group):
+    code, out = run(capsys, "--json", "efd", "--type", group, "--definitional")
+    assert code == 0
+    data = json.loads(out)
+    assert data["agree"] is True
+    assert data["definitional"] == data["sign-character"]
+    code, out = run(capsys, "efd", "--type", group, "--definitional")
+    assert code == 0 and "definitional sum agrees: True" in out
 
 
 def test_efd_sgn(capsys):
@@ -119,6 +131,7 @@ def test_independence_cli(capsys):
     ["efd", "--type", "G2", "--lambda", "1,2"],
     ["efd", "--type", "F4", "--lambda", "1"],
     ["efd", "--type", "A", "--n", "3", "--lambda", "9"],
+    ["efd", "--type", "A", "--n", "9", "--definitional"],
     ["--fixtures", "/nonexistent", "verify", "appendix-g2"],
     ["fake", "--type", "B3", "--irrep", "nope"],
 ])
@@ -128,6 +141,32 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
+
+
+# sha256 of stdout, recorded when G2 and F4 were still enumerated as matrices
+EXCEPTIONAL_OUTPUTS = {
+    ("group", "--type", "G2", "--table"):
+        "2297013f03ef3a1640b59052ca5b529a59cbe530b815031385276b392e728114",
+    ("group", "--type", "G2", "--classes"):
+        "f04b3482879a31f1df0a07dc4b67e1c9c30e53a5f0a32efd08df84b06bde21dd",
+    ("group", "--type", "F4", "--table"):
+        "c7d67c98998d87222d54437021749df6848f447f84e0022d7348e37dd3587a9a",
+    ("group", "--type", "F4", "--classes"):
+        "2fe83db956191b0e7bffe4c9d1a958e66a8eb2bb515779426e524f9d6d5aa3f1",
+    ("fake", "--type", "F4"):
+        "a205bbb571de9fe1424edb5573448115d380a1599b023bebd03a5e87dc7d18b9",
+    ("fake", "--type", "G2"):
+        "29c4279d7f208b2e3f44c4400f4fd3265da0e7be80a2df189e78b7b5840cab89",
+    ("independence", "--type", "F4"):
+        "d75381beac1926328d888f9d17b511248961bd497c28e26f833f102099c6f33e",
+}
+
+
+@pytest.mark.parametrize("argv", list(EXCEPTIONAL_OUTPUTS), ids=" ".join)
+def test_exceptional_outputs_pinned(capsys, argv):
+    code, out = run(capsys, "--json", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -7,16 +8,18 @@ from fractions import Fraction
 import pytest
 
 import ellq
+from ellq import weylgrp
 from ellq.combinat import mn_character, partitions_of
 from ellq.exactq import QPolynomial
-from ellq.groups import GroupTooLargeError
-from ellq.weylgrp import (GroupSpec, ProductWeyl, build_group,
-                          char_poly_signed, closed_form_classes,
+from ellq.groups import FiniteGroup, GroupTooLargeError
+from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
+                          char_poly_matrix, char_poly_signed, closed_form_classes,
                           exceptional_exponents, fake_degree,
                           fake_degree_values, group_order_from_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial,
-                          restrict_class_function, signed_cycle_type)
+                          restrict_class_function, signed_cycle_type,
+                          simple_reflection_matrix)
 
 
 def test_orders():
@@ -74,6 +77,61 @@ def test_closed_form_tables_match_dixon(spec):
             "[]x[4]", "[]x[1, 1, 1, 1]", "[]x[2, 2]", "[1, 1]x[1, 1]+", "[2]x[2]+",
             "[1, 1]x[1, 1]-", "[2]x[2]-", "[]x[2, 1, 1]", "[]x[3, 1]", "[1]x[3]",
             "[1]x[1, 1, 1]", "[1, 1]x[2]", "[1]x[2, 1]"]
+
+
+def _mat_mult(a, b):
+    n = len(a)
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def _mat_identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _mat_inverse(m):
+    # the power just before the order of a finite-order matrix closes up
+    ident = _mat_identity(len(m))
+    prev, x = ident, m
+    while x != ident:
+        prev, x = x, _mat_mult(x, m)
+    return prev
+
+
+@pytest.mark.parametrize("spec,n_roots", [(GroupSpec("G2", 2), 12), (GroupSpec("F4", 4), 48)],
+                         ids=str)
+def test_root_permutations_match_matrix_enumeration(spec, n_roots):
+    # the second route: the group enumerated as integer matrices on the root
+    # lattice, classes ordered by the repr of those matrices
+    gens = [simple_reflection_matrix(spec.family, j) for j in range(spec.rank)]
+    model = WeylGroupData(spec, functools.partial(
+        FiniteGroup.generate, gens, _mat_mult, _mat_inverse, _mat_identity(spec.rank),
+        track_lengths=True), char_poly_matrix, lambda m: m)
+    W = build_group.__wrapped__(spec)
+    grp = W.group
+    assert len(grp.identity) == n_roots
+    for s in grp.generators:
+        assert s != grp.identity and grp.mult(s, s) == grp.identity
+    assert len(W.classes()) == len(model.classes())
+    for c, e in zip(W.classes(), model.classes()):
+        assert c.matrix == e.rep == W._matrix_fn(c.rep)
+        assert (c.size, c.order, c.char_poly) == (e.size, e.order, e.char_poly)
+        assert c.rep_str() == e.rep_str()
+    assert W.character_table().values == model.character_table().values
+    assert W.irrep_labels() == model.irrep_labels()
+
+
+def test_f4_needs_no_matrix_product(monkeypatch):
+    W = build_group.__wrapped__(GroupSpec("F4", 4))
+
+    def refuse(a, b):
+        raise AssertionError("matrix product")
+    monkeypatch.setattr(weylgrp, "mat_mult", refuse)
+    assert W.group.order == 1152
+    assert len(W.classes()) == 25
+    assert len(W.character_table().values) == 25
+    assert len(W.irrep_labels()) == 25
+    assert W.length_polynomial() == W.poincare
 
 
 def test_closed_form_classes_rank_8():
