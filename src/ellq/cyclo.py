@@ -4,13 +4,17 @@ Elements are stored as sparse integer-exponent dictionaries over the group
 ring Q[Z/m] and reduced modulo Phi_m on demand.  This keeps products of
 character values (which are single roots of unity times rationals, most of
 the time) cheap inside the long Fourier-transform sums.
+
+Only the ring operations are provided: character values and Fourier
+entries never divide.  Formal degrees need no polynomials over Q(zeta_m)
+either; `unipotent.m_x` works with the roots of its factors.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
 
-from .exactq import QPolynomial, cyclotomic, exact_div
+from .exactq import cyclotomic
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,113 +146,3 @@ class CycNum:
     def __repr__(self):
         terms = [f"{v}*z{self.m}^{k}" for k, v in sorted(self.c.items())]
         return "CycNum(" + (" + ".join(terms) if terms else "0") + ")"
-
-    def inverse(self) -> "CycNum":
-        """Field inverse via the extended Euclidean algorithm modulo Phi_m."""
-        red = self.reduced()
-        a = QPolynomial(red)
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        b = QPolynomial(_phi_coeffs(self.m))
-        # extended gcd in Q[x]: find u with u*a = gcd (mod Phi_m); gcd must be a unit
-        r0, r1 = a, b
-        s0, s1 = QPolynomial.one(), QPolynomial.zero()
-        while not r1.is_zero():
-            qt, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - qt * s1
-        assert r0.degree == 0, "Phi_m not coprime to element (impossible in a field)"
-        inv_poly = s0 * exact_div(1, r0.leading)
-        inv_poly = inv_poly % b
-        return CycNum(self.m, {i: c for i, c in enumerate(inv_poly.coeffs) if c})
-
-
-class CycPoly:
-    """A polynomial in one variable u with coefficients in Q(zeta_m)."""
-
-    __slots__ = ("m", "coeffs")
-
-    def __init__(self, m: int, coeffs: list[CycNum]):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.m = m
-        self.coeffs = coeffs
-
-    @staticmethod
-    def zero(m: int) -> "CycPoly":
-        return CycPoly(m, [])
-
-    @staticmethod
-    def one(m: int) -> "CycPoly":
-        return CycPoly(m, [CycNum.rational(m, 1)])
-
-    @staticmethod
-    def monomial(m: int, deg: int, coeff: CycNum) -> "CycPoly":
-        return CycPoly(m, [CycNum.zero(m)] * deg + [coeff])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __mul__(self, other: "CycPoly") -> "CycPoly":
-        if self.is_zero() or other.is_zero():
-            return CycPoly.zero(self.m)
-        out = [CycNum.zero(self.m) for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, c in enumerate(self.coeffs):
-            for j, d in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + c * d
-        return CycPoly(self.m, out)
-
-    def __sub__(self, other: "CycPoly") -> "CycPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        z = CycNum.zero(self.m)
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else z
-            b = other.coeffs[i] if i < len(other.coeffs) else z
-            out.append(a - b)
-        return CycPoly(self.m, out)
-
-    def scale(self, c: CycNum) -> "CycPoly":
-        return CycPoly(self.m, [x * c for x in self.coeffs])
-
-    def __divmod__(self, other: "CycPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead_inv = other.coeffs[-1].inverse()
-        dq = other.degree
-        z = CycNum.zero(self.m)
-        quot = [z] * max(len(rem) - dq, 0)
-        for i in range(len(rem) - 1, dq - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            f = c * dlead_inv
-            quot[i - dq] = f
-            for j, d in enumerate(other.coeffs):
-                rem[i - dq + j] = rem[i - dq + j] - f * d
-        return CycPoly(self.m, quot), CycPoly(self.m, rem)
-
-    def gcd(self, other: "CycPoly") -> "CycPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, divmod(a, b)[1]
-        if a.is_zero():
-            return a
-        return a.scale(a.coeffs[-1].inverse())
-
-    def to_qpoly_in_qsquared(self) -> QPolynomial:
-        """Interpret u^2 = q: all coefficients must be rational and odd degrees zero."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            v = c.as_rational()
-            if i % 2 == 1:
-                if v != 0:
-                    raise ValueError("odd power of u survives; value is not in Q(q)")
-            else:
-                out.append(v)
-        return QPolynomial(out)

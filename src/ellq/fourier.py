@@ -37,12 +37,12 @@ def _perm_inv(a):
 
 @functools.lru_cache(maxsize=None)
 def small_group(name: str) -> FiniteGroup:
+    if name not in SUPPORTED_GAMMAS:
+        raise ValueError(f"unsupported group {name!r}")
     if name == "trivial":
         return FiniteGroup([(0,)], _perm_mult, _perm_inv, (0,), generators=[])
     if name.startswith("Z2"):
-        k = 1 if name == "Z2" else int(name.split("^")[1])
-        if k > 4:
-            raise ValueError(f"unsupported group {name!r}")
+        k = 1 if name == "Z2" else int(name[3])
         n = 2 * k
         gens = []
         for i in range(k):
@@ -50,15 +50,13 @@ def small_group(name: str) -> FiniteGroup:
             e[2 * i], e[2 * i + 1] = e[2 * i + 1], e[2 * i]
             gens.append(tuple(e))
         return FiniteGroup.generate(gens, _perm_mult, _perm_inv, tuple(range(n)))
-    if name in ("S3", "S4", "S5"):
-        n = int(name[1])
-        gens = []
-        for i in range(n - 1):
-            e = list(range(n))
-            e[i], e[i + 1] = e[i + 1], e[i]
-            gens.append(tuple(e))
-        return FiniteGroup.generate(gens, _perm_mult, _perm_inv, tuple(range(n)))
-    raise ValueError(f"unsupported group {name!r}")
+    n = int(name[1])
+    gens = []
+    for i in range(n - 1):
+        e = list(range(n))
+        e[i], e[i + 1] = e[i + 1], e[i]
+        gens.append(tuple(e))
+    return FiniteGroup.generate(gens, _perm_mult, _perm_inv, tuple(range(n)))
 
 
 @dataclass(frozen=True)

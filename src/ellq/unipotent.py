@@ -3,8 +3,11 @@
 The q-part of a formal degree is the product over all roots
 q^nu * prod'(e_a(s') - 1) / prod'(q e_a(s') - 1), with s' twisting the
 semisimple part by the sl2 cocharacter of the unipotent part; zero factors
-are dropped.  Everything is computed in Q(zeta_m)[u] with q = u^2 and the
-result is checked to lie in Q(q).
+are dropped.  With q = u^2 every factor is a scalar in Q(zeta_m), a power of
+u and a product of u - rho over roots of unity rho; the roots are counted
+with sign, so cancellation is exact, and the result is checked to lie in
+Q(q): the surviving roots must form whole Galois orbits, the scalars must
+be rational and no odd power of u may remain.
 
 The conjecture engine evaluates the transform-side prediction: a Fourier
 block against the vector of elliptic fake degrees supported on the
@@ -14,14 +17,15 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cyclo import CycNum, CycPoly
+from .cyclo import CycNum
 from .elliptic import sgn_fake_degree, sq_pairing
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, cyclotomic_rf,
-                     rref)
+from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, cyclotomic,
+                     cyclotomic_rf, rref)
 from .fourier import fourier_matrix, small_group
 from .weylgrp import GroupSpec, WeylGroupData, build_group
 
@@ -118,52 +122,66 @@ class MxResult:
     elliptic: bool
 
 
+def _factor_roots(k: Fraction, w: int, m: int):
+    """zeta^k u^w - 1 as (scalar in Q(zeta_m), power of u, roots): the roots
+    are the exponents rho in Q/Z of the |w| solutions of u^|w| = zeta^(-+k),
+    and the factor is scalar * u^power * prod (u - e(rho))."""
+    zk = CycNum.zeta_pow(m, int(k * m))
+    n = abs(w)
+    if w > 0:
+        return zk, 0, [(j - k) / n % 1 for j in range(n)]
+    if w < 0:
+        return CycNum.rational(m, -1), w, [(j + k) / n % 1 for j in range(n)]
+    return zk - CycNum.rational(m, 1), 0, []
+
+
+def _poly_in_q(scalar: CycNum, power: int, phi: dict[int, int]) -> QPolynomial:
+    """scalar * u^power * prod Phi_N(u)^e, as a polynomial in q = u^2."""
+    p = QPolynomial.monomial(power, scalar.as_rational())
+    for n, e in phi.items():
+        p = p * cyclotomic(n) ** e
+    if any(p.coeffs[1::2]):
+        raise ValueError("odd power of u survives; value is not in Q(q)")
+    return QPolynomial(p.coeffs[::2])
+
+
 def m_x(param: EllipticParameter) -> MxResult:
-    """Theorem-side product formula for the q-part of the formal degree."""
+    """Theorem-side product formula for the q-part of the formal degree.
+
+    Each factor splits by `_factor_roots`.  Its roots are counted +1 in the
+    numerator and -1 in the denominator, so common roots cancel; what is left
+    must be whole Galois orbits, each primitive N-th orbit a power of Phi_N."""
     data = param.root_data()
-    m = 1
-    for k, _ in data:
-        m = math.lcm(m, k.denominator)
-    num = CycPoly.one(m)
-    den = CycPoly.one(m)
-    num_shift = den_shift = 0
+    m = math.lcm(*(k.denominator for k, _ in data))
+    scalar = {1: CycNum.rational(m, 1), -1: CycNum.rational(m, 1)}
+    power = 2 * param.datum.positive_count
+    roots: Counter = Counter()
     dropped_num = dropped_den = 0
-
-    def factor(k: Fraction, w: int):
-        """zeta^k u^w - 1 as (poly, u-shift)."""
-        zk = CycNum.zeta_pow(m, int(k * m))
-        if w >= 0:
-            coeffs = [CycNum.rational(m, -1)] + [CycNum.zero(m)] * (w - 1) + [zk] if w > 0 \
-                else [zk - CycNum.rational(m, 1)]
-            return CycPoly(m, coeffs), 0
-        coeffs = [zk] + [CycNum.zero(m)] * (-w - 1) + [CycNum.rational(m, -1)]
-        return CycPoly(m, coeffs), w
-
     for k, w in data:
+        factors = []
         if k == 0 and w == 0:
             dropped_num += 1
         else:
-            p, sh = factor(k, w)
-            num = num * p
-            num_shift += sh
+            factors.append((w, 1))
         if k == 0 and w == -2:
             dropped_den += 1
         else:
-            p, sh = factor(k, w + 2)
-            den = den * p
-            den_shift += sh
-    total_shift = 2 * param.datum.positive_count + num_shift - den_shift
-    if total_shift >= 0:
-        num = num * CycPoly.monomial(m, total_shift, CycNum.rational(m, 1))
-    else:
-        den = den * CycPoly.monomial(m, -total_shift, CycNum.rational(m, 1))
-    g = num.gcd(den)
-    num, rn = divmod(num, g)
-    den, rd = divmod(den, g)
-    assert rn.is_zero() and rd.is_zero()
-    np = num.to_qpoly_in_qsquared()
-    dp = den.to_qpoly_in_qsquared()
-    rf = RationalFunction(np, dp)
+            factors.append((w + 2, -1))
+        for wt, side in factors:
+            c, sh, rhos = _factor_roots(k, wt, m)
+            scalar[side] = scalar[side] * c
+            power += side * sh
+            for rho in rhos:
+                roots[rho] += side
+    phi = {}
+    for n in {rho.denominator for rho, e in roots.items() if e}:
+        orbit = {roots[Fraction(j, n)] for j in range(n) if math.gcd(j, n) == 1}
+        if len(orbit) != 1:
+            raise ValueError(f"roots of unity of order {n} are not whole Galois orbits")
+        phi[n] = orbit.pop()
+    num = _poly_in_q(scalar[1], max(power, 0), {n: e for n, e in phi.items() if e > 0})
+    den = _poly_in_q(scalar[-1], max(-power, 0), {n: -e for n, e in phi.items() if e < 0})
+    rf = RationalFunction(num, den)
     sign = rf.sign_at_infinity()
     return MxResult(abs(rf), sign, dropped_num, dropped_den, param.is_elliptic())
 

@@ -134,6 +134,10 @@ def test_independence_cli(capsys):
     ["efd", "--type", "A", "--n", "9", "--definitional"],
     ["--fixtures", "/nonexistent", "verify", "appendix-g2"],
     ["fake", "--type", "B3", "--irrep", "nope"],
+    ["fourier", "--gamma", "Z2x"],
+    ["fourier", "--gamma", "Z2^0"],
+    ["fourier", "--gamma", "Z2^-1"],
+    ["fourier", "--gamma", "Z2^1"],
 ])
 def test_unsupported_input_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -143,7 +147,8 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
 
 
-# sha256 of stdout, recorded when G2 and F4 were still enumerated as matrices
+# sha256 of --json stdout for the outputs that rest on Dixon tables or on the
+# formal-degree product; each was recorded before the code behind it changed
 EXCEPTIONAL_OUTPUTS = {
     ("group", "--type", "G2", "--table"):
         "2297013f03ef3a1640b59052ca5b529a59cbe530b815031385276b392e728114",
@@ -159,6 +164,24 @@ EXCEPTIONAL_OUTPUTS = {
         "29c4279d7f208b2e3f44c4400f4fd3265da0e7be80a2df189e78b7b5840cab89",
     ("independence", "--type", "F4"):
         "d75381beac1926328d888f9d17b511248961bd497c28e26f833f102099c6f33e",
+    ("mx", "--fixture", "a1-reg"):
+        "c986c72c63df651770b6c4d5efb0c78d5ea8a9dd451f7110527c77468bdb8013",
+    ("mx", "--fixture", "g2-a1-g2"):
+        "9cc50b6e072b00b5127d042c628f2fe3b8d0b85ba0f463e853aeb8f62e43c050",
+    ("mx", "--fixture", "g2-a1-g3"):
+        "b970183787502f582498540acbd709405746d70fa0bc6c0061201dd886ed04b5",
+    ("mx", "--fixture", "g2-a1-s1"):
+        "d652b13ec54f7061412d9814b7a8a50a141063f7b364dac0d45a68e02b384a7d",
+    ("mx", "--fixture", "g2-reg"):
+        "4f9d65969ebbecc6160312deea02ea4e563393519383ee7d2e9ecc485caf6486",
+    ("mx", "--fixture", "sp4-22-s1"):
+        "574f3c4ae89242bb3d100a52d3623a67b8b508205bc438b8e04184a6e0442e07",
+    ("mx", "--fixture", "sp4-22-tau"):
+        "15e07a5e8e3c27ef511e7c3611615db780eda437768e28d1bd37e3a47254d0f9",
+    ("mx", "--fixture", "sp4-4"):
+        "c51c67a6d6f6b34cd49c4b94d0b2e2fa3a766f1e32f6a932680a4a97e2d4adb2",
+    ("fourier", "--gamma", "S5"):
+        "d57f5f1a1c5ae76d22acab455dd6672c890bcf7250df5592c40b50ddd66a569c",
 }
 
 

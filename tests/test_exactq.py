@@ -219,12 +219,3 @@ def test_integer_kernel_pinned_cases():
     assert factor_cyclotomic(QPolynomial.of(3, 3)).scalar == F(3)
     assert type(factor_cyclotomic(QPolynomial.of(3, 3)).scalar) is Fraction
 
-
-def test_cycnum_inverse_is_exact():
-    from ellq.cyclo import CycNum
-    x = CycNum(5, {0: 1, 1: 2})  # 1 + 2 zeta_5, of norm 11
-    inv = x.inverse()
-    assert x * inv == 1
-    assert all(type(c) is int or (type(c) is Fraction and c.denominator == 11)
-               for c in inv.c.values())
-    assert CycNum(5, {0: 3}).inverse() == Fraction(1, 3)

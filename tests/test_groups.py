@@ -7,8 +7,8 @@ import pytest
 
 import ellq
 from ellq.cyclo import CycNum
-from ellq.groups import (_nullspace_mod, _solve_in_span, _verify_table, isprime,
-                         primitive_root)
+from ellq.groups import (_nullspace_mod, _roots_mod, _solve_in_span, _verify_table,
+                         isprime, primitive_root)
 
 
 def test_character_table_imports_no_sympy():
@@ -50,6 +50,26 @@ def test_mod_p_nullspace_and_span_solve():
         _solve_in_span(basis, [[0, 0, 1]], p)
     with pytest.raises(ValueError, match="not independent"):
         _solve_in_span([[1, 0, 2], [2, 0, 4]], targets, p)
+
+
+def _poly_mul_mod(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def test_roots_mod_are_distinct_and_ascending():
+    # (x - 1)(x - 3)^2(x^2 + 1) over F_13, where 5^2 = 8^2 = -1
+    p = 13
+    f = [1]
+    for g in ([-1, 1], [-3, 1], [-3, 1], [1, 0, 1]):
+        f = _poly_mul_mod(f, g, p)
+    assert _roots_mod(f, p) == [1, 3, 5, 8]
+    # -1 is not a square mod 7, and a nonzero constant has no roots
+    assert _roots_mod([1, 0, 1], 7) == []
+    assert _roots_mod([1], 7) == []
 
 
 def _with_entry(table, i, j, value):

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
-from ellq.unipotent import (FIXTURES, G2_DATUM, SP4_DATUM, conj_equiv,
-                            conjecture_rhs, m_x, mx_for, q_part_prediction,
-                            solve_marks)
+from ellq.unipotent import (FIXTURES, G2_DATUM, SL2_DATUM, SP4_DATUM,
+                            EllipticParameter, conj_equiv, conjecture_rhs, m_x,
+                            mx_for, q_part_prediction, solve_marks)
 
 
 def phi(n):
@@ -95,6 +97,28 @@ def test_mx_lands_in_q():
     p = fix.parameter("g3")
     r = m_x(p)
     assert r.value.num.coeffs and r.value.den.coeffs
+
+
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2)])
+def test_mx_rejects_a_value_outside_q(h):
+    # s = 1/10 on SL2: zeta_5 survives in the scalar or splits its Galois orbit
+    with pytest.raises(ValueError):
+        m_x(EllipticParameter(SL2_DATUM, (Fraction(1, 10),), (h,)))
+
+
+def test_mx_rejects_a_split_galois_orbit():
+    # both scalars are rational here, but the surviving cube roots of unity
+    # are not a whole Galois orbit
+    with pytest.raises(ValueError, match="not whole Galois orbits"):
+        m_x(EllipticParameter(SP4_DATUM, (Fraction(0), Fraction(1, 6)),
+                              (Fraction(2), Fraction(2))))
+
+
+def test_mx_off_the_fixtures():
+    # s = 1/6, h = 0: q (zeta_3 - 1)(zeta_3^-1 - 1) / ((q zeta_3 - 1)(q zeta_3^-1 - 1))
+    r = m_x(EllipticParameter(SL2_DATUM, (Fraction(1, 6),), (Fraction(0),)))
+    assert r.value == 3 * q / phi(3)
+    assert r.raw_sign == 1
 
 
 def test_conjecture_g2_identity_packet():
