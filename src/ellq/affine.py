@@ -28,35 +28,30 @@ class AffineDiagram:
     n_nodes: int                      # rank + 1, node 0 is the affine one
     edges: tuple[tuple[int, int, int], ...]  # (i, j, m) with m = order of s_i s_j
 
-    def neighbors(self, i):
-        out = {}
-        for a, b, m in self.edges:
-            if a == i:
-                out[b] = m
-            elif b == i:
-                out[a] = m
-        return out
-
 
 def affine_diagram(base: str) -> AffineDiagram:
+    """The affine diagram of A_n, C_n or G2.  B1 = C1 = A1 and B2 = C2; B_n
+    for n >= 3 has a diagram of its own, which is not realised."""
     base = base.strip().upper()
-    if base == "A1":
-        return AffineDiagram("A1", 2, ((0, 1, INF),))
-    if base.startswith("A"):
-        n = int(base[1:])
-        edges = tuple((i, (i + 1) % (n + 1), 3) for i in range(n + 1))
-        return AffineDiagram(base, n + 1, edges)
-    if base.startswith("C") or base.startswith("B"):
-        n = int(base[1:])
-        if n < 2:
-            return affine_diagram("A1")
-        # 0 => 1 - 2 - ... - (n-1) <= n
-        edges = [(0, 1, 4), (n - 1, n, 4)]
-        edges += [(i, i + 1, 3) for i in range(1, n - 1)]
-        return AffineDiagram(f"C{n}", n + 1, tuple(edges))
     if base == "G2":
         return AffineDiagram("G2", 3, ((0, 1, 3), (1, 2, 6)))
-    raise NotImplementedError(f"no affine diagram for {base!r}")
+    family, rank = base[:1], base[1:]
+    if family not in ("A", "B", "C"):
+        raise NotImplementedError(f"no affine diagram for {base!r}")
+    if not rank.isdigit() or int(rank) < 1:
+        raise ValueError(f"affine {base}: the rank must be a positive integer")
+    n = int(rank)
+    if n == 1:
+        return AffineDiagram("A1", 2, ((0, 1, INF),))
+    if family == "A":
+        edges = tuple((i, (i + 1) % (n + 1), 3) for i in range(n + 1))
+        return AffineDiagram(base, n + 1, edges)
+    if family == "B" and n >= 3:
+        raise NotImplementedError(f"affine {base} differs from affine C{n} "
+                                  "and is not realised")
+    # 0 => 1 - 2 - ... - (n-1) <= n
+    edges = [(0, 1, 4), (n - 1, n, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)]
+    return AffineDiagram(f"C{n}", n + 1, tuple(edges))
 
 
 def _classify_component(nodes: list[int], edges: list[tuple[int, int, int]]) -> GroupSpec:

@@ -37,7 +37,8 @@ def main(argv=None) -> int:
     p.add_argument("--irrep", help="single irreducible label")
 
     p = sub.add_parser("efd", parents=[common], help="elliptic fake degrees")
-    p.add_argument("--type", required=True, help="A, B, or D (with --n), or G2/F4")
+    p.add_argument("--type", required=True,
+                   help="A, B, or D (with --n), or G2, F4, E6, E7, E8")
     p.add_argument("--n", type=int, help="rank for classical types")
     p.add_argument("--lambda", dest="lam", help="partition, e.g. 2,1,1")
     p.add_argument("--definitional", action="store_true",
@@ -152,7 +153,8 @@ def _cmd_fake(args) -> int:
 def _cmd_efd(args) -> int:
     from .elliptic import (bn_fake_closed, dn_fake_closed, elliptic_fake_degree,
                            sgn_fake_degree)
-    from .weylgrp import GroupSpec, WeylGroupData, build_group, exponents_of
+    from .weylgrp import (EXPONENTS, GroupSpec, WeylGroupData, build_group,
+                          exponents_of)
     t = args.type.upper()
     if t in ("B", "D"):
         if not args.lam:
@@ -175,8 +177,14 @@ def _cmd_efd(args) -> int:
     else:
         if args.lam is not None:
             raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
-        spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
-        f = sgn_fake_degree(exponents_of(spec))
+        if t in ("E6", "E7", "E8"):
+            if args.definitional:
+                raise ValueError(f"--definitional needs a realised group; {t} is not")
+            spec, exponents = t, EXPONENTS[t]
+        else:
+            spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
+            exponents = exponents_of(spec)
+        f = sgn_fake_degree(exponents)
         payload = {"type": str(spec), "sign-character": f.to_json(), "factored": f.factored()}
         lines = [f"F[sgn] for {spec}:", f"  raw: {f}", f"  factored: {f.factored()}"]
         values = WeylGroupData.sign_values

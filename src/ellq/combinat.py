@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .exactq import RationalFunction, RF_ONE
@@ -125,13 +126,8 @@ def conjugacy_class_size_sn(alpha: Partition) -> int:
         z *= a
         mult[a] = mult.get(a, 0) + 1
     for m in mult.values():
-        z *= _factorial(m)
-    return _factorial(n) // z
-
-
-@functools.lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    return 1 if n <= 1 else n * _factorial(n - 1)
+        z *= math.factorial(m)
+    return math.factorial(n) // z
 
 
 # ---------------------------------------------------------------------------

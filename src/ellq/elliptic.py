@@ -2,18 +2,23 @@
 (definitional and closed-form), elliptic bases for types B/D, linear
 independence of the functions 1/det(1-qw) over elliptic classes, and the
 cyclotomic denominators of the sign character's fake degree.
+
+The closed forms (hook-content in types B/D, the sign character of G2-E8)
+are products of factors 1 - q^k = -prod_{d|k} Phi_d (k > 0), q^k prod_{d|-k}
+Phi_d (k < 0): they are built from their Phi-exponents, with no gcd.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum,
-                     factor_cyclotomic, one_minus_qpow, poly_lcm, rref)
+from .exactq import (RationalFunction, RF_Q, class_sum, cyclotomic_quotient,
+                     factor_cyclotomic, poly_lcm, rref)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -28,10 +33,6 @@ class VirtualCharacter:
     """
     group: WeylGroupData
     values: list
-
-    @staticmethod
-    def from_irrep(W: WeylGroupData, label: str) -> "VirtualCharacter":
-        return VirtualCharacter(W, list(W.irrep_values(label)))
 
     @staticmethod
     def from_coords(W: WeylGroupData, coords: Sequence) -> "VirtualCharacter":
@@ -78,17 +79,23 @@ def elliptic_fake_degree(W: WeylGroupData, values: Sequence) -> RationalFunction
     return RationalFunction((RF_Q - 1).num ** W.rank) * sq_pairing(W, values)
 
 
-def elliptic_fake_degree_irrep(W: WeylGroupData, label: str) -> RationalFunction:
-    return elliptic_fake_degree(W, W.irrep_values(label))
+def _one_minus_qpow_product(ks: Counter, qpow: int = 0, scalar: int = 1) -> RationalFunction:
+    """scalar q^qpow prod (1 - q^k)^ks[k] over nonzero k, from its Phi-exponents."""
+    phi: Counter = Counter()
+    for k, e in ks.items():
+        if k > 0 and e % 2:
+            scalar = -scalar
+        qpow += min(k, 0) * e
+        phi.update({d: e for d in range(1, abs(k) + 1) if k % d == 0})
+    return cyclotomic_quotient(phi, qpow, scalar)
 
 
 def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
     """Closed form (1-q)^l prod (1 - q^m)/(1 - q^{m+1})."""
-    out = (RF_ONE - RF_Q) ** len(tuple(exponents))
-    for m in exponents:
-        out = out * RationalFunction(QPolynomial.qpow_minus_one(m)) \
-            / RationalFunction(QPolynomial.qpow_minus_one(m + 1))
-    return out
+    ks = Counter(exponents)
+    ks[1] += len(exponents)
+    ks.subtract(m + 1 for m in exponents)
+    return _one_minus_qpow_product(ks)
 
 
 def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
@@ -104,12 +111,10 @@ def bn_fake_closed(lam) -> RationalFunction:
     """(q-1)^n q^{2n(lam)} prod (1 - q^{2c+1}) / (1 - q^{2h}) over the cells."""
     lam = tuple(lam)
     n = sum(lam)
-    out = RationalFunction((RF_Q - 1).num ** n) * RationalFunction.qpow(2 * n_invariant(lam))
-    for _, c in contents(lam):
-        out = out * one_minus_qpow(2 * c + 1)
-    for _, h in hook_lengths(lam):
-        out = out / one_minus_qpow(2 * h)
-    return out
+    ks = Counter({1: n})
+    ks.update(2 * c + 1 for _, c in contents(lam))
+    ks.subtract(2 * h for _, h in hook_lengths(lam))
+    return _one_minus_qpow_product(ks, 2 * n_invariant(lam), (-1) ** n)
 
 
 def dn_fake_closed(lam) -> RationalFunction:

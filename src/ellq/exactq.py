@@ -6,8 +6,11 @@ coefficient is a Python ``int`` whenever it is integral and a
 ``fractions.Fraction`` only when its denominator exceeds 1; every scalar
 division goes through ``exact_div``, so no coefficient is ever a float.
 Rational functions are kept in canonical form: numerator and denominator
-coprime, denominator monic.  Cyclotomic factorisation is by trial
-division by Phi_n for n up to a configurable bound (default 30, the largest
+coprime, denominator monic.  ``cyclotomic_quotient`` is the one builder
+of a cyclotomic product scalar * q^k * prod Phi_n^e_n (exponents of either
+sign): every closed-form product is collected as such an exponent map and
+built there, already canonical, with no gcd.  Cyclotomic factorisation, for
+display, is by trial division by Phi_1, ..., Phi_30 (30 is the largest
 index occurring in the E8 tables).
 
 Two cores serve the rest of the package.  ``rref`` is the one Gauss-Jordan
@@ -21,11 +24,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_CYCLOTOMIC_BOUND = 30
+CYCLOTOMIC_BOUND = 30
 
 
 def _frac(x: Scalar) -> Fraction:
@@ -356,13 +359,6 @@ class CyclotomicFactorization:
     q_power: int
     factors: dict[int, int]
     remainder: QPolynomial
-    bound: int = DEFAULT_CYCLOTOMIC_BOUND
-
-    def reconstruct(self) -> QPolynomial:
-        p = QPolynomial.monomial(self.q_power, self.scalar)
-        for n in sorted(self.factors):
-            p = p * cyclotomic(n) ** self.factors[n]
-        return p * self.remainder
 
     def to_json(self) -> dict:
         return {
@@ -396,15 +392,15 @@ def _render_cyclotomic(scalar: Scalar, f: CyclotomicFactorization,
     return sep.join(parts)
 
 
-def factor_cyclotomic(p: QPolynomial, bound: int = DEFAULT_CYCLOTOMIC_BOUND) -> CyclotomicFactorization:
-    """Exact factorisation by trial division by Phi_n, n <= bound."""
+def factor_cyclotomic(p: QPolynomial) -> CyclotomicFactorization:
+    """Exact factorisation by trial division by Phi_n, n <= CYCLOTOMIC_BOUND."""
     if p.is_zero():
         raise ValueError("zero input")
     v = p.low_degree()
     if v > 0:
         p = QPolynomial(p.coeffs[v:])
     factors: dict[int, int] = {}
-    for n in range(1, bound + 1):
+    for n in range(1, CYCLOTOMIC_BOUND + 1):
         phi = cyclotomic(n)
         while True:
             quo, rem = divmod(p, phi)
@@ -413,7 +409,7 @@ def factor_cyclotomic(p: QPolynomial, bound: int = DEFAULT_CYCLOTOMIC_BOUND) -> 
             factors[n] = factors.get(n, 0) + 1
             p = quo
     scalar = Fraction(p.leading if not p.is_zero() else 1)
-    return CyclotomicFactorization(scalar, v, factors, p.monic(), bound)
+    return CyclotomicFactorization(scalar, v, factors, p.monic())
 
 
 class RationalFunction:
@@ -445,18 +441,8 @@ class RationalFunction:
     def of(num, den=1) -> "RationalFunction":
         return RationalFunction(_coerce_poly(num), _coerce_poly(den))
 
-    @staticmethod
-    def qpow(k: int) -> "RationalFunction":
-        """q^k for any integer k (negative allowed)."""
-        if k >= 0:
-            return RationalFunction(QPolynomial.monomial(k))
-        return RationalFunction(QPolynomial.one(), QPolynomial.monomial(-k))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def as_polynomial(self) -> QPolynomial:
         if not self.den.is_one():
@@ -547,14 +533,14 @@ class RationalFunction:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
-    def factored(self, bound: int = DEFAULT_CYCLOTOMIC_BOUND) -> str:
+    def factored(self) -> str:
         """Cyclotomically factored rendering, e.g. '(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)'."""
         if self.is_zero():
             return "0"
-        numf = factor_cyclotomic(self.num, bound)
+        numf = factor_cyclotomic(self.num)
         if self.den.is_one():
             return str(numf)
-        denf = factor_cyclotomic(self.den, bound)
+        denf = factor_cyclotomic(self.den)
         scalar = exact_div(numf.scalar, denf.scalar)
         return (f"{_render_cyclotomic(scalar, numf, 'Phi2', ' * ')}"
                 f" / ({_render_cyclotomic(1, denf, 'Phi2', ' ')})")
@@ -582,14 +568,24 @@ RF_ONE = RationalFunction(QPolynomial.one())
 RF_Q = RationalFunction(QPolynomial.q())
 
 
-def one_minus_qpow(k: int) -> RationalFunction:
-    """1 - q^k as a rational function, any integer k."""
-    return RF_ONE - RationalFunction.qpow(k)
+def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0,
+                        scalar: Scalar = 1) -> RationalFunction:
+    """scalar * q^qpow * prod Phi_n^phi[n] for a nonzero scalar, exponents of
+    either sign.
 
-
-def cyclotomic_rf(n: int) -> RationalFunction:
-    """The cyclotomic polynomial Phi_n as a rational function."""
-    return RationalFunction(cyclotomic(n))
+    q and the Phi_n are monic and pairwise coprime, so the positive part is
+    the numerator and the negative part the monic denominator: the result is
+    canonical as built, and this is the one place that skips the gcd."""
+    num = QPolynomial.monomial(max(qpow, 0), scalar)
+    den = QPolynomial.monomial(max(-qpow, 0))
+    for n, e in phi.items():
+        if e > 0:
+            num = num * cyclotomic(n) ** e
+        elif e < 0:
+            den = den * cyclotomic(n) ** -e
+    out = RationalFunction.__new__(RationalFunction)
+    out.num, out.den = num, den
+    return out
 
 
 def poly_lcm(polys: Iterable[QPolynomial]) -> QPolynomial:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic, cyclotomic_rf
+from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_quotient
 
 
 _FIXTURES_FILE: Optional[str] = None
@@ -50,9 +50,8 @@ def cyc_table() -> dict[str, dict[int, int]]:
 def expand_numerator(entry: dict) -> QPolynomial:
     """sign * scalar * q^qpow * prod Phi_n^mult * prod aux."""
     aux = _appendix_raw()["aux"]
-    p = QPolynomial.monomial(entry["qpow"], entry["sign"] * entry.get("scalar", 1))
-    for k, e in entry["phi"].items():
-        p = p * cyclotomic(int(k)) ** e
+    phi = {int(k): e for k, e in entry["phi"].items()}
+    p = cyclotomic_quotient(phi, entry["qpow"], entry["sign"] * entry.get("scalar", 1)).num
     for ref in entry.get("aux", []):
         p = p * QPolynomial(aux[ref])
     return p
@@ -72,9 +71,7 @@ def fake_degree_from_table(group: str, orbit: str, phi: str) -> RationalFunction
     """(q-1)^l N / cyc(W) for a row of the published table."""
     from .weylgrp import EXPONENTS
     l = len(EXPONENTS[group])
-    den = QPolynomial.one()
-    for n, e in cyc_table()[group].items():
-        den = den * cyclotomic(n) ** e
+    den = cyclotomic_quotient(cyc_table()[group]).num
     for row in numerator_table(group):
         if row["orbit"] == orbit and row["phi"] == phi:
             num = (RF_Q - 1).num ** l * row["poly"]
@@ -89,10 +86,9 @@ def fake_degree_from_table(group: str, orbit: str, phi: str) -> RationalFunction
 def g2_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
     """The eight published formal degrees of the subregular packet of G2,
     exactly as printed (the g2 rows differ from every computed pipeline)."""
-    q = RF_Q
-    a = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(3))
-    b = q * (1 - q) ** 2 / (cyclotomic_rf(2) * cyclotomic_rf(6))  # as printed: a single Phi2
-    c = q * (1 - q) ** 2 / (cyclotomic_rf(3) * cyclotomic_rf(6))
+    a = cyclotomic_quotient({1: 2, 2: -2, 3: -1}, 1)  # q (1-q)^2 / (Phi2^2 Phi3)
+    b = cyclotomic_quotient({1: 2, 2: -1, 6: -1}, 1)  # as printed: a single Phi2
+    c = cyclotomic_quotient({1: 2, 3: -1, 6: -1}, 1)
     return [
         (("1", "1"), a * Fraction(1, 6)),
         (("1", "r"), a * Fraction(1, 3)),
@@ -106,8 +102,7 @@ def g2_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
 
 
 def sp4_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
-    q = RF_Q
-    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4)) * Fraction(1, 2)
+    x = cyclotomic_quotient({1: 2, 2: -2, 4: -1}, 1, Fraction(1, 2))
     zero = RationalFunction(QPolynomial.zero())
     return [
         (("1", "1"), zero),

@@ -460,14 +460,8 @@ def generic_degree(W: Union[WeylGroupData, ProductWeyl], label) -> RationalFunct
 def plancherel_sum(W: Union[WeylGroupData, ProductWeyl]) -> RationalFunction:
     """sum over irreducibles of d_delta(q) * dim(delta); equals P(q)."""
     total = RationalFunction(QPolynomial.zero())
-    if isinstance(W, ProductWeyl):
-        labels = W.irrep_labels()
-        dims = {lab: W.irrep_values(lab)[0] for lab in labels}
-    else:
-        labels = W.irrep_labels()
-        dims = {lab: W.irrep_values(lab)[0] for lab in labels}
-    for lab in labels:
-        total = total + generic_degree(W, lab) * dims[lab]
+    for lab in W.irrep_labels():
+        total = total + generic_degree(W, lab) * W.irrep_values(lab)[0]
     return total
 
 

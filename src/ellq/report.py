@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_rf
+from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_quotient
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
@@ -129,9 +129,7 @@ def _suite_g2_formal():
     from .unipotent import FIXTURES, conjecture_rhs, conj_equiv, mx_for
     out = []
     fix = FIXTURES["g2-a1"]()
-    q = RF_Q
-    computed_g2_row = (q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(6))
-                       * Fraction(1, 2))
+    computed_g2_row = cyclotomic_quotient({1: 2, 2: -2, 6: -1}, 1, Fraction(1, 2))
     mx_levi = mx_for("g2-a1", "g2")
     for entry, printed in g2_formal_table_printed():
         got = conjecture_rhs(fix, entry)
@@ -152,7 +150,7 @@ def _suite_g2_formal():
     # the q-part of the identity-component packet, against the product formula
     r = mx_for("g2-a1", "1")
     out.append(_cmp("g2-formal/mx-subregular", r.value.factored(),
-                    (q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(3))).factored()))
+                    cyclotomic_quotient({1: 2, 2: -2, 3: -1}, 1).factored()))
     # independent product formula agrees with the transform pipeline on the
     # order-2 packet
     lhs = mx_levi.value * Fraction(1, 2)
@@ -173,8 +171,7 @@ def _suite_sp4():
     from .unipotent import FIXTURES, conjecture_rhs, mx_for, q_part_prediction
     out = []
     fix = FIXTURES["sp4-22"]()
-    q = RF_Q
-    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4))
+    x = cyclotomic_quotient({1: 2, 2: -2, 4: -1}, 1)  # q (1-q)^2 / (Phi2^2 Phi4)
     got = abs(bn_fake_closed((1, 1)))
     out.append(_cmp("sp4/fake-recovery", got.factored(), x.factored(),
                     notes="closed form for [1,1]x[] recovers the published "
@@ -249,11 +246,10 @@ def _suite_g2_affine():
 
     nus = d.nu_values()
     align = g2_class_alignment(d)
-    q = RF_Q
     out.append(_cmp("g2-affine/nu-vertex1", nus[align[3]].factored(),
-                    ((q - 1) ** 2 / cyclotomic_rf(2) ** 2).factored()))
+                    cyclotomic_quotient({1: 2, 2: -2}).factored()))
     out.append(_cmp("g2-affine/nu-vertex2", nus[align[4]].factored(),
-                    ((q - 1) ** 2 / cyclotomic_rf(3)).factored()))
+                    cyclotomic_quotient({1: 2, 3: -1}).factored()))
 
     fixg2 = FIXTURES["g2-a1"]()
     targets = [

@@ -24,8 +24,8 @@ from typing import Sequence
 
 from .cyclo import CycNum
 from .elliptic import sgn_fake_degree, sq_pairing
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, cyclotomic,
-                     cyclotomic_rf, rref)
+from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
+                     cyclotomic_quotient, rref)
 from .fourier import fourier_matrix, small_group
 from .weylgrp import GroupSpec, WeylGroupData, build_group
 
@@ -137,9 +137,7 @@ def _factor_roots(k: Fraction, w: int, m: int):
 
 def _poly_in_q(scalar: CycNum, power: int, phi: dict[int, int]) -> QPolynomial:
     """scalar * u^power * prod Phi_N(u)^e, as a polynomial in q = u^2."""
-    p = QPolynomial.monomial(power, scalar.as_rational())
-    for n, e in phi.items():
-        p = p * cyclotomic(n) ** e
+    p = cyclotomic_quotient(phi, power, scalar.as_rational()).num
     if any(p.coeffs[1::2]):
         raise ValueError("odd power of u survives; value is not in Q(q)")
     return QPolynomial(p.coeffs[::2])
@@ -293,10 +291,8 @@ def q_part_prediction(fix: UnipotentFixture, s_label: str) -> RationalFunction:
 @functools.lru_cache(maxsize=None)
 def g2_a1_fixture() -> UnipotentFixture:
     """The subregular orbit of G2: component group S3, three packets."""
-    q = RF_Q
-    cyc = cyclotomic_rf(2) ** 2 * cyclotomic_rf(3) * cyclotomic_rf(6)
-    f_triv = (q - 1) ** 2 * q * cyclotomic_rf(3) / cyc     # Springer-type (3)
-    f_refl = -((q - 1) ** 2) * q ** 2 / cyc       # Springer-type (21)
+    f_triv = cyclotomic_quotient({1: 2, 2: -2, 6: -1}, 1)               # Springer-type (3)
+    f_refl = cyclotomic_quotient({1: 2, 2: -2, 3: -1, 6: -1}, 2, -1)    # Springer-type (21)
     half = Fraction(1, 2)
     third = Fraction(1, 3)
     return UnipotentFixture(
@@ -349,8 +345,7 @@ def g2_regular_fixture() -> UnipotentFixture:
 @functools.lru_cache(maxsize=None)
 def sp4_22_fixture() -> UnipotentFixture:
     """u = (2,2) in Sp(4): quasi-distinguished, component group Z/2."""
-    q = RF_Q
-    x = q * (1 - q) ** 2 / (cyclotomic_rf(2) ** 2 * cyclotomic_rf(4))
+    x = cyclotomic_quotient({1: 2, 2: -2, 4: -1}, 1)
     return UnipotentFixture(
         name="sp4-22",
         datum=SP4_DATUM,

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import mn_character, partitions_of
-from .exactq import QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum
+from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum,
+                     cyclotomic_quotient)
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
                      _verify_table, row_order)
 
@@ -87,12 +88,9 @@ def exceptional_exponents(name: str) -> tuple[int, ...]:
 
 
 def poincare_polynomial(exponents: Sequence[int]) -> QPolynomial:
-    """P(q) = prod (q^{m+1} - 1)/(q - 1)."""
-    p = QPolynomial.one()
-    qm1 = QPolynomial.of(-1, 1)
-    for m in exponents:
-        p = p * (QPolynomial.qpow_minus_one(m + 1) // qm1)
-    return p
+    """P(q) = prod (q^{m+1} - 1)/(q - 1), the product of the Phi_d, 1 < d | m+1."""
+    phi = Counter(d for m in exponents for d in range(2, m + 2) if (m + 1) % d == 0)
+    return cyclotomic_quotient(phi).num
 
 
 def group_order_from_exponents(exponents: Sequence[int]) -> int:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +65,16 @@ def test_efd_sgn(capsys):
     code, out = run(capsys, "efd", "--type", "G2")
     assert code == 0
     assert "(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)" in out
+
+
+def test_efd_sgn_e8(capsys):
+    from ellq.elliptic import sgn_fake_degree
+    from ellq.weylgrp import EXPONENTS
+    code, out = run(capsys, "--json", "efd", "--type", "E8")
+    assert code == 0
+    data = json.loads(out)
+    f = sgn_fake_degree(EXPONENTS["E8"])
+    assert data == {"type": "E8", "sign-character": f.to_json(), "factored": f.factored()}
 
 
 def test_fourier(capsys):
@@ -138,6 +150,11 @@ def test_independence_cli(capsys):
     ["fourier", "--gamma", "Z2^0"],
     ["fourier", "--gamma", "Z2^-1"],
     ["fourier", "--gamma", "Z2^1"],
+    ["efd", "--type", "E8", "--definitional"],
+    ["affine", "a0"],
+    ["affine", "a-1"],
+    ["affine", "b0"],
+    ["affine", "b3"],
 ])
 def test_unsupported_input_exit_2(capsys, argv):
     assert main(argv) == 2
@@ -190,6 +207,19 @@ def test_exceptional_outputs_pinned(capsys, argv):
     code, out = run(capsys, "--json", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
+
+
+def _readme_commands() -> list[list[str]]:
+    """The `ellq ...` lines of README's "Command line" block, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("ellq ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_run(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ellq
 from ellq.combinat import partitions_of, transpose
 from ellq.elliptic import (VirtualCharacter, bn_fake_closed, cyc_denominator,
                            dn_fake_closed, elliptic_fake_degree,
@@ -114,6 +118,34 @@ def test_bn_closed_examples():
     assert bn_fake_closed((1,)) == (RF_Q - 1) / (RF_Q + 1)
     assert bn_fake_closed((1, 1)) == -RF_Q * (RF_Q - 1) ** 2 / (phi(2) ** 2 * phi(4))
     assert bn_fake_closed((2,)) == (RF_Q - 1) ** 2 * phi(3) / (phi(2) ** 2 * phi(4))
+
+
+def test_bn_closed_against_hook_series():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            want = (RF_Q - 1) ** n * g_poly(lam, RF_Q ** 2, -RF_Q)
+            assert bn_fake_closed(lam) == want, lam
+
+
+def test_closed_forms_need_no_gcd():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    code = (
+        "import ellq.exactq as exactq\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('poly_gcd called')\n"
+        "exactq.poly_gcd = refuse\n"
+        "from ellq.combinat import partitions_of\n"
+        "from ellq.elliptic import bn_fake_closed, cyc_denominator, sgn_fake_degree\n"
+        "from ellq.weylgrp import EXPONENTS\n"
+        "for lam in partitions_of(8):\n"
+        "    bn_fake_closed(lam)\n"
+        "for name in ('G2', 'F4', 'E6', 'E7', 'E8'):\n"
+        "    sgn_fake_degree(EXPONENTS[name])\n"
+        "    cyc_denominator(EXPONENTS[name])\n"
+        "print('ok')\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "ok"
 
 
 def test_dn_closed_examples():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
-                         cyclotomic, factor_cyclotomic, one_minus_qpow,
+                         cyclotomic, cyclotomic_quotient, factor_cyclotomic,
                          poly_gcd, rref)
 
 
@@ -54,7 +54,29 @@ def test_factorization_reconstructs(factors, qpow, scalar):
     for n, m in factors:
         p = p * cyclotomic(n) ** m
     f = factor_cyclotomic(p)
-    assert f.reconstruct() == p
+    assert cyclotomic_quotient(f.factors, f.q_power, f.scalar).num * f.remainder == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(1, 30), st.integers(-2, 2), max_size=4),
+       st.integers(-3, 3),
+       st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(lambda x: x != 0),
+       st.integers(1, 30))
+def test_cyclotomic_quotient_matches_gcd_constructor(phi, k, c, common):
+    """The builder skips the gcd; RationalFunction reaches the same canonical
+    form from a numerator and denominator with a common factor and scale."""
+    num = QPolynomial.monomial(max(k, 0), c)
+    den = QPolynomial.monomial(max(-k, 0))
+    for n, e in phi.items():
+        if e > 0:
+            num = num * cyclotomic(n) ** e
+        else:
+            den = den * cyclotomic(n) ** -e
+    extra = cyclotomic(common) * 3
+    want = RationalFunction(num * extra, den * extra)
+    got = cyclotomic_quotient(phi, k, c)
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,12 +110,6 @@ def test_cancellation():
     # (1 - q^2)/(1 - q) reduces to q + 1 by polynomial division
     r = RationalFunction(QPolynomial.of(1, 0, -1), QPolynomial.of(1, -1))
     assert r == RF_Q + 1
-
-
-def test_negative_power_helper():
-    assert one_minus_qpow(3) == RF_ONE - RF_Q ** 3
-    assert one_minus_qpow(-1) == RF_ONE - RationalFunction.qpow(-1)
-    assert one_minus_qpow(-1) == -(RF_ONE - RF_Q) / RF_Q
 
 
 def test_json_round_trip():
