@@ -39,7 +39,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("efd", parents=[common], help="elliptic fake degrees")
     p.add_argument("--type", required=True,
                    help="A, B, or D (with --n), or G2, F4, E6, E7, E8")
-    p.add_argument("--n", type=int, help="rank for classical types")
+    p.add_argument("--n", type=int, help="rank for B and D; n for A_{n-1}")
     p.add_argument("--lambda", dest="lam", help="partition, e.g. 2,1,1")
     p.add_argument("--definitional", action="store_true",
                    help="also evaluate the group-sum definition")
@@ -177,12 +177,17 @@ def _cmd_efd(args) -> int:
     else:
         if args.lam is not None:
             raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
+        if t in EXPONENTS and args.n is not None:
+            raise ValueError(f"--n does not apply to {t}")
         if t in ("E6", "E7", "E8"):
             if args.definitional:
                 raise ValueError(f"--definitional needs a realised group; {t} is not")
             spec, exponents = t, EXPONENTS[t]
         else:
-            spec = GroupSpec.parse(args.type if t not in ("A",) else f"A{args.n - 1}" if args.n else args.type)
+            spec = GroupSpec.parse(f"A{args.n - 1}" if t == "A" and args.n is not None
+                                   else args.type)
+            if args.n is not None and spec.rank != args.n - (spec.family == "A"):
+                raise ValueError(f"--n {args.n} conflicts with --type {args.type}")
             exponents = exponents_of(spec)
         f = sgn_fake_degree(exponents)
         payload = {"type": str(spec), "sign-character": f.to_json(), "factored": f.factored()}

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
-from .exactq import (RationalFunction, RF_Q, class_sum, cyclotomic_quotient,
-                     factor_cyclotomic, poly_lcm, rref)
+from .exactq import (QPolynomial, RationalFunction, cyclotomic_quotient, factor_cyclotomic,
+                     poly_lcm, rref)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -37,9 +37,9 @@ class VirtualCharacter:
     @staticmethod
     def from_coords(W: WeylGroupData, coords: Sequence) -> "VirtualCharacter":
         table = W.character_table()
-        n = len(table.classes)
+        W.check_length(coords, "coordinates on the irreducibles")
         vals = [sum(c * table.values[i][j] for i, c in enumerate(coords))
-                for j in range(n)]
+                for j in range(len(coords))]
         return VirtualCharacter(W, vals)
 
     def __add__(self, other):
@@ -57,7 +57,8 @@ class VirtualCharacter:
 def elliptic_pairing(W: WeylGroupData, f: Sequence, g: Sequence) -> Fraction:
     """<f, g>^el = (1/|W|) sum_w f(w) g(w) det(1 - w)."""
     total = sum(c.size * a * b * c.det1
-                for c, a, b in zip(W.classes(), f, g) if c.elliptic)
+                for c, a, b in zip(W.classes(), W.check_length(f), W.check_length(g))
+                if c.elliptic)
     return Fraction(total, W.order)
 
 
@@ -68,26 +69,38 @@ def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction
 
 
 def sq_pairing(W: WeylGroupData, values: Sequence) -> RationalFunction:
-    """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
-    terms = ((v * c.det1 * c.size, c.char_poly)
-             for c, v in zip(W.classes(), values) if c.elliptic)
-    return class_sum(terms) * Fraction(1, W.order)
+    """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w).
+
+    Over the class kernel this is sum chi(C) det(1 - C) K_C divided by
+    prod (1 - q^{d_i}) |W| = (-1)^l |W| Phi_1^l P(q); det(1 - C) is 0 off the
+    elliptic classes."""
+    return _elliptic_sum(W, values, -W.rank)
 
 
 def elliptic_fake_degree(W: WeylGroupData, values: Sequence) -> RationalFunction:
-    """F = ((q-1)^l / |W|) sum_w chi(w) det(1 - w)/det(1 - q w)."""
-    return RationalFunction((RF_Q - 1).num ** W.rank) * sq_pairing(W, values)
+    """F = ((q-1)^l / |W|) sum_w chi(w) det(1 - w)/det(1 - q w), that is
+    sum chi(C) det(1 - C) K_C / ((-1)^l |W| P(q)) over the class kernel."""
+    return _elliptic_sum(W, values, 0)
 
 
-def _one_minus_qpow_product(ks: Counter, qpow: int = 0, scalar: int = 1) -> RationalFunction:
-    """scalar q^qpow prod (1 - q^k)^ks[k] over nonzero k, from its Phi-exponents."""
+def _elliptic_sum(W: WeylGroupData, values: Sequence, phi1: int) -> RationalFunction:
+    """sum chi(C) det(1 - C) K_C * Phi_1^phi1 / ((-1)^l |W| P(q))."""
+    num = W.kernel_sum([v * c.det1 for v, c in zip(W.check_length(values), W.classes())])
+    phi = {1: phi1, **{n: -e for n, e in W.poincare_phi.items()}}
+    return cyclotomic_quotient(phi, scalar=Fraction((-1) ** W.rank, W.order), num=num)
+
+
+def _one_minus_qpow_exponents(ks: Counter, qpow: int = 0,
+                              scalar: int = 1) -> tuple[Counter, int, int]:
+    """scalar q^qpow prod (1 - q^k)^ks[k] over nonzero k, as its
+    Phi-exponents, q-power and sign (the arguments of cyclotomic_quotient)."""
     phi: Counter = Counter()
     for k, e in ks.items():
         if k > 0 and e % 2:
             scalar = -scalar
         qpow += min(k, 0) * e
         phi.update({d: e for d in range(1, abs(k) + 1) if k % d == 0})
-    return cyclotomic_quotient(phi, qpow, scalar)
+    return phi, qpow, scalar
 
 
 def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
@@ -95,7 +108,7 @@ def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
     ks = Counter(exponents)
     ks[1] += len(exponents)
     ks.subtract(m + 1 for m in exponents)
-    return _one_minus_qpow_product(ks)
+    return cyclotomic_quotient(*_one_minus_qpow_exponents(ks))
 
 
 def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
@@ -107,25 +120,37 @@ def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
     return fac.factors
 
 
-def bn_fake_closed(lam) -> RationalFunction:
-    """(q-1)^n q^{2n(lam)} prod (1 - q^{2c+1}) / (1 - q^{2h}) over the cells."""
-    lam = tuple(lam)
+def _bn_exponents(lam) -> tuple[Counter, int, int]:
+    """(q-1)^n q^{2n(lam)} prod (1 - q^{2c+1}) / (1 - q^{2h}) over the cells,
+    as the arguments of cyclotomic_quotient."""
     n = sum(lam)
     ks = Counter({1: n})
     ks.update(2 * c + 1 for _, c in contents(lam))
     ks.subtract(2 * h for _, h in hook_lengths(lam))
-    return _one_minus_qpow_product(ks, 2 * n_invariant(lam), (-1) ** n)
+    return _one_minus_qpow_exponents(ks, 2 * n_invariant(lam), (-1) ** n)
+
+
+def bn_fake_closed(lam) -> RationalFunction:
+    """(q-1)^n q^{2n(lam)} prod (1 - q^{2c+1}) / (1 - q^{2h}) over the cells."""
+    return cyclotomic_quotient(*_bn_exponents(tuple(lam)))
 
 
 def dn_fake_closed(lam) -> RationalFunction:
-    """Type D closed form via the two type-B values, F_lam + (-1)^n F_lam^t."""
+    """Type D closed form via the two type-B values, F_lam + (-1)^n F_lam^t.
+
+    Both summands are put over the exponent-wise largest denominator, and
+    their summed numerator is reduced against it by cyclotomic_quotient."""
     lam = tuple(lam)
     n = sum(lam)
     if n < 2:
         raise ValueError("type D needs n >= 2")
-    b1 = bn_fake_closed(lam)
-    b2 = bn_fake_closed(transpose(lam))
-    return b1 + b2 if n % 2 == 0 else b1 - b2
+    (phi1, k1, s1), (phi2, k2, s2) = _bn_exponents(lam), _bn_exponents(transpose(lam))
+    den = {d: min(phi1[d], phi2[d], 0) for d in phi1.keys() | phi2.keys()}
+    qden = min(k1, k2, 0)
+    num = sum((cyclotomic_quotient({d: phi[d] - e for d, e in den.items()}, k - qden, s).num
+               for phi, k, s in ((phi1, k1, s1), (phi2, k2, s2 * (-1) ** n))),
+              QPolynomial.zero())
+    return cyclotomic_quotient(den, qden, num=num)
 
 
 def hook_content_pairing(W: WeylGroupData, lam) -> RationalFunction:

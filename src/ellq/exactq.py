@@ -7,17 +7,18 @@ coefficient is a Python ``int`` whenever it is integral and a
 division goes through ``exact_div``, so no coefficient is ever a float.
 Rational functions are kept in canonical form: numerator and denominator
 coprime, denominator monic.  ``cyclotomic_quotient`` is the one builder
-of a cyclotomic product scalar * q^k * prod Phi_n^e_n (exponents of either
-sign): every closed-form product is collected as such an exponent map and
-built there, already canonical, with no gcd.  Cyclotomic factorisation, for
-display, is by trial division by Phi_1, ..., Phi_30 (30 is the largest
-index occurring in the E8 tables).
+of a quotient num * scalar * q^k * prod Phi_n^e_n (exponents of either
+sign) whose denominator is known to be cyclotomic: every closed form is
+collected as such an exponent map, and every class sum over a Weyl group
+is an integer numerator over a known product of Phi_n (det(1 - qw) divides
+prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  It
+reduces by trial division by the Phi_n of the denominator, so its result
+is canonical with no gcd.  Cyclotomic factorisation, for display, is by
+trial division by Phi_1, ..., Phi_30 (30 is the largest index occurring in
+the E8 tables).
 
-Two cores serve the rest of the package.  ``rref`` is the one Gauss-Jordan
-elimination over Q: ranks, inverses, linear solves and left-kernel
-certificates all come from it.  ``class_sum`` is the one class-sum kernel:
-sums sum_i c_i / det(1 - q w_i), as in fake degrees and elliptic fake
-degrees, cleared to the lcm of the characteristic polynomials once.
+``rref`` is the one Gauss-Jordan elimination over Q: ranks, inverses,
+linear solves and left-kernel certificates all come from it.
 """
 from __future__ import annotations
 
@@ -568,15 +569,28 @@ RF_ONE = RationalFunction(QPolynomial.one())
 RF_Q = RationalFunction(QPolynomial.q())
 
 
-def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0,
-                        scalar: Scalar = 1) -> RationalFunction:
-    """scalar * q^qpow * prod Phi_n^phi[n] for a nonzero scalar, exponents of
-    either sign.
+def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 1,
+                        num: QPolynomial = QPolynomial.one()) -> RationalFunction:
+    """num * scalar * q^qpow * prod Phi_n^phi[n] for a nonzero scalar,
+    exponents of either sign.
 
-    q and the Phi_n are monic and pairwise coprime, so the positive part is
-    the numerator and the negative part the monic denominator: the result is
+    q and the Phi_n are monic, irreducible and pairwise coprime.  Each
+    factor of the denominator (a negative exponent) is cancelled against
+    num for as long as it divides num and its exponent lasts, so what is
+    left of num is prime to what is left of the denominator: the result is
     canonical as built, and this is the one place that skips the gcd."""
-    num = QPolynomial.monomial(max(qpow, 0), scalar)
+    if num.is_zero():
+        return RationalFunction(num)
+    v = min(num.low_degree(), max(-qpow, 0))
+    num, qpow, phi = QPolynomial(num.coeffs[v:]), qpow + v, dict(phi)
+    for n, e in phi.items():
+        while e < 0:
+            quo, rem = divmod(num, cyclotomic(n))
+            if not rem.is_zero():
+                break
+            num, e = quo, e + 1
+        phi[n] = e
+    num = num.shift(max(qpow, 0)) * scalar
     den = QPolynomial.monomial(max(-qpow, 0))
     for n, e in phi.items():
         if e > 0:
@@ -595,23 +609,6 @@ def poly_lcm(polys: Iterable[QPolynomial]) -> QPolynomial:
     for p in polys:
         lcm = lcm * (p // poly_gcd(lcm, p))
     return lcm
-
-
-def class_sum(terms: Iterable[tuple[Scalar, QPolynomial]]) -> RationalFunction:
-    """sum c / d over the (c, d) pairs, over the lcm of the d.
-
-    Terms sharing a denominator are merged first; the sum is then one
-    numerator over one common denominator, reduced once, instead of a
-    polynomial gcd on every addition."""
-    merged: dict[QPolynomial, Scalar] = {}
-    for c, d in terms:
-        if c:
-            merged[d] = merged.get(d, 0) + c
-    lcm = poly_lcm(merged)
-    num = QPolynomial.zero()
-    for d, c in merged.items():
-        num = num + (lcm // d) * c
-    return RationalFunction(num, lcm)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]

@@ -18,14 +18,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import mn_character, partitions_of
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q, class_sum,
-                     cyclotomic_quotient)
+from .exactq import QPolynomial, cyclotomic_quotient, exact_div
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
                      _verify_table, row_order)
 
@@ -87,10 +87,15 @@ def exceptional_exponents(name: str) -> tuple[int, ...]:
     return EXPONENTS[name]
 
 
+def poincare_phi(exponents: Sequence[int]) -> Counter:
+    """The Phi-exponents of P(q) = prod (q^{m+1} - 1)/(q - 1): the Phi_d,
+    1 < d | m+1."""
+    return Counter(d for m in exponents for d in range(2, m + 2) if (m + 1) % d == 0)
+
+
 def poincare_polynomial(exponents: Sequence[int]) -> QPolynomial:
-    """P(q) = prod (q^{m+1} - 1)/(q - 1), the product of the Phi_d, 1 < d | m+1."""
-    phi = Counter(d for m in exponents for d in range(2, m + 2) if (m + 1) % d == 0)
-    return cyclotomic_quotient(phi).num
+    """P(q) = prod (q^{m+1} - 1)/(q - 1)."""
+    return cyclotomic_quotient(poincare_phi(exponents)).num
 
 
 def group_order_from_exponents(exponents: Sequence[int]) -> int:
@@ -434,8 +439,10 @@ class WeylGroupData:
         self._table: Optional[CharacterTable] = None
         self._labels: Optional[list[str]] = None
         self._index: dict[str, int] = {}
+        self._kernel: Optional[list[QPolynomial]] = None
         self.exponents = exponents_of(spec)
-        self.poincare = poincare_polynomial(self.exponents)
+        self.poincare_phi = poincare_phi(self.exponents)
+        self.poincare = cyclotomic_quotient(self.poincare_phi).num
         self.order = group_order_from_exponents(self.exponents)
 
     @property
@@ -462,6 +469,38 @@ class WeylGroupData:
 
     def elliptic_classes(self) -> list[int]:
         return [i for i, c in enumerate(self.classes()) if c.elliptic]
+
+    def check_length(self, values: Sequence, what: str = "a class function") -> Sequence:
+        """values, checked to have one entry per class (so one per irreducible)."""
+        n = len(self.classes())
+        if len(values) != n:
+            raise ValueError(f"{what} of {self.spec} has {n} values, not {len(values)}")
+        return values
+
+    def class_kernel(self) -> list[QPolynomial]:
+        """K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C) for each class C.
+
+        det(1 - q w) divides prod (1 - q^{d_i}) for every w (Springer 1974), so
+        each K_C is an integer polynomial, of degree the number of
+        reflections; the division is exact or raises.  Built on first use and
+        kept with the group."""
+        if self._kernel is None:
+            top = cyclotomic_quotient(self.poincare_phi + Counter({1: self.rank}),
+                                      scalar=(-1) ** self.rank).num
+            kernel = []
+            for c in self.classes():
+                quo, rem = divmod(top, c.char_poly)
+                if not rem.is_zero():
+                    raise RuntimeError(f"{self.spec}: det(1 - qw) does not divide prod (1 - q^d)")
+                kernel.append(quo * c.size)
+            self._kernel = kernel
+        return self._kernel
+
+    def kernel_sum(self, values: Sequence) -> QPolynomial:
+        """sum_C values[C] K_C over the class kernel, coefficient by coefficient."""
+        self.check_length(values)
+        cols = zip(*(k.coeffs for k in self.class_kernel()))
+        return QPolynomial(sum(map(operator.mul, values, col)) for col in cols)
 
     def character_table(self) -> CharacterTable:
         if self._table is None:
@@ -635,10 +674,11 @@ def _transpose_b_m(m, b):
 
 
 def fake_degree_values(W: WeylGroupData, values: Sequence) -> QPolynomial:
-    """f(q) = (1-q)^l P(q) (1/|W|) sum |C| chi(C) / det(1 - q C)."""
-    pref = RationalFunction((RF_ONE - RF_Q).num ** W.rank * W.poincare)
-    total = class_sum((v * c.size, c.char_poly) for c, v in zip(W.classes(), values))
-    return (pref * total * Fraction(1, W.order)).as_polynomial()
+    """f(q) = (1-q)^l P(q) (1/|W|) sum |C| chi(C) / det(1 - q C).
+
+    (1-q)^l P(q) is prod (1 - q^{d_i}), so f is sum chi(C) K_C / |W| over the
+    class kernel: integer sums and one exact division per coefficient."""
+    return QPolynomial(exact_div(c, W.order) for c in W.kernel_sum(values).coeffs)
 
 
 def fake_degree(W: WeylGroupData, label: str) -> QPolynomial:

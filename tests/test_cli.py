@@ -67,6 +67,29 @@ def test_efd_sgn(capsys):
     assert "(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)" in out
 
 
+@pytest.mark.parametrize("n_argv, type_argv", [
+    (("--type", "A", "--n", "5"), ("--type", "A4")),
+    (("--type", "A2", "--n", "3"), ("--type", "A2")),
+    (("--type", "B4", "--n", "4"), ("--type", "B4")),
+])
+def test_efd_n_agreeing_with_type(capsys, n_argv, type_argv):
+    assert run(capsys, "--json", "efd", *n_argv) == run(capsys, "--json", "efd", *type_argv)
+
+
+def test_python_m_ellq(capsys):
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    argv = ["--json", "efd", "--type", "G2"]
+    out = subprocess.run([sys.executable, "-m", "ellq", *argv], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout == run(capsys, *argv)[1]
+
+
 def test_efd_sgn_e8(capsys):
     from ellq.elliptic import sgn_fake_degree
     from ellq.weylgrp import EXPONENTS
@@ -151,6 +174,10 @@ def test_independence_cli(capsys):
     ["fourier", "--gamma", "Z2^-1"],
     ["fourier", "--gamma", "Z2^1"],
     ["efd", "--type", "E8", "--definitional"],
+    ["efd", "--type", "G2", "--n", "3"],
+    ["efd", "--type", "A2", "--n", "5"],
+    ["efd", "--type", "F4", "--n", "4"],
+    ["efd", "--type", "E8", "--n", "8"],
     ["affine", "a0"],
     ["affine", "a-1"],
     ["affine", "b0"],

@@ -127,6 +127,19 @@ def test_bn_closed_against_hook_series():
             assert bn_fake_closed(lam) == want, lam
 
 
+def test_class_functions_of_wrong_length_are_refused():
+    W = build_group(GroupSpec("B", 3))
+    sgn = W.sign_values()
+    with pytest.raises(ValueError, match="has 10 values, not 2"):
+        elliptic_fake_degree(W, [1, 1])
+    with pytest.raises(ValueError, match="has 10 values, not 9"):
+        elliptic_pairing(W, sgn, sgn[:-1])
+    with pytest.raises(ValueError, match="has 10 values, not 9"):
+        elliptic_pairing(W, sgn[1:], sgn)
+    with pytest.raises(ValueError, match="has 10 values, not 3"):
+        VirtualCharacter.from_coords(W, [1, 0, 0])
+
+
 def test_closed_forms_need_no_gcd():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
     code = (
@@ -135,13 +148,22 @@ def test_closed_forms_need_no_gcd():
         "    raise AssertionError('poly_gcd called')\n"
         "exactq.poly_gcd = refuse\n"
         "from ellq.combinat import partitions_of\n"
-        "from ellq.elliptic import bn_fake_closed, cyc_denominator, sgn_fake_degree\n"
+        "from ellq.elliptic import (bn_fake_closed, cyc_denominator, dn_fake_closed,\n"
+        "                           sgn_fake_degree)\n"
         "from ellq.weylgrp import EXPONENTS\n"
         "for lam in partitions_of(8):\n"
         "    bn_fake_closed(lam)\n"
+        "    dn_fake_closed(lam)\n"
         "for name in ('G2', 'F4', 'E6', 'E7', 'E8'):\n"
         "    sgn_fake_degree(EXPONENTS[name])\n"
         "    cyc_denominator(EXPONENTS[name])\n"
+        "from ellq.elliptic import elliptic_fake_degree\n"
+        "from ellq.weylgrp import GroupSpec, build_group, fake_degree\n"
+        "for t in ('A6', 'B5', 'D5', 'G2', 'F4'):\n"
+        "    W = build_group(GroupSpec.parse(t))\n"
+        "    for lab in W.irrep_labels():\n"
+        "        fake_degree(W, lab)\n"
+        "        elliptic_fake_degree(W, W.irrep_values(lab))\n"
         "print('ok')\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -79,6 +79,32 @@ def test_cyclotomic_quotient_matches_gcd_constructor(phi, k, c, common):
     assert got.to_json() == want.to_json()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.integers(1, 30), st.integers(-3, 3), max_size=4),
+       st.integers(-3, 3),
+       st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(lambda x: x != 0),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any),
+       st.integers(0, 3), st.data())
+def test_cyclotomic_quotient_reduces_a_numerator_like_gcd(phi, k, c, base, v, data):
+    """A numerator sharing some of the denominator's factors (q and Phi_n) is
+    reduced by trial division to the canonical form the gcd reaches."""
+    num = QPolynomial.monomial(v) * QPolynomial(base)
+    for n in sorted(phi):
+        num = num * cyclotomic(n) ** data.draw(st.integers(0, 3), label=f"Phi{n}")
+    top = num * QPolynomial.monomial(max(k, 0), c)
+    den = QPolynomial.monomial(max(-k, 0))
+    for n, e in phi.items():
+        if e > 0:
+            top = top * cyclotomic(n) ** e
+        else:
+            den = den * cyclotomic(n) ** -e
+    want = RationalFunction(top, den)
+    got = cyclotomic_quotient(phi, k, c, num)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_json() == want.to_json()
+    assert cyclotomic_quotient(phi, k, c, QPolynomial.zero()).is_zero()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
        st.lists(st.integers(-4, 4), min_size=1, max_size=6))

@@ -6,11 +6,14 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellq
 from ellq import weylgrp
 from ellq.combinat import mn_character, partitions_of
-from ellq.exactq import QPolynomial
+from ellq.elliptic import elliptic_fake_degree
+from ellq.exactq import QPolynomial, RationalFunction, poly_lcm
 from ellq.groups import FiniteGroup, GroupTooLargeError
 from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
                           char_poly_matrix, char_poly_signed, closed_form_classes,
@@ -343,6 +346,72 @@ def test_fake_degree_at_one_is_dimension():
     for lab in W.irrep_labels():
         f = fake_degree(W, lab)
         assert f.evaluate(1) == W.irrep_values(lab)[0]
+
+
+# The gcd route the class kernel replaced, kept as the second route: terms
+# sharing a denominator merged, put over the lcm of the det(1 - qw), and
+# reduced by the RationalFunction constructor.
+def _gcd_class_sum(terms):
+    merged = {}
+    for c, d in terms:
+        if c:
+            merged[d] = merged.get(d, 0) + c
+    lcm = poly_lcm(merged)
+    num = QPolynomial.zero()
+    for d, c in merged.items():
+        num = num + (lcm // d) * c
+    return RationalFunction(num, lcm)
+
+
+def _gcd_fake_degree(W, values):
+    total = _gcd_class_sum((v * c.size, c.char_poly) for c, v in zip(W.classes(), values))
+    pref = RationalFunction((QPolynomial.one() - QPolynomial.q()) ** W.rank * W.poincare)
+    return (pref * total * Fraction(1, W.order)).as_polynomial()
+
+
+def _gcd_elliptic_fake_degree(W, values):
+    total = _gcd_class_sum((v * c.det1 * c.size, c.char_poly)
+                           for c, v in zip(W.classes(), values) if c.elliptic)
+    return RationalFunction((QPolynomial.q() - 1) ** W.rank) * total * Fraction(1, W.order)
+
+
+@pytest.mark.parametrize("spec", CLASSICAL + [GroupSpec("G2", 2), GroupSpec("F4", 4)], ids=str)
+def test_class_kernel_matches_gcd_route(spec):
+    W = build_group(spec)
+    for row in W.character_table().values:
+        assert fake_degree_values(W, row) == _gcd_fake_degree(W, row)
+        assert elliptic_fake_degree(W, row) == _gcd_elliptic_fake_degree(W, row)
+
+
+_KERNEL_GROUPS = [GroupSpec("G2", 2), GroupSpec("B", 3), GroupSpec("D", 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KERNEL_GROUPS), st.data())
+def test_class_kernel_matches_gcd_route_on_class_functions(spec, data):
+    W = build_group(spec)
+    values = data.draw(st.lists(st.integers(-5, 5), min_size=len(W.classes()),
+                                max_size=len(W.classes())))
+    assert fake_degree_values(W, values) == _gcd_fake_degree(W, values)
+    assert elliptic_fake_degree(W, values) == _gcd_elliptic_fake_degree(W, values)
+
+
+@pytest.mark.parametrize("spec", _KERNEL_GROUPS, ids=str)
+def test_class_kernel_clears_each_class(spec):
+    W = build_group(spec)
+    top = QPolynomial.one()
+    for m in W.exponents:
+        top = top * (QPolynomial.one() - QPolynomial.monomial(m + 1))
+    kernel = W.class_kernel()
+    assert len(kernel) == len(W.classes())
+    for k, c in zip(kernel, W.classes()):
+        assert k * c.char_poly == top * c.size
+
+
+def test_class_function_of_wrong_length_is_refused():
+    W = build_group(GroupSpec("B", 3))
+    with pytest.raises(ValueError, match="has 10 values, not 1"):
+        fake_degree_values(W, [1])
 
 
 def test_induction_from_trivial_subgroup():
