@@ -95,6 +95,7 @@ class AffineDatum:
         self.rank = self.diagram.n_nodes - 1
         self._parahorics = None
         self._classes = None
+        self._nu = None
 
     def maximal_parahorics(self) -> list[MaximalParahoric]:
         if self._parahorics is not None:
@@ -131,6 +132,8 @@ class AffineDatum:
     def nu_values(self) -> list[RationalFunction]:
         """nu(C_J) = (-1)^l sum_delta delta(C_J) d_delta(q) / P_J(q) on the
         elliptic classes."""
+        if self._nu is not None:
+            return self._nu
         sign = (-1) ** self.rank
         out = []
         paras = self.maximal_parahorics()
@@ -140,22 +143,33 @@ class AffineDatum:
             if cls.parahoric_index not in per_parahoric:
                 per_parahoric[cls.parahoric_index] = _nu_on_parahoric(p.weyl)
             out.append(per_parahoric[cls.parahoric_index][cls.class_index] * sign)
+        self._nu = out
         return out
 
     def formal_degree(self, v_values: Sequence[RationalFunction]) -> RationalFunction:
         """<v, nu>^el over the affine group: sum v(C) nu(C) mu_el(C)."""
         nus = self.nu_values()
         total = RationalFunction(QPolynomial.zero())
-        for cls, v, nu in zip(self.elliptic_classes(), v_values, nus):
+        for cls, v, nu in zip(self._checked(v_values), v_values, nus):
             total = total + _as_rf(v) * nu * cls.mu
         return total
 
     def elliptic_inner(self, u_values, v_values) -> Fraction:
         """Integral of u*v against the elliptic measure."""
         total = Fraction(0)
-        for cls, a, b in zip(self.elliptic_classes(), u_values, v_values):
+        for cls, a, b in zip(self._checked(u_values, v_values), u_values, v_values):
             total += Fraction(a) * Fraction(b) * cls.mu
         return total
+
+    def _checked(self, *functions) -> list["AffineEllipticClass"]:
+        """The elliptic classes, once each function has one value per class."""
+        classes = self.elliptic_classes()
+        for values in functions:
+            if len(values) != len(classes):
+                raise ValueError(f"an elliptic class function of affine "
+                                 f"{self.diagram.name} has {len(classes)} values, "
+                                 f"not {len(values)}")
+        return classes
 
 
 def _as_rf(v):

@@ -2,7 +2,8 @@
 data for the realized Weyl groups, the pairing on the parameter set X(W), and
 generic degrees.
 
-Supported small groups: trivial, Z2^k (k <= 4), S3, S4, S5.  Each pair in
+Supported small groups: trivial, Z2^k (k <= 4), S3, S4, S5, as permutation
+groups whose elements are `bytes` (`groups.permutation_group`).  Each pair in
 M(Gamma) is a conjugacy class representative together with an irreducible
 character of its centralizer; all arithmetic is exact, with cyclotomic
 character values collapsing to rationals in the final matrices.
@@ -18,45 +19,27 @@ from typing import Sequence, Union
 
 from .cyclo import CycNum, _zeta_power_basis
 from .exactq import QPolynomial, RationalFunction
-from .groups import CharacterTable, ConjClass, FiniteGroup
+from .groups import CharacterTable, ConjClass, FiniteGroup, permutation_group
 from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
 
 SUPPORTED_GAMMAS = ("trivial", "Z2", "Z2^2", "Z2^3", "Z2^4", "S3", "S4", "S5")
 
 
-def _perm_mult(a, b):
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_inv(a):
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def small_group(name: str) -> FiniteGroup:
+    """Gamma as a permutation group.  An element's key is its tuple of
+    images: it picks the class representatives and the class order, and so
+    the labels of M(Gamma)."""
     if name not in SUPPORTED_GAMMAS:
         raise ValueError(f"unsupported group {name!r}")
-    if name == "trivial":
-        return FiniteGroup([(0,)], _perm_mult, _perm_inv, (0,), generators=[])
-    if name.startswith("Z2"):
-        k = 1 if name == "Z2" else int(name[3])
-        n = 2 * k
-        gens = []
-        for i in range(k):
-            e = list(range(n))
-            e[2 * i], e[2 * i + 1] = e[2 * i + 1], e[2 * i]
-            gens.append(tuple(e))
-        return FiniteGroup.generate(gens, _perm_mult, _perm_inv, tuple(range(n)))
-    n = int(name[1])
-    gens = []
-    for i in range(n - 1):
-        e = list(range(n))
-        e[i], e[i + 1] = e[i + 1], e[i]
-        gens.append(tuple(e))
-    return FiniteGroup.generate(gens, _perm_mult, _perm_inv, tuple(range(n)))
+    if name.startswith("Z2"):  # Z2^k: the transpositions (2i, 2i+1)
+        n = 2 * (1 if name == "Z2" else int(name[3]))
+        swaps = range(0, n, 2)
+    else:  # trivial, or S_n: the adjacent transpositions (i, i+1)
+        n = 1 if name == "trivial" else int(name[1])
+        swaps = range(n - 1)
+    gens = [[*range(i), i + 1, i, *range(i + 2, n)] for i in swaps]
+    return permutation_group(gens, n, key=lambda w: repr(tuple(w)))
 
 
 @dataclass(frozen=True)
@@ -133,11 +116,14 @@ def _char_labels(table: CharacterTable) -> list[str]:
 def _centralizers(gamma_name: str) -> tuple[list[ConjClass], list[FiniteGroup],
                                             list[CharacterTable]]:
     """The classes of Gamma, the centralizer of each class representative,
-    and the character table of each centralizer, built once per group."""
+    and the character table of each centralizer, asked once per distinct
+    group: the centralizer of a central element is Gamma itself."""
     gamma = small_group(gamma_name)
     classes = gamma.conjugacy_classes()
-    cents = [gamma.centralizer(c.rep) for c in classes]
-    return classes, cents, [cent.character_table() for cent in cents]
+    cents = [gamma if c.size == 1 else gamma.centralizer(c.rep) for c in classes]
+    table = gamma.character_table()
+    return classes, cents, [table if cent is gamma else cent.character_table()
+                            for cent in cents]
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,7 +381,10 @@ def ef_matrix(W: Union[WeylGroupData, ProductWeyl]) -> list[list[Fraction]]:
 def ef_map(W, coords: Sequence[Fraction]) -> list[Fraction]:
     """Image of a virtual character (coordinates over Irr) under the transform."""
     e = ef_matrix(W)
-    n = len(coords)
+    n = len(e)
+    if len(coords) != n:
+        raise ValueError(f"a virtual character has {n} coordinates, one per "
+                         f"irreducible, not {len(coords)}")
     return [sum(e[i][j] * Fraction(coords[j]) for j in range(n)) for i in range(n)]
 
 

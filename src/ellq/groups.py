@@ -12,6 +12,10 @@ The algorithm lifts eigenvalue multiplicities to exact cyclotomic integers
 and then verifies the full orthogonality relations exactly over Q(zeta).
 Any verification failure is a hard error; no approximate tables are ever
 returned.
+
+Elements are any hashable objects.  The permutation groups (G2 and F4 on
+their roots, and Gamma) share one type, `permutation_group`: an element is
+`bytes`, and a product is one `bytes.translate`.
 """
 from __future__ import annotations
 
@@ -32,6 +36,24 @@ class GroupTooLargeError(ValueError):
     pass
 
 
+def perm_inv(w: bytes) -> bytes:
+    out = bytearray(len(w))
+    for i, k in enumerate(w):
+        out[k] = i
+    return bytes(out)
+
+
+def permutation_group(generators: Sequence, degree: int, **kwargs) -> "FiniteGroup":
+    """The group generated by permutations of range(degree), given as lists
+    of images; keyword arguments go to `FiniteGroup.generate`.  Elements are
+    `bytes`, and (a b)[i] = a[b[i]] is b translated through a, padded once
+    to a full byte table."""
+    pad = bytes(256 - degree)
+    return FiniteGroup.generate([bytes(g) for g in generators],
+                                lambda a, b: b.translate(a + pad), perm_inv,
+                                bytes(range(degree)), **kwargs)
+
+
 @dataclass
 class ConjClass:
     rep: object
@@ -45,7 +67,8 @@ class FiniteGroup:
 
     `key` orders elements: each class is represented by its element of least
     key, and classes of equal size and order are sorted by their
-    representatives' keys.  Subgroups and centralizers inherit it.
+    representatives' keys.  Subgroups and centralizers inherit it.  The
+    classes and the character table are computed once and kept.
     """
 
     def __init__(self, elements, mult: Callable, inv: Callable, identity,
@@ -61,6 +84,7 @@ class FiniteGroup:
         self.key = key
         self._classes: Optional[list[ConjClass]] = None
         self._class_of: Optional[dict] = None
+        self._table: Optional[CharacterTable] = None
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
@@ -100,7 +124,10 @@ class FiniteGroup:
         return n
 
     def conjugacy_classes(self) -> list[ConjClass]:
-        """Orbit partition under conjugation, deterministically ordered."""
+        """Orbit partition under conjugation, deterministically ordered.  A
+        group with generators closes each orbit under them, breadth first; a
+        group without (a centralizer) takes each orbit in one pass,
+        {s g s^-1 : s in G}."""
         if self._classes is not None:
             return self._classes
         mult, key = self.mult, self.key
@@ -110,15 +137,18 @@ class FiniteGroup:
         for g in self.elements:
             if g in seen:
                 continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                x = frontier.pop()
-                for s, s_inv in conjugators:
-                    y = mult(mult(s, x), s_inv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        frontier.append(y)
+            if not self.generators:
+                orbit = {mult(mult(s, g), s_inv) for s, s_inv in conjugators}
+            else:
+                orbit = {g}
+                frontier = [g]
+                while frontier:
+                    x = frontier.pop()
+                    for s, s_inv in conjugators:
+                        y = mult(mult(s, x), s_inv)
+                        if y not in orbit:
+                            orbit.add(y)
+                            frontier.append(y)
             seen |= orbit
             rep = min(orbit, key=key)
             raw.append(ConjClass(rep, len(orbit), self.element_order(rep), tuple(orbit)))
@@ -141,8 +171,7 @@ class FiniteGroup:
 
     def centralizer(self, x) -> "FiniteGroup":
         elems = [g for g in self.elements if self.mult(g, x) == self.mult(x, g)]
-        return FiniteGroup(elems, self.mult, self.inv, self.identity,
-                           generators=elems, key=self.key)
+        return FiniteGroup(elems, self.mult, self.inv, self.identity, key=self.key)
 
     def subgroup(self, gens: Sequence) -> "FiniteGroup":
         return FiniteGroup.generate(list(gens), self.mult, self.inv, self.identity,
@@ -158,7 +187,9 @@ class FiniteGroup:
     # -- character table -----------------------------------------------------
 
     def character_table(self) -> "CharacterTable":
-        return _dixon_table(self)
+        if self._table is None:
+            self._table = _dixon_table(self)
+        return self._table
 
 
 @dataclass

@@ -257,11 +257,10 @@ def _phi_values_at(fix: UnipotentFixture, s_label: str) -> dict[str, Fraction]:
 
 
 def centralizer_order_in_gamma(fix: UnipotentFixture, s_label: str) -> int:
+    """|Z_Gamma(s)| = |Gamma| / |class of s|, by orbit-stabilizer."""
     gamma = small_group(fix.gamma)
     from .fourier import _x_labels
-    xl = _x_labels(gamma)
-    rep = gamma.conjugacy_classes()[xl.index(s_label)].rep
-    return gamma.centralizer(rep).order
+    return gamma.order // gamma.conjugacy_classes()[_x_labels(gamma).index(s_label)].size
 
 
 def conj_equiv(fix: UnipotentFixture, s_label: str, phi_dim: int) -> RationalFunction:

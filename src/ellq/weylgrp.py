@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .combinat import mn_character, partitions_of
 from .exactq import QPolynomial, cyclotomic_quotient, exact_div
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
-                     _verify_table, row_order)
+                     _verify_table, permutation_group, row_order)
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,8 @@ def _poly_det(rows) -> QPolynomial:
 
 class RootPermutations:
     """W(G2) or W(F4) acting on its roots, in simple-root coordinates with the
-    simple roots first: the generators, product, inverse and identity of the
-    permutation encoding, and the matrix of an element."""
+    simple roots first: the generators as permutations of the roots (elements
+    are `groups.permutation_group` bytes), and the matrix of an element."""
 
     def __init__(self, family: str, reflections):
         n = len(reflections)
@@ -263,18 +263,7 @@ class RootPermutations:
             raise RuntimeError(f"{family} has {len(roots)} roots, not twice the "
                                "sum of its exponents")
         self.rank, self.roots = n, roots
-        self.generators = [bytes(index[_mat_vec(m, r)] for r in roots) for m in reflections]
-        self.identity = bytes(range(len(roots)))
-        pad = bytes(256 - len(roots))
-        # (a b)[i] = a[b[i]]: translate b through a, padded to a full byte table
-        self.mult = lambda a, b: b.translate(a + pad)
-
-    @staticmethod
-    def inv(w: bytes) -> bytes:
-        out = bytearray(len(w))
-        for i, k in enumerate(w):
-            out[k] = i
-        return bytes(out)
+        self.generators = [[index[_mat_vec(m, r)] for r in roots] for m in reflections]
 
     def matrix(self, w: bytes):
         """The matrix of w on root coordinates: column j is w(alpha_j)."""
@@ -642,7 +631,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
                 raise RuntimeError("generator does not preserve the invariant form")
         phi = RootPermutations(fam, reflections)
         return WeylGroupData(spec, functools.partial(
-            FiniteGroup.generate, phi.generators, phi.mult, phi.inv, phi.identity,
+            permutation_group, phi.generators, len(phi.roots),
             track_lengths=True, key=phi.key),
             lambda w: char_poly_matrix(phi.matrix(w)), phi.matrix)
     npts = n + 1 if fam == "A" else n

@@ -8,6 +8,7 @@ from ellq.affine import (AffineDatum, G2_BASIS, G2_EF_AFFINE_PRINTED,
                          g2_basis_values_canonical, g2_class_alignment,
                          g2_conjectured_transform, g2_ef_affine_published_order,
                          g2_ef_j0_published_order, g2_mu_canonical)
+from ellq import affine
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
 from ellq.unipotent import FIXTURES, conjecture_rhs
 from ellq.weylgrp import GroupSpec
@@ -181,3 +182,28 @@ def test_unknown_base():
 def test_a1_diagram_degenerate():
     assert affine_diagram("B1").name == "A1"
     assert affine_diagram("C1").name == "A1"
+
+
+def test_nu_is_computed_once_per_datum(monkeypatch):
+    calls = []
+    nu_on_parahoric = affine._nu_on_parahoric
+    monkeypatch.setattr(affine, "_nu_on_parahoric",
+                        lambda weyl: calls.append(weyl) or nu_on_parahoric(weyl))
+    d = AffineDatum("G2")
+    nus = d.nu_values()
+    for v in g2_basis_values_canonical(d):
+        d.formal_degree(v)
+    assert len(calls) == 3  # one per maximal parahoric
+    assert d.nu_values() is nus
+
+
+@pytest.mark.parametrize("method, args", [
+    ("elliptic_inner", ([1], [1] * 5)),
+    ("elliptic_inner", ([1] * 5, [1] * 7)),
+    ("formal_degree", ([1] * 3,)),
+    ("formal_degree", ([1] * 6,)),
+], ids=["inner-u1", "inner-v7", "formal-3", "formal-6"])
+def test_elliptic_class_functions_of_wrong_length_are_refused(method, args):
+    wrong = next(len(a) for a in args if len(a) != 5)
+    with pytest.raises(ValueError, match=f"affine G2 has 5 values, not {wrong}$"):
+        getattr(AffineDatum("G2"), method)(*args)

@@ -226,6 +226,24 @@ EXCEPTIONAL_OUTPUTS = {
         "c51c67a6d6f6b34cd49c4b94d0b2e2fa3a766f1e32f6a932680a4a97e2d4adb2",
     ("fourier", "--gamma", "S5"):
         "d57f5f1a1c5ae76d22acab455dd6672c890bcf7250df5592c40b50ddd66a569c",
+    ("fourier", "--gamma", "trivial"):
+        "b26e85ab964f2736eb7a9d542b18e19ef831d9fa5e1287b9d4a4bab808e12285",
+    ("fourier", "--gamma", "Z2"):
+        "621a061701ff1ce602a6a89f0be0eec36f22f551067fa47e142510df93dd83bc",
+    ("fourier", "--gamma", "Z2^2"):
+        "4980a65972e98221b999fb230e3fa19abc6b282eb52799d120794ff8e41794b4",
+    ("fourier", "--gamma", "Z2^3"):
+        "b8d0f1b78c87113a7fd61316552c93b56391b7eff1c62da69740f934e2025e60",
+    ("fourier", "--gamma", "Z2^4"):
+        "f072d25dc57ee7ada19f517083c2b1016cf3c60d5eed20950729c09dedf717b6",
+    ("fourier", "--gamma", "S3"):
+        "34ca8ac0453ca0454563d604113e08a3734238924514e8acb83a40c37d52b1ab",
+    ("fourier", "--gamma", "S4"):
+        "338774a434870ca9580ba3a7d294d1b415ee7fcbfdc2ccdc74fe683b4df8ac51",
+    ("verify", "fourier"):
+        "d62934f7be0d70f2d482fd8e83f04b36756be7cf197cfba0c464d5558f96cfb4",
+    ("verify", "g2-affine"):
+        "521aa1897c5421e06e71bd023c07095dee68e3c396ac5d652c41c3cf47847517",
 }
 
 

@@ -1,15 +1,19 @@
 import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ellq
 from ellq.cyclo import CycNum
 from ellq.exactq import RationalFunction, RF_ONE, RF_Q, cyclotomic
 from ellq.fixtures import ft_z2_printed
-from ellq.fourier import (_check_block, ef_induction_check, ef_map, ef_matrix,
-                          families_for, fourier_matrix, generic_degree, m_set,
-                          plancherel_sum, small_group, special_column_entry,
-                          xw_pairing)
+from ellq.fourier import (SUPPORTED_GAMMAS, _check_block, _x_labels,
+                          ef_induction_check, ef_map, ef_matrix, families_for,
+                          fourier_matrix, generic_degree, m_set, plancherel_sum,
+                          small_group, special_column_entry, xw_pairing)
 from ellq.weylgrp import GroupSpec, ProductWeyl, build_group
 
 
@@ -24,6 +28,102 @@ def test_m_set_sizes():
     assert len(m_set("S4")) == 21
     assert len(m_set("S5")) == 39
     assert len(m_set("Z2^2")) == 16
+    assert len(m_set("Z2^3")) == 64
+    assert len(m_set("Z2^4")) == 256
+
+
+def _primed(base, count):
+    return [base + "'" * i for i in range(count)]
+
+
+# (representative as a tuple of images, size, element order) of each class of
+# Gamma, the class labels and the labels of M(Gamma), recorded when Gamma's
+# elements were tuples: the element key fixes all three.  Z2^k has 2^k
+# central classes, each with the 2^k characters of Z2^k.
+GAMMA_CLASSES = {
+    "trivial": [((0,), 1, 1)],
+    "Z2": [((0, 1), 1, 1), ((1, 0), 1, 2)],
+    "Z2^2": [((0, 1, 2, 3), 1, 1), ((0, 1, 3, 2), 1, 2), ((1, 0, 2, 3), 1, 2),
+             ((1, 0, 3, 2), 1, 2)],
+    "Z2^3": [((0, 1, 2, 3, 4, 5), 1, 1), ((0, 1, 2, 3, 5, 4), 1, 2),
+             ((0, 1, 3, 2, 4, 5), 1, 2), ((0, 1, 3, 2, 5, 4), 1, 2),
+             ((1, 0, 2, 3, 4, 5), 1, 2), ((1, 0, 2, 3, 5, 4), 1, 2),
+             ((1, 0, 3, 2, 4, 5), 1, 2), ((1, 0, 3, 2, 5, 4), 1, 2)],
+    "Z2^4": [((0, 1, 2, 3, 4, 5, 6, 7), 1, 1), ((0, 1, 2, 3, 4, 5, 7, 6), 1, 2),
+             ((0, 1, 2, 3, 5, 4, 6, 7), 1, 2), ((0, 1, 2, 3, 5, 4, 7, 6), 1, 2),
+             ((0, 1, 3, 2, 4, 5, 6, 7), 1, 2), ((0, 1, 3, 2, 4, 5, 7, 6), 1, 2),
+             ((0, 1, 3, 2, 5, 4, 6, 7), 1, 2), ((0, 1, 3, 2, 5, 4, 7, 6), 1, 2),
+             ((1, 0, 2, 3, 4, 5, 6, 7), 1, 2), ((1, 0, 2, 3, 4, 5, 7, 6), 1, 2),
+             ((1, 0, 2, 3, 5, 4, 6, 7), 1, 2), ((1, 0, 2, 3, 5, 4, 7, 6), 1, 2),
+             ((1, 0, 3, 2, 4, 5, 6, 7), 1, 2), ((1, 0, 3, 2, 4, 5, 7, 6), 1, 2),
+             ((1, 0, 3, 2, 5, 4, 6, 7), 1, 2), ((1, 0, 3, 2, 5, 4, 7, 6), 1, 2)],
+    "S3": [((0, 1, 2), 1, 1), ((1, 2, 0), 2, 3), ((0, 2, 1), 3, 2)],
+    "S4": [((0, 1, 2, 3), 1, 1), ((1, 0, 3, 2), 3, 2), ((0, 1, 3, 2), 6, 2),
+           ((1, 2, 3, 0), 6, 4), ((0, 2, 3, 1), 8, 3)],
+    "S5": [((0, 1, 2, 3, 4), 1, 1), ((0, 1, 2, 4, 3), 10, 2), ((0, 2, 1, 4, 3), 15, 2),
+           ((0, 1, 3, 4, 2), 20, 3), ((1, 0, 3, 4, 2), 20, 6), ((1, 2, 3, 4, 0), 24, 5),
+           ((0, 2, 3, 4, 1), 30, 4)],
+}
+X_LABELS = {
+    "trivial": ["1"],
+    "Z2": ["1", "tau"],
+    "Z2^2": ["1", "g2", "g2'", "g2''"],
+    "Z2^3": ["1"] + _primed("g2", 7),
+    "Z2^4": ["1"] + _primed("g2", 15),
+    "S3": ["1", "g3", "g2"],
+    "S4": ["1", "g2", "g2'", "g4", "g3"],
+    "S5": ["1", "g2", "g2'", "g3", "g6", "g5", "g4"],
+}
+M_SET_LABELS = {
+    "trivial": [("1", "1")],
+    "Z2": [("1", "1"), ("1", "eps"), ("tau", "1"), ("tau", "eps")],
+    "Z2^2": [("1", "1"), ("1", "eps"), ("1", "eps'"), ("1", "eps''"), ("g2", "1"),
+             ("g2", "eps"), ("g2", "eps'"), ("g2", "eps''"), ("g2'", "1"), ("g2'", "eps"),
+             ("g2'", "eps'"), ("g2'", "eps''"), ("g2''", "1"), ("g2''", "eps"),
+             ("g2''", "eps'"), ("g2''", "eps''")],
+    "Z2^3": [(x, c) for x in ["1"] + _primed("g2", 7)
+             for c in ["1"] + _primed("eps", 7)],
+    "Z2^4": [(x, c) for x in ["1"] + _primed("g2", 15)
+             for c in ["1"] + _primed("eps", 15)],
+    "S3": [("1", "1"), ("1", "eps"), ("1", "r"), ("g3", "1"), ("g3", "chi1"), ("g3", "chi2"),
+           ("g2", "1"), ("g2", "eps")],
+    "S4": [("1", "1"), ("1", "eps"), ("1", "r"), ("1", "chi1"), ("1", "chi2"), ("g2", "1"),
+           ("g2", "eps"), ("g2", "eps'"), ("g2", "eps''"), ("g2", "r"), ("g2'", "1"),
+           ("g2'", "eps"), ("g2'", "eps'"), ("g2'", "eps''"), ("g4", "1"), ("g4", "chi1"),
+           ("g4", "chi2"), ("g4", "eps"), ("g3", "1"), ("g3", "chi1"), ("g3", "chi2")],
+    "S5": [("1", "1"), ("1", "eps"), ("1", "chi1"), ("1", "chi2"), ("1", "chi3"),
+           ("1", "chi4"), ("1", "chi5"), ("g2", "1"), ("g2", "eps"), ("g2", "eps'"),
+           ("g2", "eps''"), ("g2", "chi1"), ("g2", "chi2"), ("g2'", "1"), ("g2'", "eps"),
+           ("g2'", "eps'"), ("g2'", "eps''"), ("g2'", "r"), ("g3", "1"), ("g3", "eps"),
+           ("g3", "chi1"), ("g3", "chi2"), ("g3", "chi3"), ("g3", "chi4"), ("g6", "1"),
+           ("g6", "eps"), ("g6", "chi1"), ("g6", "chi2"), ("g6", "chi3"), ("g6", "chi4"),
+           ("g5", "1"), ("g5", "chi1"), ("g5", "chi2"), ("g5", "chi3"), ("g5", "chi4"),
+           ("g4", "1"), ("g4", "chi1"), ("g4", "chi2"), ("g4", "eps")],
+}
+
+
+@pytest.mark.parametrize("name", SUPPORTED_GAMMAS)
+def test_gamma_classes_and_labels_pinned(name):
+    gamma = small_group(name)
+    assert [(tuple(c.rep), c.size, c.order)
+            for c in gamma.conjugacy_classes()] == GAMMA_CLASSES[name]
+    assert _x_labels(gamma) == X_LABELS[name]
+    assert [p.label for p in m_set(name)] == M_SET_LABELS[name]
+
+
+def test_one_dixon_table_per_distinct_group():
+    """Z2^3 is abelian, so every centralizer is Z2^3 itself: one table."""
+    code = ("from ellq import groups\n"
+            "calls = []\n"
+            "dixon = groups._dixon_table\n"
+            "groups._dixon_table = lambda g: calls.append(g) or dixon(g)\n"
+            "from ellq.fourier import m_set\n"
+            "assert len(m_set('Z2^3')) == 64\n"
+            "print(len(calls))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "1"
 
 
 def test_unsupported_group():
@@ -231,6 +331,13 @@ def test_ef_map_singletons_fixed():
     coords = [Fraction(0)] * len(labels)
     coords[i] = Fraction(1)
     assert ef_map(g2, coords) == coords
+
+
+@pytest.mark.parametrize("coords", [[1, 0], [1] * 7])
+def test_ef_map_refuses_coordinates_of_the_wrong_length(coords):
+    with pytest.raises(ValueError, match=f"has 6 coordinates, one per irreducible, "
+                                         f"not {len(coords)}"):
+        ef_map(build_group(GroupSpec("G2", 2)), coords)
 
 
 def test_ef_not_involutive_on_irreducibles():

@@ -4,11 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import ellq
 from ellq.cyclo import CycNum
-from ellq.groups import (_nullspace_mod, _roots_mod, _solve_in_span, _verify_table,
-                         isprime, primitive_root)
+from ellq.groups import (FiniteGroup, _nullspace_mod, _roots_mod, _solve_in_span,
+                         _verify_table, isprime, permutation_group, primitive_root)
 
 
 def test_character_table_imports_no_sympy():
@@ -99,3 +100,32 @@ def test_verify_table_rejects_a_changed_irrational_entry():
     _verify_table(_with_entry(table, i, j, v))
     with pytest.raises(RuntimeError, match="row orthogonality"):
         _verify_table(_with_entry(table, i, j, v + CycNum.rational(v.m, 1)))
+
+
+@given(st.permutations(range(40)), st.permutations(range(40)))
+def test_permutation_product_and_inverse(a, b):
+    group = permutation_group([], 40)
+    assert group.mult(bytes(a), bytes(b)) == bytes(a[i] for i in b)
+    assert group.mult(bytes(a), group.inv(bytes(a))) == group.identity == bytes(range(40))
+
+
+def test_one_pass_orbits_equal_breadth_first_orbits():
+    from ellq.fourier import small_group
+    gamma = small_group("S5")
+    assert gamma.generators
+    flat = FiniteGroup(gamma.elements, gamma.mult, gamma.inv, gamma.identity,
+                       key=gamma.key)
+    assert not flat.generators
+
+    def summary(group):
+        return [(c.rep, c.size, c.order, set(c.elements))
+                for c in group.conjugacy_classes()]
+    assert summary(flat) == summary(gamma)
+
+
+def test_character_table_is_kept_on_the_group():
+    from ellq.fourier import small_group
+    gamma = small_group("S4")
+    cent = gamma.centralizer(gamma.conjugacy_classes()[1].rep)
+    assert cent.character_table() is cent.character_table()
+    assert gamma.character_table() is gamma.character_table()

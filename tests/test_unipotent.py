@@ -1,11 +1,14 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
+from ellq.fourier import SUPPORTED_GAMMAS, _x_labels, small_group
 from ellq.unipotent import (FIXTURES, G2_DATUM, SL2_DATUM, SP4_DATUM,
-                            EllipticParameter, conj_equiv, conjecture_rhs, m_x,
-                            mx_for, q_part_prediction, solve_marks)
+                            EllipticParameter, centralizer_order_in_gamma,
+                            conj_equiv, conjecture_rhs, m_x, mx_for,
+                            q_part_prediction, solve_marks)
 
 
 def phi(n):
@@ -190,3 +193,11 @@ def test_packet_common_q_part():
     base = conjecture_rhs(fix, ("1", "1"))
     for rho, mult in (("r", 2), ("eps", 1)):
         assert conjecture_rhs(fix, ("1", rho)) == base * mult
+
+
+@pytest.mark.parametrize("name", SUPPORTED_GAMMAS)
+def test_centralizer_order_by_orbit_stabilizer(name):
+    gamma = small_group(name)
+    fix = SimpleNamespace(gamma=name)  # only the component group is read
+    for label, c in zip(_x_labels(gamma), gamma.conjugacy_classes()):
+        assert centralizer_order_in_gamma(fix, label) == len(gamma.centralizer(c.rep).elements)
