@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactq import QPolynomial, RationalFunction, rref
+from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
 from .elliptic import elliptic_fake_degree
 from .fourier import ef_matrix, fourier_matrix, generic_degree
-from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group)
+from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poincare_phi)
 
 INF = 0  # bond marker for the infinite bond of affine A1
 
@@ -214,18 +214,15 @@ def _weyl_classes(weyl):
 
 
 def _nu_on_parahoric(weyl) -> list[RationalFunction]:
-    """sum_delta delta(C) d_delta(q)/P(q) for every class C of W_J."""
-    labels = weyl.irrep_labels()
-    classes = _weyl_classes(weyl)
-    total = [RationalFunction(QPolynomial.zero()) for _ in classes]
-    pinv = RationalFunction(QPolynomial.one()) / RationalFunction(weyl.poincare)
-    for lab in labels:
-        d = generic_degree(weyl, lab) * pinv
-        values = weyl.irrep_values(lab)
-        for i, v in enumerate(values):
-            if v:
-                total[i] = total[i] + d * v
-    return total
+    """sum_delta delta(C) d_delta(q)/P(q) for every class C of W_J.  The
+    generic degrees are polynomials (as_polynomial raises otherwise), so
+    each class sums one polynomial and divides it by P(q) once."""
+    degrees = [(generic_degree(weyl, lab).as_polynomial(), weyl.irrep_values(lab))
+               for lab in weyl.irrep_labels()]
+    inverse_p = {n: -e for n, e in poincare_phi(weyl.exponents).items()}
+    return [cyclotomic_quotient(inverse_p, num=sum(
+        (d * row[i] for d, row in degrees if row[i]), QPolynomial.zero()))
+        for i in range(len(_weyl_classes(weyl)))]
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,11 @@ def _cmd_efd(args) -> int:
     if t in ("B", "D"):
         if not args.lam:
             raise ValueError("--lambda required for types B and D")
-        lam = tuple(int(x) for x in args.lam.split(","))
+        try:
+            lam = tuple(int(x) for x in args.lam.split(","))
+        except ValueError:
+            raise ValueError(f"--lambda {args.lam} is not a partition: parts must be "
+                             "integers separated by commas, e.g. 2,1,1") from None
         if lam[-1] <= 0 or any(a < b for a, b in zip(lam, lam[1:])):
             raise ValueError(f"--lambda {args.lam} is not a partition: "
                              "parts must be positive and weakly decreasing")
@@ -184,6 +188,9 @@ def _cmd_efd(args) -> int:
                 raise ValueError(f"--definitional needs a realised group; {t} is not")
             spec, exponents = t, EXPONENTS[t]
         else:
+            if t == "A" and args.n is not None and args.n < 2:
+                raise ValueError(f"--n {args.n} is out of range: type A takes n >= 2, "
+                                 "for A_{n-1}")
             spec = GroupSpec.parse(f"A{args.n - 1}" if t == "A" and args.n is not None
                                    else args.type)
             if args.n is not None and spec.rank != args.n - (spec.family == "A"):

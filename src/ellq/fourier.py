@@ -172,16 +172,17 @@ def fourier_matrix(gamma_name: str) -> FourierBlock:
                for i in range(len(classes))]
     n = len(pairs)
     matrix = [[Fraction(0)] * n for _ in range(n)]
-    mult, inv = gamma.mult, gamma.inv
+    mult = gamma.mult
+    with_inverses = [(g, gamma.inv(g)) for g in gamma.elements]
     for i, ci in enumerate(classes):
         x, cx = ci.rep, cents[i]
         for j in range(i, len(classes)):
             y, cy = classes[j].rep, cents[j]
             counts: dict[tuple[int, int], int] = {}
-            for g in gamma.elements:
-                u = mult(mult(g, y), inv(g))
+            for g, g_inv in with_inverses:
+                u = mult(mult(g, y), g_inv)
                 if mult(x, u) == mult(u, x):
-                    key = (cx.class_of(u), cy.class_of(mult(mult(inv(g), x), g)))
+                    key = (cx.class_of(u), cy.class_of(mult(mult(g_inv, x), g)))
                     counts[key] = counts.get(key, 0) + 1
             den = cx.order * cy.order
             for a in members[i]:

@@ -13,9 +13,10 @@ and then verifies the full orthogonality relations exactly over Q(zeta).
 Any verification failure is a hard error; no approximate tables are ever
 returned.
 
-Elements are any hashable objects.  The permutation groups (G2 and F4 on
-their roots, and Gamma) share one type, `permutation_group`: an element is
-`bytes`, and a product is one `bytes.translate`.
+Elements are any hashable objects.  Every group ellq enumerates (A, B and D
+on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
+`permutation_group`: an element is `bytes`, and a product is one
+`bytes.translate`.
 """
 from __future__ import annotations
 

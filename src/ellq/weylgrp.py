@@ -1,6 +1,7 @@
-"""Concrete finite Weyl groups: signed permutations for the classical types,
-permutations of the roots for G2 and F4, whose integer matrices on the root
-lattice are built only for det(1 - q w) and for display.
+"""Concrete finite Weyl groups, each enumerated as a `groups.permutation_group`:
+the classical types as signed permutations, that is permutations of the 2n
+points +-e_i, and G2 and F4 as permutations of their roots, whose integer
+matrices on the root lattice are built only for det(1 - q w) and for display.
 
 Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
@@ -106,31 +107,27 @@ def group_order_from_exponents(exponents: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# signed permutations (types A, B, D)
-#
-# w is a tuple with w[i-1] = signed image of i; e_i -> sign * e_{|w[i-1]|}.
+# signed permutations (types A, B, D) as permutations of 2n points: point i-1
+# is e_i and point n+i-1 is -e_i.  The class search, the class order and the
+# display use the signed tuple w, whose w[i-1] is the signed image of i.
 
 
-def sp_mult(w, v):
-    return tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in v)
+def signed_perm(w) -> bytes:
+    """The group element (bytes on 2n points) of the signed tuple w."""
+    n = len(w)
+    pos = [x - 1 if x > 0 else n - x - 1 for x in w]
+    return bytes(pos + [(k + n) % (2 * n) for k in pos])
 
 
-def sp_inv(w):
-    out = [0] * len(w)
-    for i, x in enumerate(w):
-        if x > 0:
-            out[x - 1] = i + 1
-        else:
-            out[-x - 1] = -(i + 1)
-    return tuple(out)
-
-
-def sp_identity(n):
-    return tuple(range(1, n + 1))
+def signed_tuple(b: bytes) -> tuple:
+    """The signed tuple of the group element b."""
+    n = len(b) // 2
+    return tuple(k + 1 if k < n else n - k - 1 for k in b[:n])
 
 
 def signed_cycle_type(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(positive cycle lengths, negative cycle lengths), each sorted decreasing."""
+    w = signed_tuple(w)
     n = len(w)
     seen = [False] * n
     pos, neg = [], []
@@ -298,7 +295,8 @@ class WeylClassInfo:
         return self.det1 != 0
 
     def rep_str(self) -> str:
-        return str(list(self.rep) if self.matrix is None else [list(r) for r in self.matrix])
+        return str(list(signed_tuple(self.rep)) if self.matrix is None
+                   else [list(r) for r in self.matrix])
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +328,8 @@ def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
                                      char_poly_signed(None, fam, (pos, neg)), (pos, neg)))
     # the identity is the one class of size 1 and order 1, so it comes first
     out.sort(key=lambda c: (c.size, c.order, repr(c.rep)))
+    for c in out:
+        c.rep = signed_perm(c.rep)
     return out
 
 
@@ -411,7 +411,8 @@ def _split_difference(lam, c: WeylClassInfo) -> int:
     pos, neg = c.signed_type
     if neg or any(r % 2 for r in pos):
         return 0
-    return (-1) ** _half(c.rep) * 2 ** len(pos) * mn_character(lam, tuple(r // 2 for r in pos))
+    half = _half(signed_tuple(c.rep))
+    return (-1) ** half * 2 ** len(pos) * mn_character(lam, tuple(r // 2 for r in pos))
 
 
 class WeylGroupData:
@@ -639,17 +640,17 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
     for i in range(1, npts):
         e = list(range(1, npts + 1))
         e[i - 1], e[i] = e[i], e[i - 1]
-        gens.append(tuple(e))
+        gens.append(e)
     if fam != "A":
         e = list(range(1, n + 1))
         if fam == "B":
             e[n - 1] = -n
         else:
             e[n - 2], e[n - 1] = -n, -(n - 1)
-        gens.append(tuple(e))
+        gens.append(e)
     return WeylGroupData(spec, functools.partial(
-        FiniteGroup.generate, gens, sp_mult, sp_inv, sp_identity(npts),
-        track_lengths=True), lambda w: char_poly_signed(w, fam))
+        permutation_group, [signed_perm(g) for g in gens], 2 * npts, track_lengths=True,
+        key=lambda w: repr(signed_tuple(w))), lambda w: char_poly_signed(w, fam))
 
 
 def _transpose_b_m(m, b):
@@ -679,11 +680,7 @@ def fake_degree(W: WeylGroupData, label: str) -> QPolynomial:
 
 
 def parabolic_subgroup(W: WeylGroupData, gen_indices: Sequence[int]) -> FiniteGroup:
-    gens = [W.group.generators[i] for i in gen_indices]
-    if not gens:
-        return FiniteGroup([W.group.identity], W.group.mult, W.group.inv,
-                           W.group.identity, generators=[])
-    return W.group.subgroup(gens)
+    return W.group.subgroup([W.group.generators[i] for i in gen_indices])
 
 
 def induce_class_function(W: WeylGroupData, H: FiniteGroup, h_values) -> list[Fraction]:

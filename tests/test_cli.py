@@ -147,7 +147,16 @@ def test_independence_cli(capsys):
     assert "independent: False" in out and "dependency" in out
 
 
+# the message of an error whose cause is one option, naming it and its value
+ERROR_MESSAGES = {
+    ("efd", "--type", "A", "--n", "0"): "--n 0 is out of range",
+    ("efd", "--type", "A", "--n", "1"): "--n 1 is out of range",
+    ("efd", "--type", "B", "--lambda", "a"): "--lambda a is not a partition",
+}
+
+
 @pytest.mark.parametrize("argv", [
+    *map(list, ERROR_MESSAGES),
     ["group", "--type", "E6"],
     ["group", "--type", "X"],
     ["group", "--type", "B7"],
@@ -189,6 +198,7 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
+    assert ERROR_MESSAGES.get(tuple(argv), "") in lines[0]
 
 
 # sha256 of --json stdout for the outputs that rest on Dixon tables or on the
@@ -202,6 +212,18 @@ EXCEPTIONAL_OUTPUTS = {
         "c7d67c98998d87222d54437021749df6848f447f84e0022d7348e37dd3587a9a",
     ("group", "--type", "F4", "--classes"):
         "2fe83db956191b0e7bffe4c9d1a958e66a8eb2bb515779426e524f9d6d5aa3f1",
+    ("group", "--type", "A3", "--classes"):
+        "20af4ea437fba132ed6566f23b9ea14ff023de10b4dbddd0eb67e1f8afe63e7f",
+    ("group", "--type", "A3", "--table"):
+        "6a0cb45e555fecb517d83c135abe8e4c910eb8089469e69e67c233a6c6eae77f",
+    ("group", "--type", "B3", "--classes"):
+        "28ee7a3a373cef53ce5e09ff578b4226b8cf1709a946a5405ac2fcbccccf9d39",
+    ("group", "--type", "B3", "--table"):
+        "60af8f20579b626af96e27b804f271f9fa3dc02d168e1fbe172dcaa868f5c0bc",
+    ("group", "--type", "D4", "--classes"):
+        "2af6baae3e5ccc53db8ec9d6db74e5cf18bd83974ebbf0d81b6c182f0e31b5c9",
+    ("group", "--type", "D4", "--table"):
+        "b7d648fc637b9d77b8c68417721547d7ab27428add300e038999881fab00b43c",
     ("fake", "--type", "F4"):
         "a205bbb571de9fe1424edb5573448115d380a1599b023bebd03a5e87dc7d18b9",
     ("fake", "--type", "G2"):

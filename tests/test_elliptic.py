@@ -263,7 +263,7 @@ def test_elliptic_frobenius_d3_in_b3():
     rng = random.Random(7)
     B = build_group(GroupSpec("B", 3))
     e = [1, -3, -2]
-    H = B.group.subgroup([B.group.generators[0], B.group.generators[1], tuple(e)])
+    H = B.group.subgroup([B.group.generators[0], B.group.generators[1], ellq.weylgrp.signed_perm(e)])
     assert H.order == 24
     htab = H.character_table()
     btab = B.character_table()

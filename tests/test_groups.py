@@ -10,6 +10,9 @@ import ellq
 from ellq.cyclo import CycNum
 from ellq.groups import (FiniteGroup, _nullspace_mod, _roots_mod, _solve_in_span,
                          _verify_table, isprime, permutation_group, primitive_root)
+from ellq.fourier import SUPPORTED_GAMMAS, small_group
+from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_perm,
+                          signed_tuple)
 
 
 def test_character_table_imports_no_sympy():
@@ -129,3 +132,55 @@ def test_character_table_is_kept_on_the_group():
     cent = gamma.centralizer(gamma.conjugacy_classes()[1].rep)
     assert cent.character_table() is cent.character_table()
     assert gamma.character_table() is gamma.character_table()
+
+
+# the signed-tuple product and inverse that types A, B and D were enumerated
+# with before they became permutations of 2n points, kept as the reference
+
+
+def sp_mult(w, v):
+    return tuple(w[x - 1] if x > 0 else -w[-x - 1] for x in v)
+
+
+def sp_inv(w):
+    out = [0] * len(w)
+    for i, x in enumerate(w):
+        if x > 0:
+            out[x - 1] = i + 1
+        else:
+            out[-x - 1] = -(i + 1)
+    return tuple(out)
+
+
+def _signed_perms(n):
+    return st.tuples(st.permutations(range(1, n + 1)),
+                     st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)).map(
+        lambda ps: tuple(p * s for p, s in zip(*ps)))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(_signed_perms(n), _signed_perms(n))))
+def test_signed_perm_product_matches_signed_tuples(wv):
+    w, v = wv
+    grp = permutation_group([], 2 * len(w))
+    assert signed_tuple(signed_perm(w)) == w
+    assert signed_tuple(grp.mult(signed_perm(w), signed_perm(v))) == sp_mult(w, v)
+    assert signed_tuple(grp.inv(signed_perm(w))) == sp_inv(w)
+
+
+@pytest.mark.parametrize("name", (
+    [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(1, 6)]
+    + [f"D{n}" for n in range(2, 6)] + ["G2", "F4"] + list(SUPPORTED_GAMMAS)))
+def test_every_enumerated_group_is_a_permutation_group(name):
+    if name in SUPPORTED_GAMMAS:
+        grp = small_group(name)
+    else:
+        grp = build_group(GroupSpec.parse(name)).group
+    assert all(type(g) is bytes for g in grp.elements)
+    assert grp.mult.__code__ is permutation_group([], 1).mult.__code__
+
+
+def test_empty_parabolic_subgroup_is_trivial():
+    W = build_group(GroupSpec("B", 3))
+    H = parabolic_subgroup(W, [])
+    assert H.order == 1 and H.elements == [W.group.identity]
+    assert [(c.rep, c.size) for c in H.conjugacy_classes()] == [(W.group.identity, 1)]

@@ -445,7 +445,7 @@ def test_induction_d_to_b():
         # D_n inside B_n: transpositions plus the double sign flip
         e = list(range(1, n + 1))
         e[n - 2], e[n - 1] = -n, -(n - 1)
-        H = B.group.subgroup([B.group.generators[i] for i in gens] + [tuple(e)])
+        H = B.group.subgroup([B.group.generators[i] for i in gens] + [weylgrp.signed_perm(e)])
         assert H.order == B.order // 2
         for lam in partitions_of(n):
             vals = {}
