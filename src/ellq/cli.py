@@ -170,6 +170,9 @@ def _cmd_efd(args) -> int:
         n = args.n if args.n is not None else sum(lam)
         if sum(lam) != n:
             raise ValueError("partition size must equal --n")
+        if t == "D" and n < 2:
+            raise ValueError(f"--lambda {args.lam} is out of range: its size is {n}, "
+                             "and type D takes n >= 2")
         spec = GroupSpec(t, n)
         f = bn_fake_closed(lam) if t == "B" else dn_fake_closed(lam)
         payload = {"type": f"{t}{n}", "lambda": list(lam), "value": f.to_json(),

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
-from .exactq import (QPolynomial, RationalFunction, cyclotomic_quotient, factor_cyclotomic,
+from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, RationalFunction, cyclotomic_quotient,
                      poly_lcm, rref)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
@@ -113,10 +113,11 @@ def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
 
 def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
     """Cyclotomic factorisation {n: mult} of the reduced denominator of the
-    sign character's elliptic fake degree."""
-    f = sgn_fake_degree(exponents)
-    fac = factor_cyclotomic(f.den)
-    assert fac.remainder.is_one() and fac.q_power == 0
+    sign character's elliptic fake degree, read from its Phi-exponents."""
+    fac = sgn_fake_degree(exponents).cyclotomic_factors()[1]
+    if not fac.remainder.is_one() or fac.q_power:
+        raise ValueError(f"denominator {fac} is not a product of Phi_n, "
+                         f"n <= {CYCLOTOMIC_BOUND}")
     return fac.factors
 
 

@@ -13,9 +13,13 @@ collected as such an exponent map, and every class sum over a Weyl group
 is an integer numerator over a known product of Phi_n (det(1 - qw) divides
 prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  It
 reduces by trial division by the Phi_n of the denominator, so its result
-is canonical with no gcd.  Cyclotomic factorisation, for display, is by
-trial division by Phi_1, ..., Phi_30 (30 is the largest index occurring in
-the E8 tables).
+is canonical with no gcd, and the result keeps its residual numerator and
+exponent map.  Cyclotomic factorisation, for display, is read from that
+map; trial division by Phi_1, ..., Phi_30 (30 is the largest index
+occurring in the E8 tables) is left for the residual numerator and for
+values built by arithmetic.  Every product of Phi_n, Phi_n itself included,
+is built by ``phi_product`` from sparse steps q^d - 1, as
+Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
 
 ``rref`` is the one Gauss-Jordan elimination over Q: ranks, inverses,
 linear solves and left-kernel certificates all come from it.
@@ -23,8 +27,11 @@ linear solves and left-kernel certificates all come from it.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -87,11 +94,6 @@ class QPolynomial:
     @staticmethod
     def monomial(n: int, c: Scalar = 1) -> "QPolynomial":
         return QPolynomial((0,) * n + (c,))
-
-    @staticmethod
-    def qpow_minus_one(n: int) -> "QPolynomial":
-        """q^n - 1."""
-        return QPolynomial((-1,) + (0,) * (n - 1) + (1,))
 
     @property
     def degree(self) -> int:
@@ -334,6 +336,29 @@ def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     return g.monic()
 
 
+def phi_product(phi: Mapping[int, int]) -> list[int]:
+    """Coefficients of the polynomial prod Phi_n^phi[n], n >= 1, exponents of
+    either sign; ArithmeticError when the product is no polynomial.  Each
+    Phi_n, largest n first, becomes (q^n - 1) / prod Phi_d over d | n, d < n.
+    Every q^d - 1 of positive exponent is multiplied in first, as a shift
+    and a subtraction; the rest are then divided out exactly, from the top."""
+    steps = [phi.get(n, 0) for n in range(max(phi, default=0) + 1)]
+    for d in range(len(steps) // 2, 0, -1):
+        steps[d] -= sum(steps[2 * d::d])
+    a = [1]
+    for d, e in enumerate(steps):
+        for _ in range(e):
+            a = list(map(sub, [0] * d + a, a + [0] * d))
+    for d, e in enumerate(steps):
+        for _ in range(-e):
+            for c in range(d):
+                a[c::d] = reversed(list(accumulate(reversed(a[c::d]))))
+            if any(a[:d]):
+                raise ArithmeticError(f"q^{d} - 1 does not divide the product")
+            a = a[d:]
+    return a
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> QPolynomial:
     """The n-th cyclotomic polynomial Phi_n, monic of degree phi(n).
@@ -343,13 +368,7 @@ def cyclotomic(n: int) -> QPolynomial:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = QPolynomial.qpow_minus_one(n)
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = divmod(p, cyclotomic(d))
-            assert r.is_zero()
-            p = q
-    return p
+    return QPolynomial(phi_product({n: 1}))
 
 
 @dataclass(frozen=True)
@@ -403,7 +422,7 @@ def factor_cyclotomic(p: QPolynomial) -> CyclotomicFactorization:
     factors: dict[int, int] = {}
     for n in range(1, CYCLOTOMIC_BOUND + 1):
         phi = cyclotomic(n)
-        while True:
+        while phi.degree <= p.degree:
             quo, rem = divmod(p, phi)
             if not rem.is_zero():
                 break
@@ -414,15 +433,21 @@ def factor_cyclotomic(p: QPolynomial) -> CyclotomicFactorization:
 
 
 class RationalFunction:
-    """Element of Q(q) in canonical form: gcd(num, den) = 1, den monic."""
+    """Element of Q(q) in canonical form: gcd(num, den) = 1, den monic.
 
-    __slots__ = ("num", "den")
+    ``phi_form`` is (residual, qpow, scalar, phi) for a value built by
+    ``cyclotomic_quotient``, which is residual * scalar * q^qpow *
+    prod Phi_n^phi[n] with the residual prime to q and to the denominator;
+    it is None for a value built by the constructor or by arithmetic."""
+
+    __slots__ = ("num", "den", "phi_form")
 
     def __init__(self, num: QPolynomial, den: QPolynomial = None):
         if den is None:
             den = QPolynomial.one()
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        self.phi_form = None
         if num.is_zero():
             self.num = QPolynomial.zero()
             self.den = QPolynomial.one()
@@ -534,14 +559,34 @@ class RationalFunction:
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
+    def cyclotomic_factors(self) -> tuple[CyclotomicFactorization, CyclotomicFactorization]:
+        """The factorisations of the numerator and of the denominator (nonzero
+        values only).  A value built by cyclotomic_quotient reads them from
+        its Phi-exponents and trial-divides only its residual numerator; any
+        Phi_n past CYCLOTOMIC_BOUND joins the remainder, as trial division
+        would leave it."""
+        if self.phi_form is None:
+            return factor_cyclotomic(self.num), factor_cyclotomic(self.den)
+        residual, qpow, scalar, phi = self.phi_form
+        res = factor_cyclotomic(residual)
+
+        def side(sign, factors, remainder, c):
+            small, big = Counter(factors), Counter()
+            for n, e in phi.items():
+                if sign * e > 0:
+                    (small if n <= CYCLOTOMIC_BOUND else big)[n] += sign * e
+            return CyclotomicFactorization(c, max(sign * qpow, 0), dict(small),
+                                           remainder * QPolynomial(phi_product(big)))
+        return (side(1, res.factors, res.remainder, res.scalar * scalar),
+                side(-1, {}, QPolynomial.one(), Fraction(1)))
+
     def factored(self) -> str:
         """Cyclotomically factored rendering, e.g. '(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)'."""
         if self.is_zero():
             return "0"
-        numf = factor_cyclotomic(self.num)
+        numf, denf = self.cyclotomic_factors()
         if self.den.is_one():
             return str(numf)
-        denf = factor_cyclotomic(self.den)
         scalar = exact_div(numf.scalar, denf.scalar)
         return (f"{_render_cyclotomic(scalar, numf, 'Phi2', ' * ')}"
                 f" / ({_render_cyclotomic(1, denf, 'Phi2', ' ')})")
@@ -578,27 +623,26 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
     factor of the denominator (a negative exponent) is cancelled against
     num for as long as it divides num and its exponent lasts, so what is
     left of num is prime to what is left of the denominator: the result is
-    canonical as built, and this is the one place that skips the gcd."""
+    canonical as built, and this is the one place that skips the gcd.  The
+    result keeps that residual and the exponents as its phi_form."""
     if num.is_zero():
         return RationalFunction(num)
-    v = min(num.low_degree(), max(-qpow, 0))
+    v = num.low_degree()
     num, qpow, phi = QPolynomial(num.coeffs[v:]), qpow + v, dict(phi)
     for n, e in phi.items():
-        while e < 0:
-            quo, rem = divmod(num, cyclotomic(n))
+        phi_n = cyclotomic(n)
+        while e < 0 and phi_n.degree <= num.degree:
+            quo, rem = divmod(num, phi_n)
             if not rem.is_zero():
                 break
             num, e = quo, e + 1
         phi[n] = e
-    num = num.shift(max(qpow, 0)) * scalar
-    den = QPolynomial.monomial(max(-qpow, 0))
-    for n, e in phi.items():
-        if e > 0:
-            num = num * cyclotomic(n) ** e
-        elif e < 0:
-            den = den * cyclotomic(n) ** -e
+    def part(sign):
+        return QPolynomial(phi_product({n: sign * e for n, e in phi.items() if sign * e > 0}))
     out = RationalFunction.__new__(RationalFunction)
-    out.num, out.den = num, den
+    out.num = (num * part(1)).shift(max(qpow, 0)) * scalar
+    out.den = part(-1).shift(max(-qpow, 0))
+    out.phi_form = (num, qpow, scalar, phi)
     return out
 
 

@@ -152,6 +152,9 @@ ERROR_MESSAGES = {
     ("efd", "--type", "A", "--n", "0"): "--n 0 is out of range",
     ("efd", "--type", "A", "--n", "1"): "--n 1 is out of range",
     ("efd", "--type", "B", "--lambda", "a"): "--lambda a is not a partition",
+    ("efd", "--type", "D", "--lambda", "1"): "--lambda 1 is out of range: its size is 1",
+    ("efd", "--type", "D", "--n", "1", "--lambda", "1"):
+        "--lambda 1 is out of range: its size is 1",
 }
 
 
@@ -201,9 +204,17 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert ERROR_MESSAGES.get(tuple(argv), "") in lines[0]
 
 
-# sha256 of --json stdout for the outputs that rest on Dixon tables or on the
-# formal-degree product; each was recorded before the code behind it changed
+# sha256 of --json stdout for the outputs that rest on Dixon tables, on the
+# formal-degree product or on the cyclotomic rendering of closed forms; each
+# was recorded before the code behind it changed
 EXCEPTIONAL_OUTPUTS = {
+    # Phi_31 and Phi_32 fall into the printed remainders
+    ("efd", "--type", "B", "--lambda", "16"):
+        "44688765dc94a2ea186059213ffac52748d6711bd9e3c2b56ed6289e4959cc21",
+    ("efd", "--type", "D", "--lambda", "9,7"):
+        "4f0b772679a48a65738e42d8220aaff6a5267314bda8320368a550d6bec5d276",
+    ("efd", "--type", "E8"):
+        "e68bb977e8fb0a309cc9049955bd0830d28b1b3e4590092da05c73d9dd90985a",
     ("group", "--type", "G2", "--table"):
         "2297013f03ef3a1640b59052ca5b529a59cbe530b815031385276b392e728114",
     ("group", "--type", "G2", "--classes"):

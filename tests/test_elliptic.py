@@ -114,6 +114,22 @@ def test_cyc_denominators():
     assert cyc_denominator(exceptional_exponents("E8"))[30] == 1
 
 
+def test_closed_form_factored_divides_no_polynomial(monkeypatch):
+    """bn_fake_closed carries its Phi-exponents, so factored() trial-divides
+    only its residual numerator, a constant."""
+    import ellq.exactq
+    f = bn_fake_closed((10,))
+    want = RationalFunction(f.num, f.den).factored()
+    degrees = []
+
+    def counting(p, inner=ellq.exactq.factor_cyclotomic):
+        degrees.append(p.degree)
+        return inner(p)
+    monkeypatch.setattr(ellq.exactq, "factor_cyclotomic", counting)
+    assert f.factored() == want
+    assert degrees and max(degrees) <= 0
+
+
 def test_bn_closed_examples():
     assert bn_fake_closed((1,)) == (RF_Q - 1) / (RF_Q + 1)
     assert bn_fake_closed((1, 1)) == -RF_Q * (RF_Q - 1) ** 2 / (phi(2) ** 2 * phi(4))

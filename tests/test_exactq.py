@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, cyclotomic_quotient, factor_cyclotomic,
-                         poly_gcd, rref)
+                         phi_product, poly_gcd, rref)
 
 
 def test_cyclotomic_small():
@@ -19,7 +20,7 @@ def test_cyclotomic_small():
 
 def test_cyclotomic_divides_qn_minus_one():
     for n in range(1, 31):
-        assert cyclotomic(n).divides(QPolynomial.qpow_minus_one(n))
+        assert cyclotomic(n).divides(QPolynomial.monomial(n) - 1)
 
 
 def test_cyclotomic_degree_is_totient():
@@ -31,7 +32,7 @@ def test_cyclotomic_degree_is_totient():
 
 
 def test_factor_q6_minus_one():
-    f = factor_cyclotomic(QPolynomial.qpow_minus_one(6))
+    f = factor_cyclotomic(QPolynomial.monomial(6) - 1)
     assert f.factors == {1: 1, 2: 1, 3: 1, 6: 1}
     assert f.scalar == 1 and f.q_power == 0 and f.remainder.is_one()
 
@@ -165,6 +166,61 @@ def test_factored_rendering():
     f = (RF_Q - 1) ** 2 * cyclotomic(5) / (RationalFunction(cyclotomic(2)) ** 2
                                            * cyclotomic(3) * cyclotomic(6))
     assert f.factored() == "(q-1)^2 * Phi5 / (Phi2^2 Phi3 Phi6)"
+
+
+# -- the sparse Phi-product builder and the carried factorisation --
+
+@functools.lru_cache(maxsize=None)
+def _ref_cyclotomic(n):
+    """Phi_n as q^n - 1 divided by every Phi_d, d a proper divisor of n."""
+    p = QPolynomial.monomial(n) - 1
+    for d in range(1, n):
+        if n % d == 0:
+            p, r = divmod(p, _ref_cyclotomic(d))
+            assert r.is_zero()
+    return p
+
+
+def test_phi_product_matches_division_loop():
+    for n in range(1, 61):
+        assert QPolynomial(phi_product({n: 1})) == _ref_cyclotomic(n), n
+        assert cyclotomic(n) == _ref_cyclotomic(n), n
+    want = _ref_cyclotomic(1) ** 3 * _ref_cyclotomic(12) ** 2 * _ref_cyclotomic(30)
+    assert QPolynomial(phi_product({1: 3, 12: 2, 30: 1})) == want
+    assert phi_product({}) == [1]
+
+
+def test_phi_product_division_by_a_non_divisor_raises():
+    assert QPolynomial(phi_product({6: 1, 3: 1, 2: 1, 1: 1})) == QPolynomial.monomial(6) - 1
+    for phi in ({1: -1}, {2: 1, 1: -1}, {6: 1, 3: -1}, {30: 2, 15: -1}):
+        with pytest.raises(ArithmeticError):
+            phi_product(phi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.integers(1, 40), st.integers(-2, 2), max_size=4),
+       st.integers(-3, 3),
+       st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(lambda x: x != 0),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any),
+       st.integers(0, 2), st.data())
+def test_carried_rendering_matches_trial_division(phi, k, c, base, v, data):
+    """factored() read from the Phi-exponents, with the residual numerator
+    trial-divided, prints what trial division of the whole value prints.
+    The residual shares some Phi_n with the map, on either side, and Phi_n
+    past 30 fall into the remainders."""
+    num = QPolynomial.monomial(v) * QPolynomial(base)
+    for n in sorted(phi):
+        num = num * _ref_cyclotomic(n) ** data.draw(st.integers(0, 2), label=f"Phi{n}")
+    top = num * QPolynomial.monomial(max(k, 0), c)
+    den = QPolynomial.monomial(max(-k, 0))
+    for n, e in phi.items():
+        if e > 0:
+            top = top * _ref_cyclotomic(n) ** e
+        else:
+            den = den * _ref_cyclotomic(n) ** -e
+    got, want = cyclotomic_quotient(phi, k, c, num), RationalFunction(top, den)
+    assert got.phi_form is not None and want.phi_form is None
+    assert got.factored() == want.factored()
 
 
 # -- the integer-first coefficient kernel against an all-Fraction reference --
