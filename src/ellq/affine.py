@@ -119,8 +119,7 @@ class AffineDatum:
             return self._classes
         out = []
         for pi, p in enumerate(self.maximal_parahorics()):
-            classes = _weyl_classes(p.weyl)
-            for ci, c in enumerate(classes):
+            for ci, c in enumerate(p.weyl.classes()):
                 if not c.elliptic:
                     continue
                 out.append(AffineEllipticClass(
@@ -209,10 +208,6 @@ def _components(nodes, edges):
     return out
 
 
-def _weyl_classes(weyl):
-    return weyl.classes()
-
-
 def _nu_on_parahoric(weyl) -> list[RationalFunction]:
     """sum_delta delta(C) d_delta(q)/P(q) for every class C of W_J.  The
     generic degrees are polynomials (as_polynomial raises otherwise), so
@@ -222,7 +217,7 @@ def _nu_on_parahoric(weyl) -> list[RationalFunction]:
     inverse_p = {n: -e for n, e in poincare_phi(weyl.exponents).items()}
     return [cyclotomic_quotient(inverse_p, num=sum(
         (d * row[i] for d, row in degrees if row[i]), QPolynomial.zero()))
-        for i in range(len(_weyl_classes(weyl)))]
+        for i in range(len(weyl.classes()))]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def ef_elliptic_on_parahoric(weyl, weighted: bool = False) -> list[list[Fraction
 
     With weighted=True returns instead the Gram-type matrix
     <1_C | EF 1_C'>^el (the alternative bracket normalization)."""
-    classes = _weyl_classes(weyl)
+    classes = weyl.classes()
     ell = [i for i, c in enumerate(classes) if c.elliptic]
     labels = weyl.irrep_labels()
     rows = [weyl.irrep_values(lab) for lab in labels]

@@ -275,6 +275,9 @@ def _cmd_verify(args) -> int:
 def _cmd_affine(args) -> int:
     from .affine import AffineDatum, ef_elliptic_on_parahoric
     d = AffineDatum(args.base.upper())
+    if args.formal and args.base.upper() != "G2":
+        raise ValueError(f"--formal needs the packaged basis, which exists for g2 only, "
+                         f"not {args.base}")
     lines = []
     payload = {"base": args.base.upper()}
     types = [p.type_str() for p in d.maximal_parahorics()]
@@ -302,7 +305,7 @@ def _cmd_affine(args) -> int:
             payload["ef_blocks"].append([[str(x) for x in row] for row in blk])
             lines.append(f"  {p.type_str()}: " +
                          "; ".join(",".join(str(x) for x in row) for row in blk))
-    if args.formal and args.base.upper() == "G2":
+    if args.formal:
         from .affine import G2_BASIS, g2_basis_values_canonical
         basis = g2_basis_values_canonical(d)
         payload["formal"] = {}
@@ -311,8 +314,6 @@ def _cmd_affine(args) -> int:
             f = d.formal_degree(vals)
             payload["formal"][fix.name] = f.to_json()
             lines.append(f"  {fix.name}: {f.factored()}")
-    elif args.formal:
-        lines.append("(--formal requires the packaged basis; available for g2)")
     _emit(args, payload, lines)
     return 0
 

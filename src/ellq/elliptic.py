@@ -34,6 +34,9 @@ class VirtualCharacter:
     group: WeylGroupData
     values: list
 
+    def __post_init__(self):
+        self.group.check_length(self.values)
+
     @staticmethod
     def from_coords(W: WeylGroupData, coords: Sequence) -> "VirtualCharacter":
         table = W.character_table()
@@ -43,11 +46,11 @@ class VirtualCharacter:
         return VirtualCharacter(W, vals)
 
     def __add__(self, other):
-        assert self.group is other.group
+        _same_group(self, other, "a sum")
         return VirtualCharacter(self.group, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        assert self.group is other.group
+        _same_group(self, other, "a difference")
         return VirtualCharacter(self.group, [a - b for a, b in zip(self.values, other.values)])
 
     def scale(self, c):
@@ -62,9 +65,14 @@ def elliptic_pairing(W: WeylGroupData, f: Sequence, g: Sequence) -> Fraction:
     return Fraction(total, W.order)
 
 
+def _same_group(x: VirtualCharacter, y: VirtualCharacter, what: str) -> None:
+    if x.group.spec != y.group.spec:
+        raise ValueError(f"{what} requires characters of the same group, "
+                         f"not {x.group.spec} and {y.group.spec}")
+
+
 def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction:
-    if x.group is not y.group and x.group.spec != y.group.spec:
-        raise ValueError("elliptic pairing requires characters of the same group")
+    _same_group(x, y, "elliptic pairing")
     return elliptic_pairing(x.group, x.values, y.values)
 
 
@@ -224,7 +232,7 @@ def radical_check(W: WeylGroupData) -> RadicalReport:
     ok = True
     n_gens = len(W.group.generators)
     for size in range(n_gens):
-        for subset in _subsets(n_gens, size):
+        for subset in itertools.combinations(range(n_gens), size):
             H = parabolic_subgroup(W, subset)
             h_table = H.character_table()
             for row in h_table.values:
@@ -234,7 +242,3 @@ def radical_check(W: WeylGroupData) -> RadicalReport:
                     if elliptic_pairing(W, ind, irr) != 0:
                         ok = False
     return RadicalReport(W.spec, rank, len(W.elliptic_classes()), ok)
-
-
-def _subsets(n, size):
-    return itertools.combinations(range(n), size)

@@ -215,6 +215,10 @@ class CharacterTable:
 
     def inner_product(self, f, g) -> Fraction:
         """<f, g> = (1/|G|) sum |C| f(C) conj(g(C)) for rational class functions."""
+        for h in (f, g):
+            if len(h) != len(self.classes):
+                raise ValueError(f"a class function has {len(self.classes)} values, "
+                                 f"not {len(h)}")
         total = sum(c.size * f[j] * g[j] for j, c in enumerate(self.classes))
         return Fraction(total, self.order)
 

@@ -265,14 +265,8 @@ def centralizer_order_in_gamma(fix: UnipotentFixture, s_label: str) -> int:
 
 def conj_equiv(fix: UnipotentFixture, s_label: str, phi_dim: int) -> RationalFunction:
     """(1-q)^l phi(1) / (|A(su)| |Z|) < H(B_u)^s, 1/det(1-q .) >^el."""
-    W = build_group(fix.base_weyl)
-    phis = _phi_values_at(fix, s_label)
-    values = _springer_class_function(fix, W, phis)
-    pairing = sq_pairing(W, values)
     a_su = centralizer_order_in_gamma(fix, s_label)
-    pref = RationalFunction((RF_ONE - RF_Q).num ** W.rank) \
-        * Fraction(phi_dim, a_su * fix.center_order)
-    return pref * pairing
+    return q_part_prediction(fix, s_label) * Fraction(phi_dim, a_su * fix.center_order)
 
 
 def q_part_prediction(fix: UnipotentFixture, s_label: str) -> RationalFunction:

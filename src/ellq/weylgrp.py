@@ -108,8 +108,8 @@ def group_order_from_exponents(exponents: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # signed permutations (types A, B, D) as permutations of 2n points: point i-1
-# is e_i and point n+i-1 is -e_i.  The class search, the class order and the
-# display use the signed tuple w, whose w[i-1] is the signed image of i.
+# is e_i and point n+i-1 is -e_i.  The class representatives, the class order
+# and the display use the signed tuple w, whose w[i-1] is the signed image of i.
 
 
 def signed_perm(w) -> bytes:
@@ -335,60 +335,27 @@ def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
 
 def _least_element(n, pos, neg, signed, half):
     """The (signed) permutation of type (pos, neg), and of D-half `half` unless
-    that is None, whose repr() is least: a depth-first search over positions,
-    trying values in str order, which is repr order entry by entry."""
-    want = Counter([(r, 1) for r in pos] + [(r, -1) for r in neg])
-    values = sorted((v for v in range(-n, n + 1) if v and (signed or v > 0)), key=str)
-    w, taken = [0] * n, [False] * (n + 1)
+    that is None, that is least entry by entry in the order
+    -1 < -2 < ... < -n < 1 < ... < n.  For n <= 9 this is the repr() order
+    that the enumeration key and the class sort use.
 
-    def feasible(k):
-        # the map i -> |w[i-1]| on 1..k: open paths from each point without a
-        # preimage, closed cycles through the rest
-        paths, closed, seen = [], Counter(), set()
-        for p in range(1, n + 1):
-            if not taken[p]:
-                path = [p]
-                while path[-1] <= k:
-                    path.append(abs(w[path[-1] - 1]))
-                seen.update(path)
-                paths.append(len(path))
-        for p in range(1, k + 1):
-            length, sign = 0, 1
-            while p not in seen:
-                seen.add(p)
-                length, sign, p = length + 1, sign * (1 if w[p - 1] > 0 else -1), abs(w[p - 1])
-            if length:
-                closed[length, sign] += 1
-        if closed - want:
-            return False
-        # the signs of cycles not yet closed are free
-        rest = sorted((want - closed).elements())
-        return _packable(tuple(sorted(paths, reverse=True)), tuple(r for r, _ in rest))
-
-    def search(k):
-        if k == n:
-            return half is None or _half(w) == half
-        for v in values:
-            if not taken[abs(v)]:
-                w[k], taken[abs(v)] = v, True
-                if feasible(k + 1) and search(k + 1):
-                    return True
-                taken[abs(v)] = False
-        return False
-
-    search(0)
+    Call a cycle of length r and sign s natural when s = (-1)^r; in type A
+    every cycle is.  Natural cycles come first, shortest first, the others
+    follow, longest first.  Each cycle takes the next points a, ..., a+r-1 as
+    w(a+j-1) = -(a+j) for j < r and closes with w(a+r-1) = -a if natural, +a
+    otherwise; type A has every entry positive.  Negating the last two
+    entries moves a split D type to its other half."""
+    cycles = [(r, 1) for r in pos] + [(r, -1) for r in neg]
+    natural = sorted(r for r, s in cycles if not signed or s == (-1) ** r)
+    other = sorted((r for r, s in cycles if signed and s != (-1) ** r), reverse=True)
+    t = -1 if signed else 1
+    w = []
+    for r, close in [(r, t) for r in natural] + [(r, 1) for r in other]:
+        a = len(w) + 1
+        w += [t * (a + j) for j in range(1, r)] + [close * a]
+    if half is not None and _half(w) != half:
+        w[-2:] = [-w[-2], -w[-1]]
     return tuple(w)
-
-
-@functools.lru_cache(maxsize=None)
-def _packable(paths, cycles) -> bool:
-    """Can paths of these lengths be joined into cycles of these lengths?"""
-    if not paths:
-        return not cycles
-    p, rest = paths[0], paths[1:]
-    return any(_packable(rest, tuple(sorted(
-        x for x in cycles[:i] + (c - p,) + cycles[i + 1:] if x)))
-        for i, c in enumerate(cycles) if c >= p and c not in cycles[:i])
 
 
 def _half(w) -> int:

@@ -155,6 +155,10 @@ ERROR_MESSAGES = {
     ("efd", "--type", "D", "--lambda", "1"): "--lambda 1 is out of range: its size is 1",
     ("efd", "--type", "D", "--n", "1", "--lambda", "1"):
         "--lambda 1 is out of range: its size is 1",
+    ("affine", "c2", "--formal"): "--formal needs the packaged basis, which exists for g2 only, "
+                                  "not c2",
+    ("affine", "a1", "--formal"): "--formal needs the packaged basis, which exists for g2 only, "
+                                  "not a1",
 }
 
 
@@ -235,6 +239,19 @@ EXCEPTIONAL_OUTPUTS = {
         "2af6baae3e5ccc53db8ec9d6db74e5cf18bd83974ebbf0d81b6c182f0e31b5c9",
     ("group", "--type", "D4", "--table"):
         "b7d648fc637b9d77b8c68417721547d7ab27428add300e038999881fab00b43c",
+    ("group", "--type", "A7", "--classes"):
+        "964f68ab7a2870f98841710b1172db97e6cb1db90553cbffabf3ae795de96782",
+    ("group", "--type", "A7", "--table"):
+        "0d531066f09f8e3c167654ebae92f75d7ccfc3addc10a9e2b78d0376a2d1adb9",
+    ("group", "--type", "B6", "--classes"):
+        "156949e22834976160e29ed46f08d062d38baba157e166000e23a0bae484ac0b",
+    ("group", "--type", "B6", "--table"):
+        "30e3945ef4f72431f0ddf63baf08cefdb80eac0f18db0f6bfbe80b35fec4ee4e",
+    # three split types, (6), (4, 2) and (2, 2, 2): both halves of each
+    ("group", "--type", "D6", "--classes"):
+        "ce6a0a2a02483df63a4e90d54fb59264afc9ca51620e3243ffac7121398f39c0",
+    ("group", "--type", "D6", "--table"):
+        "d546a0407dac094d4e5ab0d194e397eba9a7907e7a7fba01290931ad9c90e2c4",
     ("fake", "--type", "F4"):
         "a205bbb571de9fe1424edb5573448115d380a1599b023bebd03a5e87dc7d18b9",
     ("fake", "--type", "G2"):

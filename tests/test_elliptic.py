@@ -37,6 +37,10 @@ def test_pairing_group_mismatch():
     b = VirtualCharacter(build_group(GroupSpec("B", 2)), [1] * 5)
     with pytest.raises(ValueError):
         elliptic_pairing_chars(a, b)
+    with pytest.raises(ValueError, match="same group, not A1 and B2"):
+        a + b
+    with pytest.raises(ValueError, match="same group, not B2 and A1"):
+        b - a
 
 
 def test_bn_gram_orthonormal():
@@ -154,6 +158,8 @@ def test_class_functions_of_wrong_length_are_refused():
         elliptic_pairing(W, sgn[1:], sgn)
     with pytest.raises(ValueError, match="has 10 values, not 3"):
         VirtualCharacter.from_coords(W, [1, 0, 0])
+    with pytest.raises(ValueError, match="has 10 values, not 4"):
+        VirtualCharacter(W, [1] * 4)
 
 
 def test_closed_forms_need_no_gcd():

@@ -1,8 +1,10 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -143,15 +145,98 @@ def test_closed_form_classes_rank_8():
     bipartitions = sum(p[k] * p[8 - k] for k in range(9))
     even_neg = sum(p[8 - k] * sum(1 for lam in partitions_of(k) if len(lam) % 2 == 0)
                    for k in range(9))
-    b8 = 2 ** 8 * math.factorial(8)
+    b8, b12 = 2 ** 8 * math.factorial(8), 2 ** 12 * math.factorial(12)
     for spec, count, order in [(GroupSpec("B", 8), bipartitions, b8),
                                (GroupSpec("D", 8), even_neg + p[4], b8 // 2),
-                               (GroupSpec("A", 8), len(partitions_of(9)), math.factorial(9))]:
+                               (GroupSpec("A", 8), len(partitions_of(9)), math.factorial(9)),
+                               (GroupSpec("B", 12), 1165, b12),
+                               (GroupSpec("D", 12), 599, b12 // 2),
+                               (GroupSpec("A", 11), 77, math.factorial(12))]:
         classes = closed_form_classes(spec)
         assert len(classes) == count
         assert sum(c.size for c in classes) == order
         for c in classes:
             assert signed_cycle_type(c.rep) == c.signed_type
+
+
+def _searched_least_element(n, pos, neg, signed, half, key):
+    """Reference: the (signed) permutation of type (pos, neg), and of D-half
+    `half` unless that is None, found by a depth-first search over positions
+    that tries values in `key` order, so least entry by entry in that order."""
+    want = Counter([(r, 1) for r in pos] + [(r, -1) for r in neg])
+    values = sorted((v for v in range(-n, n + 1) if v and (signed or v > 0)), key=key)
+    w, taken = [0] * n, [False] * (n + 1)
+
+    def feasible(k):
+        # the map i -> |w[i-1]| on 1..k: open paths from each point without a
+        # preimage, closed cycles through the rest
+        paths, closed, seen = [], Counter(), set()
+        for p in range(1, n + 1):
+            if not taken[p]:
+                path = [p]
+                while path[-1] <= k:
+                    path.append(abs(w[path[-1] - 1]))
+                seen.update(path)
+                paths.append(len(path))
+        for p in range(1, k + 1):
+            length, sign = 0, 1
+            while p not in seen:
+                seen.add(p)
+                length, sign, p = length + 1, sign * (1 if w[p - 1] > 0 else -1), abs(w[p - 1])
+            if length:
+                closed[length, sign] += 1
+        if closed - want:
+            return False
+        # the signs of cycles not yet closed are free
+        rest = sorted((want - closed).elements())
+        return _packable(tuple(sorted(paths, reverse=True)), tuple(r for r, _ in rest))
+
+    def search(k):
+        if k == n:
+            return half is None or weylgrp._half(w) == half
+        for v in values:
+            if not taken[abs(v)]:
+                w[k], taken[abs(v)] = v, True
+                if feasible(k + 1) and search(k + 1):
+                    return True
+                taken[abs(v)] = False
+        return False
+
+    assert search(0)
+    return tuple(w)
+
+
+@functools.lru_cache(maxsize=None)
+def _packable(paths, cycles) -> bool:
+    """Can paths of these lengths be joined into cycles of these lengths?"""
+    if not paths:
+        return not cycles
+    p, rest = paths[0], paths[1:]
+    return any(_packable(rest, tuple(sorted(
+        x for x in cycles[:i] + (c - p,) + cycles[i + 1:] if x)))
+        for i, c in enumerate(cycles) if c >= p and c not in cycles[:i])
+
+
+def _least_element_cases(top):
+    """(n, pos, neg, signed, half) for every type of A, B and D on n <= top
+    points, with both halves of each split D type."""
+    for n in range(1, top + 1):
+        yield from ((n, lam, (), False, None) for lam in partitions_of(n))
+        for j in range(n + 1):
+            for pos, neg in itertools.product(partitions_of(n - j), partitions_of(j)):
+                yield n, pos, neg, True, None
+                if n > 1 and not neg and all(r % 2 == 0 for r in pos):
+                    yield from ((n, pos, neg, True, half) for half in (0, 1))
+
+
+@pytest.mark.parametrize("top, key", [(9, str), (11, lambda v: (v > 0, abs(v)))],
+                         ids=["str-order", "negatives-first"])
+def test_least_element_matches_search(top, key):
+    # the order -1 < ... < -n < 1 < ... < n is str order for n <= 9 only
+    cases = list(_least_element_cases(top))
+    assert len(cases) == {9: 851, 11: 2196}[top]
+    for case in cases:
+        assert weylgrp._least_element(*case) == _searched_least_element(*case, key), case
 
 
 def test_class_data_needs_no_enumeration():
@@ -412,6 +497,9 @@ def test_class_function_of_wrong_length_is_refused():
     W = build_group(GroupSpec("B", 3))
     with pytest.raises(ValueError, match="has 10 values, not 1"):
         fake_degree_values(W, [1])
+    for n in (11, 3):
+        with pytest.raises(ValueError, match=f"has 10 values, not {n}"):
+            W.character_table().decompose([1] * n)
 
 
 def test_induction_from_trivial_subgroup():
