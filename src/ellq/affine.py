@@ -265,7 +265,8 @@ def ef_affine_elliptic_delta(datum: AffineDatum, weighted: bool = False) -> list
             for j in range(k):
                 mat[offset + i][offset + j] = block[i][j]
         offset += k
-    assert offset == n
+    if offset != n:
+        raise RuntimeError(f"the parahoric blocks cover {offset} elliptic classes, not {n}")
     return mat
 
 

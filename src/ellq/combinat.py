@@ -85,6 +85,28 @@ def g_poly(p: Partition, t: RationalFunction, s: RationalFunction) -> RationalFu
 
 
 @functools.lru_cache(maxsize=None)
+def border_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
+    """(lam less the strip, (-1)^height) for each border strip of size r.
+
+    In the beta-number formulation, removing a border strip of size r is
+    beta_i -> beta_i - r, keeping the beta's distinct and nonnegative; the
+    strip height is the number of beta's jumped over."""
+    k = len(lam)
+    beta = [lam[i] + (k - 1 - i) for i in range(k)]
+    bset = set(beta)
+    out = []
+    for i in range(k):
+        nb = beta[i] - r
+        if nb < 0 or nb in bset:
+            continue
+        height = sum(1 for b in beta if nb < b < beta[i])
+        new_beta = sorted((bset - {beta[i]}) | {nb}, reverse=True)
+        new_lam = tuple(b - (k - 1 - j) for j, b in enumerate(new_beta))
+        out.append((tuple(x for x in new_lam if x > 0), -1 if height % 2 else 1))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
 def mn_character(lam: Partition, alpha: Partition) -> int:
     """Irreducible S_n character chi^lam at cycle type alpha (Murnaghan-Nakayama).
 
@@ -95,26 +117,8 @@ def mn_character(lam: Partition, alpha: Partition) -> int:
         raise ValueError(f"size mismatch: |{lam}| != |{alpha}|")
     if not lam:
         return 1
-    r = alpha[0]
-    rest = alpha[1:]
-    total = 0
-    # beta-number formulation: removing a border strip of size r is
-    # beta_i -> beta_i - r, keeping the beta's distinct and nonnegative;
-    # the strip height is the number of beta's jumped over.
-    k = len(lam)
-    beta = [lam[i] + (k - 1 - i) for i in range(k)]
-    bset = set(beta)
-    for i in range(k):
-        nb = beta[i] - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for b in beta if nb < b < beta[i])
-        new_beta = sorted((bset - {beta[i]}) | {nb}, reverse=True)
-        new_lam = tuple(b - (k - 1 - j) for j, b in enumerate(new_beta))
-        new_lam = tuple(x for x in new_lam if x > 0)
-        sign = -1 if height % 2 else 1
-        total += sign * mn_character(new_lam, rest)
-    return total
+    return sum(sign * mn_character(new_lam, alpha[1:])
+               for new_lam, sign in border_strips(lam, alpha[0]))
 
 
 def conjugacy_class_size_sn(alpha: Partition) -> int:

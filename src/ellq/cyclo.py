@@ -65,8 +65,12 @@ class CycNum:
         coeff = Fraction(coeff)
         return CycNum(m, {k % m: coeff} if coeff else {})
 
+    def _check_conductor(self, other: "CycNum") -> None:
+        if self.m != other.m:
+            raise ValueError(f"CycNum conductors differ: {self.m} and {other.m}")
+
     def __add__(self, other: "CycNum") -> "CycNum":
-        assert self.m == other.m
+        self._check_conductor(other)
         out = dict(self.c)
         for k, v in other.c.items():
             nv = out.get(k, Fraction(0)) + v
@@ -88,7 +92,7 @@ class CycNum:
             if f == 0:
                 return CycNum(self.m)
             return CycNum(self.m, {k: v * f for k, v in self.c.items()})
-        assert self.m == other.m
+        self._check_conductor(other)
         out: dict[int, Fraction] = {}
         m = self.m
         for k1, v1 in self.c.items():

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -412,8 +412,10 @@ def _render_cyclotomic(scalar: Scalar, f: CyclotomicFactorization,
     return sep.join(parts)
 
 
-def factor_cyclotomic(p: QPolynomial) -> CyclotomicFactorization:
-    """Exact factorisation by trial division by Phi_n, n <= CYCLOTOMIC_BOUND."""
+def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
+                      ) -> CyclotomicFactorization:
+    """Exact factorisation by trial division by Phi_n, n <= CYCLOTOMIC_BOUND;
+    the Phi_n with n in skip are known not to divide p and are not tried."""
     if p.is_zero():
         raise ValueError("zero input")
     v = p.low_degree()
@@ -421,6 +423,8 @@ def factor_cyclotomic(p: QPolynomial) -> CyclotomicFactorization:
         p = QPolynomial(p.coeffs[v:])
     factors: dict[int, int] = {}
     for n in range(1, CYCLOTOMIC_BOUND + 1):
+        if n in skip:
+            continue
         phi = cyclotomic(n)
         while phi.degree <= p.degree:
             quo, rem = divmod(p, phi)
@@ -562,13 +566,14 @@ class RationalFunction:
     def cyclotomic_factors(self) -> tuple[CyclotomicFactorization, CyclotomicFactorization]:
         """The factorisations of the numerator and of the denominator (nonzero
         values only).  A value built by cyclotomic_quotient reads them from
-        its Phi-exponents and trial-divides only its residual numerator; any
-        Phi_n past CYCLOTOMIC_BOUND joins the remainder, as trial division
-        would leave it."""
+        its Phi-exponents and trial-divides only its residual numerator, by
+        none of the Phi_n of its denominator, to which cyclotomic_quotient
+        left it prime; any Phi_n past CYCLOTOMIC_BOUND joins the remainder,
+        as trial division would leave it."""
         if self.phi_form is None:
             return factor_cyclotomic(self.num), factor_cyclotomic(self.den)
         residual, qpow, scalar, phi = self.phi_form
-        res = factor_cyclotomic(residual)
+        res = factor_cyclotomic(residual, {n for n, e in phi.items() if e < 0})
 
         def side(sign, factors, remainder, c):
             small, big = Counter(factors), Counter()

@@ -8,10 +8,13 @@ class-sum matrices over a prime field F_p (p = 1 mod exponent,
 p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace are the roots of a
 Faddeev-LeVerrier characteristic polynomial, found by evaluating it at
 every point of F_p: p is a few thousand at most (13 for G2, 73 for F4).
-The algorithm lifts eigenvalue multiplicities to exact cyclotomic integers
-and then verifies the full orthogonality relations exactly over Q(zeta).
-Any verification failure is a hard error; no approximate tables are ever
-returned.
+Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
+zeta_d^s, d the order of g).  Galois-stable ones, m_s = m_{ks} for every
+unit k mod d, give a rational value: the centred lift of chi(g) mod p, a
+plain int, as every Weyl group value is.  Only irrational values, of some
+centralizers in Gamma, are built as `CycNum`s.  The full orthogonality
+relations are then verified exactly; any failure is a hard error, and no
+approximate table is ever returned.
 
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -237,7 +240,7 @@ def _mat_mul(a, b, p):
 
 
 def _mat_vec(a, v, p):
-    return [sum(ra[t] * v[t] for t in range(len(v))) % p for ra in a]
+    return [sum(map(mul, ra, v)) % p for ra in a]
 
 
 def _charpoly_mod(a, p):
@@ -246,7 +249,8 @@ def _charpoly_mod(a, p):
     n = len(a)
     if n == 0:
         return [1]
-    assert p > n
+    if p <= n:
+        raise ValueError(f"Faddeev-LeVerrier needs p > n, not p = {p}, n = {n}")
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mk = [row[:] for row in a]
@@ -381,11 +385,9 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             for lam in _roots_mod(cp, p):
                 rm = [[(r[a_][b_] - (lam if a_ == b_ else 0)) % p for b_ in range(len(s))]
                       for a_ in range(len(s))]
-                eigenbasis = []
-                for nv in _nullspace_mod(rm, p):
-                    w = [sum(nv[t] * s[t][row] for t in range(len(s))) % p
-                         for row in range(kk)]
-                    eigenbasis.append(w)
+                cols = list(zip(*s))
+                eigenbasis = [[sum(map(mul, nv, col)) % p for col in cols]
+                              for nv in _nullspace_mod(rm, p)]
                 if eigenbasis:
                     new_spaces.append(eigenbasis)
         spaces = new_spaces
@@ -393,7 +395,7 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
         raise RuntimeError("character table eigenspace splitting failed")
 
     # normalize: w[identity] = 1, then recover chi(1) and the values mod p
-    sizes = [c.size for c in classes]
+    size_inv = [pow(c.size, -1, p) for c in classes]
     inv_class = [class_of[group.inv(c.rep)] for c in classes]
     bound = isqrt(group.order)
     rows_fp = []
@@ -402,50 +404,49 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             raise RuntimeError("eigenvector vanishes at the identity class")
         scale = pow(w[0], -1, p)
         w = [x * scale % p for x in w]
-        dot = sum(w[kx] * w[inv_class[kx]] * pow(sizes[kx], -1, p) for kx in range(kk)) % p
+        dot = sum(w[kx] * w[inv_class[kx]] * size_inv[kx] for kx in range(kk)) % p
         chi1_sq = group.order * pow(dot, -1, p) % p
         # chi(1) <= sqrt|G| < p/2, so at most one root of chi1_sq lies in range
         chi1 = next((x for x in range(1, bound + 1) if x * x % p == chi1_sq), None)
         if chi1 is None:
             raise RuntimeError("irreducible degree lift out of range")
-        row = [chi1 * w[kx] * pow(sizes[kx], -1, p) % p for kx in range(kk)]
-        rows_fp.append(row)
+        rows_fp.append([chi1 * x * y % p for x, y in zip(w, size_inv)])
 
-    # lift to exact cyclotomic values
+    # lift each value chi(g) = sum_s m_s zeta_d^s, d the order of g, through
+    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk}
     omega = pow(primitive_root(p), (p - 1) // exponent, p)
     power_class = _power_map(group, classes, class_of)
-    values = []
-    for row in rows_fp:
-        chi1 = row[0] if row[0] <= p // 2 else row[0] - p
-        exact_row = []
-        for j in range(kk):
-            d = classes[j].order
-            om_d = pow(omega, exponent // d, p)
-            coeffs = {}
-            dinv = pow(d, -1, p)
-            for s in range(d):
-                ms = sum(row[power_class[j][kx]] * pow(om_d, (-s * kx) % d, p)
-                         for kx in range(d)) * dinv % p
-                ms = ms if ms <= p // 2 else ms - p
-                if not (0 <= ms <= chi1):
-                    raise RuntimeError("eigenvalue multiplicity lift out of range")
-                if ms:
-                    coeffs[(s * (exponent // d)) % exponent] = Fraction(ms)
-            val = CycNum(exponent, coeffs)
-            exact_row.append(val)
-        values.append(exact_row)
-
-    # simplify rational entries to ints and sort deterministically
+    dft = []  # per class: 1/d and the rows omega_d^{-sk}, k < d, for s < d
+    for c in classes:
+        d = c.order
+        om_d = pow(omega, exponent // d, p)
+        dft.append((pow(d, -1, p), [[pow(om_d, -s * k % d, p) for k in range(d)]
+                                    for s in range(d)]))
+    half = p // 2
     simple: list[list] = []
-    for row in values:
+    for row in rows_fp:
+        chi1 = row[0] if row[0] <= half else row[0] - p
         srow = []
-        for v in row:
-            if v.is_rational():
-                r = v.as_rational()
-                assert r.denominator == 1, "character values are algebraic integers"
-                srow.append(int(r))
-            else:
-                srow.append(v)
+        for j, (dinv, dft_rows) in enumerate(dft):
+            powers = [row[k] for k in power_class[j]]
+            ms = [sum(map(mul, powers, u)) * dinv % p for u in dft_rows]
+            ms = [m if m <= half else m - p for m in ms]
+            if not all(0 <= m <= chi1 for m in ms):
+                raise RuntimeError("eigenvalue multiplicity lift out of range")
+            d = len(ms)
+            if all(m == ms[gcd(s, d) % d] for s, m in enumerate(ms)):
+                # Galois-stable multiplicities: the value is an integer, and
+                # |chi(g)| <= chi(1) < p/2 makes it the centred lift of row[j]
+                srow.append(row[j] if row[j] <= half else row[j] - p)
+                continue
+            step = exponent // d
+            val = CycNum(exponent, {s * step: Fraction(m) for s, m in enumerate(ms) if m})
+            if val.is_rational():
+                r = val.as_rational()
+                if r.denominator != 1:
+                    raise RuntimeError(f"character value {r} is not an algebraic integer")
+                val = int(r)
+            srow.append(val)
         simple.append(srow)
     table = CharacterTable(group.order, classes, [simple[i] for i in row_order(simple)],
                            exponent)

@@ -7,9 +7,10 @@ Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
 fake degrees, and induction from subgroups.  The classes and the labelled
 character tables of types A, B and D come in closed form from their signed
-cycle types (Murnaghan-Nakayama, bipartition characters, and the split
-restrictions to D_n of Geck-Pfeiffer 5.6), checked by the orthogonality
-relations; Dixon's algorithm on the enumerated group serves G2 and F4 only.
+cycle types (Murnaghan-Nakayama, its hyperoctahedral form for the
+bipartition characters of Geck-Pfeiffer 5.5, and the split restrictions to
+D_n of Geck-Pfeiffer 5.6), checked by the orthogonality relations; Dixon's
+algorithm on the enumerated group serves G2 and F4 only.
 The elements of A, B and D are enumerated only when a class lookup or a
 subgroup needs them, and the enumerated classes are then checked against
 the closed form.
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .combinat import mn_character, partitions_of
+from .combinat import border_strips, mn_character, partitions_of
 from .exactq import QPolynomial, cyclotomic_quotient, exact_div
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
                      _verify_table, permutation_group, row_order)
@@ -160,23 +161,20 @@ def char_poly_signed(w, family: str, stype=None) -> QPolynomial:
 
 
 def bipartition_value(lam, gamma, pos, neg) -> int:
-    """Character of the W(B_n)-irreducible lam x gamma at signed cycle type."""
-    parts = [(r, 1) for r in pos] + [(r, -1) for r in neg]
-    nl, ng = sum(lam), sum(gamma)
-    total = 0
-    for assign in itertools.product((0, 1), repeat=len(parts)):
-        to_x = tuple(sorted((parts[i][0] for i in range(len(parts)) if assign[i] == 0),
-                            reverse=True))
-        if sum(to_x) != nl:
-            continue
-        to_y = tuple(sorted((parts[i][0] for i in range(len(parts)) if assign[i] == 1),
-                            reverse=True))
-        sign = 1
-        for i in range(len(parts)):
-            if assign[i] == 1 and parts[i][1] < 0:
-                sign = -sign
-        total += sign * mn_character(tuple(lam), to_x) * mn_character(tuple(gamma), to_y)
-    return total
+    """Character of the W(B_n)-irreducible lam x gamma at signed cycle type,
+    by the hyperoctahedral Murnaghan-Nakayama rule (Geck-Pfeiffer 5.5)."""
+    return _bip(tuple(lam), tuple(gamma), tuple((r, 1) for r in pos) + tuple((r, -1) for r in neg))
+
+
+@functools.lru_cache(maxsize=None)
+def _bip(lam, gamma, cycles) -> int:
+    """One signed cycle (r, e) at a time: each border strip of size r taken
+    from lam, plus e times each taken from gamma, signed by (-1)^height."""
+    if not cycles:
+        return int(not lam and not gamma)
+    (r, e), rest = cycles[0], cycles[1:]
+    return (sum(sign * _bip(new, gamma, rest) for new, sign in border_strips(lam, r))
+            + e * sum(sign * _bip(lam, new, rest) for new, sign in border_strips(gamma, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +496,7 @@ class WeylGroupData:
             diff = [_split_difference(lam, c) for c in classes]
             rows += [(label, [(r + d) // 2 for r, d in zip(res, diff)]),
                      (label, [(r - d) // 2 for r, d in zip(res, diff)])]
+        _bip.cache_clear()  # the memo serves one table at a time
         return rows
 
     # -- irreducible labels ---------------------------------------------------

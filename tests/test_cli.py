@@ -304,6 +304,22 @@ def test_exceptional_outputs_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
 
 
+def test_f4_table_under_python_o():
+    """python -O strips asserts; the exactness checks of the Dixon table are
+    raises, so the table and its pin are the same without them."""
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    argv = ("group", "--type", "F4", "--table")
+    out = subprocess.run([sys.executable, "-O", "-m", "ellq", "--json", *argv], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
+
+
 def _readme_commands() -> list[list[str]]:
     """The `ellq ...` lines of README's "Command line" block, comments cut."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -126,12 +126,28 @@ def test_closed_form_factored_divides_no_polynomial(monkeypatch):
     want = RationalFunction(f.num, f.den).factored()
     degrees = []
 
-    def counting(p, inner=ellq.exactq.factor_cyclotomic):
+    def counting(p, *args, inner=ellq.exactq.factor_cyclotomic):
         degrees.append(p.degree)
-        return inner(p)
+        return inner(p, *args)
     monkeypatch.setattr(ellq.exactq, "factor_cyclotomic", counting)
     assert f.factored() == want
     assert degrees and max(degrees) <= 0
+
+
+def test_factored_skips_the_phi_n_of_the_denominator(monkeypatch):
+    """cyclotomic_quotient left the residual prime to every Phi_n of the
+    denominator, so factored() does not try them: trying all of Phi_1 to
+    Phi_30 took 19 divisions here."""
+    f = dn_fake_closed((5, 3, 2))
+    want = RationalFunction(f.num, f.den).factored()
+    calls = []
+
+    def counting(a, b, inner=QPolynomial.__divmod__):
+        calls.append(b.degree)
+        return inner(a, b)
+    monkeypatch.setattr(QPolynomial, "__divmod__", counting)
+    assert f.factored() == want
+    assert 0 < len(calls) < 19
 
 
 def test_bn_closed_examples():

@@ -105,6 +105,74 @@ def test_verify_table_rejects_a_changed_irrational_entry():
         _verify_table(_with_entry(table, i, j, v + CycNum.rational(v.m, 1)))
 
 
+def _tables_with_centralizers(name):
+    """The Dixon tables of a group and of the centralizer of each class
+    representative, every group freshly built."""
+    if name in SUPPORTED_GAMMAS:
+        grp = small_group.__wrapped__(name)
+    else:
+        grp = build_group.__wrapped__(GroupSpec.parse(name)).group
+    return [grp.character_table()] + [grp.centralizer(c.rep).character_table()
+                                      for c in grp.conjugacy_classes()[1:]]
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"] + [g for g in SUPPORTED_GAMMAS if g != "trivial"])
+def test_dixon_rational_values_are_plain_ints(name):
+    tables = _tables_with_centralizers(name)
+    assert all(type(v) is int for row in tables[0].values for v in row)
+    for table in tables[1:]:
+        for row in table.values:
+            for v in row:
+                assert type(v) is int or (isinstance(v, CycNum) and not v.is_rational())
+
+
+@pytest.mark.parametrize("name", ["G2", "F4"])
+def test_dixon_builds_no_cycnum_for_a_weyl_group(monkeypatch, name):
+    import ellq.groups
+
+    def refuse(*args):
+        raise AssertionError("a CycNum was built for a rational value")
+    monkeypatch.setattr(ellq.groups, "CycNum", refuse)
+    grp = build_group.__wrapped__(GroupSpec(name, int(name[1]))).group
+    assert len(grp.character_table().values) == {"G2": 6, "F4": 25}[name]
+
+
+def test_z5_centralizer_keeps_its_cyclotomic_values():
+    # recorded before rational values were lifted as centred integers
+    gamma = small_group.__wrapped__("S5")
+    table = gamma.centralizer(bytes((1, 2, 3, 4, 0))).character_table()
+    exponents = [[4, 3, 2, 1], [3, 1, 4, 2], [2, 4, 1, 3], [1, 2, 3, 4]]
+    assert table.values[0] == [1] * 5
+    for row, ks in zip(table.values[1:], exponents):
+        assert row[0] == 1
+        assert [(v.m, v.c) for v in row[1:]] == [(5, {k: 1}) for k in ks]
+
+
+def test_verify_table_rejects_rational_values_lifted_off_by_one():
+    table = build_group(GroupSpec("F4", 4)).character_table()
+    _verify_table(table)
+    for shift in (1, -1):
+        values = [table.values[0]] + [[row[0]] + [v + shift for v in row[1:]]
+                                      for row in table.values[1:]]
+        with pytest.raises(RuntimeError, match="row orthogonality"):
+            _verify_table(dataclasses.replace(table, values=values))
+
+
+def test_cycnum_of_different_conductors_do_not_mix():
+    a, b = CycNum.zeta_pow(4, 1), CycNum.zeta_pow(6, 1)
+    with pytest.raises(ValueError, match="conductors differ: 4 and 6"):
+        a + b
+    with pytest.raises(ValueError, match="conductors differ: 4 and 6"):
+        a * b
+
+
+def test_charpoly_mod_refuses_a_small_prime():
+    from ellq.groups import _charpoly_mod
+    assert _charpoly_mod([[1, 2], [3, 4]], 5) == [3, 0, 1]  # q^2 - 5q - 2 mod 5
+    with pytest.raises(ValueError, match="p = 2, n = 2"):
+        _charpoly_mod([[1, 0], [0, 1]], 2)
+
+
 @given(st.permutations(range(40)), st.permutations(range(40)))
 def test_permutation_product_and_inverse(a, b):
     group = permutation_group([], 40)

@@ -381,6 +381,66 @@ def test_b5_table_on_demand():
     assert len(set(W.irrep_labels())) == 36
 
 
+# the loop over all 2^{#cycles} ways of sending the signed cycles to lam or
+# gamma that bipartition_value ran before the hyperoctahedral
+# Murnaghan-Nakayama rule, kept as the reference
+
+
+def bipartition_value_by_assignment(lam, gamma, pos, neg) -> int:
+    parts = [(r, 1) for r in pos] + [(r, -1) for r in neg]
+    total = 0
+    for assign in itertools.product((0, 1), repeat=len(parts)):
+        to_x = tuple(sorted((r for (r, _), a in zip(parts, assign) if a == 0), reverse=True))
+        if sum(to_x) != sum(lam):
+            continue
+        to_y = tuple(sorted((r for (r, _), a in zip(parts, assign) if a == 1), reverse=True))
+        sign = math.prod(e for (_, e), a in zip(parts, assign) if a == 1)
+        total += sign * mn_character(tuple(lam), to_x) * mn_character(tuple(gamma), to_y)
+    return total
+
+
+def _bipartitions(n):
+    return [(lam, gam) for k in range(n + 1) for lam in partitions_of(k)
+            for gam in partitions_of(n - k)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bipartition_rule_matches_assignment_loop(n):
+    bips = _bipartitions(n)  # the signed cycle types of B_n are these pairs too
+    for lam, gam in bips:
+        for pos, neg in bips:
+            assert (weylgrp.bipartition_value(lam, gam, pos, neg)
+                    == bipartition_value_by_assignment(lam, gam, pos, neg)), (lam, gam, pos, neg)
+
+
+def test_bipartition_rule_matches_assignment_loop_b8_sample():
+    import random
+    bips = _bipartitions(8)
+    rng = random.Random(8)
+    for _ in range(3000):
+        (lam, gam), (pos, neg) = rng.choice(bips), rng.choice(bips)
+        assert (weylgrp.bipartition_value(lam, gam, pos, neg)
+                == bipartition_value_by_assignment(lam, gam, pos, neg)), (lam, gam, pos, neg)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_d_restrictions_match_assignment_loop(n):
+    # closed-form classes only, so D7 needs no enumeration bound lifted
+    W = WeylGroupData(GroupSpec("D", n), None, None)
+    for lam, gam in _bipartitions(n):
+        values = W.class_function_bipartition(lam, gam)
+        assert values == [bipartition_value_by_assignment(lam, gam, *c.signed_type)
+                          for c in W.classes()], (lam, gam)
+        # lam x gam and gam x lam restrict alike
+        assert values == W.class_function_bipartition(gam, lam)
+
+
+def test_bipartition_memo_serves_one_table():
+    W = build_group.__wrapped__(GroupSpec("B", 4))
+    W.character_table()
+    assert weylgrp._bip.cache_info().currsize == 0
+
+
 def test_bipartition_labels_b2():
     W = build_group(GroupSpec("B", 2))
     assert set(W.irrep_labels()) == {"[2]x[]", "[]x[1, 1]", "[]x[2]",
