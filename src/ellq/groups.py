@@ -507,12 +507,13 @@ def _verify_table(table: CharacterTable) -> None:
     rows = table.values
     sizes = [c.size for c in table.classes]
     integral = [all(type(v) is int for v in row) for row in rows]
+    weighted = [list(map(mul, row, sizes)) if i else None for row, i in zip(rows, integral)]
     lifted = [] if all(integral) else [[_as_cyc(v, m) for v in row] for row in rows]
     for a in range(n):
         for b in range(a, n):
             expected = order if a == b else 0
             if integral[a] and integral[b]:
-                ok = sum(x * y * s for x, y, s in zip(rows[a], rows[b], sizes)) == expected
+                ok = sum(map(mul, weighted[a], rows[b])) == expected
             else:
                 total = CycNum.zero(m)
                 for va, vb, s in zip(lifted[a], lifted[b], sizes):
