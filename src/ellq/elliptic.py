@@ -10,7 +10,6 @@ Phi_d (k < 0): they are built from their Phi-exponents, with no gcd.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, RationalFunction, cyclotomic_quotient,
-                     poly_lcm, rref)
+                     integer_rank)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -183,29 +182,23 @@ class IndependenceReport:
 
 
 def independence_check(spec: GroupSpec) -> IndependenceReport:
-    """Exact rank of {1/det(1-qw)} over elliptic classes, by clearing to a
-    common polynomial denominator and row reduction.  Reports coincident
-    characteristic polynomials and, when the functions are dependent, an
-    explicit integer kernel certificate."""
+    """Exact rank of {1/det(1-qw)} over elliptic classes.  Each function is
+    put over prod (1 - q^{d_i}) and its numerator's coefficients ranked by
+    integer_rank, which certifies the rank and gives, when the functions are
+    dependent, explicit integer kernel vectors.  Also reports coincident
+    characteristic polynomials."""
     W = build_group(spec)
     ell = W.elliptic_classes()
     charpolys = [W.classes()[i].char_poly for i in ell]
-    lcm = poly_lcm(charpolys)
-    width = lcm.degree + 1
-    rows = [[num.coeff(i) for i in range(width)] for num in (lcm // cp for cp in charpolys)]
-    n = len(rows)
-    _, rank, transform = rref(rows)
+    n = len(charpolys)
+    rank, kernel = integer_rank([W.springer_quotient(cp).coeffs for cp in charpolys])
     types = tuple(str(W.classes()[i].signed_type or W.classes()[i].char_poly) for i in ell)
-    deps = []
-    for combo in transform[rank:]:
-        den = math.lcm(*(c.denominator for c in combo))
-        deps.append((tuple(int(c * den) for c in combo), types))
     pairs = []
     for a in range(n):
         for b in range(a + 1, n):
             if charpolys[a] == charpolys[b]:
                 pairs.append((ell[a], ell[b], str(charpolys[a])))
-    return IndependenceReport(spec, n, rank, rank == n, pairs, deps)
+    return IndependenceReport(spec, n, rank, rank == n, pairs, [(vec, types) for vec in kernel])
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +215,11 @@ class RadicalReport:
 
 def radical_check(W: WeylGroupData) -> RadicalReport:
     """(a) characters induced from proper parabolic subgroups pair to zero with
-    everything; (b) the elliptic Gram on the irreducibles has rank equal to the
-    number of elliptic classes."""
+    everything; (b) the elliptic Gram on the irreducibles, scaled by |W| to
+    integers, has rank equal to the number of elliptic classes."""
     table = W.character_table()
-    n = len(table.values)
-    gram = [[elliptic_pairing(W, table.values[i], table.values[j]) for j in range(n)]
-            for i in range(n)]
-    rank = rref(gram)[1]
+    rank = integer_rank([[int(W.order * elliptic_pairing(W, a, b)) for b in table.values]
+                         for a in table.values])[0]
     ok = True
     n_gens = len(W.group.generators)
     for size in range(n_gens):

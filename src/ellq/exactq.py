@@ -21,8 +21,9 @@ values built by arithmetic.  Every product of Phi_n, Phi_n itself included,
 is built by ``phi_product`` from sparse steps q^d - 1, as
 Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
 
-``rref`` is the one Gauss-Jordan elimination over Q: ranks, inverses,
-linear solves and left-kernel certificates all come from it.
+``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
+linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
+met by integer kernel vectors checked over Z.
 """
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, zip_longest
+from math import lcm
+from operator import mul, sub
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -651,15 +653,6 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
     return out
 
 
-def poly_lcm(polys: Iterable[QPolynomial]) -> QPolynomial:
-    """Least common multiple of nonzero polynomials, one gcd per input, in
-    input order."""
-    lcm = QPolynomial.one()
-    for p in polys:
-        lcm = lcm * (p // poly_gcd(lcm, p))
-    return lcm
-
-
 def rref(rows: Sequence[Sequence[Scalar]]
          ) -> tuple[list[list[Fraction]], int, list[list[Fraction]]]:
     """Gauss-Jordan elimination over Q: (R, rank, T) with T * rows = R.
@@ -686,3 +679,68 @@ def rref(rows: Sequence[Sequence[Scalar]]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[rank])]
         rank += 1
     return [row[:width] for row in aug], rank, [row[width:] for row in aug]
+
+
+def rref_mod(rows, ncols, p):
+    """Gauss-Jordan elimination over F_p on the first ncols columns of a copy
+    of rows; returns the reduced rows and the pivot columns."""
+    m = [row[:] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((row for row in range(r, len(m)) if m[row][col] % p), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][col], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for row in range(len(m)):
+            if row != r and m[row][col] % p:
+                f = m[row][col]
+                m[row] = [(x - f * y) % p for x, y in zip(m[row], m[r])]
+        pivots.append(col)
+    return m, pivots
+
+
+# Mersenne primes, tried in turn until one certifies a rank
+RANK_PRIMES = (2 ** 61 - 1, 2 ** 127 - 1, 2 ** 521 - 1)
+
+
+def _rational_lift(a: int, p: int) -> Fraction:
+    """r/s = a mod p with |r| <= sqrt(p/2), by the half-extended Euclidean
+    algorithm (rational reconstruction)."""
+    r0, r1, s0, s1 = p, a % p, 0, 1
+    while 2 * r1 * r1 > p:
+        quo = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - quo * r1, s1, s0 - quo * s1
+    return Fraction(r1, s1)
+
+
+def integer_rank(columns: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(rank, kernel) over Q of integer vectors, certified from both sides.
+
+    The pivots of an elimination mod p bound the rank from below.  Each free
+    column f has a kernel vector mod p with 1 at f and 0 at the other free
+    columns; lifted to Q by rational reconstruction, cleared of denominators
+    and checked exactly over Z, these independent vectors bound it from
+    above.  So the kernel is the reduced basis: vector f ends at f with a
+    positive entry, and its entries are coprime.  A failed check marks an
+    unlucky prime: the next of RANK_PRIMES is tried, and RuntimeError is
+    raised after the last."""
+    rows = list(zip_longest(*columns, fillvalue=0))
+    n = len(columns)
+    for p in RANK_PRIMES:
+        red, pivots = rref_mod([[x % p for x in row] for row in rows], n, p)
+        kernel = []
+        for f in sorted(set(range(n)) - set(pivots)):
+            lifts = {pc: _rational_lift(-red[i][f], p) for i, pc in enumerate(pivots)}
+            lifts[f] = Fraction(1)
+            den = lcm(*(x.denominator for x in lifts.values()))
+            vec = tuple(int(lifts.get(c, 0) * den) for c in range(n))
+            if any(sum(map(mul, vec, row)) for row in rows):
+                break
+            kernel.append(vec)
+        else:
+            return len(pivots), kernel
+    raise RuntimeError(f"rank of {n} integer vectors not certified modulo any of "
+                       f"{len(RANK_PRIMES)} primes")

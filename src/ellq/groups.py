@@ -30,6 +30,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .cyclo import CycNum
+from .exactq import rref_mod
 
 
 # the most elements any enumeration may produce
@@ -274,31 +275,10 @@ def _roots_mod(f, p):
     return [x for x, v in enumerate(values) if v == 0]
 
 
-def _rref_mod(rows, ncols, p):
-    """Gauss-Jordan elimination over F_p on the first ncols columns of a copy
-    of rows; returns the reduced rows and the pivot columns."""
-    m = [row[:] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((row for row in range(r, len(m)) if m[row][col] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][col], -1, p)
-        m[r] = [x * inv % p for x in m[r]]
-        for row in range(len(m)):
-            if row != r and m[row][col] % p:
-                f = m[row][col]
-                m[row] = [(x - f * y) % p for x, y in zip(m[row], m[r])]
-        pivots.append(col)
-    return m, pivots
-
-
 def _nullspace_mod(a, p):
     """Basis of the right nullspace of square matrix a over F_p (as columns)."""
     n = len(a)
-    m, pivots = _rref_mod(a, n, p)
+    m, pivots = rref_mod(a, n, p)
     basis = []
     for fc in (c for c in range(n) if c not in pivots):
         v = [0] * n
@@ -315,7 +295,7 @@ def _solve_in_span(basis_cols, targets, p):
     d = len(basis_cols)
     aug = [[b[row] for b in basis_cols] + [tv[row] for tv in targets]
            for row in range(len(basis_cols[0]))]
-    m, pivots = _rref_mod(aug, d, p)
+    m, pivots = rref_mod(aug, d, p)
     if len(pivots) < d:
         raise ValueError("basis columns not independent")
     if any(x % p for row in m[d:] for x in row[d:]):

@@ -55,6 +55,8 @@ class GroupSpec:
         u = s.upper()
         if u in ("G2", "F4"):
             return GroupSpec(u, int(u[1]))
+        if u in ("E6", "E7", "E8"):
+            raise ValueError(f"type {u} is supported by efd only")
         if not s[1:].isdigit():
             raise ValueError(f"group type {s!r} is not a family and a rank, e.g. B5")
         return GroupSpec(u[0], int(s[1:]))
@@ -163,7 +165,12 @@ def char_poly_signed(w, family: str, stype=None) -> QPolynomial:
 def bipartition_value(lam, gamma, pos, neg) -> int:
     """Character of the W(B_n)-irreducible lam x gamma at signed cycle type,
     by the hyperoctahedral Murnaghan-Nakayama rule (Geck-Pfeiffer 5.5)."""
-    return _bip(tuple(lam), tuple(gamma), tuple((r, 1) for r in pos) + tuple((r, -1) for r in neg))
+    return _bip(tuple(lam), tuple(gamma), signed_cycles(pos, neg))
+
+
+def signed_cycles(pos, neg) -> tuple:
+    """The signed cycles (r, 1) and (r, -1) of a signed cycle type, as _bip takes them."""
+    return tuple((r, 1) for r in pos) + tuple((r, -1) for r in neg)
 
 
 @functools.lru_cache(maxsize=None)
@@ -432,23 +439,24 @@ class WeylGroupData:
             raise ValueError(f"{what} of {self.spec} has {n} values, not {len(values)}")
         return values
 
-    def class_kernel(self) -> list[QPolynomial]:
-        """K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C) for each class C.
+    @functools.cached_property
+    def _degree_product(self) -> QPolynomial:  # prod (1 - q^{d_i}) = P(q) (1 - q)^l
+        return self.poincare * QPolynomial.of(1, -1) ** self.rank
 
-        det(1 - q w) divides prod (1 - q^{d_i}) for every w (Springer 1974), so
-        each K_C is an integer polynomial, of degree the number of
-        reflections; the division is exact or raises.  Built on first use and
-        kept with the group."""
+    def springer_quotient(self, char_poly: QPolynomial) -> QPolynomial:
+        """prod (1 - q^{d_i}) / det(1 - q w), an integer polynomial of degree
+        the number of reflections: det(1 - q w) divides prod (1 - q^{d_i}) for
+        every w (Springer 1974), so the division is exact or raises."""
+        quo, rem = divmod(self._degree_product, char_poly)
+        if not rem.is_zero():
+            raise RuntimeError(f"{self.spec}: det(1 - qw) does not divide prod (1 - q^d)")
+        return quo
+
+    def class_kernel(self) -> list[QPolynomial]:
+        """K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C) for each class C,
+        built on first use and kept with the group."""
         if self._kernel is None:
-            top = cyclotomic_quotient(self.poincare_phi + Counter({1: self.rank}),
-                                      scalar=(-1) ** self.rank).num
-            kernel = []
-            for c in self.classes():
-                quo, rem = divmod(top, c.char_poly)
-                if not rem.is_zero():
-                    raise RuntimeError(f"{self.spec}: det(1 - qw) does not divide prod (1 - q^d)")
-                kernel.append(quo * c.size)
-            self._kernel = kernel
+            self._kernel = [self.springer_quotient(c.char_poly) * c.size for c in self.classes()]
         return self._kernel
 
     def kernel_sum(self, values: Sequence) -> QPolynomial:
@@ -554,10 +562,14 @@ class WeylGroupData:
 
     # -- class functions -------------------------------------------------------
 
+    @functools.cached_property
+    def _signed_cycles(self) -> list[tuple]:
+        return [signed_cycles(*c.signed_type) for c in self.classes()]
+
     def class_function_bipartition(self, lam, gam) -> list[int]:
         """Values of lam x gam (type B; restriction for type D) on the classes."""
-        return [bipartition_value(lam, gam, c.signed_type[0], c.signed_type[1])
-                for c in self.classes()]
+        lam, gam = tuple(lam), tuple(gam)
+        return [_bip(lam, gam, cycles) for cycles in self._signed_cycles]
 
     def sign_values(self) -> list[int]:
         """det_E(w) per class: the sign character."""

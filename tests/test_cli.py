@@ -159,12 +159,13 @@ ERROR_MESSAGES = {
                                   "not c2",
     ("affine", "a1", "--formal"): "--formal needs the packaged basis, which exists for g2 only, "
                                   "not a1",
+    ("group", "--type", "E6"): "type E6 is supported by efd only",
+    ("independence", "--type", "E8"): "type E8 is supported by efd only",
 }
 
 
 @pytest.mark.parametrize("argv", [
     *map(list, ERROR_MESSAGES),
-    ["group", "--type", "E6"],
     ["group", "--type", "X"],
     ["group", "--type", "B7"],
     ["efd", "--type", "A"],
@@ -256,6 +257,47 @@ EXCEPTIONAL_OUTPUTS = {
         "a205bbb571de9fe1424edb5573448115d380a1599b023bebd03a5e87dc7d18b9",
     ("fake", "--type", "G2"):
         "29c4279d7f208b2e3f44c4400f4fd3265da0e7be80a2df189e78b7b5840cab89",
+    # the rank of 1/det(1 - qw) over the elliptic classes, with its dependencies
+    ("verify", "independence"):
+        "e96c161e880ae5b309b158fba98900a55ef901582af211b38eebf2c0b5b8de6b",
+    ("independence", "--type", "A1"):
+        "05e24c4344ae18e4b3e1fceaeb062a5482f8bbee4042ccff5a81e7c0dd156485",
+    ("independence", "--type", "A2"):
+        "6a02d0ba8330b91c2c58155c6d57e822d781c4ad991a266f7c23576e0b705273",
+    ("independence", "--type", "A3"):
+        "47dcf52cc1272266c4f772820ee239c00d377f53b3570bf792d2871db4b22c29",
+    ("independence", "--type", "A4"):
+        "952995f123754f33dbe647f8676912608e4ef9b01697d97eb1d01865f9015aca",
+    ("independence", "--type", "A5"):
+        "2743a90a672f53d56cbb0a3d31ea564549fe893a05cdeef83140b68a405471ed",
+    ("independence", "--type", "A6"):
+        "3cb845208ebb69537119fb79e0efd3b8d36b06f6236bfd491982cc49dc4e4cbf",
+    ("independence", "--type", "A7"):
+        "03756f79be74e15f94c5eae960ae89447041b03dda3b962a43cd0b539038418f",
+    ("independence", "--type", "B1"):
+        "95084017d649805ef5e8fdc91a43c272fe816444082f24624c3be69f21f34299",
+    ("independence", "--type", "B2"):
+        "618036fdc55703b91fc5a60c528720c4d711b7a77a2e181e835624e0bd3a757c",
+    ("independence", "--type", "B3"):
+        "9d2c685cbda3254991aa390466e471a4e883b0161a1d05ad331f4ef10e68e507",
+    ("independence", "--type", "B4"):
+        "8fbfe222aa6d25b4cae8d4b3ebbcea0badb0fe71cb5f6a01bc81f64462cab66d",
+    ("independence", "--type", "B5"):
+        "4d3d822ad48db30ac22d88c85c3aa19447d711d5974f8a31597222929f997ef8",
+    ("independence", "--type", "B6"):
+        "f7beb6594f2d936c47b2e651a08f3775f0cee7dcec4da720b1ef396fe2d192f7",
+    ("independence", "--type", "D2"):
+        "8203f46135f2cc8fcf3f2e89671196457cbd504160bc605872895cf40314b590",
+    ("independence", "--type", "D3"):
+        "8bdadf1e34cdd10277634e7bdba9892601c98dcd26838e06811e5198df2cc9a2",
+    ("independence", "--type", "D4"):
+        "2fa9c087d5d0188433f4fc51209f03fc4b52c41f50fc37f0cdab029a87e517a8",
+    ("independence", "--type", "D5"):
+        "e3654ba5bdb2e5e176e5402f421ab4b9e7817a6413f5ce9d944d9f78b4232cd8",
+    ("independence", "--type", "D6"):
+        "7e14e53a95a19536c884ac6011821938f132640860eed0a4bcc5017b6486ebac",
+    ("independence", "--type", "G2"):
+        "24fa7678b5a81c7a00093cf3ac65820bb328be5aef008b6e2329b1d3308f0790",
     ("independence", "--type", "F4"):
         "d75381beac1926328d888f9d17b511248961bd497c28e26f833f102099c6f33e",
     ("mx", "--fixture", "a1-reg"):

@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -14,8 +16,8 @@ from ellq.elliptic import (VirtualCharacter, bn_fake_closed, cyc_denominator,
                            radical_check, sgn_fake_degree)
 from ellq.combinat import g_poly
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
-                         cyclotomic)
-from ellq.weylgrp import (GroupSpec, build_group, exceptional_exponents,
+                         cyclotomic, poly_gcd, rref)
+from ellq.weylgrp import (GroupSpec, WeylGroupData, build_group, exceptional_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup)
 
@@ -272,6 +274,47 @@ def test_independence_b5_dependency():
         total = total + RationalFunction(QPolynomial.of(c)) \
             / RationalFunction(W.classes()[i].char_poly)
     assert total.is_zero()
+
+
+# The Fraction route independence_check took before its rank was certified
+# modulo a prime: the functions put over the lcm of the char polys, and the
+# rows of their numerators row-reduced over Q, the left kernel read off the
+# transform and scaled by the lcm of its denominators.
+def independence_by_rref(spec):
+    W = build_group(spec)
+    charpolys = [W.classes()[i].char_poly for i in W.elliptic_classes()]
+    lcm = functools.reduce(lambda a, b: a * (b // poly_gcd(a, b)), charpolys, QPolynomial.one())
+    rows = [[num.coeff(i) for i in range(lcm.degree + 1)] for num in (lcm // cp for cp in charpolys)]
+    _, rank, transform = rref(rows)
+    return rank, [tuple(int(c * math.lcm(*(x.denominator for x in combo))) for c in combo)
+                  for combo in transform[rank:]]
+
+
+@pytest.mark.parametrize("spec", [*(f"B{n}" for n in range(1, 7)), *(f"D{n}" for n in range(2, 7)),
+                                  *(f"A{n}" for n in range(1, 8)), "G2", "F4"])
+def test_independence_matches_the_fraction_route(spec):
+    spec = GroupSpec.parse(spec)
+    rep = independence_check(spec)
+    assert (rep.rank, [vec for vec, _ in rep.dependencies]) == independence_by_rref(spec)
+
+
+def test_independence_past_the_enumeration_bound(monkeypatch):
+    """B7-B10 and D7-D10 on their closed-form classes, with the bound kept:
+    W is built without the refusal, and never enumerated."""
+    import ellq.elliptic
+    monkeypatch.setattr(ellq.elliptic, "build_group", lambda spec: WeylGroupData(spec, None, None))
+    ranks = {"B7": (12, 15), "B8": (16, 22), "B9": (19, 30), "B10": (25, 42),
+             "D7": (7, 7), "D8": (12, 12), "D9": (13, 14), "D10": (20, 22)}
+    for name, expect in ranks.items():
+        rep = independence_check(GroupSpec.parse(name))
+        assert (rep.rank, rep.n_elliptic) == expect, name
+        assert len(rep.dependencies) == rep.n_elliptic - rep.rank
+    # D9's one dependency, the first in type D
+    [(vec, types)] = independence_check(GroupSpec("D", 9)).dependencies
+    assert {t: c for c, t in zip(vec, types) if c} == {
+        "((), (4, 1, 1, 1, 1, 1))": 1, "((), (2, 2, 2, 1, 1, 1))": 2,
+        "((), (3, 2, 1, 1, 1, 1))": -3, "((), (3, 2, 2, 2))": 1,
+        "((), (4, 2, 2, 1))": -3, "((), (4, 3, 1, 1))": 2}
 
 
 def test_f4_coincident_pair():

@@ -1,13 +1,15 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellq import exactq
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, cyclotomic_quotient, factor_cyclotomic,
-                         phi_product, poly_gcd, rref)
+                         integer_rank, phi_product, poly_gcd, rref)
 
 
 def test_cyclotomic_small():
@@ -160,6 +162,66 @@ def test_rref_rank_inverse_and_left_kernel():
     assert transform == [[0, 0, 1], [F(1, 2), 0, F(-1, 2)], [-2, 1, 0]]
     assert [sum(t * row[j] for t, row in zip(transform[2], a)) for j in range(3)] == [0, 0, 0]
     assert rref([]) == ([], 0, [])
+
+
+def _is_relation(vec, columns):
+    return all(sum(c * x for c, x in zip(vec, row)) == 0 for row in zip(*columns))
+
+
+# columns B C: k random base vectors of length m, each column an integer
+# combination of them, so every column past the first k is a planted dependency
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.lists(st.lists(st.integers(-5, 5), min_size=m, max_size=m), min_size=k, max_size=k),
+    st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), min_size=0, max_size=8)))))
+def test_integer_rank_against_rref(data):
+    base, coeffs = data
+    columns = [[sum(c * b[r] for c, b in zip(cs, base)) for r in range(len(base[0]))]
+               for cs in coeffs]
+    rank, kernel = integer_rank(columns)
+    assert rank == (rref([list(row) for row in zip(*columns)])[1] if columns else 0)
+    assert len(kernel) == len(columns) - rank
+    free = [max(i for i, c in enumerate(vec) if c) for vec in kernel]
+    assert free == sorted(set(free))
+    for vec, f in zip(kernel, free):
+        assert _is_relation(vec, columns)
+        assert vec[f] > 0 and math.gcd(*vec) == 1
+        # reduced: zero at every other free column
+        assert all(vec[g] == 0 for g in free if g != f)
+
+
+def test_integer_rank_of_nothing_and_of_zero_columns():
+    assert integer_rank([]) == (0, [])
+    assert integer_rank([[0, 0], [0, 0]]) == (0, [(1, 0), (0, 1)])
+    assert integer_rank([[3, 6], [2, 4]]) == (1, [(-2, 3)])
+
+
+@pytest.mark.parametrize("columns", [
+    [[1, 0], [0, 5]],  # 5 divides an entry: column 1 vanishes mod 5
+    [[1, 2], [3, 11]],  # 5 divides the 2x2 minor
+])
+def test_integer_rank_retries_an_unlucky_prime(monkeypatch, columns):
+    monkeypatch.setattr(exactq, "RANK_PRIMES", (5,))
+    with pytest.raises(RuntimeError, match="not certified"):
+        integer_rank(columns)
+    monkeypatch.setattr(exactq, "RANK_PRIMES", (5, 2 ** 61 - 1))
+    assert integer_rank(columns) == (2, [])
+
+
+def test_integer_rank_rejects_a_corrupted_kernel_vector(monkeypatch):
+    lift = exactq._rational_lift
+    monkeypatch.setattr(exactq, "_rational_lift", lambda a, p: lift(a, p) + 1)
+    with pytest.raises(RuntimeError, match="not certified"):
+        integer_rank([[1, 2], [2, 4]])
+
+
+def test_integer_rank_lifts_past_the_first_prime():
+    # the kernel entries exceed sqrt(p/2) for p = 2^61 - 1
+    big = 10 ** 12 + 39
+    rank, kernel = integer_rank([[1, 0], [0, 1], [big, big + 1]])
+    assert rank == 2 and kernel == [(-big, -big - 1, 1)]
+    rank, kernel = integer_rank([[big, 0], [0, big + 1], [1, 1]])
+    assert rank == 2 and kernel == [(-big - 1, -big, big * (big + 1))]
 
 
 def test_factored_rendering():

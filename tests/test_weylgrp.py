@@ -15,7 +15,7 @@ import ellq
 from ellq import weylgrp
 from ellq.combinat import mn_character, partitions_of
 from ellq.elliptic import elliptic_fake_degree
-from ellq.exactq import QPolynomial, RationalFunction, poly_lcm
+from ellq.exactq import QPolynomial, RationalFunction, poly_gcd
 from ellq.groups import FiniteGroup, GroupTooLargeError
 from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
                           char_poly_matrix, char_poly_signed, closed_form_classes,
@@ -501,7 +501,7 @@ def _gcd_class_sum(terms):
     for c, d in terms:
         if c:
             merged[d] = merged.get(d, 0) + c
-    lcm = poly_lcm(merged)
+    lcm = functools.reduce(lambda a, b: a * (b // poly_gcd(a, b)), merged, QPolynomial.one())
     num = QPolynomial.zero()
     for d, c in merged.items():
         num = num + (lcm // d) * c
