@@ -284,7 +284,8 @@ def independence_by_rref(spec):
     W = build_group(spec)
     charpolys = [W.classes()[i].char_poly for i in W.elliptic_classes()]
     lcm = functools.reduce(lambda a, b: a * (b // poly_gcd(a, b)), charpolys, QPolynomial.one())
-    rows = [[num.coeff(i) for i in range(lcm.degree + 1)] for num in (lcm // cp for cp in charpolys)]
+    rows = [[num.coeff(i) for i in range(lcm.degree + 1)]
+            for num in (lcm // cp for cp in charpolys)]
     _, rank, transform = rref(rows)
     return rank, [tuple(int(c * math.lcm(*(x.denominator for x in combo))) for c in combo)
                   for combo in transform[rank:]]
