@@ -336,6 +336,12 @@ EXCEPTIONAL_OUTPUTS = {
         "d62934f7be0d70f2d482fd8e83f04b36756be7cf197cfba0c464d5558f96cfb4",
     ("verify", "g2-affine"):
         "521aa1897c5421e06e71bd023c07095dee68e3c396ac5d652c41c3cf47847517",
+    ("affine", "g2", "--classes", "--nu", "--ef", "--formal"):
+        "b1fc858f1fdf5bdf2a64e2c04c349de967c3eb5397d11eaeb12b1f9edc3a67ec",
+    ("affine", "c2", "--classes", "--nu", "--ef"):
+        "5264d0d7a38228588ba78abe944431640b2c95d2f346ef3cfd189e50118d68c3",
+    ("affine", "a1", "--classes", "--nu", "--ef"):
+        "703fda01dbeaee59f77185ae200ce38901f6a183b5374bb7807a883c0d44f782",
 }
 
 
