@@ -20,61 +20,28 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cyclo import CycNum
 from .elliptic import sgn_fake_degree, sq_pairing
 from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                      cyclotomic_quotient, rref)
 from .fourier import fourier_matrix, small_group
-from .weylgrp import GroupSpec, WeylGroupData, build_group
+from .weylgrp import (CARTAN_PAIRING, EXPONENTS, GroupSpec, RootSystem, WeylGroupData,
+                      build_group, exponents_of, rootsystem)
 
 
-@dataclass(frozen=True)
-class DualRootDatum:
-    """Roots as integer coordinate vectors; linear functionals pair by dot
-    product with the coordinates."""
-    name: str
-    roots: tuple[tuple[int, ...], ...]
-    simple: tuple[int, ...]          # indices of the simple roots
-    center_order: int
-
-    @property
-    def rank(self) -> int:
-        return len(self.roots[0])
-
-    @property
-    def positive_count(self) -> int:
-        return len(self.roots) // 2
-
-    def pair(self, root, v) -> Fraction:
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(root, v))
+# the dual root data, in simple-root coordinates; s and h are coweights in
+# fundamental-coweight coordinates (`weylgrp.RootSystem`)
+G2_DATUM = rootsystem(CARTAN_PAIRING["G2"], EXPONENTS["G2"])
+SP4_DATUM = rootsystem(CARTAN_PAIRING["C2"], exponents_of(GroupSpec("B", 2)))
+SL2_DATUM = rootsystem(CARTAN_PAIRING["A1"], exponents_of(GroupSpec("A", 1)))
 
 
-# G2 in simple-root coordinates (alpha short, beta long)
-_G2_POS = ((1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2))
-G2_DATUM = DualRootDatum(
-    "G2",
-    _G2_POS + tuple(tuple(-x for x in r) for r in _G2_POS),
-    simple=(0, 1),
-    center_order=1,
-)
-
-# Sp(4) = C2 in euclidean coordinates
-_C2_POS = ((2, 0), (0, 2), (1, -1), (1, 1))
-SP4_DATUM = DualRootDatum(
-    "Sp4",
-    _C2_POS + tuple(tuple(-x for x in r) for r in _C2_POS),
-    simple=(2, 1),  # e1 - e2, 2 e2
-    center_order=2,
-)
-
-SL2_DATUM = DualRootDatum("SL2", ((2,), (-2,)), simple=(0,), center_order=2)
-
-
-def solve_marks(datum: DualRootDatum, subsystem: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
-    """The cocharacter h of the principal sl2 of a full-rank subsystem:
-    gamma(h) = 2 on the given simple roots of the subsystem."""
+def solve_marks(datum: RootSystem, subsystem: Sequence[tuple[int, ...]]) -> tuple[Fraction, ...]:
+    """The cocharacter h of the principal sl2 of a full-rank subsystem, in
+    fundamental-coweight coordinates: gamma(h) = 2 on the given simple roots
+    of the subsystem."""
     _, rank, inverse = rref(subsystem)
     if len(subsystem) != datum.rank or rank != datum.rank:
         raise ValueError("subsystem must have full rank")
@@ -85,7 +52,7 @@ def solve_marks(datum: DualRootDatum, subsystem: Sequence[tuple[int, ...]]) -> t
 class EllipticParameter:
     """One elliptic pair (s, u): the semisimple part as a rational functional
     (root-of-unity exponents), the unipotent part through its sl2 weights."""
-    datum: DualRootDatum
+    datum: RootSystem
     s: tuple[Fraction, ...]
     h: tuple[Fraction, ...]
     name: str = ""
@@ -193,19 +160,29 @@ class UnipotentFixture:
     """A distinguished (or quasi-distinguished) unipotent orbit with its
     component group, parameter packets, and fake-degree data."""
     name: str
-    datum: DualRootDatum
+    datum: RootSystem
     base_weyl: GroupSpec                  # finite Weyl group of the p-adic side
     gamma: str                            # component group of u
     m_prime: list[tuple[str, str]]        # image of the family inside M(gamma)
     fake_values: dict[tuple[str, str], RationalFunction]  # identity-part entries
     springer_elliptic: dict[str, dict[str, int]]  # phi -> {charpoly str: value}
-    s_points: dict[str, tuple[Fraction, ...]]     # gamma-class label -> functional
-    h_for_s: dict[str, tuple[Fraction, ...]]      # sl2 weights per packet
-    center_order: int = 1
+    s_nodes: dict[str, Optional[int]]     # gamma-class label -> node j of s (None: s = 1)
+    diagram: Optional[tuple[int, ...]] = None  # weighted Dynkin diagram of a non-regular u
 
     def parameter(self, s_label: str) -> EllipticParameter:
-        return EllipticParameter(self.datum, self.s_points[s_label],
-                                 self.h_for_s[s_label], name=f"{self.name}:{s_label}")
+        """s = e_j/m_j at node j of the extended Dynkin diagram, with u
+        principal in the pseudo-Levi Z(s), whose simple roots are the simple
+        roots but alpha_j, and -theta; at s = 1, u is regular or has the
+        weighted Dynkin diagram `diagram` as h."""
+        datum, j, name = self.datum, self.s_nodes[s_label], f"{self.name}:{s_label}"
+        n = datum.rank
+        simple = datum.roots[:n]
+        if j is None:
+            return EllipticParameter(datum, (Fraction(0),) * n,
+                                     self.diagram or solve_marks(datum, simple), name)
+        s = tuple(Fraction(int(i == j), datum.highest[j]) for i in range(n))
+        levi = simple[:j] + simple[j + 1:] + (tuple(-x for x in datum.highest),)
+        return EllipticParameter(datum, s, solve_marks(datum, levi), name)
 
 
 def conjecture_rhs(fix: UnipotentFixture, entry: tuple[str, str]) -> RationalFunction:
@@ -222,7 +199,7 @@ def conjecture_rhs(fix: UnipotentFixture, entry: tuple[str, str]) -> RationalFun
             raise RuntimeError("irrational transform entry in a fixture block")
         if c:
             total = total + f * c
-    return total * Fraction(1, fix.center_order)
+    return total * Fraction(1, fix.datum.center_order)
 
 
 def _springer_class_function(fix: UnipotentFixture, W: WeylGroupData,
@@ -266,7 +243,7 @@ def centralizer_order_in_gamma(fix: UnipotentFixture, s_label: str) -> int:
 def conj_equiv(fix: UnipotentFixture, s_label: str, phi_dim: int) -> RationalFunction:
     """(1-q)^l phi(1) / (|A(su)| |Z|) < H(B_u)^s, 1/det(1-q .) >^el."""
     a_su = centralizer_order_in_gamma(fix, s_label)
-    return q_part_prediction(fix, s_label) * Fraction(phi_dim, a_su * fix.center_order)
+    return q_part_prediction(fix, s_label) * Fraction(phi_dim, a_su * fix.datum.center_order)
 
 
 def q_part_prediction(fix: UnipotentFixture, s_label: str) -> RationalFunction:
@@ -286,8 +263,6 @@ def g2_a1_fixture() -> UnipotentFixture:
     """The subregular orbit of G2: component group S3, three packets."""
     f_triv = cyclotomic_quotient({1: 2, 2: -2, 6: -1}, 1)               # Springer-type (3)
     f_refl = cyclotomic_quotient({1: 2, 2: -2, 3: -1, 6: -1}, 2, -1)    # Springer-type (21)
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
     return UnipotentFixture(
         name="g2-a1",
         datum=G2_DATUM,
@@ -302,23 +277,14 @@ def g2_a1_fixture() -> UnipotentFixture:
             "1": {"q^2 - q + 1": 2, "q^2 + q + 1": 0, "q^2 + 2q + 1": -1},
             "r": {"q^2 - q + 1": -1, "q^2 + q + 1": 1, "q^2 + 2q + 1": -1},
         },
-        s_points={
-            "1": (Fraction(0), Fraction(0)),
-            "g2": (Fraction(0), half),
-            "g3": (third, Fraction(0)),
-        },
-        h_for_s={
-            "1": (Fraction(0), Fraction(2)),                      # weighted marks of the orbit
-            "g2": solve_marks(G2_DATUM, [(3, 2), (1, 0)]),         # principal in A1 x A1~
-            "g3": solve_marks(G2_DATUM, [(0, 1), (3, 1)]),         # principal in A2 (long)
-        },
-        center_order=1,
+        # s of order 2 at the long node (A1 x A1~), of order 3 at the short (A2)
+        s_nodes={"1": None, "g2": 1, "g3": 0},
+        diagram=(0, 2),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def g2_regular_fixture() -> UnipotentFixture:
-    from .weylgrp import exponents_of
     f_sgn = sgn_fake_degree(exponents_of(GroupSpec("G2", 2)))
     return UnipotentFixture(
         name="g2-reg",
@@ -329,9 +295,7 @@ def g2_regular_fixture() -> UnipotentFixture:
         fake_values={("1", "1"): f_sgn},
         springer_elliptic={
             "1": {"q^2 - q + 1": 1, "q^2 + q + 1": 1, "q^2 + 2q + 1": 1}},
-        s_points={"1": (Fraction(0), Fraction(0))},
-        h_for_s={"1": solve_marks(G2_DATUM, [(1, 0), (0, 1)])},
-        center_order=1,
+        s_nodes={"1": None},
     )
 
 
@@ -352,21 +316,13 @@ def sp4_22_fixture() -> UnipotentFixture:
             "1": {"q^2 + 1": 1, "q^2 + 2q + 1": -1},
             "eps": {"q^2 + 1": -1, "q^2 + 2q + 1": 1},
         },
-        s_points={
-            "1": (Fraction(0), Fraction(0)),
-            "tau": (Fraction(0), Fraction(1, 2)),
-        },
-        h_for_s={
-            "1": (Fraction(1), Fraction(1)),
-            "tau": solve_marks(SP4_DATUM, [(2, 0), (0, 2)]),
-        },
-        center_order=2,
+        s_nodes={"1": None, "tau": 0},  # tau: Z(s) = Sp(2) x Sp(2)
+        diagram=(0, 2),
     )
 
 
 @functools.lru_cache(maxsize=None)
 def sp4_regular_fixture() -> UnipotentFixture:
-    from .weylgrp import exponents_of
     f_sgn = sgn_fake_degree(exponents_of(GroupSpec("B", 2)))
     return UnipotentFixture(
         name="sp4-4",
@@ -376,9 +332,7 @@ def sp4_regular_fixture() -> UnipotentFixture:
         m_prime=[("1", "1")],
         fake_values={("1", "1"): f_sgn},
         springer_elliptic={"1": {"q^2 + 1": 1, "q^2 + 2q + 1": 1}},
-        s_points={"1": (Fraction(0), Fraction(0))},
-        h_for_s={"1": solve_marks(SP4_DATUM, [(1, -1), (0, 2)])},
-        center_order=2,
+        s_nodes={"1": None},
     )
 
 
@@ -392,9 +346,7 @@ def sl2_regular_fixture() -> UnipotentFixture:
         m_prime=[("1", "1")],
         fake_values={},
         springer_elliptic={"1": {"q + 1": 1}},
-        s_points={"1": (Fraction(0),)},
-        h_for_s={"1": (Fraction(1),)},
-        center_order=2,
+        s_nodes={"1": None},
     )
 
 

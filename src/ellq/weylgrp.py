@@ -1,7 +1,9 @@
 """Concrete finite Weyl groups, each enumerated as a `groups.permutation_group`:
 the classical types as signed permutations, that is permutations of the 2n
-points +-e_i, and G2 and F4 as permutations of their roots, whose integer
-matrices on the root lattice are built only for det(1 - q w) and for display.
+points +-e_i, and G2 and F4 as permutations of the roots of their Cartan
+matrices (`rootsystem`, which also gives the dual root data of `unipotent`),
+whose integer matrices on the root lattice are built only for det(1 - q w)
+and for display.
 
 Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
 reflection representation, elliptic flags, labeled exact character tables,
@@ -185,43 +187,88 @@ def _bip(lam, gamma, cycles) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exceptional groups as permutations of their roots (as in CHEVIE, Geck et al.
-# 1996): w is stored as bytes, w[i] the index of w(root i), so a product is one
-# bytes.translate and the matrix of w is read off its images of the simple roots
+# root systems from their Cartan matrices.  W(G2) and W(F4) act on their roots
+# (as in CHEVIE, Geck et al. 1996): w is stored as bytes, w[i] the index of
+# w(root i), so a product is one bytes.translate and the matrix of w is read
+# off its images of the simple roots.  The same roots are the dual root data
+# of `unipotent`.
 
 CARTAN_PAIRING = {
     # P[i][j] = <alpha_i, alpha_j^vee>; G2: alpha1 short, alpha2 long
     "G2": ((2, -1), (-3, 2)),
     # F4 (Bourbaki): alpha1, alpha2 long; alpha3, alpha4 short
     "F4": ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    # C2 = Sp(4): alpha1 = e1 - e2 short, alpha2 = 2 e2 long
+    "C2": ((2, -1), (-2, 2)),
+    "A1": ((2,),),
 }
 
-GRAM = {
-    "G2": ((2, -3), (-3, 6)),
-    "F4": ((4, -2, 0, 0), (-2, 4, -2, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
-}
+
+@dataclass(frozen=True)
+class RootSystem:
+    """A root system built by `rootsystem`: the roots in simple-root
+    coordinates with the simple roots first, the simple reflections as
+    permutations of the roots (for `groups.permutation_group`), the highest
+    root theta, whose coordinates are the marks m_j, and the order of the
+    center, det P.  As a dual root datum a coweight v is written in
+    fundamental-coweight coordinates v_j = <alpha_j, v>, so it pairs with a
+    root by dot product."""
+    rank: int
+    roots: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+    highest: tuple[int, ...]
+    center_order: int
+
+    @property
+    def positive_count(self) -> int:
+        return len(self.roots) // 2
+
+    def pair(self, root, v) -> Fraction:
+        return sum(Fraction(a) * Fraction(b) for a, b in zip(root, v))
+
+    def matrix(self, w: bytes):
+        """The matrix of w on root coordinates: column j is w(alpha_j)."""
+        return tuple(zip(*(self.roots[k] for k in w[:self.rank])))
+
+    def key(self, w: bytes) -> str:
+        return repr(self.matrix(w))
 
 
-def mat_mult(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
+def rootsystem(cartan, exponents) -> RootSystem:
+    """The roots of the Cartan matrix P[i][j] = <alpha_i, alpha_j^vee>, closed
+    under the simple reflections and checked against the exponents of the
+    intended type, which a mistyped entry changes: |roots| = 2 sum m_i, and
+    1 + the sum of the marks = max m_i + 1, the Coxeter number.  Raises
+    RuntimeError when either fails."""
+    n, count = len(cartan), 2 * sum(exponents)
+    roots = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    index = {r: i for i, r in enumerate(roots)}
+    for r in roots:  # the loop also visits the roots appended on the way
+        for j in range(n):
+            image = _reflect(cartan, j, r)
+            if image not in index:
+                if len(roots) == count:  # an infinite or a larger root system
+                    raise RuntimeError(f"more than {count} roots, twice the sum of "
+                                       f"the exponents {tuple(exponents)}")
+                index[image] = len(roots)
+                roots.append(image)
+    if len(roots) != count:
+        raise RuntimeError(f"{len(roots)} roots, not twice the sum of the "
+                           f"exponents {tuple(exponents)}")
+    highest = max(roots, key=sum)
+    if 1 + sum(highest) != max(exponents) + 1:
+        raise RuntimeError(f"highest root {highest} gives Coxeter number "
+                           f"{1 + sum(highest)}, not {max(exponents) + 1}")
+    return RootSystem(
+        n, tuple(roots),
+        tuple(tuple(index[_reflect(cartan, j, r)] for r in roots) for j in range(n)),
+        highest, int(_poly_det([[QPolynomial.of(x) for x in row] for row in cartan]).coeff(0)))
 
 
-def simple_reflection_matrix(family: str, j: int):
-    """Matrix of s_j on root coordinates: alpha_i -> alpha_i - P[i][j] alpha_j."""
-    p = CARTAN_PAIRING[family]
-    n = len(p)
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            v = 1 if r == c else 0
-            if r == j:
-                v -= p[c][j]
-            row.append(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _reflect(cartan, j, r):
+    """s_j(r) = r - <r, alpha_j^vee> alpha_j in simple-root coordinates."""
+    c = sum(x * row[j] for x, row in zip(r, cartan))
+    return r[:j] + (r[j] - c,) + r[j + 1:]
 
 
 def char_poly_matrix(m) -> QPolynomial:
@@ -244,39 +291,6 @@ def _poly_det(rows) -> QPolynomial:
         term = rows[0][j] * _poly_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
-
-
-class RootPermutations:
-    """W(G2) or W(F4) acting on its roots, in simple-root coordinates with the
-    simple roots first: the generators as permutations of the roots (elements
-    are `groups.permutation_group` bytes), and the matrix of an element."""
-
-    def __init__(self, family: str, reflections):
-        n = len(reflections)
-        roots = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        index = {r: i for i, r in enumerate(roots)}
-        for r in roots:  # the loop also visits the roots appended on the way
-            for m in reflections:
-                image = _mat_vec(m, r)
-                if image not in index:
-                    index[image] = len(roots)
-                    roots.append(image)
-        if len(roots) != 2 * sum(EXPONENTS[family]):
-            raise RuntimeError(f"{family} has {len(roots)} roots, not twice the "
-                               "sum of its exponents")
-        self.rank, self.roots = n, roots
-        self.generators = [[index[_mat_vec(m, r)] for r in roots] for m in reflections]
-
-    def matrix(self, w: bytes):
-        """The matrix of w on root coordinates: column j is w(alpha_j)."""
-        return tuple(zip(*(self.roots[k] for k in w[:self.rank])))
-
-    def key(self, w: bytes) -> str:
-        return repr(self.matrix(w))
-
-
-def _mat_vec(m, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +617,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
         raise GroupTooLargeError(f"group exceeds enumeration bound {DEFAULT_BOUND}")
     fam, n = spec.family, spec.rank
     if fam in ("G2", "F4"):
-        reflections = [simple_reflection_matrix(fam, j) for j in range(n)]
-        gram = GRAM[fam]
-        for m in reflections:
-            if _transpose_b_m(m, gram) != gram:
-                raise RuntimeError("generator does not preserve the invariant form")
-        phi = RootPermutations(fam, reflections)
+        phi = rootsystem(CARTAN_PAIRING[fam], EXPONENTS[fam])
         return WeylGroupData(spec, functools.partial(
             permutation_group, phi.generators, len(phi.roots),
             track_lengths=True, key=phi.key),
@@ -629,12 +638,6 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
     return WeylGroupData(spec, functools.partial(
         permutation_group, [signed_perm(g) for g in gens], 2 * npts, track_lengths=True,
         key=lambda w: repr(signed_tuple(w))), lambda w: char_poly_signed(w, fam))
-
-
-def _transpose_b_m(m, b):
-    n = len(m)
-    mt = tuple(tuple(m[j][i] for j in range(n)) for i in range(n))
-    return mat_mult(mt, mat_mult(b, m))
 
 
 # ---------------------------------------------------------------------------

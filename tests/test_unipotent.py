@@ -3,12 +3,15 @@ from types import SimpleNamespace
 
 import pytest
 
+from ellq.elliptic import sgn_fake_degree
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
 from ellq.fourier import SUPPORTED_GAMMAS, _x_labels, small_group
+from ellq.groups import permutation_group
 from ellq.unipotent import (FIXTURES, G2_DATUM, SL2_DATUM, SP4_DATUM,
                             EllipticParameter, centralizer_order_in_gamma,
                             conj_equiv, conjecture_rhs, m_x, mx_for,
                             q_part_prediction, solve_marks)
+from ellq.weylgrp import CARTAN_PAIRING, EXPONENTS, rootsystem
 
 
 def phi(n):
@@ -35,7 +38,7 @@ def test_root_data_sanity():
 def test_marks_integrality_and_antisymmetry():
     for name, fixture in FIXTURES.items():
         fix = fixture()
-        for s_label in fix.s_points:
+        for s_label in fix.s_nodes:
             p = fix.parameter(s_label)
             data = p.root_data()
             # alpha(h) integral, and -alpha has the negated weight
@@ -50,7 +53,7 @@ def test_distinguished_equidimensionality():
     # dim g(0) = dim g(2) inside the centralizer subsystem for every fixture
     for name, fixture in FIXTURES.items():
         fix = fixture()
-        for s_label in fix.s_points:
+        for s_label in fix.s_nodes:
             p = fix.parameter(s_label)
             if name == "sp4-22" and s_label == "1":
                 assert not p.is_elliptic()  # (2,2) alone is not distinguished
@@ -102,26 +105,76 @@ def test_mx_lands_in_q():
     assert r.value.num.coeffs and r.value.den.coeffs
 
 
-@pytest.mark.parametrize("h", [Fraction(0), Fraction(1, 2)])
-def test_mx_rejects_a_value_outside_q(h):
-    # s = 1/10 on SL2: zeta_5 survives in the scalar or splits its Galois orbit
+# s and h in fundamental-coweight coordinates; the root data are those of the
+# euclidean s = 1/10, h = 0 and h = 1/2 of SL2
+@pytest.mark.parametrize("h,data", [
+    (Fraction(0), [(Fraction(1, 5), 0), (Fraction(4, 5), 0)]),
+    (Fraction(1), [(Fraction(1, 5), 1), (Fraction(4, 5), -1)]),
+], ids=["h0", "h1"])
+def test_mx_rejects_a_value_outside_q(h, data):
+    # alpha(s) = 1/5 on SL2: zeta_5 survives in the scalar or splits its Galois orbit
+    p = EllipticParameter(SL2_DATUM, (Fraction(1, 5),), (h,))
+    assert sorted(p.root_data()) == data
     with pytest.raises(ValueError):
-        m_x(EllipticParameter(SL2_DATUM, (Fraction(1, 10),), (h,)))
+        m_x(p)
 
 
 def test_mx_rejects_a_split_galois_orbit():
     # both scalars are rational here, but the surviving cube roots of unity
-    # are not a whole Galois orbit
+    # are not a whole Galois orbit; euclidean s = (0, 1/6), h = (2, 2) on Sp4
+    p = EllipticParameter(SP4_DATUM, (Fraction(-1, 6), Fraction(1, 3)),
+                          (Fraction(0), Fraction(4)))
+    assert sorted(p.root_data()) == [
+        (Fraction(0), -4), (Fraction(0), 4), (Fraction(1, 6), 0), (Fraction(1, 6), 4),
+        (Fraction(1, 3), 4), (Fraction(2, 3), -4), (Fraction(5, 6), -4), (Fraction(5, 6), 0)]
     with pytest.raises(ValueError, match="not whole Galois orbits"):
-        m_x(EllipticParameter(SP4_DATUM, (Fraction(0), Fraction(1, 6)),
-                              (Fraction(2), Fraction(2))))
+        m_x(p)
 
 
 def test_mx_off_the_fixtures():
-    # s = 1/6, h = 0: q (zeta_3 - 1)(zeta_3^-1 - 1) / ((q zeta_3 - 1)(q zeta_3^-1 - 1))
-    r = m_x(EllipticParameter(SL2_DATUM, (Fraction(1, 6),), (Fraction(0),)))
+    # alpha(s) = 1/3, h = 0: q (zeta_3 - 1)(zeta_3^-1 - 1) / ((q zeta_3 - 1)(q zeta_3^-1 - 1))
+    p = EllipticParameter(SL2_DATUM, (Fraction(1, 3),), (Fraction(0),))
+    assert sorted(p.root_data()) == [(Fraction(1, 3), 0), (Fraction(2, 3), 0)]
+    r = m_x(p)
     assert r.value == 3 * q / phi(3)
     assert r.raw_sign == 1
+
+
+# the coweight of each fixture's s, typed in: order 2 at the long node of G2
+# and at the short node of C2, order 3 at the short node of G2
+FIXTURE_S = {("g2-a1", "g2"): (0, Fraction(1, 2)), ("g2-a1", "g3"): (Fraction(1, 3), 0),
+             ("sp4-22", "tau"): (Fraction(1, 2), 0)}
+
+
+def test_fixture_points_are_node_points():
+    for name, fixture in FIXTURES.items():
+        fix = fixture()
+        theta = fix.datum.highest
+        for s_label, j in fix.s_nodes.items():
+            p = fix.parameter(s_label)
+            if j is None:
+                assert p.s == (0,) * fix.datum.rank
+            else:
+                assert p.s == FIXTURE_S[name, s_label]
+                assert p.s[j] * theta[j] == 1
+                # Z(s) is the pseudo-Levi of node j: its roots are those whose
+                # alpha_j-coordinate is a multiple of the mark m_j
+                assert p.centralizer_roots() == [r for r in fix.datum.roots
+                                                 if r[j] % theta[j] == 0]
+
+
+@pytest.mark.parametrize("family,order,classes", [("G2", 12, 6), ("F4", 1152, 25)])
+def test_one_root_system_serves_both_sides(family, order, classes):
+    phi = rootsystem(CARTAN_PAIRING[family], EXPONENTS[family])
+    # the Weyl group side: W enumerated on the roots
+    W = permutation_group(phi.generators, len(phi.roots))
+    assert (W.order, len(W.conjugacy_classes())) == (order, classes)
+    # the dual side: m_x of the regular parameter, s = 1, h = 2 rho^vee
+    h = solve_marks(phi, phi.roots[:phi.rank])
+    assert h == (2,) * phi.rank
+    r = m_x(EllipticParameter(phi, (Fraction(0),) * phi.rank, h))
+    assert r.elliptic
+    assert r.value == sgn_fake_degree(EXPONENTS[family])
 
 
 def test_conjecture_g2_identity_packet():

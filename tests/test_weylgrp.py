@@ -23,8 +23,7 @@ from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
                           fake_degree_values, group_order_from_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial,
-                          restrict_class_function, signed_cycle_type,
-                          simple_reflection_matrix)
+                          restrict_class_function, rootsystem, signed_cycle_type)
 
 
 def test_orders():
@@ -94,6 +93,14 @@ def _mat_identity(n):
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
+def _reflection_matrix(cartan, j):
+    """s_j on root coordinates, alpha_i -> alpha_i - P[i][j] alpha_j: the
+    identity with row j replaced."""
+    n = len(cartan)
+    return tuple(tuple(int(r == c) - (cartan[c][j] if r == j else 0) for c in range(n))
+                 for r in range(n))
+
+
 def _mat_inverse(m):
     # the power just before the order of a finite-order matrix closes up
     ident = _mat_identity(len(m))
@@ -108,7 +115,8 @@ def _mat_inverse(m):
 def test_root_permutations_match_matrix_enumeration(spec, n_roots):
     # the second route: the group enumerated as integer matrices on the root
     # lattice, classes ordered by the repr of those matrices
-    gens = [simple_reflection_matrix(spec.family, j) for j in range(spec.rank)]
+    gens = [_reflection_matrix(weylgrp.CARTAN_PAIRING[spec.family], j)
+            for j in range(spec.rank)]
     model = WeylGroupData(spec, functools.partial(
         FiniteGroup.generate, gens, _mat_mult, _mat_inverse, _mat_identity(spec.rank),
         track_lengths=True), char_poly_matrix, lambda m: m)
@@ -126,17 +134,51 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
     assert W.irrep_labels() == model.irrep_labels()
 
 
-def test_f4_needs_no_matrix_product(monkeypatch):
+def test_f4_needs_no_matrix_product():
     W = build_group.__wrapped__(GroupSpec("F4", 4))
-
-    def refuse(a, b):
-        raise AssertionError("matrix product")
-    monkeypatch.setattr(weylgrp, "mat_mult", refuse)
+    # the roots are closed by reflecting coordinates, and the group is built
+    # from root permutations, so the module has no matrix product to call
+    assert not any(hasattr(weylgrp, f) for f in ("mat_mult", "_mat_vec", "_transpose_b_m"))
     assert W.group.order == 1152
     assert len(W.classes()) == 25
     assert len(W.character_table().values) == 25
     assert len(W.irrep_labels()) == 25
     assert W.length_polynomial() == W.poincare
+
+
+@pytest.mark.parametrize("name,exponents,roots,highest,center", [
+    ("G2", (1, 5), 12, (3, 2), 1),
+    ("F4", (1, 5, 7, 11), 48, (2, 3, 4, 2), 1),
+    ("C2", (1, 3), 8, (2, 1), 2),
+    ("A1", (1,), 2, (1,), 2),
+])
+def test_rootsystem(name, exponents, roots, highest, center):
+    phi = rootsystem(weylgrp.CARTAN_PAIRING[name], exponents)
+    n = phi.rank
+    assert phi.roots[:n] == tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    assert (len(phi.roots), phi.positive_count) == (roots, roots // 2)
+    assert (phi.highest, phi.center_order) == (highest, center)
+    assert {tuple(-x for x in r) for r in phi.roots} == set(phi.roots)
+    for j, g in enumerate(phi.generators):
+        # s_j swaps alpha_j and -alpha_j and is an involution
+        assert phi.roots[g[j]] == tuple(-int(i == j) for i in range(n))
+        assert [g[k] for k in g] == list(range(len(phi.roots)))
+
+
+def test_rootsystem_rejects_a_mistyped_cartan_matrix():
+    f4 = [list(row) for row in weylgrp.CARTAN_PAIRING["F4"]]
+    f4[1][2] = -1  # -2 -> -1 turns F4 into A4, whose 20 roots are its own l * h
+    with pytest.raises(RuntimeError, match="20 roots"):
+        rootsystem(tuple(map(tuple, f4)), weylgrp.EXPONENTS["F4"])
+    # 0 for -1 in G2 leaves a matrix of no finite type: the closure stops
+    g2 = ((2, 0), (-3, 2))
+    with pytest.raises(RuntimeError, match="more than 12 roots"):
+        rootsystem(g2, weylgrp.EXPONENTS["G2"])
+    # B3 x A1 typed for A4 has A4's 20 roots, but its highest root
+    # (1, 2, 2, 0) gives Coxeter number 6, not 5
+    b3a1 = ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, 0), (0, 0, 0, 2))
+    with pytest.raises(RuntimeError, match="Coxeter number 6, not 5"):
+        rootsystem(b3a1, (1, 2, 3, 4))
 
 
 def test_closed_form_classes_rank_8():
