@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
-from .elliptic import elliptic_fake_degree
+from .elliptic import VirtualCharacter, elliptic_fake_degree
 from .fourier import ef_matrix, fourier_matrix, generic_degree
 from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poincare_phi)
 
@@ -391,13 +391,10 @@ def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalF
     if not fix.s_is_identity:
         return RationalFunction(QPolynomial.zero())
     W = build_group(base)
-    table = W.character_table()
-    labels = W.irrep_labels()
-    values = [0] * len(W.classes())
+    coords = [0] * len(W.classes())
     for lab, c in fix.restriction.items():
-        row = table.values[labels.index(lab)]
-        values = [v + c * r for v, r in zip(values, row)]
-    return elliptic_fake_degree(W, values)
+        coords[W.irrep_index(lab)] = c
+    return elliptic_fake_degree(W, VirtualCharacter.from_coords(W, coords).values)
 
 
 def g2_ef_affine_published_order(weighted: bool = False) -> list[list[Fraction]]:

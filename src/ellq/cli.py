@@ -50,8 +50,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("mx", parents=[common], help="formal-degree q-part from the product formula")
     p.add_argument("--fixture", required=True,
-                   help="g2-a1-s1 | g2-a1-g2 | g2-a1-g3 | g2-reg | sp4-22-tau "
-                        "| sp4-4 | a1-reg")
+                   help=" | ".join(_MX_IDS))
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", help="cyc, fourier, g2-formal, sp4, g2-affine, "

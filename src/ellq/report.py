@@ -314,20 +314,17 @@ def _suite_independence():
 
 
 def _suite_appendix():
-    from .elliptic import elliptic_fake_degree, sgn_fake_degree
+    from .elliptic import VirtualCharacter, elliptic_fake_degree, sgn_fake_degree
     from .fixtures import fake_degree_from_table, numerator_table
     from .weylgrp import GroupSpec, build_group, exceptional_exponents
     out = []
     W = build_group(GroupSpec("G2", 2))
-    table = W.character_table()
-    labels = W.irrep_labels()
 
     def combo(coeffs):
-        vals = [0] * len(W.classes())
+        coords = [0] * len(W.classes())
         for lab, c in coeffs.items():
-            row = table.values[labels.index(lab)]
-            vals = [v + c * r for v, r in zip(vals, row)]
-        return vals
+            coords[W.irrep_index(lab)] = c
+        return VirtualCharacter.from_coords(W, coords).values
 
     rows = [
         ("G2", "1", {"phi(1,6)": 1}),

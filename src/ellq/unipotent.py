@@ -23,12 +23,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cyclo import CycNum
-from .elliptic import sgn_fake_degree, sq_pairing
-from .exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
-                     cyclotomic_quotient, rref)
-from .fourier import fourier_matrix, small_group
-from .weylgrp import (CARTAN_PAIRING, EXPONENTS, GroupSpec, RootSystem, WeylGroupData,
-                      build_group, exponents_of, rootsystem)
+from .elliptic import sgn_fake_degree
+from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
+from .fourier import _char_labels, _x_labels, fourier_matrix, small_group
+from .weylgrp import CARTAN_PAIRING, EXPONENTS, GroupSpec, RootSystem, exponents_of, rootsystem
 
 
 # the dual root data, in simple-root coordinates; s and h are coweights in
@@ -161,11 +159,8 @@ class UnipotentFixture:
     component group, parameter packets, and fake-degree data."""
     name: str
     datum: RootSystem
-    base_weyl: GroupSpec                  # finite Weyl group of the p-adic side
     gamma: str                            # component group of u
-    m_prime: list[tuple[str, str]]        # image of the family inside M(gamma)
-    fake_values: dict[tuple[str, str], RationalFunction]  # identity-part entries
-    springer_elliptic: dict[str, dict[str, int]]  # phi -> {charpoly str: value}
+    fake_values: dict[tuple[str, str], RationalFunction]  # Springer-type entries (1, phi)
     s_nodes: dict[str, Optional[int]]     # gamma-class label -> node j of s (None: s = 1)
     diagram: Optional[tuple[int, ...]] = None  # weighted Dynkin diagram of a non-regular u
 
@@ -186,15 +181,12 @@ class UnipotentFixture:
 
 
 def conjecture_rhs(fix: UnipotentFixture, entry: tuple[str, str]) -> RationalFunction:
-    """(1/|Z|) sum over (y',rho') in M' of {(y,rho),(y',rho')} F(y',rho'),
-    with F supported on the identity-component Springer-type entries."""
+    """(1/|Z|) sum over (y',rho') of {(y,rho),(y',rho')} F(y',rho'), with F
+    supported on the Springer-type entries of `fake_values`."""
     block = fourier_matrix(fix.gamma)
     total = RationalFunction(QPolynomial.zero())
-    for other in fix.m_prime:
-        f = fix.fake_values.get(tuple(other))
-        if f is None:
-            continue
-        c = block.entry(tuple(entry), tuple(other))
+    for other, f in fix.fake_values.items():
+        c = block.entry(tuple(entry), other)
         if not isinstance(c, Fraction):
             raise RuntimeError("irrational transform entry in a fixture block")
         if c:
@@ -202,41 +194,19 @@ def conjecture_rhs(fix: UnipotentFixture, entry: tuple[str, str]) -> RationalFun
     return total * Fraction(1, fix.datum.center_order)
 
 
-def _springer_class_function(fix: UnipotentFixture, W: WeylGroupData,
-                             coeffs: dict[str, Fraction]) -> list[Fraction]:
-    """Class function sum_phi coeffs[phi] * H^phi on W, supported on elliptic
-    classes, matched to W's class order through characteristic polynomials."""
-    values = [Fraction(0)] * len(W.classes())
-    for i in W.elliptic_classes():
-        key = str(W.classes()[i].char_poly)
-        v = Fraction(0)
-        for phi, c in coeffs.items():
-            v += Fraction(c) * fix.springer_elliptic[phi][key]
-        values[i] = v
-    return values
-
-
 def _phi_values_at(fix: UnipotentFixture, s_label: str) -> dict[str, Fraction]:
-    """phi'(s) for the Springer-type characters phi' of the component group."""
+    """phi(s) for the Springer-type entries (1, phi) of the fixture."""
     gamma = small_group(fix.gamma)
     table = gamma.character_table()
-    classes = gamma.conjugacy_classes()
-    from .fourier import _x_labels, _char_labels
-    xl = _x_labels(gamma)
-    cl = _char_labels(table)
-    j = xl.index(s_label)
-    out = {}
-    for phi in fix.springer_elliptic:
-        i = cl.index(phi)
-        v = table.values[i][j]
-        out[phi] = Fraction(v)
-    return out
+    j = _x_labels(gamma).index(s_label)
+    labels = _char_labels(table)
+    return {phi: Fraction(table.values[labels.index(phi)][j])
+            for x, phi in fix.fake_values if x == "1"}
 
 
 def centralizer_order_in_gamma(fix: UnipotentFixture, s_label: str) -> int:
     """|Z_Gamma(s)| = |Gamma| / |class of s|, by orbit-stabilizer."""
     gamma = small_group(fix.gamma)
-    from .fourier import _x_labels
     return gamma.order // gamma.conjugacy_classes()[_x_labels(gamma).index(s_label)].size
 
 
@@ -247,11 +217,14 @@ def conj_equiv(fix: UnipotentFixture, s_label: str, phi_dim: int) -> RationalFun
 
 
 def q_part_prediction(fix: UnipotentFixture, s_label: str) -> RationalFunction:
-    """(1-q)^l < H(B_u)^s, 1/det(1-q .) >^el, the predicted q-part."""
-    W = build_group(fix.base_weyl)
+    """(1-q)^l < H(B_u)^s, 1/det(1-q .) >^el, the predicted q-part.  With
+    H(B_u)^s = sum_phi phi(s) H(B_u)^phi and F(1, phi) the elliptic fake
+    degree of H(B_u)^phi, this is (-1)^l sum_phi phi(s) F(1, phi)."""
     phis = _phi_values_at(fix, s_label)
-    values = _springer_class_function(fix, W, phis)
-    return RationalFunction((RF_ONE - RF_Q).num ** W.rank) * sq_pairing(W, values)
+    if not phis:
+        raise ValueError(f"fixture {fix.name} has no Springer-type entry (1, phi)")
+    total = sum(fix.fake_values[("1", phi)] * v for phi, v in phis.items())
+    return total * (-1) ** fix.datum.rank
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +239,8 @@ def g2_a1_fixture() -> UnipotentFixture:
     return UnipotentFixture(
         name="g2-a1",
         datum=G2_DATUM,
-        base_weyl=GroupSpec("G2", 2),
         gamma="S3",
-        m_prime=[("1", "1"), ("g2", "1"), ("g3", "1"), ("1", "r")],
         fake_values={("1", "1"): f_triv, ("1", "r"): f_refl},
-        springer_elliptic={
-            # H(B_u)^phi on the elliptic classes, keyed by det(1 - q w);
-            # solved from the fake-degree table (the elliptic map is injective
-            # for W(G2)): (3) -> phi(1,0)+phi(2,1), (21) -> 1-dim of b = 3
-            "1": {"q^2 - q + 1": 2, "q^2 + q + 1": 0, "q^2 + 2q + 1": -1},
-            "r": {"q^2 - q + 1": -1, "q^2 + q + 1": 1, "q^2 + 2q + 1": -1},
-        },
         # s of order 2 at the long node (A1 x A1~), of order 3 at the short (A2)
         s_nodes={"1": None, "g2": 1, "g3": 0},
         diagram=(0, 2),
@@ -289,12 +253,8 @@ def g2_regular_fixture() -> UnipotentFixture:
     return UnipotentFixture(
         name="g2-reg",
         datum=G2_DATUM,
-        base_weyl=GroupSpec("G2", 2),
         gamma="trivial",
-        m_prime=[("1", "1")],
         fake_values={("1", "1"): f_sgn},
-        springer_elliptic={
-            "1": {"q^2 - q + 1": 1, "q^2 + q + 1": 1, "q^2 + 2q + 1": 1}},
         s_nodes={"1": None},
     )
 
@@ -306,16 +266,8 @@ def sp4_22_fixture() -> UnipotentFixture:
     return UnipotentFixture(
         name="sp4-22",
         datum=SP4_DATUM,
-        base_weyl=GroupSpec("B", 2),
         gamma="Z2",
-        m_prime=[("1", "1"), ("1", "eps"), ("tau", "1")],
         fake_values={("1", "1"): x, ("1", "eps"): -x},
-        springer_elliptic={
-            # elliptic restrictions are +-[(1,1) x []]; the signs are fixed by
-            # matching the two printed fake degrees
-            "1": {"q^2 + 1": 1, "q^2 + 2q + 1": -1},
-            "eps": {"q^2 + 1": -1, "q^2 + 2q + 1": 1},
-        },
         s_nodes={"1": None, "tau": 0},  # tau: Z(s) = Sp(2) x Sp(2)
         diagram=(0, 2),
     )
@@ -327,11 +279,8 @@ def sp4_regular_fixture() -> UnipotentFixture:
     return UnipotentFixture(
         name="sp4-4",
         datum=SP4_DATUM,
-        base_weyl=GroupSpec("B", 2),
         gamma="Z2",
-        m_prime=[("1", "1")],
         fake_values={("1", "1"): f_sgn},
-        springer_elliptic={"1": {"q^2 + 1": 1, "q^2 + 2q + 1": 1}},
         s_nodes={"1": None},
     )
 
@@ -341,11 +290,8 @@ def sl2_regular_fixture() -> UnipotentFixture:
     return UnipotentFixture(
         name="a1-reg",
         datum=SL2_DATUM,
-        base_weyl=GroupSpec("A", 1),
         gamma="trivial",
-        m_prime=[("1", "1")],
         fake_values={},
-        springer_elliptic={"1": {"q + 1": 1}},
         s_nodes={"1": None},
     )
 

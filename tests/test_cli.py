@@ -407,6 +407,16 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_mx_help_lists_every_fixture_id(capsys, monkeypatch):
+    from ellq.cli import _MX_IDS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["mx", "--help"])
+    assert exc.value.code == 0
+    words = capsys.readouterr().out.split()
+    assert [i for i in _MX_IDS if i not in words] == []
+
+
 def test_fixtures_dir_override(capsys, tmp_path):
     # a fixtures directory takes precedence over the packaged tables: corrupt
     # one denominator and the cyc suite must fail with exit code 1

@@ -1,17 +1,19 @@
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from ellq.elliptic import sgn_fake_degree
+from ellq.elliptic import elliptic_fake_degree, sgn_fake_degree, sq_pairing
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
-from ellq.fourier import SUPPORTED_GAMMAS, _x_labels, small_group
+from ellq.fourier import SUPPORTED_GAMMAS, _char_labels, _x_labels, small_group
 from ellq.groups import permutation_group
 from ellq.unipotent import (FIXTURES, G2_DATUM, SL2_DATUM, SP4_DATUM,
                             EllipticParameter, centralizer_order_in_gamma,
                             conj_equiv, conjecture_rhs, m_x, mx_for,
                             q_part_prediction, solve_marks)
-from ellq.weylgrp import CARTAN_PAIRING, EXPONENTS, rootsystem
+from ellq.weylgrp import (CARTAN_PAIRING, EXPONENTS, GroupSpec, build_group, exponents_of,
+                          rootsystem)
 
 
 def phi(n):
@@ -232,6 +234,76 @@ def test_q_part_predictions():
     assert abs(q_part_prediction(sp, "tau")) == mx_for("sp4-22", "tau").value
     reg = FIXTURES["sp4-4"]()
     assert abs(q_part_prediction(reg, "1")) == mx_for("sp4-4", "1").value
+
+
+# The Springer modules H(B_u)^phi on the elliptic classes of the finite Weyl
+# group, keyed by det(1 - q w): the values q_part_prediction once paired with
+# 1/det(1 - q w) class by class.  G2: (3) -> phi(1,0) + phi(2,1), (21) -> the
+# one-dimensional character with b = 3; Sp4 (2,2): +-[(1,1) x []], the signs
+# matched to the printed fake degrees; the regular orbits give the sign.
+SPRINGER_ELLIPTIC = {
+    "g2-a1": (GroupSpec("G2", 2), {
+        "1": {"q^2 - q + 1": 2, "q^2 + q + 1": 0, "q^2 + 2q + 1": -1},
+        "r": {"q^2 - q + 1": -1, "q^2 + q + 1": 1, "q^2 + 2q + 1": -1}}),
+    "g2-reg": (GroupSpec("G2", 2), {
+        "1": {"q^2 - q + 1": 1, "q^2 + q + 1": 1, "q^2 + 2q + 1": 1}}),
+    "sp4-22": (GroupSpec("B", 2), {
+        "1": {"q^2 + 1": 1, "q^2 + 2q + 1": -1},
+        "eps": {"q^2 + 1": -1, "q^2 + 2q + 1": 1}}),
+    "sp4-4": (GroupSpec("B", 2), {"1": {"q^2 + 1": 1, "q^2 + 2q + 1": 1}}),
+}
+
+
+def _springer_values(W, by_charpoly):
+    """A class function of W from its values on the elliptic classes, zero
+    elsewhere; W(G2) and W(B2) have no two elliptic classes with one det(1 - q w)."""
+    return [by_charpoly[str(c.char_poly)] if c.elliptic else 0 for c in W.classes()]
+
+
+@pytest.mark.parametrize("name", sorted(SPRINGER_ELLIPTIC))
+def test_fake_values_are_elliptic_fake_degrees_of_springer_modules(name):
+    spec, springer = SPRINGER_ELLIPTIC[name]
+    W, fix = build_group(spec), FIXTURES[name]()
+    assert {x for x, _ in fix.fake_values} == {"1"}
+    assert {phi for _, phi in fix.fake_values} == set(springer)
+    assert sum(c.elliptic for c in W.classes()) == len(next(iter(springer.values())))
+    for phi, by_charpoly in springer.items():
+        assert elliptic_fake_degree(W, _springer_values(W, by_charpoly)) \
+            == fix.fake_values[("1", phi)]
+
+
+@pytest.mark.parametrize("name", sorted(SPRINGER_ELLIPTIC))
+def test_q_part_prediction_matches_springer_pairing(name):
+    # (1 - q)^l sq_pairing(W, sum_phi phi(s) H(B_u)^phi), class by class
+    spec, springer = SPRINGER_ELLIPTIC[name]
+    W, fix = build_group(spec), FIXTURES[name]()
+    gamma = small_group(fix.gamma)
+    table = gamma.character_table()
+    rows = {lab: table.values[i] for i, lab in enumerate(_char_labels(table))}
+    for j, s in enumerate(_x_labels(gamma)):
+        values = [0] * len(W.classes())
+        for phi, by_charpoly in springer.items():
+            values = [a + rows[phi][j] * b
+                      for a, b in zip(values, _springer_values(W, by_charpoly))]
+        assert q_part_prediction(fix, s) == (1 - q) ** W.rank * sq_pairing(W, values)
+
+
+def test_q_part_prediction_sign_in_odd_rank():
+    # l = 1: with the sign character of W(A1), -1 on the reflection, as the
+    # Springer-type entry, both routes give (q - 1)/(q + 1)
+    W = build_group(GroupSpec("A", 1))
+    values = [-1 if c.elliptic else 0 for c in W.classes()]
+    sgn = sgn_fake_degree(exponents_of(GroupSpec("A", 1)))
+    assert elliptic_fake_degree(W, values) == sgn
+    fix = replace(FIXTURES["a1-reg"](), fake_values={("1", "1"): sgn})
+    assert q_part_prediction(fix, "1") == (1 - q) * sq_pairing(W, values) == (q - 1) / (q + 1)
+
+
+def test_q_part_prediction_needs_a_springer_type_entry():
+    fix = FIXTURES["a1-reg"]()
+    assert fix.fake_values == {}
+    with pytest.raises(ValueError, match="a1-reg"):
+        q_part_prediction(fix, "1")
 
 
 def test_packet_distinction():
