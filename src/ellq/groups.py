@@ -5,9 +5,10 @@ Dixon's algorithm serves the groups with no closed-form table: G2, F4 and
 the centralizers in the Fourier groups Gamma (the tables of types A, B and D
 are closed form, in `weylgrp`).  It splits common eigenspaces of the
 class-sum matrices over a prime field F_p (p = 1 mod exponent,
-p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace are the roots of a
-Faddeev-LeVerrier characteristic polynomial, found by evaluating it at
-every point of F_p: p is a few thousand at most (13 for G2, 73 for F4).
+p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace are the roots of its
+characteristic polynomial, computed through Hessenberg form in O(n^3) for
+any p, and found by evaluating it at every point of F_p: p is a few
+thousand at most (13 for G2, 73 for F4).
 Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
 zeta_d^s, d the order of g).  Galois-stable ones, m_s = m_{ks} for every
 unit k mod d, give a rational value: the centred lift of chi(g) mod p, a
@@ -235,35 +236,43 @@ class CharacterTable:
 # modular linear algebra
 
 
-def _mat_mul(a, b, p):
-    bt = list(zip(*b))
-    return [[sum(map(mul, ra, cb)) % p for cb in bt] for ra in a]
-
-
 def _mat_vec(a, v, p):
     return [sum(map(mul, ra, v)) % p for ra in a]
 
 
 def _charpoly_mod(a, p):
-    """Characteristic polynomial (monic, low-to-high coefficients) mod p
-    by the Faddeev-LeVerrier recursion; requires p > n."""
+    """Characteristic polynomial (monic, low-to-high coefficients) mod any
+    prime p, in O(n^3): a similarity to upper Hessenberg form H over F_p,
+    then chi_m = (x - h_mm) chi_{m-1} - sum_{i<m} h_im h_{i+1,i}..h_{m,m-1}
+    chi_{i-1} (Cohen 1993, Alg. 2.2.9)."""
     n = len(a)
-    if n == 0:
-        return [1]
-    if p <= n:
-        raise ValueError(f"Faddeev-LeVerrier needs p > n, not p = {p}, n = {n}")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [row[:] for row in a]
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n)) % p
-        c = (-tr * pow(k, -1, p)) % p
-        coeffs[n - k] = c
-        if k < n:
-            for i in range(n):
-                mk[i][i] = (mk[i][i] + c) % p
-            mk = _mat_mul(a, mk, p)
-    return coeffs
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue  # column m - 1 is reduced already
+        h[i], h[m] = h[m], h[i]
+        for r in h:
+            r[i], r[m] = r[m], r[i]
+        t = pow(h[m][m - 1], -1, p)
+        us = [(i, u) for i in range(m + 1, n) if (u := h[i][m - 1] * t % p)]
+        for i, u in us:  # row_i -= u row_m, then column_m += u column_i
+            h[i] = [(x - u * y) % p for x, y in zip(h[i], h[m])]
+        for r in h:
+            r[m] = (r[m] + sum(u * r[i] for i, u in us)) % p
+    chis = [[1]]
+    for m in range(n):
+        f = [x - h[m][m] * y for x, y in zip([0] + chis[m], chis[m] + [0])]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break  # a zero subdiagonal entry is a factor of every later t
+            c = t * h[i][m]
+            for k, y in enumerate(chis[i]):
+                f[k] -= c * y
+        chis.append([x % p for x in f])
+    return chis[n]
 
 
 def _roots_mod(f, p):
@@ -326,18 +335,16 @@ def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
     return p
 
 
-def _class_matrix(group: FiniteGroup, classes, class_of, i, p):
-    """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j}, reduced mod p."""
+def _class_matrix(group: FiniteGroup, classes, class_of, istar, p):
+    """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j}, reduced mod p, read off
+    the inverse class C_{i*} = C_i^{-1} (istar = i*), with no inversion."""
     k_count = len(classes)
     a = [[0] * k_count for _ in range(k_count)]
     reps = [c.rep for c in classes]
-    inv = group.inv
     mult = group.mult
-    for x in classes[i].elements:
-        xi = inv(x)
+    for y in classes[istar].elements:
         for k, z in enumerate(reps):
-            j = class_of[mult(xi, z)]
-            a[j][k] += 1
+            a[class_of[mult(y, z)]][k] += 1
     return [[v % p for v in row] for row in a]
 
 
@@ -347,13 +354,14 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
     class_of = group._class_of
     exponent = group.exponent()
     p = _dixon_prime(group.order, exponent, min_above=max(kk, exponent) + 1)
+    inv_class = [class_of[group.inv(c.rep)] for c in classes]
 
     # common one-dimensional eigenspaces of the class matrices over F_p
     spaces = [[_unit_vec(kk, i) for i in range(kk)]]
     for i in range(1, kk):
         if all(len(s) == 1 for s in spaces):
             break
-        ai = _class_matrix(group, classes, class_of, i, p)
+        ai = _class_matrix(group, classes, class_of, inv_class[i], p)
         new_spaces = []
         for s in spaces:
             if len(s) == 1:
@@ -376,7 +384,6 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
 
     # normalize: w[identity] = 1, then recover chi(1) and the values mod p
     size_inv = [pow(c.size, -1, p) for c in classes]
-    inv_class = [class_of[group.inv(c.rep)] for c in classes]
     bound = isqrt(group.order)
     rows_fp = []
     for (w,) in spaces:

@@ -59,6 +59,9 @@ class GroupSpec:
             return GroupSpec(u, int(u[1]))
         if u in ("E6", "E7", "E8"):
             raise ValueError(f"type {u} is supported by efd only")
+        ranks = {"E": "takes rank 6, 7 or 8", "F": "has rank 4", "G": "has rank 2"}
+        if u[:1] in ranks and s[1:].isdigit():
+            raise ValueError(f"type {u} does not exist: {u[0]} {ranks[u[0]]}")
         if not s[1:].isdigit():
             raise ValueError(f"group type {s!r} is not a family and a rank, e.g. B5")
         return GroupSpec(u[0], int(s[1:]))

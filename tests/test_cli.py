@@ -161,6 +161,10 @@ ERROR_MESSAGES = {
                                   "not a1",
     ("group", "--type", "E6"): "type E6 is supported by efd only",
     ("independence", "--type", "E8"): "type E8 is supported by efd only",
+    ("group", "--type", "G3"): "type G3 does not exist: G has rank 2",
+    ("group", "--type", "F2"): "type F2 does not exist: F has rank 4",
+    ("efd", "--type", "E5"): "type E5 does not exist: E takes rank 6, 7 or 8",
+    ("efd", "--type", "E9"): "type E9 does not exist: E takes rank 6, 7 or 8",
 }
 
 

@@ -4,12 +4,13 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import ellq
 from ellq.cyclo import CycNum
-from ellq.groups import (FiniteGroup, _nullspace_mod, _roots_mod, _solve_in_span,
-                         _verify_table, isprime, permutation_group, primitive_root)
+from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
+                         _nullspace_mod, _roots_mod, _solve_in_span, _verify_table,
+                         isprime, permutation_group, primitive_root)
 from ellq.fourier import SUPPORTED_GAMMAS, small_group
 from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_perm,
                           signed_tuple)
@@ -166,11 +167,131 @@ def test_cycnum_of_different_conductors_do_not_mix():
         a * b
 
 
-def test_charpoly_mod_refuses_a_small_prime():
-    from ellq.groups import _charpoly_mod
+def test_charpoly_mod_at_any_prime():
     assert _charpoly_mod([[1, 2], [3, 4]], 5) == [3, 0, 1]  # q^2 - 5q - 2 mod 5
-    with pytest.raises(ValueError, match="p = 2, n = 2"):
-        _charpoly_mod([[1, 0], [0, 1]], 2)
+    # p <= n: (x - 1)^2 = x^2 + 1 mod 2
+    assert _charpoly_mod([[1, 0], [0, 1]], 2) == [1, 0, 1]
+
+
+def _mat_mul_mod(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def faddeev_leverrier_charpoly(a, p):
+    """The characteristic polynomial mod p > n by the Faddeev-LeVerrier
+    recursion, n matrix products: the route `_charpoly_mod` took before
+    Hessenberg form, kept as a reference."""
+    n = len(a)
+    assert p > n
+    coeffs = [0] * n + [1]
+    mk = [row[:] for row in a]
+    for k in range(1, n + 1):
+        c = -sum(mk[i][i] for i in range(n)) * pow(k, -1, p) % p
+        coeffs[n - k] = c
+        if k < n:
+            for i in range(n):
+                mk[i][i] = (mk[i][i] + c) % p
+            mk = _mat_mul_mod(a, mk, p)
+    return coeffs
+
+
+def _det_mod(a, p):
+    """Determinant over F_p by Gaussian elimination."""
+    a = [[x % p for x in row] for row in a]
+    det = 1
+    for c in range(len(a)):
+        r = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if r is None:
+            return 0
+        if r != c:
+            a[r], a[c] = a[c], a[r]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for r in range(c + 1, len(a)):
+            u = a[r][c] * inv
+            a[r] = [(x - u * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+def _check_charpoly(a, p):
+    n = len(a)
+    f = _charpoly_mod(a, p)
+    assert len(f) == n + 1 and f[n] == 1 and all(0 <= c < p for c in f)
+    if p > n:
+        assert f == faddeev_leverrier_charpoly(a, p)
+    # Cayley-Hamilton, by Horner's rule: f(A) = 0 mod p
+    value = [[0] * n for _ in range(n)]
+    for c in reversed(f):
+        value = _mat_mul_mod(value, a, p)
+        for i in range(n):
+            value[i][i] = (value[i][i] + c) % p
+    assert all(x == 0 for row in value for x in row)
+    if n:
+        assert f[n - 1] == -sum(a[i][i] for i in range(n)) % p
+    assert f[0] == (-1) ** n * _det_mod(a, p) % p
+
+
+# the zero matrix, triangular and block-diagonal matrices: columns that need
+# no pivot during the Hessenberg reduction
+@pytest.mark.parametrize("a", [
+    [[0] * 5 for _ in range(5)],
+    [[i + j if j >= i else 0 for j in range(6)] for i in range(6)],
+    [[3, 1, 0, 0, 0], [2, 5, 0, 0, 0], [0, 0, 1, 4, 2], [0, 0, 6, 0, 1], [0, 0, 2, 2, 3]],
+    [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+])
+@pytest.mark.parametrize("p", [2, 3, 7, 73])
+def test_charpoly_mod_on_columns_with_no_pivot(a, p):
+    _check_charpoly(a, p)
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 13, 73, 1009]))
+    n = draw(st.integers(0, 9))
+    a = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["full", "sparse", "upper", "blocks", "zero"]))
+    k = draw(st.integers(0, n))
+    keep = {"full": lambda i, j: True, "sparse": lambda i, j: (i * 7 + j * 3) % 4 == 0,
+            "upper": lambda i, j: j >= i, "blocks": lambda i, j: (i < k) == (j < k),
+            "zero": lambda i, j: False}[shape]
+    return [[x if keep(i, j) else 0 for j, x in enumerate(row)] for i, row in enumerate(a)], p
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices_mod_p())
+def test_charpoly_mod_matches_faddeev_leverrier_and_cayley_hamilton(ap):
+    _check_charpoly(*ap)
+
+
+def _class_matrix_by_inversion(group, classes, class_of, i, p):
+    """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j} mod p, inverting each x:
+    the route `_class_matrix` took before it read the inverse class."""
+    a = [[0] * len(classes) for _ in classes]
+    for x in classes[i].elements:
+        for k, c in enumerate(classes):
+            a[class_of[group.mult(group.inv(x), c.rep)]][k] += 1
+    return [[v % p for v in row] for row in a]
+
+
+def test_class_matrix_reads_the_inverse_class():
+    non_real = []  # orders of the centralizers with a class C_i^{-1} != C_i
+    for name in ("S3", "S4", "S5"):
+        gamma = small_group.__wrapped__(name)
+        for x in gamma.conjugacy_classes():
+            cent = gamma.centralizer(x.rep)
+            classes = cent.conjugacy_classes()
+            class_of = cent._class_of
+            p = _dixon_prime(cent.order, cent.exponent(), len(classes) + 1)
+            inv_class = [class_of[cent.inv(c.rep)] for c in classes]
+            if inv_class != list(range(len(classes))):
+                non_real.append(cent.order)
+            for i, istar in enumerate(inv_class):
+                assert (_class_matrix(cent, classes, class_of, istar, p)
+                        == _class_matrix_by_inversion(cent, classes, class_of, i, p))
+    # Z3 in S3 and S4, Z4 in S4 and S5, Z5 and two Z6 = Z3 x Z2 in S5
+    assert sorted(non_real) == [3, 3, 4, 4, 5, 6, 6]
 
 
 @given(st.permutations(range(40)), st.permutations(range(40)))
