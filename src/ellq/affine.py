@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
 from .elliptic import VirtualCharacter, elliptic_fake_degree
-from .fourier import ef_matrix, fourier_matrix, generic_degree
+from .fourier import block_diagonal, ef_map, fourier_matrix, generic_degree
 from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poincare_phi)
 
 INF = 0  # bond marker for the infinite bond of affine A1
@@ -150,7 +150,7 @@ class AffineDatum:
         nus = self.nu_values()
         total = RationalFunction(QPolynomial.zero())
         for cls, v, nu in zip(self._checked(v_values), v_values, nus):
-            total = total + _as_rf(v) * nu * cls.mu
+            total = total + nu * v * cls.mu
         return total
 
     def elliptic_inner(self, u_values, v_values) -> Fraction:
@@ -169,12 +169,6 @@ class AffineDatum:
                                  f"{self.diagram.name} has {len(classes)} values, "
                                  f"not {len(values)}")
         return classes
-
-
-def _as_rf(v):
-    if isinstance(v, RationalFunction):
-        return v
-    return RationalFunction(QPolynomial.of(v))
 
 
 @dataclass
@@ -224,57 +218,34 @@ def _nu_on_parahoric(weyl) -> list[RationalFunction]:
 # the elliptic restriction of the family transform
 
 
-def ef_elliptic_on_parahoric(weyl, weighted: bool = False) -> list[list[Fraction]]:
+def ef_elliptic_on_parahoric(weyl) -> list[list[Fraction]]:
     """Matrix of (project to elliptic support) o EF on the delta functions of
-    the elliptic classes of W_J; columns are images of the delta functions.
-
-    With weighted=True returns instead the Gram-type matrix
-    <1_C | EF 1_C'>^el (the alternative bracket normalization)."""
+    the elliptic classes of W_J: column C is the transform (`ef_map`) of the
+    delta function of C, written over Irr, read on the elliptic classes."""
     classes = weyl.classes()
     ell = [i for i, c in enumerate(classes) if c.elliptic]
-    labels = weyl.irrep_labels()
-    rows = [weyl.irrep_values(lab) for lab in labels]
-    e = ef_matrix(weyl)
-    order = weyl.order
-    n = len(labels)
-    out = [[Fraction(0)] * len(ell) for _ in range(len(ell))]
-    for cj, cidx in enumerate(ell):
-        size = classes[cidx].size
-        coords = [Fraction(size * rows[i][cidx], order) for i in range(n)]
-        image = [sum(e[i][j] * coords[j] for j in range(n)) for i in range(n)]
-        for ci, cidx2 in enumerate(ell):
-            val = sum(image[i] * rows[i][cidx2] for i in range(n))
-            if weighted:
-                det1 = classes[cidx2].char_poly.evaluate(Fraction(1))
-                val = val * Fraction(classes[cidx2].size, order) * det1
-            out[ci][cj] = val
-    return out
+    rows = [weyl.irrep_values(lab) for lab in weyl.irrep_labels()]
+    columns = []
+    for c in ell:
+        image = ef_map(weyl, [Fraction(classes[c].size * row[c], weyl.order) for row in rows])
+        columns.append([sum(x * row[c2] for x, row in zip(image, rows)) for c2 in ell])
+    return [list(r) for r in zip(*columns)]
 
 
-def ef_affine_elliptic_delta(datum: AffineDatum, weighted: bool = False) -> list[list[Fraction]]:
+def ef_affine_elliptic_delta(datum: AffineDatum) -> list[list[Fraction]]:
     """Block-diagonal transform on all affine elliptic delta functions."""
-    classes = datum.elliptic_classes()
-    n = len(classes)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    paras = datum.maximal_parahorics()
-    offset = 0
-    for pi, p in enumerate(paras):
-        block = ef_elliptic_on_parahoric(p.weyl, weighted=weighted)
-        k = len(block)
-        for i in range(k):
-            for j in range(k):
-                mat[offset + i][offset + j] = block[i][j]
-        offset += k
-    if offset != n:
-        raise RuntimeError(f"the parahoric blocks cover {offset} elliptic classes, not {n}")
-    return mat
+    blocks = [ef_elliptic_on_parahoric(p.weyl) for p in datum.maximal_parahorics()]
+    n, covered = len(datum.elliptic_classes()), sum(map(len, blocks))
+    if covered != n:
+        raise RuntimeError(f"the parahoric blocks cover {covered} elliptic classes, not {n}")
+    return block_diagonal(blocks)
 
 
-def ef_affine_elliptic_in_basis(datum: AffineDatum, basis_values: list[list],
-                                weighted: bool = False) -> list[list[Fraction]]:
+def ef_affine_elliptic_in_basis(datum: AffineDatum,
+                                basis_values: list[list]) -> list[list[Fraction]]:
     """Matrix of the affine elliptic transform in a given basis of class
     functions (rows of basis_values = values on the elliptic classes)."""
-    d = ef_affine_elliptic_delta(datum, weighted=weighted)
+    d = ef_affine_elliptic_delta(datum)
     n = len(datum.elliptic_classes())
     if len(basis_values) != n:
         raise ValueError("basis has the wrong size")
@@ -363,26 +334,24 @@ def g2_class_alignment(datum: AffineDatum) -> list[int]:
     return out
 
 
+def _computed_order(datum: AffineDatum, rows: Sequence[Sequence]) -> list[list]:
+    """Rows of values on the classes in published order, each moved to the
+    computed order."""
+    align = g2_class_alignment(datum)
+    out = [[0] * len(datum.elliptic_classes()) for _ in rows]
+    for row, values in zip(out, rows):
+        for value, cls_idx in zip(values, align):
+            row[cls_idx] = value
+    return out
+
+
 def g2_basis_values_canonical(datum: AffineDatum) -> list[list[int]]:
     """Values of v1..v5 on the computed class order."""
-    align = g2_class_alignment(datum)
-    n = len(datum.elliptic_classes())
-    out = []
-    for v in G2_BASIS:
-        vals = [0] * n
-        for pub_idx, cls_idx in enumerate(align):
-            vals[cls_idx] = v.values[pub_idx]
-        out.append(vals)
-    return out
+    return _computed_order(datum, [v.values for v in G2_BASIS])
 
 
 def g2_mu_canonical(datum: AffineDatum) -> list[Fraction]:
-    align = g2_class_alignment(datum)
-    n = len(datum.elliptic_classes())
-    out = [Fraction(0)] * n
-    for pub_idx, cls_idx in enumerate(align):
-        out[cls_idx] = G2_MU_EL[pub_idx]
-    return out
+    return _computed_order(datum, [G2_MU_EL])[0]
 
 
 def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalFunction:
@@ -397,19 +366,19 @@ def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalF
     return elliptic_fake_degree(W, VirtualCharacter.from_coords(W, coords).values)
 
 
-def g2_ef_affine_published_order(weighted: bool = False) -> list[list[Fraction]]:
+def g2_ef_affine_published_order() -> list[list[Fraction]]:
     """The affine elliptic transform of G2 in the basis v1..v5."""
     datum = g2_affine_datum()
     basis = g2_basis_values_canonical(datum)
-    return ef_affine_elliptic_in_basis(datum, basis, weighted=weighted)
+    return ef_affine_elliptic_in_basis(datum, basis)
 
 
-def g2_ef_j0_published_order(weighted: bool = False) -> list[list[Fraction]]:
+def g2_ef_j0_published_order() -> list[list[Fraction]]:
     """The finite-parahoric block in the published class order."""
     datum = g2_affine_datum()
     align = g2_class_alignment(datum)
     p0 = datum.maximal_parahorics()[0]
-    block = ef_elliptic_on_parahoric(p0.weyl, weighted=weighted)
+    block = ef_elliptic_on_parahoric(p0.weyl)
     # classes of J0 occupy the leading block of the affine list
     j0_positions = [i for i, c in enumerate(datum.elliptic_classes())
                     if c.parahoric_index == 0]

@@ -25,18 +25,22 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit JSON")
     parser.add_argument("--fixtures", metavar="DIR",
                         help="directory overriding the packaged data files")
+    # dest names the subcommand in argparse's usage errors
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", parents=[common], help="realize a Weyl group")
+    p.set_defaults(run=_cmd_group)
     p.add_argument("--type", required=True, help="A5, B3, D4, G2, F4")
     p.add_argument("--classes", action="store_true", help="list conjugacy classes")
     p.add_argument("--table", action="store_true", help="print the character table")
 
     p = sub.add_parser("fake", parents=[common], help="fake degrees of the irreducibles")
+    p.set_defaults(run=_cmd_fake)
     p.add_argument("--type", required=True)
     p.add_argument("--irrep", help="single irreducible label")
 
     p = sub.add_parser("efd", parents=[common], help="elliptic fake degrees")
+    p.set_defaults(run=_cmd_efd)
     p.add_argument("--type", required=True,
                    help="A, B, or D (with --n), or G2, F4, E6, E7, E8")
     p.add_argument("--n", type=int, help="rank for B and D; n for A_{n-1}")
@@ -45,18 +49,22 @@ def main(argv=None) -> int:
                    help="also evaluate the group-sum definition")
 
     p = sub.add_parser("fourier", parents=[common], help="nonabelian Fourier transform matrix")
+    p.set_defaults(run=_cmd_fourier)
     p.add_argument("--gamma", required=True,
                    help="trivial, Z2, Z2^2, Z2^3, Z2^4, S3, S4, S5")
 
     p = sub.add_parser("mx", parents=[common], help="formal-degree q-part from the product formula")
+    p.set_defaults(run=_cmd_mx)
     p.add_argument("--fixture", required=True,
                    help=" | ".join(_MX_IDS))
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("suite", help="cyc, fourier, g2-formal, sp4, g2-affine, "
                                  "independence, appendix-g2, or all")
 
     p = sub.add_parser("affine", parents=[common], help="affine elliptic data")
+    p.set_defaults(run=_cmd_affine)
     p.add_argument("base", help="affine base type, e.g. g2, a1, c2")
     p.add_argument("--classes", action="store_true")
     p.add_argument("--nu", action="store_true")
@@ -64,14 +72,14 @@ def main(argv=None) -> int:
     p.add_argument("--formal", action="store_true")
 
     p = sub.add_parser("independence", parents=[common], help="rank of 1/det(1-qw) over elliptic classes")
+    p.set_defaults(run=_cmd_independence)
     p.add_argument("--type", required=True)
 
     args = parser.parse_args(argv)
     try:
-        if args.fixtures:
-            from .fixtures import set_fixtures_dir
-            set_fixtures_dir(args.fixtures)
-        return _dispatch(args)
+        from .fixtures import set_fixtures_dir
+        set_fixtures_dir(args.fixtures)
+        return args.run(args)
     except BrokenPipeError:  # pragma: no cover
         return 0
     except (ValueError, KeyError, NotImplementedError) as e:
@@ -79,27 +87,6 @@ def main(argv=None) -> int:
         print(f"ellq: error: {e.args[0] if e.args else type(e).__name__}",
               file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "group":
-        return _cmd_group(args)
-    if cmd == "fake":
-        return _cmd_fake(args)
-    if cmd == "efd":
-        return _cmd_efd(args)
-    if cmd == "fourier":
-        return _cmd_fourier(args)
-    if cmd == "mx":
-        return _cmd_mx(args)
-    if cmd == "verify":
-        return _cmd_verify(args)
-    if cmd == "affine":
-        return _cmd_affine(args)
-    if cmd == "independence":
-        return _cmd_independence(args)
-    raise AssertionError(cmd)
 
 
 def _emit(args, payload_json, text_lines):

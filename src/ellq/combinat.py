@@ -14,16 +14,6 @@ from .exactq import RationalFunction, RF_ONE
 Partition = tuple[int, ...]
 
 
-def partition(parts) -> Partition:
-    """Validate and normalise a partition given as an iterable of parts."""
-    p = tuple(int(x) for x in parts if x != 0)
-    if any(x < 0 for x in p):
-        raise ValueError(f"negative part in {parts}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {parts}")
-    return p
-
-
 def partitions_of(n: int) -> list[Partition]:
     """All partitions of n, in reverse-lexicographic order."""
     if n == 0:

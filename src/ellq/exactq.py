@@ -382,14 +382,6 @@ class CyclotomicFactorization:
     factors: dict[int, int]
     remainder: QPolynomial
 
-    def to_json(self) -> dict:
-        return {
-            "scalar": str(self.scalar),
-            "qpow": self.q_power,
-            "phi": {str(n): m for n, m in sorted(self.factors.items())},
-            "rem": self.remainder.to_json(),
-        }
-
     def __str__(self):
         return _render_cyclotomic(self.scalar, self, "(q+1)", " * ")
 
@@ -702,6 +694,21 @@ def rref_mod(rows, ncols, p):
     return m, pivots
 
 
+def nullspace_mod(rows, ncols, p):
+    """Basis of the kernel over F_p of the matrix rows (ncols columns): one
+    vector per free column of its elimination, 1 there, 0 at the other free
+    columns, in ascending order of the free column."""
+    m, pivots = rref_mod(rows, ncols, p)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = (-m[i][fc]) % p
+        basis.append(v)
+    return basis
+
+
 # Mersenne primes, tried in turn until one certifies a rank
 RANK_PRIMES = (2 ** 61 - 1, 2 ** 127 - 1, 2 ** 521 - 1)
 
@@ -720,8 +727,8 @@ def integer_rank(columns: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int,
     """(rank, kernel) over Q of integer vectors, certified from both sides.
 
     The pivots of an elimination mod p bound the rank from below.  Each free
-    column f has a kernel vector mod p with 1 at f and 0 at the other free
-    columns; lifted to Q by rational reconstruction, cleared of denominators
+    column f has a kernel vector mod p (`nullspace_mod`) with 1 at f and 0 at
+    the other free columns; lifted to Q by rational reconstruction, cleared of denominators
     and checked exactly over Z, these independent vectors bound it from
     above.  So the kernel is the reduced basis: vector f ends at f with a
     positive entry, and its entries are coprime.  A failed check marks an
@@ -730,17 +737,15 @@ def integer_rank(columns: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int,
     rows = list(zip_longest(*columns, fillvalue=0))
     n = len(columns)
     for p in RANK_PRIMES:
-        red, pivots = rref_mod([[x % p for x in row] for row in rows], n, p)
         kernel = []
-        for f in sorted(set(range(n)) - set(pivots)):
-            lifts = {pc: _rational_lift(-red[i][f], p) for i, pc in enumerate(pivots)}
-            lifts[f] = Fraction(1)
-            den = lcm(*(x.denominator for x in lifts.values()))
-            vec = tuple(int(lifts.get(c, 0) * den) for c in range(n))
+        for v in nullspace_mod([[x % p for x in row] for row in rows], n, p):
+            lifts = [_rational_lift(x, p) for x in v]
+            den = lcm(*(x.denominator for x in lifts))
+            vec = tuple(int(x * den) for x in lifts)
             if any(sum(map(mul, vec, row)) for row in rows):
                 break
             kernel.append(vec)
         else:
-            return len(pivots), kernel
+            return n - len(kernel), kernel
     raise RuntimeError(f"rank of {n} integer vectors not certified modulo any of "
                        f"{len(RANK_PRIMES)} primes")

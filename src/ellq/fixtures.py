@@ -23,22 +23,43 @@ _FIXTURES_FILE: Optional[str] = None
 
 def set_fixtures_dir(path: Optional[str]) -> None:
     """Read the tables from path/appendix_tables.json from now on, or from the
-    packaged file again if path is None; a missing file is a ValueError."""
+    packaged file if path is None; a missing file is a ValueError.  The
+    tables read are kept until the source changes."""
     global _FIXTURES_FILE
     file = os.path.join(path, "appendix_tables.json") if path else None
     if file and not os.path.isfile(file):
         raise ValueError(f"fixtures file {file} not found")
-    _FIXTURES_FILE = file
-    _appendix_raw.cache_clear()
+    if file != _FIXTURES_FILE:
+        _FIXTURES_FILE = file
+        _appendix_raw.cache_clear()
 
 
 @functools.lru_cache(maxsize=None)
 def _appendix_raw() -> dict:
-    if _FIXTURES_FILE:
-        with open(_FIXTURES_FILE) as fh:
-            return json.load(fh)
-    with resources.files("ellq.data").joinpath("appendix_tables.json").open() as fh:
-        return json.load(fh)
+    """The tables file, once its shape is the one the readers below expect:
+    else a ValueError naming the file and the first key out of shape."""
+    source = resources.files("ellq.data").joinpath("appendix_tables.json")
+    file = _FIXTURES_FILE or str(source)
+    try:
+        with (open(file) if _FIXTURES_FILE else source.open()) as fh:
+            raw = json.load(fh)
+    except ValueError as e:  # not JSON, or not text
+        raise ValueError(f"fixtures file {file}: {e}") from e
+
+    def need(ok: bool, key: str) -> None:
+        if not ok:
+            raise ValueError(f"fixtures file {file}: {key} is missing or out of shape")
+    if not isinstance(raw, dict):
+        raise ValueError(f"fixtures file {file}: not a JSON object")
+    for key, entry in (("cyc", dict), ("aux", list), ("tables", list)):
+        need(isinstance(raw.get(key), dict)
+             and all(isinstance(v, entry) for v in raw[key].values()), key)
+    for group, rows in raw["tables"].items():
+        need(all(isinstance(r, dict) and {"orbit", "phi", "N"} <= r.keys()
+                 and isinstance(r["N"], dict) and isinstance(r["N"].get("phi"), dict)
+                 and isinstance(r["N"].get("aux", []), list) for r in rows),
+             f"tables.{group}")
+    return raw
 
 
 def cyc_table() -> dict[str, dict[int, int]]:

@@ -395,6 +395,18 @@ class XWPairing:
     matrix: list[list[Fraction]]
 
 
+def block_diagonal(blocks: Sequence[Sequence[Sequence]]) -> list[list[Fraction]]:
+    """The square matrix with the given square blocks down its diagonal and
+    zero elsewhere."""
+    n = sum(map(len, blocks))
+    out = []
+    for block in blocks:
+        at = len(out)
+        out.extend([Fraction(0)] * at + list(row) + [Fraction(0)] * (n - at - len(row))
+                   for row in block)
+    return out
+
+
 def xw_pairing(W) -> XWPairing:
     """Pairing on the full parameter set X(W): one complete M(Gamma) block per
     family, zero across blocks; squares to the identity."""
@@ -403,18 +415,8 @@ def xw_pairing(W) -> XWPairing:
     for fi, fam in enumerate(families_for(W)):
         block = fourier_matrix(fam.gamma)
         blocks.append(block.matrix)
-        for p in block.pairs:
-            labels.append(f"F{fi}:{p}")
-    n = len(labels)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    at = 0
-    for bm in blocks:
-        k = len(bm)
-        for i in range(k):
-            for j in range(k):
-                mat[at + i][at + j] = bm[i][j]
-        at += k
-    return XWPairing(labels, mat)
+        labels.extend(f"F{fi}:{p}" for p in block.pairs)
+    return XWPairing(labels, block_diagonal(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -467,12 +469,8 @@ def ef_induction_check(W: WeylGroupData, gen_indices: Sequence[int]) -> bool:
     from .weylgrp import h_class_function, induce_class_function, parabolic_subgroup
     H = parabolic_subgroup(W, list(gen_indices))
     table = W.character_table()
-    e = ef_matrix(W)
-    n = len(table.values)
     for row in H.character_table().values:
-        ind = induce_class_function(W, H, h_class_function(H, row))
-        coords = table.decompose(ind)
-        image = [sum(e[i][j] * coords[j] for j in range(n)) for i in range(n)]
-        if image != coords:
+        coords = table.decompose(induce_class_function(W, H, h_class_function(H, row)))
+        if ef_map(W, coords) != coords:
             return False
     return True

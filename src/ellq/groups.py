@@ -31,7 +31,7 @@ from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .cyclo import CycNum
-from .exactq import rref_mod
+from .exactq import nullspace_mod, rref_mod
 
 
 # the most elements any enumeration may produce
@@ -81,7 +81,6 @@ class FiniteGroup:
                  generators: Sequence = (), lengths: Optional[dict] = None,
                  key: Callable = repr):
         self.elements = list(elements)
-        self.index = {g: i for i, g in enumerate(self.elements)}
         self.mult = mult
         self.inv = inv
         self.identity = identity
@@ -94,9 +93,10 @@ class FiniteGroup:
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
-                 bound: int = DEFAULT_BOUND, track_lengths: bool = False,
-                 key: Callable = repr) -> "FiniteGroup":
-        """Enumerate the group generated by `generators` by breadth-first closure."""
+                 bound: int = DEFAULT_BOUND, key: Callable = repr) -> "FiniteGroup":
+        """Enumerate the group generated by `generators` by breadth-first
+        closure.  Each element's distance from the identity, its length in
+        the generators, is kept in `lengths`."""
         lengths = {identity: 0}
         frontier = [identity]
         elements = [identity]
@@ -115,8 +115,7 @@ class FiniteGroup:
                             raise GroupTooLargeError(
                                 f"group exceeds enumeration bound {bound}")
             frontier = nxt
-        return FiniteGroup(elements, mult, inv, identity, generators,
-                           lengths if track_lengths else None, key)
+        return FiniteGroup(elements, mult, inv, identity, generators, lengths, key)
 
     @property
     def order(self) -> int:
@@ -284,20 +283,6 @@ def _roots_mod(f, p):
     return [x for x, v in enumerate(values) if v == 0]
 
 
-def _nullspace_mod(a, p):
-    """Basis of the right nullspace of square matrix a over F_p (as columns)."""
-    n = len(a)
-    m, pivots = rref_mod(a, n, p)
-    basis = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = [0] * n
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-m[i][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def _solve_in_span(basis_cols, targets, p):
     """Express each target vector in the span of basis_cols; returns the
     coefficient matrix R with target_j = sum_i R[i][j] basis_i."""
@@ -375,7 +360,7 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
                       for a_ in range(len(s))]
                 cols = list(zip(*s))
                 eigenbasis = [[sum(map(mul, nv, col)) % p for col in cols]
-                              for nv in _nullspace_mod(rm, p)]
+                              for nv in nullspace_mod(rm, len(rm), p)]
                 if eigenbasis:
                     new_spaces.append(eigenbasis)
         spaces = new_spaces

@@ -603,9 +603,7 @@ class WeylGroupData:
         return [1] * len(self.classes())
 
     def length_polynomial(self) -> QPolynomial:
-        """Sum over w of q^length(w); requires length tracking."""
-        if self.group.lengths is None:
-            raise ValueError("group was built without length tracking")
+        """Sum over w of q^length(w)."""
         counts: dict[int, int] = {}
         for v in self.group.lengths.values():
             counts[v] = counts.get(v, 0) + 1
@@ -622,8 +620,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
     if fam in ("G2", "F4"):
         phi = rootsystem(CARTAN_PAIRING[fam], EXPONENTS[fam])
         return WeylGroupData(spec, functools.partial(
-            permutation_group, phi.generators, len(phi.roots),
-            track_lengths=True, key=phi.key),
+            permutation_group, phi.generators, len(phi.roots), key=phi.key),
             lambda w: char_poly_matrix(phi.matrix(w)), phi.matrix)
     npts = n + 1 if fam == "A" else n
     gens = []
@@ -639,7 +636,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
             e[n - 2], e[n - 1] = -n, -(n - 1)
         gens.append(e)
     return WeylGroupData(spec, functools.partial(
-        permutation_group, [signed_perm(g) for g in gens], 2 * npts, track_lengths=True,
+        permutation_group, [signed_perm(g) for g in gens], 2 * npts,
         key=lambda w: repr(signed_tuple(w))), lambda w: char_poly_signed(w, fam))
 
 
@@ -703,7 +700,6 @@ class ProductWeyl:
     """A product of realized Weyl groups, with tensor character table."""
 
     def __init__(self, specs: Sequence[GroupSpec]):
-        self.specs = tuple(specs)
         self.factors = [build_group(s) for s in specs]
         self.rank = sum(f.rank for f in self.factors)
         self.exponents = tuple(sorted(m for f in self.factors for m in f.exponents))
@@ -744,11 +740,3 @@ class ProductWeyl:
                 v *= row[i]
             out.append(v)
         return out
-
-    def fake_degree(self, label_combo) -> QPolynomial:
-        if isinstance(label_combo, str):
-            label_combo = label_combo.split(" (x) ")
-        p = QPolynomial.one()
-        for f, lab in zip(self.factors, label_combo):
-            p = p * fake_degree_values(f, f.irrep_values(lab))
-        return p

@@ -136,9 +136,17 @@ def test_affine_fake_via_elliptic_integral():
 
 
 def test_ef_j0_matches_printed():
-    assert g2_ef_j0_published_order() == G2_EF_J0_PRINTED
-    # the measure-weighted bracket is not the published normalization
-    assert g2_ef_j0_published_order(weighted=True) != G2_EF_J0_PRINTED
+    block = g2_ef_j0_published_order()
+    assert block == G2_EF_J0_PRINTED
+    # the measure-weighted bracket <1_C | EF 1_C'>^el, row C of the block
+    # scaled by mu(C) det(1 - w_C), is not the published normalization
+    d = AffineDatum("G2")
+    classes = [d.elliptic_classes()[k] for k in g2_class_alignment(d)[:3]]
+    weighted = [[c.mu * c.char_poly.evaluate(Fraction(1)) * x for x in row]
+                for c, row in zip(classes, block)]
+    assert weighted == [[Fraction(1, 36), Fraction(1, 12), Fraction(1, 18)],
+                        [Fraction(1, 4), Fraction(1, 4), 0], [Fraction(2, 9), 0, Fraction(1, 9)]]
+    assert weighted != G2_EF_J0_PRINTED
 
 
 def test_ef_vertex_blocks_are_identity():

@@ -439,3 +439,33 @@ def test_fixtures_dir_override(capsys, tmp_path):
         set_fixtures_dir(None)
     code, out = run(capsys, "verify", "cyc")
     assert code == 0
+
+
+def test_fixtures_override_ends_with_its_call(capsys, tmp_path):
+    # a call without --fixtures reads the packaged tables, whatever the call
+    # before it read: no reset in between
+    from importlib import resources
+    with resources.files("ellq.data").joinpath("appendix_tables.json").open() as fh:
+        data = json.load(fh)
+    data["cyc"]["G2"] = {"2": 1}
+    (tmp_path / "appendix_tables.json").write_text(json.dumps(data))
+    assert run(capsys, "--fixtures", str(tmp_path), "verify", "cyc")[0] == 1
+    assert run(capsys, "verify", "cyc")[0] == 0
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", "7", '{"cyc": []}', '{"cyc": {"G2": 5}}', "{}", "not json",
+    '{"cyc": {}, "aux": {}, "tables": {"G2": [{"orbit": "G2", "phi": "1", "N": 5}]}}',
+], ids=["list", "number", "cyc-list", "cyc-entry", "empty", "not-json", "row-N"])
+def test_malformed_fixtures_file_exit_2(capsys, tmp_path, content):
+    from ellq.fixtures import set_fixtures_dir
+    file = tmp_path / "appendix_tables.json"
+    file.write_text(content)
+    try:
+        assert main(["--fixtures", str(tmp_path), "verify", "cyc"]) == 2
+    finally:
+        set_fixtures_dir(None)
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
+    assert str(file) in lines[0] and "Traceback" not in captured.err

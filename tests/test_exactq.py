@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ellq import exactq
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, cyclotomic_quotient, factor_cyclotomic,
-                         integer_rank, phi_product, poly_gcd, rref)
+                         integer_rank, nullspace_mod, phi_product, poly_gcd, rref,
+                         rref_mod)
 
 
 def test_cyclotomic_small():
@@ -188,6 +189,25 @@ def test_integer_rank_against_rref(data):
         assert vec[f] > 0 and math.gcd(*vec) == 1
         # reduced: zero at every other free column
         assert all(vec[g] == 0 for g in free if g != f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 7, 73]), st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-80, 80), min_size=n, max_size=n), max_size=5))),
+    st.booleans())
+def test_nullspace_mod_is_the_reduced_kernel(p, shape, zero):
+    ncols, rows = shape
+    if zero:
+        rows = [[0] * ncols for _ in rows]
+    _, pivots = rref_mod(rows, ncols, p)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = nullspace_mod(rows, ncols, p)
+    assert len(basis) == ncols - len(pivots)
+    for v, f in zip(basis, free):
+        assert len(v) == ncols and all(0 <= x < p for x in v)
+        assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in rows)
+        # 1 at its own free column, 0 at the others
+        assert [v[g] for g in free] == [int(g == f) for g in free]
 
 
 def test_integer_rank_of_nothing_and_of_zero_columns():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import ellq
 from ellq.cyclo import CycNum
+from ellq.exactq import nullspace_mod
 from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
-                         _nullspace_mod, _roots_mod, _solve_in_span, _verify_table,
+                         _roots_mod, _solve_in_span, _verify_table,
                          isprime, permutation_group, primitive_root)
 from ellq.fourier import SUPPORTED_GAMMAS, small_group
 from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_perm,
@@ -45,7 +46,7 @@ def test_mod_p_nullspace_and_span_solve():
     p = 7
     # rank 2 over F_7: row 3 = row 1 + row 2
     a = [[1, 2, 3], [0, 1, 4], [1, 3, 0]]
-    (v,) = _nullspace_mod(a, p)
+    (v,) = nullspace_mod(a, 3, p)
     assert v == [5, 3, 1]
     assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
     basis = [[1, 0, 2], [0, 1, 3]]

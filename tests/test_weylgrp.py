@@ -118,8 +118,8 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
     gens = [_reflection_matrix(weylgrp.CARTAN_PAIRING[spec.family], j)
             for j in range(spec.rank)]
     model = WeylGroupData(spec, functools.partial(
-        FiniteGroup.generate, gens, _mat_mult, _mat_inverse, _mat_identity(spec.rank),
-        track_lengths=True), char_poly_matrix, lambda m: m)
+        FiniteGroup.generate, gens, _mat_mult, _mat_inverse, _mat_identity(spec.rank)),
+        char_poly_matrix, lambda m: m)
     W = build_group.__wrapped__(spec)
     grp = W.group
     assert len(grp.identity) == n_roots
