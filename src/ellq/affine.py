@@ -10,11 +10,12 @@ elliptic-class delta functions.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
+from .exactq import QPolynomial, RF_ZERO, RationalFunction, cyclotomic_quotient, rref
 from .elliptic import VirtualCharacter, elliptic_fake_degree
 from .fourier import block_diagonal, ef_map, fourier_matrix, generic_degree
 from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poincare_phi)
@@ -148,10 +149,8 @@ class AffineDatum:
     def formal_degree(self, v_values: Sequence[RationalFunction]) -> RationalFunction:
         """<v, nu>^el over the affine group: sum v(C) nu(C) mu_el(C)."""
         nus = self.nu_values()
-        total = RationalFunction(QPolynomial.zero())
-        for cls, v, nu in zip(self._checked(v_values), v_values, nus):
-            total = total + nu * v * cls.mu
-        return total
+        return sum((nu * v * cls.mu for cls, v, nu in zip(self._checked(v_values), v_values, nus)),
+                   RF_ZERO)
 
     def elliptic_inner(self, u_values, v_values) -> Fraction:
         """Integral of u*v against the elliptic measure."""
@@ -317,7 +316,9 @@ G2_EF_AFFINE_PRINTED = [
 G2_BASIS_PAIRS = [None, ("1", "1"), ("1", "r"), ("g3", "1"), ("g2", "1")]
 
 
+@functools.lru_cache(maxsize=None)
 def g2_affine_datum() -> AffineDatum:
+    """Affine G2, built once, so its parahorics and nu values are shared."""
     return AffineDatum("G2")
 
 
@@ -358,7 +359,7 @@ def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalF
     """Elliptic fake degree of the module: zero unless the isolated point is
     the identity, and then the finite elliptic fake degree of the restriction."""
     if not fix.s_is_identity:
-        return RationalFunction(QPolynomial.zero())
+        return RF_ZERO
     W = build_group(base)
     coords = [0] * len(W.classes())
     for lab, c in fix.restriction.items():

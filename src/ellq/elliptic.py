@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, RationalFunction, cyclotomic_quotient,
-                     integer_rank)
+                     integer_rank, phi_sum)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -144,21 +144,15 @@ def bn_fake_closed(lam) -> RationalFunction:
 
 
 def dn_fake_closed(lam) -> RationalFunction:
-    """Type D closed form via the two type-B values, F_lam + (-1)^n F_lam^t.
-
-    Both summands are put over the exponent-wise largest denominator, and
-    their summed numerator is reduced against it by cyclotomic_quotient."""
+    """Type D closed form via the two type-B values, F_lam + (-1)^n F_lam^t,
+    summed from their Phi-exponents by phi_sum."""
     lam = tuple(lam)
     n = sum(lam)
     if n < 2:
         raise ValueError("type D needs n >= 2")
     (phi1, k1, s1), (phi2, k2, s2) = _bn_exponents(lam), _bn_exponents(transpose(lam))
-    den = {d: min(phi1[d], phi2[d], 0) for d in phi1.keys() | phi2.keys()}
-    qden = min(k1, k2, 0)
-    num = sum((cyclotomic_quotient({d: phi[d] - e for d, e in den.items()}, k - qden, s).num
-               for phi, k, s in ((phi1, k1, s1), (phi2, k2, s2 * (-1) ** n))),
-              QPolynomial.zero())
-    return cyclotomic_quotient(den, qden, num=num)
+    one = QPolynomial.one()
+    return phi_sum((one, k1, s1, phi1), (one, k2, s2 * (-1) ** n, phi2))
 
 
 def hook_content_pairing(W: WeylGroupData, lam) -> RationalFunction:

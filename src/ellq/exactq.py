@@ -14,10 +14,14 @@ is an integer numerator over a known product of Phi_n (det(1 - qw) divides
 prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  It
 reduces by trial division by the Phi_n of the denominator, so its result
 is canonical with no gcd, and the result keeps its residual numerator and
-exponent map.  Cyclotomic factorisation, for display, is read from that
-map; trial division by Phi_1, ..., Phi_30 (30 is the largest index
-occurring in the E8 tables) is left for the residual numerator and for
-values built by arithmetic.  Every product of Phi_n, Phi_n itself included,
+exponent map.  Sums, differences and products of such values and of
+polynomials keep the map too: a product adds the maps, ``phi_sum`` puts
+the terms over the exponent-wise largest denominator, and one call of
+``cyclotomic_quotient`` reduces either; only the constructor, / and ** run
+``poly_gcd``.  Cyclotomic factorisation, for display, is read from the map;
+trial division by Phi_1, ..., Phi_30 (30 is the largest index occurring in
+the E8 tables) is left for the residual numerator and for values without
+a map.  Every product of Phi_n, Phi_n itself included,
 is built by ``phi_product`` from sparse steps q^d - 1, as
 Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
 
@@ -32,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 from typing import AbstractSet, Iterable, Mapping, Sequence, Union
 
@@ -280,22 +284,12 @@ def _coerce_poly(x) -> QPolynomial:
 
 
 def _int_primitive(coeffs: list[int]) -> list[int]:
-    import math
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return coeffs
-    if g in (0, 1):
-        return coeffs
-    return [c // g for c in coeffs]
+    g = gcd(*coeffs)
+    return coeffs if g in (0, 1) else [c // g for c in coeffs]
 
 
 def _to_int_poly(p: QPolynomial) -> list[int]:
-    import math
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.coeffs))
     return _int_primitive([int(c * den) for c in p.coeffs])
 
 
@@ -435,8 +429,10 @@ class RationalFunction:
 
     ``phi_form`` is (residual, qpow, scalar, phi) for a value built by
     ``cyclotomic_quotient``, which is residual * scalar * q^qpow *
-    prod Phi_n^phi[n] with the residual prime to q and to the denominator;
-    it is None for a value built by the constructor or by arithmetic."""
+    prod Phi_n^phi[n] with the residual integral and prime to q and to the
+    denominator.  +, - and * keep it when each operand has one or is a
+    polynomial, and need no gcd; it is None for a value built by the
+    constructor, by / or by **, or from an operand without one."""
 
     __slots__ = ("num", "den", "phi_form")
 
@@ -447,17 +443,10 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self.phi_form = None
         if num.is_zero():
-            self.num = QPolynomial.zero()
-            self.den = QPolynomial.one()
-            return
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = num // g
-            den = den // g
-        lc = den.leading
-        if lc != 1:
-            num = QPolynomial(exact_div(c, lc) for c in num.coeffs)
-            den = den.monic()
+            den = QPolynomial.one()
+        elif not den.is_one():
+            g = poly_gcd(num, den) * den.leading  # so that den // g is monic
+            num, den = num // g, den // g
         self.num = num
         self.den = den
 
@@ -477,12 +466,17 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self) * 1
+        forms = _phi_form(self), _phi_form(other)
+        if None not in forms:
+            return phi_sum(*forms)
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return self * -1
 
     def __sub__(self, other):
         other = _coerce_rf(other)
@@ -494,9 +488,18 @@ class RationalFunction:
         return _coerce_rf(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            form = _phi_form(self)
+            return _canonical(self.num * other, self.den,
+                              form and (form[0], form[1], form[2] * other, form[3]))
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
+        forms = _phi_form(self), _phi_form(other)
+        if None not in forms:
+            (ra, ka, sa, pa), (rb, kb, sb, pb) = forms
+            return cyclotomic_quotient({n: pa.get(n, 0) + pb.get(n, 0) for n in pa.keys() | pb.keys()},
+                                       ka + kb, sa * sb, ra * rb)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -601,11 +604,8 @@ class RationalFunction:
 def _coerce_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, QPolynomial):
-        return RationalFunction(x)
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction(QPolynomial((x,)))
-    return NotImplemented
+    x = _coerce_poly(x)
+    return x if x is NotImplemented else RationalFunction(x)
 
 
 RF_ZERO = RationalFunction(QPolynomial.zero())
@@ -622,12 +622,14 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
     factor of the denominator (a negative exponent) is cancelled against
     num for as long as it divides num and its exponent lasts, so what is
     left of num is prime to what is left of the denominator: the result is
-    canonical as built, and this is the one place that skips the gcd.  The
-    result keeps that residual and the exponents as its phi_form."""
+    canonical as built, with no gcd.  The result keeps that residual, made
+    integral, and the exponents as its phi_form."""
     if num.is_zero():
-        return RationalFunction(num)
-    v = num.low_degree()
+        return _canonical(num, QPolynomial.one(), (num, 0, 1, {}))
+    v, d = num.low_degree(), lcm(*(c.denominator for c in num.coeffs))
     num, qpow, phi = QPolynomial(num.coeffs[v:]), qpow + v, dict(phi)
+    if d > 1:
+        num, scalar = num * d, Fraction(scalar, d)
     for n, e in phi.items():
         phi_n = cyclotomic(n)
         while e < 0 and phi_n.degree <= num.degree:
@@ -638,11 +640,36 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
         phi[n] = e
     def part(sign):
         return QPolynomial(phi_product({n: sign * e for n, e in phi.items() if sign * e > 0}))
+    return _canonical((num * part(1)).shift(max(qpow, 0)) * scalar,
+                      part(-1).shift(max(-qpow, 0)), (num, qpow, scalar, phi))
+
+
+def _canonical(num: QPolynomial, den: QPolynomial, phi_form) -> RationalFunction:
+    """num / den, already coprime with den monic, with the given phi_form."""
     out = RationalFunction.__new__(RationalFunction)
-    out.num = (num * part(1)).shift(max(qpow, 0)) * scalar
-    out.den = part(-1).shift(max(-qpow, 0))
-    out.phi_form = (num, qpow, scalar, phi)
+    out.num, out.den, out.phi_form = num, den, phi_form
     return out
+
+
+def _phi_form(f: RationalFunction):
+    """f.phi_form, else (num / q^v, v, 1, {}) for a polynomial num with
+    lowest term q^v (v = 0 for zero), else None."""
+    if f.phi_form is not None or not f.den.is_one():
+        return f.phi_form
+    v = max(f.num.low_degree(), 0)
+    return QPolynomial(f.num.coeffs[v:]), v, 1, {}
+
+
+def phi_sum(*forms) -> RationalFunction:
+    """The sum of the values given as phi_forms (residual, qpow, scalar, phi).
+    Every term is put over the exponent-wise largest denominator, the power
+    of q included, and the summed numerator is reduced once."""
+    den = {n: min(0, *(f[3].get(n, 0) for f in forms)) for f in forms for n in f[3]}
+    qden = min(0, *(f[1] for f in forms))
+    scale = lcm(*(f[2].denominator for f in forms))
+    num = sum(((r * QPolynomial(phi_product({n: phi.get(n, 0) - e for n, e in den.items()})))
+               .shift(k - qden) * int(c * scale) for r, k, c, phi in forms), QPolynomial.zero())
+    return cyclotomic_quotient(den, qden, Fraction(1, scale) if scale > 1 else 1, num)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]

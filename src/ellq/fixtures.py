@@ -11,11 +11,13 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
-from typing import Optional
+from math import prod
+from typing import Mapping, Optional
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_quotient
+from .exactq import QPolynomial, RF_ZERO, RationalFunction, cyclotomic_quotient
 
 
 _FIXTURES_FILE: Optional[str] = None
@@ -49,16 +51,30 @@ def _appendix_raw() -> dict:
     def need(ok: bool, key: str) -> None:
         if not ok:
             raise ValueError(f"fixtures file {file}: {key} is missing or out of shape")
+
+    def exponents(d) -> bool:
+        return isinstance(d, dict) and all(
+            k.isdecimal() and int(k) > 0 and type(e) is int for k, e in d.items())
     if not isinstance(raw, dict):
         raise ValueError(f"fixtures file {file}: not a JSON object")
     for key, entry in (("cyc", dict), ("aux", list), ("tables", list)):
         need(isinstance(raw.get(key), dict)
              and all(isinstance(v, entry) for v in raw[key].values()), key)
+    for group, d in raw["cyc"].items():
+        need(exponents(d), f"cyc.{group}")
+    for name, coeffs in raw["aux"].items():
+        need(all(type(c) is int for c in coeffs), f"aux.{name}")
     for group, rows in raw["tables"].items():
-        need(all(isinstance(r, dict) and {"orbit", "phi", "N"} <= r.keys()
-                 and isinstance(r["N"], dict) and isinstance(r["N"].get("phi"), dict)
-                 and isinstance(r["N"].get("aux", []), list) for r in rows),
-             f"tables.{group}")
+        for i, r in enumerate(rows):
+            row = f"tables.{group}[{i}]"
+            need(isinstance(r, dict) and {"orbit", "phi", "N"} <= r.keys()
+                 and isinstance(r["N"], dict), row)
+            N = {"scalar": 1, "aux": [], **r["N"]}
+            need(exponents(N.get("phi")), f"{row}.N.phi")
+            for k in ("qpow", "sign", "scalar"):
+                need(type(N.get(k)) is int, f"{row}.N.{k}")
+            need(isinstance(N["aux"], list) and all(
+                isinstance(a, str) and a in raw["aux"] for a in N["aux"]), f"{row}.N.aux")
     return raw
 
 
@@ -68,36 +84,24 @@ def cyc_table() -> dict[str, dict[int, int]]:
     return {g: {int(k): v for k, v in d.items()} for g, d in raw.items()}
 
 
-def expand_numerator(entry: dict) -> QPolynomial:
-    """sign * scalar * q^qpow * prod Phi_n^mult * prod aux."""
-    aux = _appendix_raw()["aux"]
-    phi = {int(k): e for k, e in entry["phi"].items()}
-    p = cyclotomic_quotient(phi, entry["qpow"], entry["sign"] * entry.get("scalar", 1)).num
-    for ref in entry.get("aux", []):
-        p = p * QPolynomial(aux[ref])
-    return p
-
-
-def numerator_table(group: str) -> list[dict]:
-    """Rows of the published fake-degree numerator table for one group:
-    {orbit, phi, N (encoded), poly (expanded)}."""
-    rows = []
-    for r in _appendix_raw()["tables"][group]:
-        rows.append({"orbit": r["orbit"], "phi": r["phi"], "N": r["N"],
-                     "poly": expand_numerator(r["N"])})
-    return rows
-
-
-def fake_degree_from_table(group: str, orbit: str, phi: str) -> RationalFunction:
-    """(q-1)^l N / cyc(W) for a row of the published table."""
+def fake_degree_from_table(group: str, orbit: str, phi: Optional[str] = None,
+                           den: Optional[Mapping[int, int]] = None) -> RationalFunction:
+    """(q-1)^l N / den for the first row of group's published table with this
+    orbit (and phi, if given); den {n: e}, for prod Phi_n^e, defaults to the
+    published cyc(W).  N = sign * scalar * q^qpow * prod Phi_n^phi[n] * prod aux
+    is not expanded: cyclotomic_quotient takes it, the aux product as residual."""
     from .weylgrp import EXPONENTS
-    l = len(EXPONENTS[group])
-    den = cyclotomic_quotient(cyc_table()[group]).num
-    for row in numerator_table(group):
-        if row["orbit"] == orbit and row["phi"] == phi:
-            num = (RF_Q - 1).num ** l * row["poly"]
-            return RationalFunction(num, den)
-    raise KeyError(f"no row ({orbit}, {phi}) in the {group} table")
+    raw = _appendix_raw()
+    N = next((r["N"] for r in raw["tables"][group]
+              if r["orbit"] == orbit and phi in (None, r["phi"])), None)
+    if N is None:
+        raise KeyError(f"no row ({orbit}, {phi}) in the {group} table")
+    exps = Counter({int(k): e for k, e in N["phi"].items()})
+    exps[1] += len(EXPONENTS[group])
+    exps.subtract(cyc_table()[group] if den is None else den)
+    residual = prod((QPolynomial(raw["aux"][ref]) for ref in N.get("aux", [])),
+                    start=QPolynomial.one())
+    return cyclotomic_quotient(exps, N["qpow"], N["sign"] * N.get("scalar", 1), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +128,9 @@ def g2_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
 
 def sp4_formal_table_printed() -> list[tuple[tuple[str, str], RationalFunction]]:
     x = cyclotomic_quotient({1: 2, 2: -2, 4: -1}, 1, Fraction(1, 2))
-    zero = RationalFunction(QPolynomial.zero())
     return [
-        (("1", "1"), zero),
-        (("1", "eps"), zero),
+        (("1", "1"), RF_ZERO),
+        (("1", "eps"), RF_ZERO),
         (("tau", "1"), x),
         (("tau", "eps"), x),
     ]

@@ -13,12 +13,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Sequence, Union
 
 from .cyclo import CycNum, _zeta_power_basis
-from .exactq import QPolynomial, RationalFunction
+from .exactq import RF_ONE, RF_ZERO, RationalFunction
 from .groups import CharacterTable, ConjClass, FiniteGroup, permutation_group
 from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
 
@@ -360,9 +360,10 @@ def families_for(W: Union[WeylGroupData, ProductWeyl]) -> list[Family]:
     return out
 
 
-def ef_matrix(W: Union[WeylGroupData, ProductWeyl]) -> list[list[Fraction]]:
+@functools.lru_cache(maxsize=None)
+def ef_matrix(W: Union[WeylGroupData, ProductWeyl]) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the transform on the span of Irr(W): block per family,
-    zero across families."""
+    zero across families.  Built once per group object and kept."""
     labels = W.irrep_labels()
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
@@ -376,7 +377,7 @@ def ef_matrix(W: Union[WeylGroupData, ProductWeyl]) -> list[list[Fraction]]:
         for a in fam.members:
             for b in fam.members:
                 e[index[a]][index[b]] = block.entry(fam.embedding[a], fam.embedding[b])
-    return e
+    return tuple(map(tuple, e))
 
 
 def ef_map(W, coords: Sequence[Fraction]) -> list[Fraction]:
@@ -428,10 +429,7 @@ def generic_degree(W: Union[WeylGroupData, ProductWeyl], label) -> RationalFunct
     if isinstance(W, ProductWeyl):
         if isinstance(label, str):
             label = label.split(" (x) ")
-        out = RationalFunction(QPolynomial.one())
-        for f, lab in zip(W.factors, label):
-            out = out * generic_degree(f, lab)
-        return out
+        return prod(map(generic_degree, W.factors, label), start=RF_ONE)
     for fam in families_for(W):
         if label in fam.members:
             break
@@ -440,21 +438,15 @@ def generic_degree(W: Union[WeylGroupData, ProductWeyl], label) -> RationalFunct
     if fam.gamma == "trivial":
         return RationalFunction(fake_degree_values(W, W.irrep_values(label)))
     block = fourier_matrix(fam.gamma)
-    total = RationalFunction(QPolynomial.zero())
-    for other in fam.members:
-        c = block.entry(fam.embedding[label], fam.embedding[other])
-        if c:
-            f = fake_degree_values(W, W.irrep_values(other))
-            total = total + RationalFunction(f) * c
-    return total
+    entries = ((o, block.entry(fam.embedding[label], fam.embedding[o])) for o in fam.members)
+    return sum((RationalFunction(fake_degree_values(W, W.irrep_values(o))) * c
+                for o, c in entries if c), RF_ZERO)
 
 
 def plancherel_sum(W: Union[WeylGroupData, ProductWeyl]) -> RationalFunction:
     """sum over irreducibles of d_delta(q) * dim(delta); equals P(q)."""
-    total = RationalFunction(QPolynomial.zero())
-    for lab in W.irrep_labels():
-        total = total + generic_degree(W, lab) * W.irrep_values(lab)[0]
-    return total
+    return sum((generic_degree(W, lab) * W.irrep_values(lab)[0] for lab in W.irrep_labels()),
+               RF_ZERO)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic_quotient
+from .exactq import QPolynomial, RF_ZERO, cyclotomic_quotient
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
@@ -194,17 +194,17 @@ def _suite_sp4():
 
 
 def _suite_g2_affine():
-    from .affine import (AffineDatum, G2_BASIS, G2_EF_AFFINE_PRINTED,
+    from .affine import (G2_BASIS, G2_EF_AFFINE_PRINTED,
                          G2_EF_J0_PRINTED, affine_elliptic_fake,
                          ef_elliptic_on_parahoric, g2_basis_values_canonical,
                          g2_class_alignment, g2_conjectured_transform,
-                         g2_ef_affine_published_order, g2_ef_j0_published_order,
-                         g2_mu_canonical)
+                         g2_affine_datum, g2_ef_affine_published_order,
+                         g2_ef_j0_published_order, g2_mu_canonical)
     from .fixtures import fake_degree_from_table
     from .unipotent import FIXTURES, conjecture_rhs
     from .weylgrp import GroupSpec
     out = []
-    d = AffineDatum("G2")
+    d = g2_affine_datum()
     types = [p.type_str() for p in d.maximal_parahorics()]
     out.append(_cmp("g2-affine/parahorics", types, ["G2", "A1 x A1", "A2"]))
     cls = d.elliptic_classes()
@@ -265,12 +265,11 @@ def _suite_g2_affine():
                         notes="elliptic integral against nu matches the "
                               "transform pipeline"))
     g2spec = GroupSpec("G2", 2)
-    zero = RationalFunction(QPolynomial.zero())
     fake_targets = [
         fake_degree_from_table("G2", "G2", "1"),
         fake_degree_from_table("G2", "G2(a1)", "(3)"),
         fake_degree_from_table("G2", "G2(a1)", "(21)"),
-        zero, zero,
+        RF_ZERO, RF_ZERO,
     ]
     for i, target in enumerate(fake_targets):
         got = affine_elliptic_fake(G2_BASIS[i], g2spec)
@@ -315,7 +314,7 @@ def _suite_independence():
 
 def _suite_appendix():
     from .elliptic import VirtualCharacter, elliptic_fake_degree, sgn_fake_degree
-    from .fixtures import fake_degree_from_table, numerator_table
+    from .fixtures import fake_degree_from_table
     from .weylgrp import GroupSpec, build_group, exceptional_exponents
     out = []
     W = build_group(GroupSpec("G2", 2))
@@ -340,9 +339,9 @@ def _suite_appendix():
     # so the published positive numerator corresponds to -F of the sign character
     for name in ("F4", "E6", "E7", "E8"):
         f = sgn_fake_degree(exceptional_exponents(name))
-        reg = next(r for r in numerator_table(name) if r["orbit"] == name)
+        want = fake_degree_from_table(name, name,
+                                      den={n: -e for n, e in f.phi_form[3].items() if e < 0})
         l = len(exceptional_exponents(name))
-        want = RationalFunction((RF_Q - 1).num ** l * reg["poly"], f.den)
         if l % 2:
             want = -want
         out.append(_cmp(f"appendix-regular/{name}", str(f == want), "True",

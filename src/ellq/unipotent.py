@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .cyclo import CycNum
 from .elliptic import sgn_fake_degree
-from .exactq import QPolynomial, RationalFunction, cyclotomic_quotient, rref
+from .exactq import RF_ZERO, RationalFunction, cyclotomic_quotient, rref
 from .fourier import _char_labels, _x_labels, fourier_matrix, small_group
 from .weylgrp import CARTAN_PAIRING, EXPONENTS, GroupSpec, RootSystem, exponents_of, rootsystem
 
@@ -100,12 +100,14 @@ def _factor_roots(k: Fraction, w: int, m: int):
     return zk - CycNum.rational(m, 1), 0, []
 
 
-def _poly_in_q(scalar: CycNum, power: int, phi: dict[int, int]) -> QPolynomial:
-    """scalar * u^power * prod Phi_N(u)^e, as a polynomial in q = u^2."""
-    p = cyclotomic_quotient(phi, power, scalar.as_rational()).num
-    if any(p.coeffs[1::2]):
+def _poly_in_q(scalar: CycNum, power: int, phi: dict[int, int]) -> tuple[Fraction, int, dict]:
+    """scalar * u^power * prod Phi_N(u)^e as (scalar, q-power, Phi-exponents) in
+    q = u^2, by Phi_N(u) Phi_2N(u) = Phi_N(q) for odd N, Phi_N(u) = Phi_{N/2}(q)
+    for 4 | N; it lies in Q(q) exactly when power is even and e_N = e_2N, N odd."""
+    c = scalar.as_rational()
+    if power % 2 or any(e != phi.get(2 * n if n % 2 else n // 2, 0) for n, e in phi.items() if n % 4):
         raise ValueError("odd power of u survives; value is not in Q(q)")
-    return QPolynomial(p.coeffs[::2])
+    return c, power // 2, {n if n % 2 else n // 2: e for n, e in phi.items() if n % 4 != 2}
 
 
 def m_x(param: EllipticParameter) -> MxResult:
@@ -142,9 +144,9 @@ def m_x(param: EllipticParameter) -> MxResult:
         if len(orbit) != 1:
             raise ValueError(f"roots of unity of order {n} are not whole Galois orbits")
         phi[n] = orbit.pop()
-    num = _poly_in_q(scalar[1], max(power, 0), {n: e for n, e in phi.items() if e > 0})
-    den = _poly_in_q(scalar[-1], max(-power, 0), {n: -e for n, e in phi.items() if e < 0})
-    rf = RationalFunction(num, den)
+    c1, k1, num = _poly_in_q(scalar[1], max(power, 0), {n: e for n, e in phi.items() if e > 0})
+    c2, k2, den = _poly_in_q(scalar[-1], max(-power, 0), {n: -e for n, e in phi.items() if e < 0})
+    rf = cyclotomic_quotient({**num, **{n: -e for n, e in den.items()}}, k1 - k2, c1 / c2)
     sign = rf.sign_at_infinity()
     return MxResult(abs(rf), sign, dropped_num, dropped_den, param.is_elliptic())
 
@@ -184,14 +186,10 @@ def conjecture_rhs(fix: UnipotentFixture, entry: tuple[str, str]) -> RationalFun
     """(1/|Z|) sum over (y',rho') of {(y,rho),(y',rho')} F(y',rho'), with F
     supported on the Springer-type entries of `fake_values`."""
     block = fourier_matrix(fix.gamma)
-    total = RationalFunction(QPolynomial.zero())
-    for other, f in fix.fake_values.items():
-        c = block.entry(tuple(entry), other)
-        if not isinstance(c, Fraction):
-            raise RuntimeError("irrational transform entry in a fixture block")
-        if c:
-            total = total + f * c
-    return total * Fraction(1, fix.datum.center_order)
+    terms = [(f, block.entry(tuple(entry), other)) for other, f in fix.fake_values.items()]
+    if not all(isinstance(c, Fraction) for _, c in terms):
+        raise RuntimeError("irrational transform entry in a fixture block")
+    return sum((f * c for f, c in terms if c), RF_ZERO) * Fraction(1, fix.datum.center_order)
 
 
 def _phi_values_at(fix: UnipotentFixture, s_label: str) -> dict[str, Fraction]:

@@ -382,6 +382,37 @@ def test_f4_table_under_python_o():
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
 
 
+def test_ef_matrix_is_built_once_per_group(capsys):
+    # verify all applies the transform on the three maximal parahorics of
+    # affine G2 (G2, A1 x A1, A2): one ef_matrix each, however often asked
+    from ellq import fourier
+    fourier.ef_matrix.cache_clear()
+    assert run(capsys, "--json", "verify", "all")[0] == 0
+    info = fourier.ef_matrix.cache_info()
+    assert (info.misses, info.hits) == (3, 7)
+
+
+def test_verify_all_needs_no_gcd():
+    """Every rational function of verify all is built and combined from its
+    Phi-exponents: a fresh interpreter whose poly_gcd raises gives the pin."""
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    code = ("import ellq.exactq as exactq\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('poly_gcd called')\n"
+            "exactq.poly_gcd = refuse\n"
+            "from ellq.cli import main\n"
+            "raise SystemExit(main(['--json', 'verify', 'all']))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert (hashlib.sha256(out.stdout.encode()).hexdigest()
+            == EXCEPTIONAL_OUTPUTS[("verify", "all")])
+
+
 def _readme_commands() -> list[list[str]]:
     """The `ellq ...` lines of README's "Command line" block, comments cut."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -453,11 +484,29 @@ def test_fixtures_override_ends_with_its_call(capsys, tmp_path):
     assert run(capsys, "verify", "cyc")[0] == 0
 
 
-@pytest.mark.parametrize("content", [
-    "[1, 2]", "7", '{"cyc": []}', '{"cyc": {"G2": 5}}', "{}", "not json",
-    '{"cyc": {}, "aux": {}, "tables": {"G2": [{"orbit": "G2", "phi": "1", "N": 5}]}}',
-], ids=["list", "number", "cyc-list", "cyc-entry", "empty", "not-json", "row-N"])
-def test_malformed_fixtures_file_exit_2(capsys, tmp_path, content):
+def _fixtures_row(n: str) -> str:
+    """A tables file with one G2 row whose encoded numerator N is n."""
+    return ('{"cyc": {}, "aux": {"p": [1, 2]}, "tables": {"G2": [{"orbit": "G2", '
+            f'"phi": "1", "N": {n}}}]}}}}')
+
+
+@pytest.mark.parametrize("content, key", [
+    ("[1, 2]", ""), ("7", ""), ('{"cyc": []}', "cyc"), ('{"cyc": {"G2": 5}}', "cyc"),
+    ("{}", "cyc"), ("not json", ""), (_fixtures_row("5"), "tables.G2[0]"),
+    ('{"cyc": {"G2": {"2": "x"}}, "aux": {}, "tables": {}}', "cyc.G2"),
+    ('{"cyc": {"G2": {"two": 1}}, "aux": {}, "tables": {}}', "cyc.G2"),
+    ('{"cyc": {}, "aux": {"p": [1, "x"]}, "tables": {}}', "aux.p"),
+    (_fixtures_row('{"phi": {}, "qpow": 0, "sign": 1, "aux": [9999]}'), "tables.G2[0].N.aux"),
+    (_fixtures_row('{"phi": {}, "qpow": 0, "sign": 1, "aux": ["q"]}'), "tables.G2[0].N.aux"),
+    (_fixtures_row('{"phi": {"5": "1"}, "qpow": 0, "sign": 1}'), "tables.G2[0].N.phi"),
+    (_fixtures_row('{"phi": {}, "qpow": 1.5, "sign": 1}'), "tables.G2[0].N.qpow"),
+    (_fixtures_row('{"phi": {}, "qpow": 0}'), "tables.G2[0].N.sign"),
+    (_fixtures_row('{"phi": {}, "qpow": 0, "sign": 1, "scalar": "2"}'),
+     "tables.G2[0].N.scalar"),
+], ids=["list", "number", "cyc-list", "cyc-entry", "empty", "not-json", "row-N",
+        "cyc-leaf", "cyc-key", "aux-entry", "aux-ref-int", "aux-ref-missing", "N-phi",
+        "N-qpow", "N-sign", "N-scalar"])
+def test_malformed_fixtures_file_exit_2(capsys, tmp_path, content, key):
     from ellq.fixtures import set_fixtures_dir
     file = tmp_path / "appendix_tables.json"
     file.write_text(content)
@@ -469,3 +518,20 @@ def test_malformed_fixtures_file_exit_2(capsys, tmp_path, content):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ellq: error: ")
     assert str(file) in lines[0] and "Traceback" not in captured.err
+    if key:
+        assert f"{file}: {key} is missing or out of shape" in lines[0]
+
+
+def test_fixtures_e8_regular_row_is_checked(capsys, tmp_path):
+    # the appendix suite builds the regular row of each exceptional table
+    # from its encoding: one more power of q in the E8 row must fail it
+    from importlib import resources
+    with resources.files("ellq.data").joinpath("appendix_tables.json").open() as fh:
+        data = json.load(fh)
+    next(r for r in data["tables"]["E8"] if r["orbit"] == "E8")["N"]["qpow"] += 1
+    (tmp_path / "appendix_tables.json").write_text(json.dumps(data))
+    code, out = run(capsys, "--json", "--fixtures", str(tmp_path), "verify", "appendix-g2")
+    status = {r["check"]: r["status"] for r in json.loads(out)["reports"]}
+    assert code == 1
+    assert [c for c, s in status.items() if s != "PASS"] == ["appendix-regular/E8"]
+    assert status["appendix-regular/E8"] == "FAIL"

@@ -109,6 +109,45 @@ def test_cyclotomic_quotient_reduces_a_numerator_like_gcd(phi, k, c, base, v, da
     assert cyclotomic_quotient(phi, k, c, QPolynomial.zero()).is_zero()
 
 
+_NONZERO = st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(lambda x: x != 0)
+
+
+@st.composite
+def _phi_operands(draw):
+    """Zero, a polynomial from the constructor, or a cyclotomic_quotient
+    value whose numerator shares some Phi_n with its exponent map."""
+    kind = draw(st.sampled_from(["zero", "polynomial", "quotient"]))
+    if kind == "zero":
+        return RationalFunction(QPolynomial.zero())
+    num = QPolynomial.monomial(draw(st.integers(0, 2)), draw(_NONZERO)) * QPolynomial(
+        draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any)))
+    if kind == "polynomial":
+        return RationalFunction(num)
+    phi = draw(st.dictionaries(st.sampled_from([1, 2, 3, 4, 6, 12, 31]), st.integers(-2, 2),
+                               max_size=3))
+    for n in sorted(phi):
+        num = num * cyclotomic(n) ** draw(st.integers(0, 2), label=f"Phi{n}")
+    return cyclotomic_quotient(phi, draw(st.integers(-2, 2)), draw(_NONZERO), num)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_phi_operands(), _phi_operands(), st.one_of(st.integers(-3, 3), _NONZERO))
+def test_phi_arithmetic_matches_gcd_route(a, b, c):
+    """+, -, * and scalar multiples of values in Phi-exponent form stay in it:
+    each result is what the constructor reaches from the cross-multiplied
+    numerator and denominator, and prints as trial division prints it."""
+    cases = [(a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+             (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+             (a * b, a.num * b.num, a.den * b.den),
+             (a * c, a.num * c, a.den), (c * a, a.num * c, a.den),
+             (-a, -a.num, a.den)]
+    for got, num, den in cases:
+        want = RationalFunction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.phi_form is not None
+        assert got.factored() == want.factored()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
        st.lists(st.integers(-4, 4), min_size=1, max_size=6))
