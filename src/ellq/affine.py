@@ -109,8 +109,7 @@ class AffineDatum:
             comps = _components(nodes, edges)
             specs = tuple(sorted((_classify_component(ns, es) for ns, es in comps),
                                  key=str))
-            weyl = build_group(specs[0]) if len(specs) == 1 else ProductWeyl(specs)
-            out.append(MaximalParahoric(deleted, specs, weyl))
+            out.append(MaximalParahoric(deleted, specs, _parahoric_weyl(specs)))
         self._parahorics = out
         return out
 
@@ -199,6 +198,13 @@ def _components(nodes, edges):
         out.append((sorted(ns), es))
     out.sort()
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _parahoric_weyl(specs: tuple[GroupSpec, ...]) -> Union[WeylGroupData, ProductWeyl]:
+    """One group object per parahoric type, so that per-group caches
+    (`fourier.ef_matrix`) serve every affine datum."""
+    return build_group(specs[0]) if len(specs) == 1 else ProductWeyl(specs)
 
 
 def _nu_on_parahoric(weyl) -> list[RationalFunction]:
@@ -316,9 +322,7 @@ G2_EF_AFFINE_PRINTED = [
 G2_BASIS_PAIRS = [None, ("1", "1"), ("1", "r"), ("g3", "1"), ("g2", "1")]
 
 
-@functools.lru_cache(maxsize=None)
 def g2_affine_datum() -> AffineDatum:
-    """Affine G2, built once, so its parahorics and nu values are shared."""
     return AffineDatum("G2")
 
 

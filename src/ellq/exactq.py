@@ -21,9 +21,8 @@ the terms over the exponent-wise largest denominator, and one call of
 ``poly_gcd``.  Cyclotomic factorisation, for display, is read from the map;
 trial division by Phi_1, ..., Phi_30 (30 is the largest index occurring in
 the E8 tables) is left for the residual numerator and for values without
-a map.  Every product of Phi_n, Phi_n itself included,
-is built by ``phi_product`` from sparse steps q^d - 1, as
-Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
+a map.  Every product of Phi_n, Phi_n itself included, is built by
+``phi_product`` from sparse steps q^d - 1, as Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -467,7 +466,7 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return (other if self.is_zero() else self) * 1
+            return (other if self.is_zero() else self) * 1  # a copy with its phi_form
         forms = _phi_form(self), _phi_form(other)
         if None not in forms:
             return phi_sum(*forms)
@@ -498,8 +497,8 @@ class RationalFunction:
         forms = _phi_form(self), _phi_form(other)
         if None not in forms:
             (ra, ka, sa, pa), (rb, kb, sb, pb) = forms
-            return cyclotomic_quotient({n: pa.get(n, 0) + pb.get(n, 0) for n in pa.keys() | pb.keys()},
-                                       ka + kb, sa * sb, ra * rb)
+            phi = {n: pa.get(n, 0) + pb.get(n, 0) for n in pa.keys() | pb.keys()}
+            return cyclotomic_quotient(phi, ka + kb, sa * sb, ra * rb)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

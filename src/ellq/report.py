@@ -194,17 +194,17 @@ def _suite_sp4():
 
 
 def _suite_g2_affine():
-    from .affine import (G2_BASIS, G2_EF_AFFINE_PRINTED,
+    from .affine import (AffineDatum, G2_BASIS, G2_EF_AFFINE_PRINTED,
                          G2_EF_J0_PRINTED, affine_elliptic_fake,
                          ef_elliptic_on_parahoric, g2_basis_values_canonical,
                          g2_class_alignment, g2_conjectured_transform,
-                         g2_affine_datum, g2_ef_affine_published_order,
-                         g2_ef_j0_published_order, g2_mu_canonical)
+                         g2_ef_affine_published_order, g2_ef_j0_published_order,
+                         g2_mu_canonical)
     from .fixtures import fake_degree_from_table
     from .unipotent import FIXTURES, conjecture_rhs
     from .weylgrp import GroupSpec
     out = []
-    d = g2_affine_datum()
+    d = AffineDatum("G2")
     types = [p.type_str() for p in d.maximal_parahorics()]
     out.append(_cmp("g2-affine/parahorics", types, ["G2", "A1 x A1", "A2"]))
     cls = d.elliptic_classes()

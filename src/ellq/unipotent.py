@@ -105,7 +105,8 @@ def _poly_in_q(scalar: CycNum, power: int, phi: dict[int, int]) -> tuple[Fractio
     q = u^2, by Phi_N(u) Phi_2N(u) = Phi_N(q) for odd N, Phi_N(u) = Phi_{N/2}(q)
     for 4 | N; it lies in Q(q) exactly when power is even and e_N = e_2N, N odd."""
     c = scalar.as_rational()
-    if power % 2 or any(e != phi.get(2 * n if n % 2 else n // 2, 0) for n, e in phi.items() if n % 4):
+    if power % 2 or any(e != phi.get(n * 2 if n % 2 else n // 2, 0)
+                        for n, e in phi.items() if n % 4):
         raise ValueError("odd power of u survives; value is not in Q(q)")
     return c, power // 2, {n if n % 2 else n // 2: e for n, e in phi.items() if n % 4 != 2}
 

@@ -144,7 +144,8 @@ def test_phi_arithmetic_matches_gcd_route(a, b, c):
     for got, num, den in cases:
         want = RationalFunction(num, den)
         assert (got.num, got.den) == (want.num, want.den)
-        assert got.phi_form is not None
+        residual, qpow, scalar, exponents = got.phi_form
+        assert cyclotomic_quotient(exponents, qpow, scalar, residual) == got
         assert got.factored() == want.factored()
 
 
