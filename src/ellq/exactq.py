@@ -660,14 +660,17 @@ def _phi_form(f: RationalFunction):
 
 
 def phi_sum(*forms) -> RationalFunction:
-    """The sum of the values given as phi_forms (residual, qpow, scalar, phi).
-    Every term is put over the exponent-wise largest denominator, the power
-    of q included, and the summed numerator is reduced once."""
-    den = {n: min(0, *(f[3].get(n, 0) for f in forms)) for f in forms for n in f[3]}
+    """The sum of the values given as phi_forms (residual, qpow, scalar, phi), put over
+    the exponent-wise largest denominator (q-power included) and reduced once."""
+    den: dict[int, int] = {}
+    for *_, phi in forms:
+        den.update({n: min(e, den.get(n, 0)) for n, e in phi.items() if e < 0})
     qden = min(0, *(f[1] for f in forms))
     scale = lcm(*(f[2].denominator for f in forms))
-    num = sum(((r * QPolynomial(phi_product({n: phi.get(n, 0) - e for n, e in den.items()})))
-               .shift(k - qden) * int(c * scale) for r, k, c, phi in forms), QPolynomial.zero())
+    num = QPolynomial.zero()
+    for r, k, c, phi in forms:
+        up = {**phi, **{n: phi.get(n, 0) - e for n, e in den.items()}}
+        num = num + (r * QPolynomial(phi_product(up))).shift(k - qden) * int(c * scale)
     return cyclotomic_quotient(den, qden, Fraction(1, scale) if scale > 1 else 1, num)
 
 

@@ -339,11 +339,9 @@ def _suite_appendix():
     # so the published positive numerator corresponds to -F of the sign character
     for name in ("F4", "E6", "E7", "E8"):
         f = sgn_fake_degree(exceptional_exponents(name))
-        want = fake_degree_from_table(name, name,
-                                      den={n: -e for n, e in f.phi_form[3].items() if e < 0})
         l = len(exceptional_exponents(name))
-        if l % 2:
-            want = -want
+        want = fake_degree_from_table(
+            name, name, den={n: -e for n, e in f.phi_form[3].items() if e < 0}) * (-1) ** l
         out.append(_cmp(f"appendix-regular/{name}", str(f == want), "True",
                         notes="closed-form sign fake degree matches the "
                               "published regular-orbit numerator"
