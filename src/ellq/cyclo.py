@@ -1,9 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-Elements are stored as sparse integer-exponent dictionaries over the group
-ring Q[Z/m] and reduced modulo Phi_m on demand.  This keeps products of
-character values (which are single roots of unity times rationals, most of
-the time) cheap inside the long Fourier-transform sums.
+The hot paths (Dixon's irrational values, the orthogonality check of a
+character table, the Fourier blocks and their check) work in the integer
+group ring Z[Z/m]: an element is a sparse sequence of pairs (k, c), meaning
+sum c zeta_m^k with int c.  `ring_reduce` takes one to its coordinates in
+the power basis of Q(zeta_m), ints again since Phi_m is monic; it is the
+only reduction modulo Phi_m.  `CycNum` keeps such an element, with rational
+coefficients, for values that stay irrational.
 
 Only the ring operations are provided: character values and Fourier
 entries never divide.  Formal degrees need no polynomials over Q(zeta_m)
@@ -23,23 +26,58 @@ def _phi_coeffs(m: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _zeta_power_basis(m: int, k: int) -> tuple[Fraction, ...]:
-    """Coordinates of zeta_m^k in the power basis 1, zeta, ..., zeta^(phi(m)-1)."""
+def _zeta_power_basis(m: int, k: int) -> tuple[int, ...]:
+    """Coordinates of zeta_m^k in the power basis 1, zeta, ..., zeta^(phi(m)-1):
+    ints, as Phi_m is monic."""
     phi = _phi_coeffs(m)
     d = len(phi) - 1
     k %= m
     if k < d:
-        out = [Fraction(0)] * d
-        out[k] = Fraction(1)
-        return tuple(out)
+        return tuple(int(i == k) for i in range(d))
     # zeta^d = -(phi_0 + phi_1 zeta + ... + phi_{d-1} zeta^{d-1}), then recurse
     prev = _zeta_power_basis(m, k - 1)
-    shifted = [Fraction(0)] + list(prev[:-1])
-    top = prev[-1]
-    if top != 0:
-        for i in range(d):
-            shifted[i] -= top * phi[i]
-    return tuple(shifted)
+    return tuple(a - prev[-1] * b for a, b in zip((0, *prev[:-1]), phi))
+
+
+@functools.lru_cache(maxsize=None)
+def _sparse_power_basis(m: int) -> list[list[tuple[int, int]]]:
+    """For each k < m, the nonzero coordinates (i, b) of zeta_m^k."""
+    return [[(i, b) for i, b in enumerate(_zeta_power_basis(m, k)) if b] for k in range(m)]
+
+
+def ring_reduce(terms, m: int) -> list:
+    """Power-basis coordinates of the element sum c zeta_m^k of Z[Z/m] (or
+    Q[Z/m]) given by the pairs (k, c) in `terms`."""
+    basis = _sparse_power_basis(m)
+    out = [0] * (len(_phi_coeffs(m)) - 1)
+    for k, c in terms:
+        if c:
+            for i, b in basis[k % m]:
+                out[i] += c * b
+    return out
+
+
+def ring_sum(products, m: int, conj: bool = False) -> dict[int, int]:
+    """sum c a b, or sum c a conj(b) when conj, over the triples (c, a, b) of
+    an int and two elements of Z[Z/m], unreduced as {k: coefficient}."""
+    sign = -1 if conj else 1
+    total: dict[int, int] = {}
+    for c, a, b in products:
+        for ka, ca in a:
+            for kb, cb in b:
+                k = (ka + sign * kb) % m
+                total[k] = total.get(k, 0) + c * ca * cb
+    return total
+
+
+def ring_terms(v, m: int) -> tuple:
+    """An int or a CycNum of conductor dividing m as pairs (k, c) of Z[Z/m];
+    pairs already are such an element and come back as they are."""
+    if type(v) is tuple:
+        return v
+    if type(v) is int:
+        return ((0, v),) if v else ()
+    return tuple((k * (m // v.m) % m, c) for k, c in v.c.items() if c)
 
 
 class CycNum:
@@ -113,16 +151,7 @@ class CycNum:
 
     def reduced(self) -> tuple[Fraction, ...]:
         """Coordinates in the power basis of Q(zeta_m)."""
-        d = len(_phi_coeffs(self.m)) - 1
-        out = [Fraction(0)] * d
-        for k, v in self.c.items():
-            if v == 0:
-                continue
-            basis = _zeta_power_basis(self.m, k)
-            for i in range(d):
-                if basis[i]:
-                    out[i] += v * basis[i]
-        return tuple(out)
+        return tuple(map(Fraction, ring_reduce(self.c.items(), self.m)))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.reduced())

@@ -11,13 +11,14 @@ character values collapsing to rationals in the final matrices.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import prod
+from operator import lshift, mul
 from typing import Sequence, Union
 
-from .cyclo import CycNum, _zeta_power_basis
+from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import RF_ONE, RF_ZERO, RationalFunction
 from .groups import CharacterTable, ConjClass, FiniteGroup, permutation_group
 from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
@@ -56,11 +57,15 @@ class MPair:
 class FourierBlock:
     """Entries are Fractions when rational; exact real cyclotomic numbers
     otherwise (this happens for S5, whose 5- and 6-cycle pairs produce real
-    quadratic irrationalities)."""
+    quadratic irrationalities).  `scaled` is N = scale * matrix in integers,
+    as the build made it: an int for a rational entry, and for an irrational
+    one its power-basis coordinates as pairs (k, c) of Z[Z/conductor]."""
     gamma_name: str
     pairs: list[MPair]
     matrix: list[list]
     conductor: int
+    scaled: list[list] = field(repr=False, compare=False)
+    scale: int = field(repr=False, compare=False)
     _positions: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -136,21 +141,6 @@ def m_set(gamma_name: str) -> list[MPair]:
             for a, cl in enumerate(_char_labels(table))]
 
 
-def _ring(v, m: int, scale=1) -> tuple[tuple[int, int], ...]:
-    """scale * v as a sparse element ((k, c), ...) = sum c zeta_m^k of the
-    integer group ring Z[Z/m]; scale must clear every denominator of v."""
-    terms = v.c.items() if isinstance(v, CycNum) else [(0, v)]
-    step = m // v.m if isinstance(v, CycNum) else 0
-    out = []
-    for k, c in terms:
-        c = Fraction(c) * scale
-        if c.denominator != 1:
-            raise ValueError(f"{scale} does not clear the denominators of {v}")
-        if c:
-            out.append((k * step % m, c.numerator))
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def fourier_matrix(gamma_name: str) -> FourierBlock:
     """{(x,sigma),(y,tau)} = (1/|C(x)||C(y)|) sum over g with x g y g^-1 = g y g^-1 x
@@ -158,111 +148,112 @@ def fourier_matrix(gamma_name: str) -> FourierBlock:
     5- and 6-cycle pairs of S5.
 
     The summand depends on g only through the class of u = g y g^-1 in C(x)
-    and the class of v = g^-1 x g in C(y).  So for each pair of Gamma-classes
-    x <= y one pass over Gamma counts the class pairs (u, v), and every entry
-    of that sub-block is
-        sum over (u, v) of count(u, v) sigma(u) conj(tau(v)) / |C(x)||C(y)|,
-    summed in the integer group ring Z[Z/m] of the exponent m of Gamma."""
+    and the class of v = g^-1 x g in C(y).  Both conjugates are listed once
+    per class of Gamma; for each pair of classes x <= y one pass over them
+    counts the class pairs (u, v), u in C(x) being one lookup in the class
+    map of C(x) that also gives its class.  Every entry of that sub-block is
+        sum over (u, v) of count(u, v) sigma(u) conj(tau(v)) / |C(x)||C(y)|:
+    an int sum when sigma and tau are rational, else summed in the integer
+    group ring Z[Z/m] of the exponent m of Gamma and reduced mod Phi_m once.
+    Next to M the build keeps N = D M, D = |Gamma|^2, in integers, and
+    `_check_block` checks N."""
     gamma = small_group(gamma_name)
     pairs = m_set(gamma_name)
     classes, cents, tables = _centralizers(gamma_name)
     m = gamma.exponent()
-    values = [[[_ring(v, m) for v in row] for row in t.values] for t in tables]
+    d = gamma.order ** 2
+    ints = [[row if all(type(v) is int for v in row) else None for row in t.values]
+            for t in tables]
+    terms = [[[ring_terms(v, m) for v in row] for row in t.values] for t in tables]
     members = [[a for a, p in enumerate(pairs) if p.x_class == i]
                for i in range(len(classes))]
     n = len(pairs)
     matrix = [[Fraction(0)] * n for _ in range(n)]
+    scaled = [[0] * n for _ in range(n)]
     mult = gamma.mult
     with_inverses = [(g, gamma.inv(g)) for g in gamma.elements]
-    for i, ci in enumerate(classes):
-        x, cx = ci.rep, cents[i]
+    # g y g^-1 and g^-1 x g for every g, per class representative
+    conj = [([mult(mult(g, c.rep), g_inv) for g, g_inv in with_inverses],
+             [mult(mult(g_inv, c.rep), g) for g, g_inv in with_inverses]) for c in classes]
+    for i, cx in enumerate(cents):
+        cx_of = cx._class_of
         for j in range(i, len(classes)):
-            y, cy = classes[j].rep, cents[j]
-            counts: dict[tuple[int, int], int] = {}
-            for g, g_inv in with_inverses:
-                u = mult(mult(g, y), g_inv)
-                if mult(x, u) == mult(u, x):
-                    key = (cx.class_of(u), cy.class_of(mult(mult(g_inv, x), g)))
-                    counts[key] = counts.get(key, 0) + 1
-            den = cx.order * cy.order
+            cy_of = cents[j]._class_of
+            counts = Counter((cu, cy_of[v]) for u, v in zip(conj[j][0], conj[i][1])
+                             if (cu := cx_of.get(u)) is not None).items()
+            den = cx.order * cents[j].order
+            scale = d // den
+            shared: dict[int, Fraction] = {}  # one Fraction per value
             for a in members[i]:
-                sigma = values[i][pairs[a].char_index]
-                for b in (b for b in members[j] if b >= a):
-                    tau = values[j][pairs[b].char_index]
-                    total: dict[int, int] = {}
-                    for (cu, cv), cnt in counts.items():
-                        for ka, ca in sigma[cu]:
-                            for kb, cb in tau[cv]:
-                                k = (ka - kb) % m
-                                total[k] = total.get(k, 0) + cnt * ca * cb
-                    if not any(c for k, c in total.items() if k):
-                        val = Fraction(total.get(0, 0), den)
+                sa, ta = ints[i][pairs[a].char_index], terms[i][pairs[a].char_index]
+                for b in members[j]:
+                    if b < a:
+                        continue
+                    sb, tb = ints[j][pairs[b].char_index], terms[j][pairs[b].char_index]
+                    if sa and sb:
+                        t = sum(c * sa[u] * sb[v] for (u, v), c in counts)
                     else:
-                        val = CycNum(m, {k: Fraction(c, den) for k, c in total.items() if c})
-                        if val.is_rational():
-                            val = val.as_rational()
-                    matrix[a][b] = val
-                    matrix[b][a] = val  # real symmetric
-    block = FourierBlock(gamma_name, pairs, matrix, m)
+                        total = ring_sum(((c, ta[u], tb[v]) for (u, v), c in counts), m,
+                                         conj=True)
+                        coords = ring_reduce(total.items(), m)
+                        t = coords[0]
+                        if any(coords[1:]):
+                            matrix[a][b] = matrix[b][a] = CycNum(
+                                m, {k: Fraction(c, den) for k, c in total.items() if c})
+                            scaled[a][b] = scaled[b][a] = tuple(
+                                (k, c * scale) for k, c in enumerate(coords) if c)
+                            continue
+                    if t not in shared:
+                        shared[t] = Fraction(t, den)
+                    matrix[a][b] = matrix[b][a] = shared[t]  # real symmetric
+                    scaled[a][b] = scaled[b][a] = t * scale
+    block = FourierBlock(gamma_name, pairs, matrix, m, scaled, d)
     _check_block(block)
     return block
 
 
 def _check_block(block: FourierBlock) -> None:
     """Exact symmetry, realness, and the involution property M^2 = 1, checked
-    on the integer matrix N = D M, D the lcm of all denominators of M: N is
-    symmetric and real, and N N = D^2 I.  Irrational entries are elements of
-    Z[Z/m]; each row-by-column sum is accumulated there and reduced mod Phi_m
-    once."""
-    mat = block.matrix
-    n = len(mat)
-    d = lcm(*(c.denominator for row in mat for v in row
-              for c in (v.c.values() if isinstance(v, CycNum) else (v,))))
-    if block.is_rational():
-        rows = [[v.numerator * (d // v.denominator) for v in row] for row in mat]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise RuntimeError("Fourier matrix not symmetric")
-        for i in range(n):
-            for j in range(i, n):
-                # N is symmetric, so column j of N is row j
-                if sum(map(mul, rows[i], rows[j])) != (d * d if i == j else 0):
-                    raise RuntimeError("Fourier matrix not an involution")
-        return
-    m = block.conductor
-    # zeta_m^k in the power basis of Q(zeta_m), as sparse integer coordinates
-    powers = [[(i, int(c)) for i, c in enumerate(_zeta_power_basis(m, k)) if c]
-              for k in range(m)]
-    width = len(_zeta_power_basis(m, 0))
-
-    def reduce(coeffs) -> list[int]:
-        out = [0] * width
-        for k, c in coeffs:
-            if c:
-                for i, b in powers[k]:
-                    out[i] += c * b
-        return out
-
-    rows = [[_ring(v, m, d) for v in row] for row in mat]
-    reduced = [[reduce(v) for v in row] for row in rows]
-    for i in range(n):
-        for j in range(n):
-            if reduced[i][j] != reduced[j][i]:
+    on the integer matrix N = D M of the build: N is symmetric and real, and
+    N N = D^2 I.  Rational rows pair as int sums; a pair of rows with an
+    irrational entry, pairs (k, c) of Z[Z/m], is summed in Z[Z/m] and
+    reduced mod Phi_m once."""
+    rows, d, m = block.scaled, block.scale, block.conductor
+    n = len(rows)
+    integral = [all(type(v) is int for v in row) for row in rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, n):
+            a, b = row[j], rows[j][i]
+            if a != b and (type(a) is type(b) is int or ring_reduce(ring_terms(a, m), m)
+                           != ring_reduce(ring_terms(b, m), m)):
                 raise RuntimeError("Fourier matrix not symmetric")
-            if reduce(((-k) % m, c) for k, c in rows[i][j]) != reduced[i][j]:
+        for v in () if integral[i] else row:
+            if type(v) is tuple and ring_reduce(((-k % m, c) for k, c in v), m) \
+                    != ring_reduce(v, m):
                 raise RuntimeError("Fourier matrix not real")
-    identity = reduce([(0, d * d)])
-    zero = reduce([])
+    # The rational rows pair all at once.  Column k of N on them is packed
+    # into one int, rational row j_p in the w bits from w p on, so that
+    # sum_k N[i][k] packed[k] holds (N N)[i][j_p] in slot p.  No slot value
+    # reaches 2^(w-1) in size, so the sum is D^2 in the slot of i alone
+    # exactly when these entries of N N are those of D^2 I.
+    rational = [i for i in range(n) if integral[i]]
+    big = max((max(map(abs, rows[i])) for i in rational), default=0)
+    w = max(n * big * big, d * d).bit_length() + 1
+    shifts = range(0, w * len(rational), w)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*(rows[j] for j in rational))]
+    for p, i in enumerate(rational):
+        if sum(map(mul, rows[i], packed)) != d * d << w * p:
+            raise RuntimeError("Fourier matrix not an involution")
+    if len(rational) == n:
+        return
+    terms = [[ring_terms(v, m) for v in row] for row in rows]
     for i in range(n):
         for j in range(i, n):
-            acc = [0] * m
-            for a, b in zip(rows[i], rows[j]):  # column j of N equals row j mod Phi_m
-                for ka, ca in a:
-                    for kb, cb in b:
-                        acc[(ka + kb) % m] += ca * cb
-            if reduce(enumerate(acc)) != (identity if i == j else zero):
-                raise RuntimeError("Fourier matrix not an involution")
+            if not (integral[i] and integral[j]):
+                # N is symmetric, so column j of N is row j
+                acc = ring_sum(zip([1] * n, terms[i], terms[j]), m)
+                if ring_reduce(acc.items(), m) != ring_reduce([(0, d * d * (i == j))], m):
+                    raise RuntimeError("Fourier matrix not an involution")
 
 
 def special_column_entry(gamma_name: str, y_pair, rho1_pair) -> Fraction:

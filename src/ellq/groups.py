@@ -12,10 +12,12 @@ thousand at most (13 for G2, 73 for F4).
 Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
 zeta_d^s, d the order of g).  Galois-stable ones, m_s = m_{ks} for every
 unit k mod d, give a rational value: the centred lift of chi(g) mod p, a
-plain int, as every Weyl group value is.  Only irrational values, of some
-centralizers in Gamma, are built as `CycNum`s.  The full orthogonality
-relations are then verified exactly; any failure is a hard error, and no
-approximate table is ever returned.
+plain int, as every Weyl group value is.  The others, in some centralizers
+in Gamma, are sums of roots of unity in Z[Z/exponent], reduced once by
+`cyclo.ring_reduce`; only a value that stays irrational is built as a
+`CycNum`.  The full orthogonality relations are then verified exactly, in
+integers and in Z[Z/m]; any failure is a hard error, and no approximate
+table is ever returned.
 
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
@@ -30,7 +32,7 @@ from math import gcd, isqrt
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .cyclo import CycNum
+from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import nullspace_mod, rref_mod
 
 
@@ -411,14 +413,9 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
                 # |chi(g)| <= chi(1) < p/2 makes it the centred lift of row[j]
                 srow.append(row[j] if row[j] <= half else row[j] - p)
                 continue
-            step = exponent // d
-            val = CycNum(exponent, {s * step: Fraction(m) for s, m in enumerate(ms) if m})
-            if val.is_rational():
-                r = val.as_rational()
-                if r.denominator != 1:
-                    raise RuntimeError(f"character value {r} is not an algebraic integer")
-                val = int(r)
-            srow.append(val)
+            terms = {s * (exponent // d): m for s, m in enumerate(ms) if m}
+            coords = ring_reduce(terms.items(), exponent)
+            srow.append(CycNum(exponent, terms) if any(coords[1:]) else coords[0])
         simple.append(srow)
     table = CharacterTable(group.order, classes, [simple[i] for i in row_order(simple)],
                            exponent)
@@ -458,12 +455,6 @@ def row_order(rows) -> list[int]:
     return order
 
 
-def _as_cyc(v, m) -> CycNum:
-    if isinstance(v, CycNum):
-        return v
-    return CycNum.rational(m, v)
-
-
 def _verify_table(table: CharacterTable) -> None:
     """Exact first/second orthogonality; raises on any failure."""
     kk = len(table.classes)
@@ -475,21 +466,19 @@ def _verify_table(table: CharacterTable) -> None:
     if not all(isinstance(v, int) and v == 1 for v in table.values[0]):
         raise RuntimeError("first row is not the trivial character")
     # Rational rows (every row of a Weyl group) pair as a plain integer sum;
-    # a pair with an irrational value pairs in Q(zeta_m), each value lifted once.
+    # a pair with an irrational value pairs in Z[Z/m], reduced mod Phi_m once.
     rows = table.values
     sizes = [c.size for c in table.classes]
     integral = [all(type(v) is int for v in row) for row in rows]
     weighted = [list(map(mul, row, sizes)) if i else None for row, i in zip(rows, integral)]
-    lifted = [] if all(integral) else [[_as_cyc(v, m) for v in row] for row in rows]
+    lifted = [] if all(integral) else [[ring_terms(v, m) for v in row] for row in rows]
     for a in range(n):
         for b in range(a, n):
             expected = order if a == b else 0
             if integral[a] and integral[b]:
                 ok = sum(map(mul, weighted[a], rows[b])) == expected
             else:
-                total = CycNum.zero(m)
-                for va, vb, s in zip(lifted[a], lifted[b], sizes):
-                    total = total + va * vb.conj() * s
-                ok = total.is_rational() and total.as_rational() == expected
+                total = ring_sum(zip(sizes, lifted[a], lifted[b]), m, conj=True)
+                ok = ring_reduce(total.items(), m) == ring_reduce(((0, expected),), m)
             if not ok:
                 raise RuntimeError(f"row orthogonality fails for rows {a},{b}")

@@ -382,6 +382,23 @@ def test_f4_table_under_python_o():
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
 
 
+def test_verify_fourier_under_python_o():
+    """The Fourier blocks and their centralizer tables are built and checked
+    with raises, never asserts: under python -O the fourier suite gives its
+    pinned output."""
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    argv = ("verify", "fourier")
+    out = subprocess.run([sys.executable, "-O", "-m", "ellq", "--json", *argv], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == EXCEPTIONAL_OUTPUTS[argv]
+
+
 def test_ef_matrix_is_built_once_per_group(capsys):
     # verify all applies the transform on the three maximal parahorics of
     # affine G2 (G2, A1 x A1, A2): one ef_matrix each, however often asked

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ellq
-from ellq.cyclo import CycNum
+from ellq.cyclo import CycNum, ring_terms
 from ellq.exactq import RationalFunction, RF_ONE, RF_Q, cyclotomic
 from ellq.fixtures import ft_z2_printed
 from ellq.fourier import (SUPPORTED_GAMMAS, _check_block, _x_labels,
@@ -228,14 +228,20 @@ def test_abelian_entries_closed_form(name):
             assert v == Fraction(sigma_y * tau_x, gamma.order)
 
 
-def _tampered(name, *positions):
-    """A copy of the block of Gamma with 1 added at each position."""
+def _tampered(name, *positions, add=1):
+    """A copy of the block of Gamma with `add` (an int, or pairs (k, c) of
+    Z[Z/m]) added at each position of the integer matrix N = D M, the
+    matrix _check_block checks."""
     block = fourier_matrix(name)
-    mat = [row[:] for row in block.matrix]
+    mat = [row[:] for row in block.scaled]
     for i, j in positions:
         v = mat[i][j]
-        mat[i][j] = v + (CycNum.rational(v.m, 1) if isinstance(v, CycNum) else 1)
-    return dataclasses.replace(block, matrix=mat)
+        if type(v) is type(add) is int:
+            mat[i][j] = v + add
+        else:
+            mat[i][j] = tuple(ring_terms(v, block.conductor) if type(v) is int else v) + (
+                ring_terms(add, block.conductor) if type(add) is int else add)
+    return dataclasses.replace(block, scaled=mat)
 
 
 def test_check_block_rejects_asymmetric_s3():
@@ -249,13 +255,71 @@ def test_check_block_rejects_non_involution_s3():
         _check_block(_tampered("S3", (0, 1), (1, 0)))
 
 
-def test_check_block_rejects_non_involution_s5_irrational():
+def _irrational_s5_entry():
     block = fourier_matrix("S5")
-    i, j = next((i, j) for i, row in enumerate(block.matrix)
+    return next((i, j) for i, row in enumerate(block.matrix)
                 for j, v in enumerate(row) if i < j and isinstance(v, CycNum))
+
+
+def test_check_block_rejects_non_involution_s5_irrational():
+    i, j = _irrational_s5_entry()
     _check_block(_tampered("S5"))
     with pytest.raises(RuntimeError, match="not an involution"):
         _check_block(_tampered("S5", (i, j), (j, i)))
+
+
+@pytest.mark.parametrize("k", [1, 12, 15, 20])
+def test_check_block_rejects_non_real_s5_irrational(k):
+    # the same zeta_60^k at (i, j) and (j, i) keeps N symmetric but not real
+    i, j = _irrational_s5_entry()
+    assert fourier_matrix("S5").conductor == 60
+    with pytest.raises(RuntimeError, match="not real"):
+        _check_block(_tampered("S5", (i, j), (j, i), add=((k, 1),)))
+
+
+def test_check_block_compares_mixed_entries_in_the_field():
+    # an irrational entry against an int, or against another irrational one
+    i, j = _irrational_s5_entry()
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _check_block(_tampered("S5", (i, j), add=((12, 1),)))
+    with pytest.raises(RuntimeError, match="not symmetric"):
+        _check_block(_tampered("S3", (0, 1), add=((1, 1),)))
+    with pytest.raises(RuntimeError, match="not real"):
+        _check_block(_tampered("S3", (0, 1), (1, 0), add=((1, 1),)))
+    # zeta_6 + zeta_6^5 = 1: the same value written two ways is symmetric
+    block = _tampered("S3", (0, 1), add=((1, 1), (5, 1), (0, -1)))
+    _check_block(block)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 8, 17, 30])
+def test_check_block_slots_are_wide_enough(width):
+    # N = D I + v v^T, v = (2^width, -1), has N N = D^2 I + u v v^T, u > 0:
+    # not an involution, yet with slots of `width` bits every row of N N
+    # packs to D^2 in its own slot
+    d, big = 4, 1 << width
+    n_mat = [[d + big * big, -big], [-big, d + 1]]
+    square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*n_mat)] for row in n_mat]
+    assert square != [[d * d, 0], [0, d * d]]
+    for p, row in enumerate(square):
+        assert row[0] + (row[1] << width) == d * d << width * p
+    block = dataclasses.replace(fourier_matrix("Z2"), scaled=n_mat, scale=d)
+    with pytest.raises(RuntimeError, match="not an involution"):
+        _check_block(block)
+
+
+def test_check_block_reads_the_integer_matrix():
+    # N = |Gamma|^2 M: ints where M is rational, reduced Z[Z/m] pairs elsewhere
+    for name in ("S3", "S5", "Z2^3"):
+        block = fourier_matrix(name)
+        d = small_group(name).order ** 2
+        assert block.scale == d
+        for row, nrow in zip(block.matrix, block.scaled):
+            for v, nv in zip(row, nrow):
+                if isinstance(v, Fraction):
+                    assert type(nv) is int and nv == v * d
+                else:
+                    assert [c for _, c in nv] and all(type(c) is int for _, c in nv)
+                    assert CycNum(block.conductor, dict(nv)) == v * d
 
 
 def test_block_index_lookup():

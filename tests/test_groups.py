@@ -150,6 +150,44 @@ def test_z5_centralizer_keeps_its_cyclotomic_values():
         assert [(v.m, v.c) for v in row[1:]] == [(5, {k: 1}) for k in ks]
 
 
+def _cyclic_centralizers():
+    """(n, centralizer) for every cyclic centralizer of order 3, 4 or 6 of a
+    class representative in S3, S4 and S5."""
+    out = []
+    for name in ("S3", "S4", "S5"):
+        gamma = small_group.__wrapped__(name)
+        for c in gamma.conjugacy_classes():
+            cent = gamma.centralizer(c.rep)
+            if cent.order in (3, 4, 6) and any(cent.element_order(h) == cent.order
+                                               for h in cent.elements):
+                out.append((cent.order, cent))
+    return out
+
+
+def test_cyclic_centralizer_tables_match_the_closed_form():
+    # chi_a(g^b) = zeta_n^(ab) for a generator g of Z_n: a second route to
+    # Dixon's irrational values, row by row as sets
+    found = _cyclic_centralizers()
+    assert sorted(n for n, _ in found) == [3, 3, 4, 4, 6, 6]
+    for n, cent in found:
+        g = next(h for h in cent.elements if cent.element_order(h) == n)
+        power, h = {}, cent.identity
+        for b in range(n):
+            power[h] = b
+            h = cent.mult(h, g)
+        table = cent.character_table()
+        exps = [power[c.rep] for c in table.classes]
+
+        def coords(v):
+            return (v if isinstance(v, CycNum) else CycNum.rational(n, v)).reduced()
+        dixon = {tuple(coords(v) for v in row) for row in table.values}
+        closed = {tuple(CycNum.zeta_pow(n, a * b).reduced() for b in exps)
+                  for a in range(n)}
+        assert len(dixon) == n
+        assert dixon == closed
+        assert any(isinstance(v, CycNum) for row in table.values for v in row)
+
+
 def test_verify_table_rejects_rational_values_lifted_off_by_one():
     table = build_group(GroupSpec("F4", 4)).character_table()
     _verify_table(table)
