@@ -8,6 +8,7 @@ discrepancies), 1 (verification failure), 2 (usage error).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -203,15 +204,13 @@ def _cmd_fourier(args) -> int:
     from .fourier import fourier_matrix
     block = fourier_matrix(args.gamma)
     labels = [str(p) for p in block.pairs]
-    payload = {"gamma": args.gamma, "pairs": labels,
-               "matrix": [[str(v) for v in row] for row in block.matrix],
+    matrix = [[str(v) for v in row] for row in block.matrix]
+    payload = {"gamma": args.gamma, "pairs": labels, "matrix": matrix,
                "rational": block.is_rational()}
     width = max(len(s) for s in labels) + 1
-    lines = [f"M({args.gamma}): {len(labels)} pairs"]
-    hdr = " " * width + " ".join(f"{s:>10}" for s in labels)
-    lines.append(hdr)
-    for lab, row in zip(labels, block.matrix):
-        lines.append(f"{lab:<{width}}" + " ".join(f"{str(v):>10}" for v in row))
+    lines = itertools.chain(
+        [f"M({args.gamma}): {len(labels)} pairs", " " * width + " ".join(f"{s:>10}" for s in labels)],
+        (f"{lab:<{width}}" + " ".join(f"{s:>10}" for s in row) for lab, row in zip(labels, matrix)))
     _emit(args, payload, lines)
     return 0
 

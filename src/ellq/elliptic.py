@@ -13,6 +13,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
@@ -76,25 +77,27 @@ def elliptic_pairing_chars(x: VirtualCharacter, y: VirtualCharacter) -> Fraction
 
 
 def sq_pairing(W: WeylGroupData, values: Sequence) -> RationalFunction:
-    """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w).
-
-    Over the class kernel this is sum chi(C) det(1 - C) K_C divided by
-    prod (1 - q^{d_i}) |W| = (-1)^l |W| Phi_1^l P(q); det(1 - C) is 0 off the
-    elliptic classes."""
+    """<chi, 1/det(1 - q .)>^el = (1/|W|) sum_w chi(w) det(1 - w)/det(1 - q w),
+    summed over the elliptic classes by _elliptic_sum (det(1 - w) is 0 off
+    them) from the columns of W.elliptic_columns."""
     return _elliptic_sum(W, values, -W.rank)
 
 
 def elliptic_fake_degree(W: WeylGroupData, values: Sequence) -> RationalFunction:
-    """F = ((q-1)^l / |W|) sum_w chi(w) det(1 - w)/det(1 - q w), that is
-    sum chi(C) det(1 - C) K_C / ((-1)^l |W| P(q)) over the class kernel."""
+    """F = ((q-1)^l / |W|) sum_w chi(w) det(1 - w)/det(1 - q w), summed over
+    the elliptic classes by _elliptic_sum."""
     return _elliptic_sum(W, values, 0)
 
 
 def _elliptic_sum(W: WeylGroupData, values: Sequence, phi1: int) -> RationalFunction:
-    """sum chi(C) det(1 - C) K_C * Phi_1^phi1 / ((-1)^l |W| P(q))."""
-    num = W.kernel_sum([v * c.det1 for v, c in zip(W.check_length(values), W.classes())])
-    phi = {1: phi1, **{n: -e for n, e in W.poincare_phi.items()}}
-    return cyclotomic_quotient(phi, scalar=Fraction((-1) ** W.rank, W.order), num=num)
+    """Phi_1^(l + phi1) / |W| times the sum over the elliptic classes C of
+    chi(C) |C| det(1 - w_C) / det(1 - q w_C), that is sum chi(C) column C over
+    prod Phi_n^D_n (W.elliptic_columns), reduced by one cyclotomic_quotient."""
+    ell, top, cols = W.elliptic_columns
+    chi = list(map(W.check_length(values).__getitem__, ell))
+    num = QPolynomial(sum(map(mul, chi, col)) for col in zip(*cols))
+    phi = {1: W.rank + phi1, **{n: -d for n, d in top.items()}}
+    return cyclotomic_quotient(phi, scalar=Fraction(1, W.order), num=num)
 
 
 def _one_minus_qpow_exponents(ks: Counter, qpow: int = 0,

@@ -12,17 +12,18 @@ sign) whose denominator is known to be cyclotomic: every closed form is
 collected as such an exponent map, and every class sum over a Weyl group
 is an integer numerator over a known product of Phi_n (det(1 - qw) divides
 prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  It
-reduces by trial division by the Phi_n of the denominator, so its result
-is canonical with no gcd, and the result keeps its residual numerator and
-exponent map.  Sums, differences and products of such values and of
-polynomials keep the map too: a product adds the maps, ``phi_sum`` puts
-the terms over the exponent-wise largest denominator, and one call of
-``cyclotomic_quotient`` reduces either; only the constructor, / and ** run
-``poly_gcd``.  Cyclotomic factorisation, for display, is read from the map;
-trial division by Phi_1, ..., Phi_30 (30 is the largest index occurring in
-the E8 tables) is left for the residual numerator and for values without
-a map.  Every product of Phi_n, Phi_n itself included, is built by
-``phi_product`` from sparse steps q^d - 1, as Phi_n = prod_{d|n} (q^d - 1)^mu(n/d).
+strips the Phi_n of the denominator from the numerator, so its result is
+canonical with no gcd, and keeps its residual numerator and exponent map.
+Sums, differences and products of such values and of polynomials keep the
+map: a product adds the maps, ``phi_sum`` puts the terms over the
+exponent-wise largest denominator, and one ``cyclotomic_quotient`` reduces
+either; only the constructor, / and ** run ``poly_gcd``.  Cyclotomic
+factorisation, for display, is read from the map; the residual numerator and
+values without a map have Phi_1, ..., Phi_30 stripped (30 is the largest
+index in the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on
+coefficient lists: an integer screen at q = 2, then an exact test mod
+q^n - 1, and only then a division, with no ``QPolynomial`` division.  Every
+product of Phi_n is built by ``phi_product`` from sparse steps q^d - 1.
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -401,26 +402,58 @@ def _render_cyclotomic(scalar: Scalar, f: CyclotomicFactorization,
 
 def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
                       ) -> CyclotomicFactorization:
-    """Exact factorisation by trial division by Phi_n, n <= CYCLOTOMIC_BOUND;
+    """Exact factorisation by stripping Phi_n, n <= CYCLOTOMIC_BOUND (`strip_phi`);
     the Phi_n with n in skip are known not to divide p and are not tried."""
     if p.is_zero():
         raise ValueError("zero input")
     v = p.low_degree()
-    if v > 0:
-        p = QPolynomial(p.coeffs[v:])
-    factors: dict[int, int] = {}
+    cs, factors = list(p.coeffs[v:]), {}
     for n in range(1, CYCLOTOMIC_BOUND + 1):
-        if n in skip:
-            continue
-        phi = cyclotomic(n)
-        while phi.degree <= p.degree:
-            quo, rem = divmod(p, phi)
-            if not rem.is_zero():
-                break
-            factors[n] = factors.get(n, 0) + 1
-            p = quo
-    scalar = Fraction(p.leading if not p.is_zero() else 1)
-    return CyclotomicFactorization(scalar, v, factors, p.monic())
+        if n not in skip and cyclotomic(n).degree < len(cs):
+            cs, k = strip_phi(cs, n)
+            if k:
+                factors[n] = k
+    p = QPolynomial(cs)
+    return CyclotomicFactorization(Fraction(p.leading), v, factors, p.monic())
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_data(n: int) -> tuple:
+    """deg Phi_n, Phi_n(2), and the nonzero (j, c) of Phi_n below its top."""
+    cs = cyclotomic(n).coeffs
+    low = [(j, c) for j, c in enumerate(cs[:-1]) if c]
+    return len(cs) - 1, sum(c << j for j, c in enumerate(cs)), low
+
+
+def strip_phi(p: list, n: int, limit: int = -1) -> tuple[list, int]:
+    """(p / Phi_n^k, k) for the largest k (at most limit, if limit >= 0) with
+    Phi_n^k dividing the nonzero coefficient list p, ints or Fractions.  Each
+    try screens in integers: Phi_n is monic, so it divides p only if Phi_n(2)
+    divides d p(2), d clearing p's denominators (Gauss's lemma; 0 passes).
+    The exact test follows: p folded mod q^n - 1 into n sums is 0 mod Phi_n.
+    Only then is p divided by Phi_n, and the remainder checked."""
+    deg, at2, low = _phi_data(n)
+    k = 0
+    while k != limit and len(p) > deg:
+        val = functools.reduce(lambda v, c: v + v + c, reversed(p), 0)
+        if type(val) is not int:
+            val *= lcm(*(c.denominator for c in p))
+        if val % at2 or any(_divide_phi([sum(p[j::n]) for j in range(n)], deg, low)[:deg]):
+            break
+        p = _divide_phi(list(p), deg, low)
+        if any(p[:deg]):
+            raise ArithmeticError(f"Phi_{n} passed the fold test but leaves a remainder")
+        p, k = p[deg:], k + 1
+    return p, k
+
+
+def _divide_phi(a: list, deg: int, low) -> list:
+    """a divided in place by the monic Phi_n of _phi_data: a[deg:] becomes the
+    quotient and a[:deg] the remainder."""
+    for i in range(len(a) - 1, deg - 1, -1):
+        for j, c in low:
+            a[i - deg + j] -= a[i] * c
+    return a
 
 
 class RationalFunction:
@@ -626,17 +659,14 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
     if num.is_zero():
         return _canonical(num, QPolynomial.one(), (num, 0, 1, {}))
     v, d = num.low_degree(), lcm(*(c.denominator for c in num.coeffs))
-    num, qpow, phi = QPolynomial(num.coeffs[v:]), qpow + v, dict(phi)
+    cs, qpow, phi = list(num.coeffs[v:]), qpow + v, dict(phi)
     if d > 1:
-        num, scalar = num * d, Fraction(scalar, d)
+        cs, scalar = [int(c * d) for c in cs], Fraction(scalar, d)
     for n, e in phi.items():
-        phi_n = cyclotomic(n)
-        while e < 0 and phi_n.degree <= num.degree:
-            quo, rem = divmod(num, phi_n)
-            if not rem.is_zero():
-                break
-            num, e = quo, e + 1
-        phi[n] = e
+        if e < 0:
+            cs, k = strip_phi(cs, n, -e)
+            phi[n] = e + k
+    num = QPolynomial(cs)
     def part(sign):
         return QPolynomial(phi_product({n: sign * e for n, e in phi.items() if sign * e > 0}))
     return _canonical((num * part(1)).shift(max(qpow, 0)) * scalar,

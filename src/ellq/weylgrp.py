@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import border_strips, mn_character, partitions_of
-from .exactq import QPolynomial, cyclotomic_quotient, exact_div
+from .exactq import QPolynomial, cyclotomic_quotient, exact_div, factor_cyclotomic, phi_product
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
                      _verify_table, permutation_group, row_order)
 
@@ -108,10 +108,7 @@ def poincare_polynomial(exponents: Sequence[int]) -> QPolynomial:
 
 
 def group_order_from_exponents(exponents: Sequence[int]) -> int:
-    out = 1
-    for m in exponents:
-        out *= m + 1
-    return out
+    return math.prod(m + 1 for m in exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +152,18 @@ def signed_cycle_type(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def char_poly_signed(w, family: str, stype=None) -> QPolynomial:
-    """det(1 - q w) on the reflection representation, from w or its type (pos, neg)."""
+    """det(1 - q w) on the reflection representation, from w or its type (pos,
+    neg): one shift-and-add step 1 - q^r or 1 + q^r per cycle.  Type A's
+    trivial summand 1 - q is removed by prefix sums, the last of which is 0."""
     pos, neg = stype or signed_cycle_type(w)
-    p = QPolynomial.one()
-    for r in pos:
-        p = p * QPolynomial((1,) + (0,) * (r - 1) + (-1,))  # 1 - q^r
-    for r in neg:
-        p = p * QPolynomial((1,) + (0,) * (r - 1) + (1,))  # 1 + q^r
+    a = [1]
+    for r, s in [(r, -1) for r in pos] + [(r, 1) for r in neg]:
+        a = list(map(operator.add, a + [0] * r, [0] * r + [s * c for c in a]))
     if family == "A":
-        p = p // QPolynomial.of(1, -1)  # remove the trivial summand
-    return p
+        *a, total = itertools.accumulate(a)
+        if total:
+            raise RuntimeError(f"1 - q does not divide det(1 - qw) of type {pos}")
+    return QPolynomial(a)
 
 
 def bipartition_value(lam, gamma, pos, neg) -> int:
@@ -265,7 +264,7 @@ def rootsystem(cartan, exponents) -> RootSystem:
     return RootSystem(
         n, tuple(roots),
         tuple(tuple(index[_reflect(cartan, j, r)] for r in roots) for j in range(n)),
-        highest, int(_poly_det([[QPolynomial.of(x) for x in row] for row in cartan]).coeff(0)))
+        highest, (-1) ** n * char_poly_matrix(cartan).coeff(n))
 
 
 def _reflect(cartan, j, r):
@@ -275,25 +274,19 @@ def _reflect(cartan, j, r):
 
 
 def char_poly_matrix(m) -> QPolynomial:
-    """det(1 - q M) by Laplace expansion (rank <= 4)."""
-    n = len(m)
-    entries = [[QPolynomial.of(1 if i == j else 0) - QPolynomial.of(0, m[i][j])
-                for j in range(n)] for i in range(n)]
-    return _poly_det(entries)
-
-
-def _poly_det(rows) -> QPolynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = QPolynomial.zero()
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _poly_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    """det(1 - q M) = sum c_k q^k of an integer matrix M, whose c_k are those
+    of det(x - M) = sum c_k x^(n-k), by Faddeev-LeVerrier in integers:
+    N_k = M N_(k-1) + c_(k-1) I and c_k = -tr(M N_k) / k, exact or ArithmeticError."""
+    c, nk = [1], [[0] * len(m) for _ in m]
+    for k in range(1, len(m) + 1):
+        nk = [[sum(map(operator.mul, row, col)) + c[-1] * (i == j)
+               for j, col in enumerate(zip(*nk))] for i, row in enumerate(m)]
+        c_k, rem = divmod(-sum(sum(map(operator.mul, row, col))
+                               for row, col in zip(m, zip(*nk))), k)
+        if rem:
+            raise ArithmeticError(f"tr(M N_{k}) is not divisible by {k}")
+        c.append(c_k)
+    return QPolynomial(c)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +413,7 @@ class WeylGroupData:
         self._index: dict[str, int] = {}
         self._kernel: Optional[list[QPolynomial]] = None
         self.exponents = exponents_of(spec)
-        self.poincare_phi = poincare_phi(self.exponents)
-        self.poincare = cyclotomic_quotient(self.poincare_phi).num
+        self.poincare = poincare_polynomial(self.exponents)
         self.order = group_order_from_exponents(self.exponents)
 
     @property
@@ -475,6 +467,23 @@ class WeylGroupData:
         if self._kernel is None:
             self._kernel = [self.springer_quotient(c.char_poly) * c.size for c in self.classes()]
         return self._kernel
+
+    @functools.cached_property
+    def elliptic_columns(self) -> tuple[list[int], dict[int, int], list[list[int]]]:
+        """(the elliptic classes, D, their columns): each elliptic det(1 - q w_C) is
+        factored once as prod_{n >= 2} Phi_n^e_{C,n} (RuntimeError on a scalar, a
+        power of q, Phi_1 or a remainder), D_n = max_C e_{C,n}, and column C is
+        |C| det(1 - w_C) prod Phi_n^(D_n - e_{C,n}), over the common prod Phi_n^D_n."""
+        ell, exps = self.elliptic_classes(), []
+        for c in map(self.classes().__getitem__, ell):
+            f = factor_cyclotomic(c.char_poly)
+            if f.scalar != 1 or f.q_power or 1 in f.factors or not f.remainder.is_one():
+                raise RuntimeError(f"{self.spec}: elliptic det(1 - qw) = {f}, not a "
+                                   f"product of Phi_n, n >= 2")
+            exps.append((c.size * c.det1, f.factors))
+        top = {n: max(e.get(n, 0) for _, e in exps) for n in set().union(*(e for _, e in exps))}
+        return ell, top, [[x * a for a in phi_product({n: d - e.get(n, 0) for n, d in top.items()})]
+                          for x, e in exps]
 
     def kernel_sum(self, values: Sequence) -> QPolynomial:
         """sum_C values[C] K_C over the class kernel, coefficient by coefficient."""
@@ -733,10 +742,5 @@ class ProductWeyl:
         if isinstance(label_combo, str):
             label_combo = label_combo.split(" (x) ")
         rows = [f.irrep_values(lab) for f, lab in zip(self.factors, label_combo)]
-        out = []
-        for combo in itertools.product(*[range(len(f.classes())) for f in self.factors]):
-            v = 1
-            for row, i in zip(rows, combo):
-                v *= row[i]
-            out.append(v)
-        return out
+        return [math.prod(row[i] for row, i in zip(rows, combo))
+                for combo in itertools.product(*[range(len(f.classes())) for f in self.factors])]

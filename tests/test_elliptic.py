@@ -13,7 +13,7 @@ from ellq.elliptic import (VirtualCharacter, bn_fake_closed, cyc_denominator,
                            dn_fake_closed, elliptic_fake_degree,
                            elliptic_pairing, elliptic_pairing_chars,
                            hook_content_pairing, independence_check,
-                           radical_check, sgn_fake_degree)
+                           radical_check, sgn_fake_degree, sq_pairing)
 from ellq.combinat import g_poly
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, poly_gcd, rref)
@@ -139,17 +139,20 @@ def test_closed_form_factored_divides_no_polynomial(monkeypatch):
 def test_factored_skips_the_phi_n_of_the_denominator(monkeypatch):
     """cyclotomic_quotient left the residual prime to every Phi_n of the
     denominator, so factored() does not try them: trying all of Phi_1 to
-    Phi_30 took 19 divisions here."""
+    Phi_30 that fit the residual's degree took 19 tries here."""
+    import ellq.exactq
     f = dn_fake_closed((5, 3, 2))
     want = RationalFunction(f.num, f.den).factored()
-    calls = []
+    tried = []
 
-    def counting(a, b, inner=QPolynomial.__divmod__):
-        calls.append(b.degree)
-        return inner(a, b)
-    monkeypatch.setattr(QPolynomial, "__divmod__", counting)
+    def recording(p, n, *args, inner=ellq.exactq.strip_phi):
+        tried.append(n)
+        return inner(p, n, *args)
+    monkeypatch.setattr(ellq.exactq, "strip_phi", recording)
     assert f.factored() == want
-    assert 0 < len(calls) < 19
+    denominator = {n for n, e in f.phi_form[3].items() if e < 0}
+    assert tried and not denominator & set(tried)
+    assert len(tried) < 19
 
 
 def test_bn_closed_examples():
@@ -369,3 +372,62 @@ def test_elliptic_frobenius_d3_in_b3():
         res = [brow[B.group.class_of(c.rep)] for c in H.conjugacy_classes()]
         rhs = elliptic_pairing_h(hrow, res)
         assert lhs == rhs
+
+
+# -- the elliptic sums read only the elliptic classes --
+
+def _class_kernel_route(W, values, phi1):
+    """sum chi(C) det(1 - w_C) K_C Phi_1^phi1 / ((-1)^l |W| P(q)) over every
+    class, K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C), reduced by gcd: the
+    full class-kernel route that the elliptic columns replace."""
+    num = W.kernel_sum([v * c.det1 for v, c in zip(values, W.classes())])
+    den = W.poincare * ((-1) ** W.rank * W.order)
+    q1 = QPolynomial.of(-1, 1)
+    return RationalFunction(num * q1 ** max(phi1, 0), den * q1 ** max(-phi1, 0))
+
+
+_ELLIPTIC_SPECS = ([GroupSpec("G2", 2), GroupSpec("F4", 4)]
+                   + [GroupSpec("A", n) for n in range(1, 7)]
+                   + [GroupSpec("B", n) for n in range(2, 6)]
+                   + [GroupSpec("D", n) for n in (4, 5)])
+
+
+@pytest.mark.parametrize("spec", _ELLIPTIC_SPECS, ids=str)
+def test_elliptic_sums_match_the_class_kernel_route(spec):
+    W = build_group(spec)
+    for row in W.character_table().values:
+        for fn, phi1 in ((elliptic_fake_degree, 0), (sq_pairing, -W.rank)):
+            got, want = fn(W, row), _class_kernel_route(W, row, phi1)
+            assert got.to_json() == want.to_json(), (spec, row, fn.__name__)
+            assert got.factored() == want.factored(), (spec, row, fn.__name__)
+
+
+def test_elliptic_sum_reads_only_the_elliptic_classes():
+    W = build_group(GroupSpec("B", 4))
+    row = W.character_table().values[3]
+    ell = set(W.elliptic_classes())
+    poisoned = [v if i in ell else object() for i, v in enumerate(row)]
+    assert elliptic_fake_degree(W, poisoned) == elliptic_fake_degree(W, row)
+    assert sq_pairing(W, poisoned) == sq_pairing(W, row)
+
+
+_TAMPER_PHI1 = """
+from ellq.exactq import QPolynomial
+from ellq.elliptic import elliptic_fake_degree
+from ellq.weylgrp import GroupSpec, build_group
+W = build_group(GroupSpec("G2", 2))
+c = W.classes()[W.elliptic_classes()[-1]]
+c.char_poly = c.char_poly * QPolynomial.of(-1, 1)  # an elliptic det(1 - qw) with Phi_1
+elliptic_fake_degree(W, W.sign_values())
+"""
+
+
+def test_elliptic_columns_refuse_phi1_under_python_o():
+    """The factorisation check of each elliptic det(1 - qw) is a raise, not
+    an assert: python -O still refuses a det(1 - qw) with a factor Phi_1."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    out = subprocess.run([sys.executable, "-O", "-c", _TAMPER_PHI1], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 1
+    assert "RuntimeError: G2: elliptic det(1 - qw)" in out.stderr
+    assert "not a product of Phi_n, n >= 2" in out.stderr

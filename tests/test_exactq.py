@@ -439,3 +439,68 @@ def test_integer_kernel_pinned_cases():
     assert factor_cyclotomic(QPolynomial.of(3, 3)).scalar == F(3)
     assert type(factor_cyclotomic(QPolynomial.of(3, 3)).scalar) is Fraction
 
+
+
+# -- strip_phi: the one Phi_n-stripping route, against QPolynomial division --
+
+def _divmod_strip(p, n, limit=-1):
+    """(p / Phi_n^k, k) by repeated QPolynomial division, the reference."""
+    k = 0
+    while k != limit and cyclotomic(n).degree <= p.degree:
+        quo, rem = divmod(p, cyclotomic(n))
+        if not rem.is_zero():
+            break
+        p, k = quo, k + 1
+    return p, k
+
+
+_STRIP_COEFFS = st.one_of(st.integers(-9, 9),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 30), k=st.integers(0, 3),
+       r=st.lists(_STRIP_COEFFS, min_size=1, max_size=8).filter(any),
+       root_at_two=st.booleans(), extra=st.integers(1, 30), limit=st.integers(-1, 4))
+def test_strip_phi_matches_divmod(n, k, r, root_at_two, extra, limit):
+    """Inputs r Phi_n^k, with r an integer or Fraction polynomial; a factor
+    q - 2 of r makes the screen value d p(2) zero, so only the exact test can
+    refuse Phi_n, and a factor Phi_extra tests a near miss."""
+    r = QPolynomial(r) * (QPolynomial.of(-2, 1) if root_at_two else 1)
+    p = r * cyclotomic(extra) * cyclotomic(n) ** k
+    want_q, want_k = _divmod_strip(p, n, limit)
+    got, got_k = exactq.strip_phi(list(p.coeffs), n, limit)
+    assert (QPolynomial(got), got_k) == (want_q, want_k)
+    assert got_k >= (k if limit < 0 else min(k, limit))
+
+
+def test_strip_phi_screen_value_zero_passes():
+    # (q - 2) Phi_3 vanishes at 2, so d p(2) = 0 passes the screen for every n
+    p = QPolynomial.of(-2, 1) * cyclotomic(3)
+    assert exactq.strip_phi(list(p.coeffs), 3) == ([-2, 1], 1)
+    assert exactq.strip_phi(list(p.coeffs), 6) == (list(p.coeffs), 0)
+    # a Fraction multiple of Phi_4 ** 2: the screen clears the denominators
+    p = cyclotomic(4) ** 2 * Fraction(3, 7)
+    assert exactq.strip_phi(list(p.coeffs), 4) == ([Fraction(3, 7)], 2)
+
+
+def test_quotients_and_factorisations_use_no_polynomial_division(monkeypatch):
+    """cyclotomic_quotient and factor_cyclotomic strip every Phi_n with
+    strip_phi, so QPolynomial.__divmod__ may raise throughout."""
+    from ellq.elliptic import elliptic_fake_degree, sq_pairing
+    from ellq.weylgrp import GroupSpec, build_group
+    W = build_group.__wrapped__(GroupSpec("F4", 4))
+    table = W.character_table()
+
+    def refuse(*_):
+        raise AssertionError("QPolynomial.__divmod__ called")
+    monkeypatch.setattr(QPolynomial, "__divmod__", refuse)
+    num = QPolynomial(phi_product({1: 2, 3: 1, 12: 2})) * QPolynomial.of(Fraction(1, 3), 2)
+    residual, _, _, exps = cyclotomic_quotient({3: -2, 12: -1, 5: -1}, 1, 2, num).phi_form
+    assert exps == {3: -1, 12: 0, 5: -1}
+    assert residual == QPolynomial(phi_product({1: 2, 12: 1})) * QPolynomial.of(1, 6)
+    f = factor_cyclotomic(num.shift(2))
+    assert (f.q_power, f.factors, f.scalar) == (2, {1: 2, 3: 1, 12: 2}, 2)
+    for row in table.values:
+        for g in (elliptic_fake_degree(W, row), sq_pairing(W, row)):
+            g.factored()

@@ -662,3 +662,81 @@ def test_product_weyl():
     for lab in labels:
         vals = P.irrep_values(lab)
         assert vals[0] == 1
+
+
+# -- det(1 - qw) in integers, against QPolynomial references --
+
+def _poly_det(rows) -> QPolynomial:
+    """Determinant of a matrix of polynomials by Laplace expansion along the
+    first row: the reference for the integer Faddeev-LeVerrier route."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = QPolynomial.zero()
+    for j in range(n):
+        if rows[0][j].is_zero():
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = rows[0][j] * _poly_det(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _laplace_char_poly(m) -> QPolynomial:
+    n = len(m)
+    return _poly_det([[QPolynomial.of(int(i == j), -m[i][j]) for j in range(n)]
+                      for i in range(n)])
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("G2", 2), GroupSpec("F4", 4)], ids=str)
+def test_char_poly_matrix_matches_laplace(spec):
+    W = build_group(spec)
+    for c in W.classes():
+        assert c.char_poly == char_poly_matrix(c.matrix) == _laplace_char_poly(c.matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_char_poly_matrix_matches_laplace_on_integer_matrices(m):
+    assert char_poly_matrix(m) == _laplace_char_poly(m)
+
+
+def test_center_order_is_the_determinant_of_the_cartan_pairing():
+    exponents = {**weylgrp.EXPONENTS, "C2": (1, 3), "A1": (1,)}
+    for name, cartan in weylgrp.CARTAN_PAIRING.items():
+        want = _poly_det([[QPolynomial.of(x) for x in row] for row in cartan]).coeff(0)
+        assert rootsystem(cartan, exponents[name]).center_order == want, name
+    assert [rootsystem(c, exponents[k]).center_order
+            for k, c in weylgrp.CARTAN_PAIRING.items()] == [1, 1, 2, 2]
+
+
+def _signed_types(n):
+    return [(pos, neg) for j in range(n + 1) for pos in partitions_of(n - j)
+            for neg in partitions_of(j)]
+
+
+def test_signed_char_polys_match_polynomial_products():
+    """The shift-and-add steps against the QPolynomial product of 1 - q^r and
+    1 + q^r, for every signed type with n <= 8; type A divides by 1 - q."""
+    one_minus_q = QPolynomial.of(1, -1)
+    for n in range(1, 9):
+        for pos, neg in _signed_types(n):
+            want = QPolynomial.one()
+            for r in pos:
+                want = want * (QPolynomial.one() - QPolynomial.monomial(r))
+            for r in neg:
+                want = want * (QPolynomial.one() + QPolynomial.monomial(r))
+            assert char_poly_signed(None, "B", (pos, neg)) == want, (pos, neg)
+            assert char_poly_signed(None, "D", (pos, neg)) == want, (pos, neg)
+            if not neg:
+                quo, rem = divmod(want, one_minus_q)
+                assert rem.is_zero()
+                assert char_poly_signed(None, "A", (pos, ())) == quo, pos
+
+
+def test_signed_char_poly_type_a_checks_its_last_prefix_sum():
+    # (1 + q) / (1 - q) is no polynomial: the last prefix sum is 2, not 0
+    with pytest.raises(RuntimeError, match="1 - q does not divide"):
+        char_poly_signed(None, "A", ((), (1,)))
