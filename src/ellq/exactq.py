@@ -595,10 +595,10 @@ class RationalFunction:
     def cyclotomic_factors(self) -> tuple[CyclotomicFactorization, CyclotomicFactorization]:
         """The factorisations of the numerator and of the denominator (nonzero
         values only).  A value built by cyclotomic_quotient reads them from
-        its Phi-exponents and trial-divides only its residual numerator, by
+        its Phi-exponents and strips Phi_n only from its residual numerator,
         none of the Phi_n of its denominator, to which cyclotomic_quotient
         left it prime; any Phi_n past CYCLOTOMIC_BOUND joins the remainder,
-        as trial division would leave it."""
+        as factor_cyclotomic would leave it."""
         if self.phi_form is None:
             return factor_cyclotomic(self.num), factor_cyclotomic(self.den)
         residual, qpow, scalar, phi = self.phi_form
