@@ -178,7 +178,10 @@ def _cmd_efd(args) -> int:
                 raise ValueError(f"--definitional needs a realised group; {t} is not")
             spec, exponents = t, EXPONENTS[t]
         else:
-            if t == "A" and args.n is not None and args.n < 2:
+            if t == "A" and args.n is None:
+                raise ValueError("--n required for type A, for A_{n-1}: e.g. --type A --n 4, "
+                                 "or --type A3")
+            if t == "A" and args.n < 2:
                 raise ValueError(f"--n {args.n} is out of range: type A takes n >= 2, "
                                  "for A_{n-1}")
             spec = GroupSpec.parse(f"A{args.n - 1}" if t == "A" and args.n is not None

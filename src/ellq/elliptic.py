@@ -5,7 +5,8 @@ cyclotomic denominators of the sign character's fake degree.
 
 The closed forms (hook-content in types B/D, the sign character of G2-E8)
 are products of factors 1 - q^k = -prod_{d|k} Phi_d (k > 0), q^k prod_{d|-k}
-Phi_d (k < 0): they are built from their Phi-exponents, with no gcd.
+Phi_d (k < 0): they are built from their Phi-exponents
+(`exactq.one_minus_qpow_exponents`), with no gcd.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, RationalFunction, cyclotomic_quotient,
-                     integer_rank, phi_sum)
+                     integer_rank, one_minus_qpow_exponents, phi_sum)
 from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       h_class_function, induce_class_function,
                       parabolic_subgroup)
@@ -91,26 +92,15 @@ def elliptic_fake_degree(W: WeylGroupData, values: Sequence) -> RationalFunction
 
 def _elliptic_sum(W: WeylGroupData, values: Sequence, phi1: int) -> RationalFunction:
     """Phi_1^(l + phi1) / |W| times the sum over the elliptic classes C of
-    chi(C) |C| det(1 - w_C) / det(1 - q w_C), that is sum chi(C) column C over
-    prod Phi_n^D_n (W.elliptic_columns), reduced by one cyclotomic_quotient."""
+    chi(C) |C| det(1 - w_C) / det(1 - q w_C), that is sum chi(C) |C| det(1 - w_C)
+    column C over prod Phi_n^D_n (W.elliptic_columns), reduced by one
+    cyclotomic_quotient."""
     ell, top, cols = W.elliptic_columns
-    chi = list(map(W.check_length(values).__getitem__, ell))
-    num = QPolynomial(sum(map(mul, chi, col)) for col in zip(*cols))
+    values = W.check_length(values)
+    chi = [values[i] * W.classes()[i].size * W.classes()[i].det1 for i in ell]
+    num = QPolynomial(sum(map(mul, chi, col)) for col in zip(*cols, strict=True))
     phi = {1: W.rank + phi1, **{n: -d for n, d in top.items()}}
     return cyclotomic_quotient(phi, scalar=Fraction(1, W.order), num=num)
-
-
-def _one_minus_qpow_exponents(ks: Counter, qpow: int = 0,
-                              scalar: int = 1) -> tuple[Counter, int, int]:
-    """scalar q^qpow prod (1 - q^k)^ks[k] over nonzero k, as its
-    Phi-exponents, q-power and sign (the arguments of cyclotomic_quotient)."""
-    phi: Counter = Counter()
-    for k, e in ks.items():
-        if k > 0 and e % 2:
-            scalar = -scalar
-        qpow += min(k, 0) * e
-        phi.update({d: e for d in range(1, abs(k) + 1) if k % d == 0})
-    return phi, qpow, scalar
 
 
 def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
@@ -118,7 +108,7 @@ def sgn_fake_degree(exponents: Sequence[int]) -> RationalFunction:
     ks = Counter(exponents)
     ks[1] += len(exponents)
     ks.subtract(m + 1 for m in exponents)
-    return cyclotomic_quotient(*_one_minus_qpow_exponents(ks))
+    return cyclotomic_quotient(*one_minus_qpow_exponents(ks))
 
 
 def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
@@ -131,14 +121,14 @@ def cyc_denominator(exponents: Sequence[int]) -> dict[int, int]:
     return fac.factors
 
 
-def _bn_exponents(lam) -> tuple[Counter, int, int]:
+def _bn_exponents(lam) -> tuple[dict[int, int], int, int]:
     """(q-1)^n q^{2n(lam)} prod (1 - q^{2c+1}) / (1 - q^{2h}) over the cells,
     as the arguments of cyclotomic_quotient."""
     n = sum(lam)
     ks = Counter({1: n})
     ks.update(2 * c + 1 for _, c in contents(lam))
     ks.subtract(2 * h for _, h in hook_lengths(lam))
-    return _one_minus_qpow_exponents(ks, 2 * n_invariant(lam), (-1) ** n)
+    return one_minus_qpow_exponents(ks, 2 * n_invariant(lam), (-1) ** n)
 
 
 def bn_fake_closed(lam) -> RationalFunction:
@@ -180,21 +170,22 @@ class IndependenceReport:
 
 def independence_check(spec: GroupSpec) -> IndependenceReport:
     """Exact rank of {1/det(1-qw)} over elliptic classes.  Each function is
-    put over prod (1 - q^{d_i}) and its numerator's coefficients ranked by
-    integer_rank, which certifies the rank and gives, when the functions are
-    dependent, explicit integer kernel vectors.  Also reports coincident
-    characteristic polynomials."""
+    put over the common prod Phi_n^D_n of W.elliptic_columns and its
+    numerator's coefficients ranked by integer_rank, which certifies the rank
+    and gives, when the functions are dependent, explicit integer kernel
+    vectors.  Also reports coincident characteristic polynomials."""
     W = build_group(spec)
-    ell = W.elliptic_classes()
-    charpolys = [W.classes()[i].char_poly for i in ell]
-    n = len(charpolys)
-    rank, kernel = integer_rank([W.springer_quotient(cp).coeffs for cp in charpolys])
-    types = tuple(str(W.classes()[i].signed_type or W.classes()[i].char_poly) for i in ell)
+    ell, _, cols = W.elliptic_columns
+    classes = [W.classes()[i] for i in ell]
+    n = len(classes)
+    rank, kernel = integer_rank(cols)
+    types = tuple(str(c.signed_type or c.char_poly) for c in classes)
     pairs = []
     for a in range(n):
         for b in range(a + 1, n):
-            if charpolys[a] == charpolys[b]:
-                pairs.append((ell[a], ell[b], str(charpolys[a])))
+            # an elliptic det(1 - qw) has sign 1, as Phi_n(0) = 1 for n >= 2
+            if classes[a].phi == classes[b].phi:
+                pairs.append((ell[a], ell[b], str(classes[a].char_poly)))
     return IndependenceReport(spec, n, rank, rank == n, pairs, [(vec, types) for vec in kernel])
 
 

@@ -11,7 +11,9 @@ of a quotient num * scalar * q^k * prod Phi_n^e_n (exponents of either
 sign) whose denominator is known to be cyclotomic: every closed form is
 collected as such an exponent map, and every class sum over a Weyl group
 is an integer numerator over a known product of Phi_n (det(1 - qw) divides
-prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  It
+prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  The one
+rule 1 - q^k = -prod_{d|k} Phi_d, ``one_minus_qpow_exponents``, turns every
+product of factors 1 - q^k into its exponent map.  It
 strips the Phi_n of the denominator from the numerator, so its result is
 canonical with no gcd, and keeps its residual numerator and exponent map.
 Sums, differences and products of such values and of polynomials keep the
@@ -23,7 +25,8 @@ values without a map have Phi_1, ..., Phi_30 stripped (30 is the largest
 index in the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on
 coefficient lists: an integer screen at q = 2, then an exact test mod
 q^n - 1, and only then a division, with no ``QPolynomial`` division.  Every
-product of Phi_n is built by ``phi_product`` from sparse steps q^d - 1.
+product of Phi_n is multiplied into a coefficient list by ``phi_product``,
+from sparse steps q^d - 1.
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -332,16 +335,16 @@ def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     return g.monic()
 
 
-def phi_product(phi: Mapping[int, int]) -> list[int]:
-    """Coefficients of the polynomial prod Phi_n^phi[n], n >= 1, exponents of
-    either sign; ArithmeticError when the product is no polynomial.  Each
-    Phi_n, largest n first, becomes (q^n - 1) / prod Phi_d over d | n, d < n.
-    Every q^d - 1 of positive exponent is multiplied in first, as a shift
-    and a subtraction; the rest are then divided out exactly, from the top."""
-    steps = [phi.get(n, 0) for n in range(max(phi, default=0) + 1)]
+def phi_product(a: Sequence, phi: Mapping[int, int]) -> list:
+    """Coefficients of the polynomial with coefficients a times prod
+    Phi_n^phi[n], n >= 1, exponents of either sign; ArithmeticError when the
+    product is no polynomial.  Each Phi_n, largest n first, becomes (q^n - 1)
+    / prod Phi_d over d | n, d < n.  Every q^d - 1 of positive exponent is
+    multiplied in first, as a shift and a subtraction; the rest are then
+    divided out exactly, from the top."""
+    a, steps = list(a), [phi.get(n, 0) for n in range(max(phi, default=0) + 1)]
     for d in range(len(steps) // 2, 0, -1):
         steps[d] -= sum(steps[2 * d::d])
-    a = [1]
     for d, e in enumerate(steps):
         for _ in range(e):
             a = list(map(sub, [0] * d + a, a + [0] * d))
@@ -355,6 +358,19 @@ def phi_product(phi: Mapping[int, int]) -> list[int]:
     return a
 
 
+def one_minus_qpow_exponents(ks: Mapping[int, int], qpow: int = 0,
+                             scalar: int = 1) -> tuple[dict[int, int], int, int]:
+    """scalar q^qpow prod (1 - q^k)^ks[k] over nonzero k, as its nonzero
+    Phi-exponents, q-power and sign (the arguments of cyclotomic_quotient)."""
+    phi: dict[int, int] = {}
+    for k, e in ks.items():
+        if k > 0 and e % 2:
+            scalar = -scalar
+        qpow += min(k, 0) * e
+        phi.update({d: phi.get(d, 0) + e for d in range(1, abs(k) + 1) if k % d == 0})
+    return {d: e for d, e in phi.items() if e}, qpow, scalar
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> QPolynomial:
     """The n-th cyclotomic polynomial Phi_n, monic of degree phi(n).
@@ -364,7 +380,7 @@ def cyclotomic(n: int) -> QPolynomial:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    return QPolynomial(phi_product({n: 1}))
+    return QPolynomial(phi_product([1], {n: 1}))
 
 
 @dataclass(frozen=True)
@@ -610,7 +626,7 @@ class RationalFunction:
                 if sign * e > 0:
                     (small if n <= CYCLOTOMIC_BOUND else big)[n] += sign * e
             return CyclotomicFactorization(c, max(sign * qpow, 0), dict(small),
-                                           remainder * QPolynomial(phi_product(big)))
+                                           QPolynomial(phi_product(remainder.coeffs, big)))
         return (side(1, res.factors, res.remainder, res.scalar * scalar),
                 side(-1, {}, QPolynomial.one(), Fraction(1)))
 
@@ -666,11 +682,11 @@ def cyclotomic_quotient(phi: Mapping[int, int], qpow: int = 0, scalar: Scalar = 
         if e < 0:
             cs, k = strip_phi(cs, n, -e)
             phi[n] = e + k
-    num = QPolynomial(cs)
-    def part(sign):
-        return QPolynomial(phi_product({n: sign * e for n, e in phi.items() if sign * e > 0}))
-    return _canonical((num * part(1)).shift(max(qpow, 0)) * scalar,
-                      part(-1).shift(max(-qpow, 0)), (num, qpow, scalar, phi))
+    def part(sign, a):
+        return [0] * max(sign * qpow, 0) + phi_product(
+            a, {n: sign * e for n, e in phi.items() if sign * e > 0})
+    return _canonical(QPolynomial(c * scalar for c in part(1, cs)), QPolynomial(part(-1, [1])),
+                      (QPolynomial(cs), qpow, scalar, phi))
 
 
 def _canonical(num: QPolynomial, den: QPolynomial, phi_form) -> RationalFunction:
@@ -700,7 +716,7 @@ def phi_sum(*forms) -> RationalFunction:
     num = QPolynomial.zero()
     for r, k, c, phi in forms:
         up = {**phi, **{n: phi.get(n, 0) - e for n, e in den.items()}}
-        num = num + (r * QPolynomial(phi_product(up))).shift(k - qden) * int(c * scale)
+        num = num + QPolynomial(phi_product(r.coeffs, up)).shift(k - qden) * int(c * scale)
     return cyclotomic_quotient(den, qden, Fraction(1, scale) if scale > 1 else 1, num)
 
 

@@ -5,17 +5,20 @@ matrices (`rootsystem`, which also gives the dual root data of `unipotent`),
 whose integer matrices on the root lattice are built only for det(1 - q w)
 and for display.
 
-Provides conjugacy classes with characteristic polynomials det(1 - q w) on the
-reflection representation, elliptic flags, labeled exact character tables,
-fake degrees, and induction from subgroups.  The classes and the labelled
-character tables of types A, B and D come in closed form from their signed
-cycle types (Murnaghan-Nakayama, its hyperoctahedral form for the
-bipartition characters of Geck-Pfeiffer 5.5, and the split restrictions to
-D_n of Geck-Pfeiffer 5.6), checked by the orthogonality relations; Dixon's
-algorithm on the enumerated group serves G2 and F4 only.
-The elements of A, B and D are enumerated only when a class lookup or a
-subgroup needs them, and the enumerated classes are then checked against
-the closed form.
+Provides conjugacy classes, each with det(1 - q w) on the reflection
+representation kept as a sign and its Phi-exponents (closed form from the
+signed cycle type for A, B and D; det(1 - q M) factored once for G2 and F4),
+elliptic flags, labeled exact character tables, fake degrees, and induction
+from subgroups.  Every class sum against 1/det(1 - q w) reads the integer
+columns prod Phi_n^top_n / det(1 - q w) of `columns`, with no polynomial
+division.  The classes and the labelled character tables of types A, B and D
+come in closed form from their signed cycle types (Murnaghan-Nakayama, its
+hyperoctahedral form for the bipartition characters of Geck-Pfeiffer 5.5, and
+the split restrictions to D_n of Geck-Pfeiffer 5.6), checked by the
+orthogonality relations; Dixon's algorithm on the enumerated group serves G2
+and F4 only.  The elements of A, B and D are enumerated only when a class
+lookup or a subgroup needs them, and the enumerated classes are then checked
+against the closed form.
 """
 from __future__ import annotations
 
@@ -24,12 +27,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .combinat import border_strips, mn_character, partitions_of
-from .exactq import QPolynomial, cyclotomic_quotient, exact_div, factor_cyclotomic, phi_product
+from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, cyclotomic, cyclotomic_quotient, exact_div,
+                     factor_cyclotomic, one_minus_qpow_exponents, phi_product)
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
                      _verify_table, permutation_group, row_order)
 
@@ -96,10 +100,12 @@ def exceptional_exponents(name: str) -> tuple[int, ...]:
     return EXPONENTS[name]
 
 
-def poincare_phi(exponents: Sequence[int]) -> Counter:
-    """The Phi-exponents of P(q) = prod (q^{m+1} - 1)/(q - 1): the Phi_d,
+def poincare_phi(exponents: Sequence[int]) -> dict[int, int]:
+    """The Phi-exponents of P(q) = prod (1 - q^{m+1})/(1 - q): the Phi_d,
     1 < d | m+1."""
-    return Counter(d for m in exponents for d in range(2, m + 2) if (m + 1) % d == 0)
+    ks = Counter(m + 1 for m in exponents)
+    ks[1] -= len(exponents)
+    return one_minus_qpow_exponents(ks)[0]
 
 
 def poincare_polynomial(exponents: Sequence[int]) -> QPolynomial:
@@ -151,19 +157,17 @@ def signed_cycle_type(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(pos, reverse=True)), tuple(sorted(neg, reverse=True))
 
 
-def char_poly_signed(w, family: str, stype=None) -> QPolynomial:
-    """det(1 - q w) on the reflection representation, from w or its type (pos,
-    neg): one shift-and-add step 1 - q^r or 1 + q^r per cycle.  Type A's
-    trivial summand 1 - q is removed by prefix sums, the last of which is 0."""
-    pos, neg = stype or signed_cycle_type(w)
-    a = [1]
-    for r, s in [(r, -1) for r in pos] + [(r, 1) for r in neg]:
-        a = list(map(operator.add, a + [0] * r, [0] * r + [s * c for c in a]))
-    if family == "A":
-        *a, total = itertools.accumulate(a)
-        if total:
-            raise RuntimeError(f"1 - q does not divide det(1 - qw) of type {pos}")
-    return QPolynomial(a)
+def signed_type_det(pos, neg, family: str) -> tuple[int, dict[int, int]]:
+    """(sign, phi) with det(1 - q w) = sign prod Phi_n^phi[n] on the reflection
+    representation, for w of signed cycle type (pos, neg): 1 - q^r for each
+    positive cycle and (1 - q^{2r})/(1 - q^r) for each negative one, with type
+    A's trivial summand 1 - q divided out."""
+    ks = Counter(pos)
+    ks.update(2 * r for r in neg)
+    ks.subtract(neg)
+    ks[1] -= family == "A"
+    phi, _, sign = one_minus_qpow_exponents(ks)
+    return sign, phi
 
 
 def bipartition_value(lam, gamma, pos, neg) -> int:
@@ -274,15 +278,15 @@ def _reflect(cartan, j, r):
 
 
 def char_poly_matrix(m) -> QPolynomial:
-    """det(1 - q M) = sum c_k q^k of an integer matrix M, whose c_k are those
-    of det(x - M) = sum c_k x^(n-k), by Faddeev-LeVerrier in integers:
-    N_k = M N_(k-1) + c_(k-1) I and c_k = -tr(M N_k) / k, exact or ArithmeticError."""
-    c, nk = [1], [[0] * len(m) for _ in m]
+    """det(1 - q M) = sum c_k q^k of an integer matrix M, whose c_k are those of
+    det(x - M) = sum c_k x^(n-k), by Faddeev-LeVerrier in integers on the columns
+    of N_k = M N_(k-1) + c_(k-1) I, with c_k = -tr(M N_k) / k exact or ArithmeticError."""
+    c, cols = [1], [[0] * len(m) for _ in m]
     for k in range(1, len(m) + 1):
-        nk = [[sum(map(operator.mul, row, col)) + c[-1] * (i == j)
-               for j, col in enumerate(zip(*nk))] for i, row in enumerate(m)]
+        cols = [[sum(map(operator.mul, row, col)) + c[-1] * (i == j)
+                 for i, row in enumerate(m)] for j, col in enumerate(cols)]
         c_k, rem = divmod(-sum(sum(map(operator.mul, row, col))
-                               for row, col in zip(m, zip(*nk))), k)
+                               for row, col in zip(m, cols)), k)
         if rem:
             raise ArithmeticError(f"tr(M N_{k}) is not divisible by {k}")
         c.append(c_k)
@@ -297,13 +301,18 @@ class WeylClassInfo:
     rep: object
     size: int
     order: int
-    char_poly: QPolynomial
+    sign: int  # det(1 - q w) = sign prod Phi_n^phi[n]
+    phi: dict[int, int]
     signed_type: Optional[tuple] = None  # (pos, neg) for B/D; cycle type for A
     matrix: Optional[tuple] = None  # of rep on root coordinates, for G2 and F4
-    det1: int = field(init=False)  # det(1 - w), nonzero iff elliptic
 
-    def __post_init__(self):
-        self.det1 = sum(self.char_poly.coeffs)
+    @functools.cached_property
+    def det1(self) -> int:  # det(1 - w), nonzero iff elliptic
+        return self.sign * math.prod(sum(cyclotomic(n).coeffs) ** e for n, e in self.phi.items())
+
+    @functools.cached_property
+    def char_poly(self) -> QPolynomial:
+        return QPolynomial(phi_product([self.sign], self.phi))
 
     @property
     def elliptic(self) -> bool:
@@ -312,6 +321,23 @@ class WeylClassInfo:
     def rep_str(self) -> str:
         return str(list(signed_tuple(self.rep)) if self.matrix is None
                    else [list(r) for r in self.matrix])
+
+
+def matrix_class(c, m) -> WeylClassInfo:
+    """The class c of the integer matrix m, with det(1 - q m) factored once into
+    the Phi_n with n dividing the order of m; RuntimeError unless +-prod Phi_n."""
+    f = factor_cyclotomic(char_poly_matrix(m), {n for n in range(1, CYCLOTOMIC_BOUND + 1)
+                                                if c.order % n})
+    if f.q_power or not f.remainder.is_one() or abs(f.scalar) != 1:
+        raise RuntimeError(f"det(1 - qw) = {f} of {m}, not +-prod Phi_n, n | {c.order}")
+    return WeylClassInfo(c.rep, c.size, c.order, int(f.scalar), f.factors, matrix=m)
+
+
+def columns(classes: Sequence[WeylClassInfo], top: dict[int, int]) -> list[list[int]]:
+    """Column C = sign_C prod Phi_n^(top_n - e_{C,n}), that is prod Phi_n^top_n
+    / det(1 - q w_C), of each class C; ArithmeticError when one is no polynomial."""
+    return [phi_product([c.sign], {n: top.get(n, 0) - c.phi.get(n, 0) for n in {*top, *c.phi}})
+            for c in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +366,7 @@ def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
         for half in ((0, 1) if split else (None,)):
             out.append(WeylClassInfo(_least_element(n, pos, neg, fam != "A", half), size,
                                      math.lcm(*pos, *(2 * r for r in neg)),
-                                     char_poly_signed(None, fam, (pos, neg)), (pos, neg)))
+                                     *signed_type_det(pos, neg, fam), (pos, neg)))
     # the identity is the one class of size 1 and order 1, so it comes first
     out.sort(key=lambda c: (c.size, c.order, repr(c.rep)))
     for c in out:
@@ -398,20 +424,19 @@ def _split_difference(lam, c: WeylClassInfo) -> int:
 
 
 class WeylGroupData:
-    """A Weyl group with its reflection-representation data; `group` enumerates."""
+    """A Weyl group with its reflection-representation data (`roots` for G2
+    and F4); `group` enumerates."""
 
-    def __init__(self, spec: GroupSpec, generate, char_poly_fn, matrix_fn=None):
+    def __init__(self, spec: GroupSpec, generate, roots: Optional[RootSystem]):
         self.spec = spec
         self.rank = spec.rank
         self._generate = generate
         self._group: Optional[FiniteGroup] = None
-        self._char_poly_fn = char_poly_fn
-        self._matrix_fn = matrix_fn
+        self.roots = roots
         self._classes: Optional[list[WeylClassInfo]] = None
         self._table: Optional[CharacterTable] = None
         self._labels: Optional[list[str]] = None
         self._index: dict[str, int] = {}
-        self._kernel: Optional[list[QPolynomial]] = None
         self.exponents = exponents_of(spec)
         self.poincare = poincare_polynomial(self.exponents)
         self.order = group_order_from_exponents(self.exponents)
@@ -433,8 +458,7 @@ class WeylGroupData:
             if self.spec.family in ("A", "B", "D"):
                 self._classes = closed_form_classes(self.spec)
             else:
-                self._classes = [WeylClassInfo(c.rep, c.size, c.order, self._char_poly_fn(c.rep),
-                                               matrix=self._matrix_fn(c.rep))
+                self._classes = [matrix_class(c, self.roots.matrix(c.rep))
                                  for c in self.group.conjugacy_classes()]
         return self._classes
 
@@ -449,47 +473,22 @@ class WeylGroupData:
         return values
 
     @functools.cached_property
-    def _degree_product(self) -> QPolynomial:  # prod (1 - q^{d_i}) = P(q) (1 - q)^l
-        return self.poincare * QPolynomial.of(1, -1) ** self.rank
-
-    def springer_quotient(self, char_poly: QPolynomial) -> QPolynomial:
-        """prod (1 - q^{d_i}) / det(1 - q w), an integer polynomial of degree
-        the number of reflections: det(1 - q w) divides prod (1 - q^{d_i}) for
-        every w (Springer 1974), so the division is exact or raises."""
-        quo, rem = divmod(self._degree_product, char_poly)
-        if not rem.is_zero():
-            raise RuntimeError(f"{self.spec}: det(1 - qw) does not divide prod (1 - q^d)")
-        return quo
-
-    def class_kernel(self) -> list[QPolynomial]:
-        """K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C) for each class C,
-        built on first use and kept with the group."""
-        if self._kernel is None:
-            self._kernel = [self.springer_quotient(c.char_poly) * c.size for c in self.classes()]
-        return self._kernel
+    def fake_columns(self) -> list[list[int]]:
+        """|C| prod (1 - q^{d_i}) / det(1 - q w_C) for each class C, a polynomial
+        (Springer 1974), built from the Phi-exponents by `columns`."""
+        top, _, sign = one_minus_qpow_exponents(Counter(m + 1 for m in self.exponents))
+        return [[sign * c.size * a for a in col]
+                for c, col in zip(self.classes(), columns(self.classes(), top))]
 
     @functools.cached_property
     def elliptic_columns(self) -> tuple[list[int], dict[int, int], list[list[int]]]:
-        """(the elliptic classes, D, their columns): each elliptic det(1 - q w_C) is
-        factored once as prod_{n >= 2} Phi_n^e_{C,n} (RuntimeError on a scalar, a
-        power of q, Phi_1 or a remainder), D_n = max_C e_{C,n}, and column C is
-        |C| det(1 - w_C) prod Phi_n^(D_n - e_{C,n}), over the common prod Phi_n^D_n."""
-        ell, exps = self.elliptic_classes(), []
-        for c in map(self.classes().__getitem__, ell):
-            f = factor_cyclotomic(c.char_poly)
-            if f.scalar != 1 or f.q_power or 1 in f.factors or not f.remainder.is_one():
-                raise RuntimeError(f"{self.spec}: elliptic det(1 - qw) = {f}, not a "
-                                   f"product of Phi_n, n >= 2")
-            exps.append((c.size * c.det1, f.factors))
-        top = {n: max(e.get(n, 0) for _, e in exps) for n in set().union(*(e for _, e in exps))}
-        return ell, top, [[x * a for a in phi_product({n: d - e.get(n, 0) for n, d in top.items()})]
-                          for x, e in exps]
-
-    def kernel_sum(self, values: Sequence) -> QPolynomial:
-        """sum_C values[C] K_C over the class kernel, coefficient by coefficient."""
-        self.check_length(values)
-        cols = zip(*(k.coeffs for k in self.class_kernel()))
-        return QPolynomial(sum(map(operator.mul, values, col)) for col in cols)
+        """(the elliptic classes, D, their columns by `columns`): D_n is the
+        largest exponent e_{C,n} of Phi_n in an elliptic det(1 - q w_C)."""
+        ell = self.elliptic_classes()
+        classes = [self.classes()[i] for i in ell]
+        top = {n: max(c.phi.get(n, 0) for c in classes)
+               for n in set().union(*(c.phi for c in classes))}
+        return ell, top, columns(classes, top)
 
     def character_table(self) -> CharacterTable:
         if self._table is None:
@@ -598,15 +597,9 @@ class WeylGroupData:
         return [_bip(lam, gam, cycles) for cycles in self._signed_cycles]
 
     def sign_values(self) -> list[int]:
-        """det_E(w) per class: the sign character."""
-        out = []
-        for c in self.classes():
-            cp = c.char_poly
-            # det(1 - q w) has leading coefficient (-q)^l det(w)
-            lead = cp.leading
-            detw = lead if cp.degree % 2 == 0 else -lead
-            out.append(int(detw))
-        return out
+        """det_E(w) per class: the sign character.  det(1 - q w), of degree l,
+        has leading coefficient (-1)^l det(w), and each Phi_n is monic."""
+        return [(-1) ** self.rank * c.sign for c in self.classes()]
 
     def trivial_values(self) -> list[int]:
         return [1] * len(self.classes())
@@ -629,8 +622,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
     if fam in ("G2", "F4"):
         phi = rootsystem(CARTAN_PAIRING[fam], EXPONENTS[fam])
         return WeylGroupData(spec, functools.partial(
-            permutation_group, phi.generators, len(phi.roots), key=phi.key),
-            lambda w: char_poly_matrix(phi.matrix(w)), phi.matrix)
+            permutation_group, phi.generators, len(phi.roots), key=phi.key), phi)
     npts = n + 1 if fam == "A" else n
     gens = []
     for i in range(1, npts):
@@ -646,7 +638,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
         gens.append(e)
     return WeylGroupData(spec, functools.partial(
         permutation_group, [signed_perm(g) for g in gens], 2 * npts,
-        key=lambda w: repr(signed_tuple(w))), lambda w: char_poly_signed(w, fam))
+        key=lambda w: repr(signed_tuple(w))), None)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +648,11 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
 def fake_degree_values(W: WeylGroupData, values: Sequence) -> QPolynomial:
     """f(q) = (1-q)^l P(q) (1/|W|) sum |C| chi(C) / det(1 - q C).
 
-    (1-q)^l P(q) is prod (1 - q^{d_i}), so f is sum chi(C) K_C / |W| over the
-    class kernel: integer sums and one exact division per coefficient."""
-    return QPolynomial(exact_div(c, W.order) for c in W.kernel_sum(values).coeffs)
+    (1-q)^l P(q) is prod (1 - q^{d_i}), so f is sum chi(C) W.fake_columns[C]
+    / |W|: integer sums and one exact division per coefficient."""
+    values = W.check_length(values)
+    return QPolynomial(exact_div(sum(map(operator.mul, values, col)), W.order)
+                       for col in zip(*W.fake_columns, strict=True))
 
 
 def fake_degree(W: WeylGroupData, label: str) -> QPolynomial:
@@ -729,8 +723,8 @@ class ProductWeyl:
             cs = [f.classes()[i] for f, i in zip(self.factors, combo)]
             out.append(WeylClassInfo(
                 rep=combo, size=math.prod(c.size for c in cs),
-                order=math.lcm(*(c.order for c in cs)),
-                char_poly=math.prod((c.char_poly for c in cs), start=QPolynomial.one())))
+                order=math.lcm(*(c.order for c in cs)), sign=math.prod(c.sign for c in cs),
+                phi=sum((Counter(c.phi) for c in cs), Counter())))
         self._classes = out
         return out
 

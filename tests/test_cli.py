@@ -149,6 +149,7 @@ def test_independence_cli(capsys):
 
 # the message of an error whose cause is one option, naming it and its value
 ERROR_MESSAGES = {
+    ("efd", "--type", "A"): "--n required for type A",
     ("efd", "--type", "A", "--n", "0"): "--n 0 is out of range",
     ("efd", "--type", "A", "--n", "1"): "--n 1 is out of range",
     ("efd", "--type", "B", "--lambda", "a"): "--lambda a is not a partition",
@@ -172,7 +173,6 @@ ERROR_MESSAGES = {
     *map(list, ERROR_MESSAGES),
     ["group", "--type", "X"],
     ["group", "--type", "B7"],
-    ["efd", "--type", "A"],
     ["verify", "bogus"],
     ["independence", "--type", "B0"],
     ["fourier", "--gamma", "S6"],
@@ -261,6 +261,32 @@ EXCEPTIONAL_OUTPUTS = {
         "a205bbb571de9fe1424edb5573448115d380a1599b023bebd03a5e87dc7d18b9",
     ("fake", "--type", "G2"):
         "29c4279d7f208b2e3f44c4400f4fd3265da0e7be80a2df189e78b7b5840cab89",
+    # the fake degrees rest on P(q) alone, where generic degrees and nu would
+    # scale together and leave verify all unchanged
+    ("fake", "--type", "A5"):
+        "c2b2e34ece65baea43a5445da4ca75103a8f2f4b3d101922f8e0e8e6ebd667c9",
+    ("fake", "--type", "A6"):
+        "792208273cfbf44ddfc6fe44c44fd00a4eccf3001080c3173c7b60ff858a3eee",
+    ("fake", "--type", "B5"):
+        "f353ee2a474e652798a0830be6187a3f64742be77731f3f134e9c3e2ab6c2c59",
+    ("fake", "--type", "D5"):
+        "c5e25a7f56c97377a34ca8a6cdbf269c6dd076658058221dbcb6e61dcc4a42ae",
+    ("group", "--type", "A5", "--classes"):
+        "75396b1b1face9a6db53118439c12989cd492fba1d9688c59634d7eda9a9dca1",
+    ("group", "--type", "B5", "--classes"):
+        "c18a7be126eec9bbc6b9eaf861906a66a234a8c3f84546a59d20c9325958b248",
+    ("group", "--type", "D5", "--classes"):
+        "fee6ca04771578a148ac411e9890317946efcbbc39d25cc145a08b8518610b65",
+    ("efd", "--type", "G2", "--definitional"):
+        "1e397538855388da67a475bbf07510e0f38997f887b91fb5959902dbc74482f5",
+    ("efd", "--type", "F4", "--definitional"):
+        "e3c987afbe74c303f2e4c9a4774a82fd0ba6e4bc034e17c21bad938c37ac61ea",
+    ("efd", "--type", "A5", "--definitional"):
+        "871732c5c7d17aec0c22fb56004cdfdd4c00c7c6450bd1daeaf3ee8dba36de0f",
+    ("efd", "--type", "B", "--lambda", "3,2", "--definitional"):
+        "eb70c071d6151fca02fdfa37b50d774c710e1ecf21de3495ba5bfa437682e36e",
+    ("efd", "--type", "D", "--lambda", "3,2", "--definitional"):
+        "0afe574af2479ed27a9b5f9fc14ab3e1b9ee9ef697db27930c6eb98d77fb9a83",
     # the rank of 1/det(1 - qw) over the elliptic classes, with its dependencies
     ("verify", "independence"):
         "e96c161e880ae5b309b158fba98900a55ef901582af211b38eebf2c0b5b8de6b",
@@ -428,6 +454,43 @@ def test_verify_all_needs_no_gcd():
     assert out.returncode == 0, out.stderr
     assert (hashlib.sha256(out.stdout.encode()).hexdigest()
             == EXCEPTIONAL_OUTPUTS[("verify", "all")])
+
+
+NO_DIVISION_GROUPS = (("G2", "G2"), ("F4", "F4"), ("A5", "A5"),
+                      ("B5", "B --lambda 3,2"), ("D5", "D --lambda 3,2"))
+
+
+def test_weyl_class_sums_need_no_polynomial_division():
+    """Every det(1 - qw) is kept as its Phi-exponents, so the fake degrees,
+    elliptic fake degrees, independence ranks and class lists of these groups
+    divide no polynomial: a fresh interpreter whose QPolynomial.__divmod__
+    raises gives the pins."""
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    argvs = [argv for group, efd in NO_DIVISION_GROUPS
+             for argv in (("fake", "--type", group), ("group", "--type", group, "--classes"),
+                          ("independence", "--type", group),
+                          ("efd", "--type", *efd.split(), "--definitional"))]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    code = ("import contextlib, hashlib, io, json, sys\n"
+            "from ellq.exactq import QPolynomial\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('QPolynomial.__divmod__ called')\n"
+            "QPolynomial.__divmod__ = refuse\n"
+            "from ellq.cli import main\n"
+            "shas = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert main(['--json', *argv]) == 0, argv\n"
+            "    shas.append(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "print(json.dumps(shas))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [EXCEPTIONAL_OUTPUTS[argv] for argv in argvs]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -356,10 +356,10 @@ def test_elliptic_frobenius_d3_in_b3():
     def elliptic_pairing_h(f, g):
         total = Fraction(0)
         for c, a, b in zip(H.conjugacy_classes(), f, g):
+            # det(1 - w) = prod (1 - 1^r) (1 + 1^r) over the positive and negative cycles
             pos, neg = signed_cycle_type(c.rep)
-            from ellq.weylgrp import char_poly_signed
-            cp = char_poly_signed(c.rep, "B")
-            total += Fraction(c.size) * Fraction(a) * Fraction(b) * cp.evaluate(Fraction(1))
+            det1 = 0 if pos else 2 ** len(neg)
+            total += Fraction(c.size) * Fraction(a) * Fraction(b) * det1
         return total / H.order
 
     for _ in range(100):
@@ -378,9 +378,17 @@ def test_elliptic_frobenius_d3_in_b3():
 
 def _class_kernel_route(W, values, phi1):
     """sum chi(C) det(1 - w_C) K_C Phi_1^phi1 / ((-1)^l |W| P(q)) over every
-    class, K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C), reduced by gcd: the
-    full class-kernel route that the elliptic columns replace."""
-    num = W.kernel_sum([v * c.det1 for v, c in zip(values, W.classes())])
+    class, K_C = |C| prod (1 - q^{d_i}) / det(1 - q w_C) by polynomial
+    division, reduced by gcd: the full class-kernel route that the elliptic
+    columns replace."""
+    top = QPolynomial.one()
+    for m in W.exponents:
+        top = top * (QPolynomial.one() - QPolynomial.monomial(m + 1))
+    num = QPolynomial.zero()
+    for v, c in zip(values, W.classes()):
+        kernel, rem = divmod(top, c.char_poly)
+        assert rem.is_zero()
+        num = num + kernel * (v * c.det1 * c.size)
     den = W.poincare * ((-1) ** W.rank * W.order)
     q1 = QPolynomial.of(-1, 1)
     return RationalFunction(num * q1 ** max(phi1, 0), den * q1 ** max(-phi1, 0))
@@ -411,23 +419,26 @@ def test_elliptic_sum_reads_only_the_elliptic_classes():
     assert sq_pairing(W, poisoned) == sq_pairing(W, row)
 
 
-_TAMPER_PHI1 = """
+_TAMPER_FACTORS = """
+import sys
+from ellq import weylgrp
 from ellq.exactq import QPolynomial
-from ellq.elliptic import elliptic_fake_degree
 from ellq.weylgrp import GroupSpec, build_group
-W = build_group(GroupSpec("G2", 2))
-c = W.classes()[W.elliptic_classes()[-1]]
-c.char_poly = c.char_poly * QPolynomial.of(-1, 1)  # an elliptic det(1 - qw) with Phi_1
-elliptic_fake_degree(W, W.sign_values())
+tamper = QPolynomial.from_json(sys.argv[1:])
+untampered = weylgrp.char_poly_matrix
+weylgrp.char_poly_matrix = lambda m: untampered(m) * tamper
+build_group(GroupSpec("G2", 2)).classes()
 """
 
 
-def test_elliptic_columns_refuse_phi1_under_python_o():
-    """The factorisation check of each elliptic det(1 - qw) is a raise, not
-    an assert: python -O still refuses a det(1 - qw) with a factor Phi_1."""
+def test_matrix_classes_refuse_a_det_not_plus_minus_prod_phi_under_python_o():
+    """The factorisation check of each G2 or F4 det(1 - qw) is a raise, not an
+    assert: python -O still refuses a scalar 2, a power of q, a Phi_n with n
+    not dividing the element order (Phi_3 at the identity) and a remainder."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
-    out = subprocess.run([sys.executable, "-O", "-c", _TAMPER_PHI1], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 1
-    assert "RuntimeError: G2: elliptic det(1 - qw)" in out.stderr
-    assert "not a product of Phi_n, n >= 2" in out.stderr
+    for tamper in (["2"], ["0", "1"], ["1", "1", "1"], ["1", "2"]):
+        out = subprocess.run([sys.executable, "-O", "-c", _TAMPER_FACTORS, *tamper], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 1, tamper
+        assert "RuntimeError: det(1 - qw) = " in out.stderr, tamper
+        assert "not +-prod Phi_n, n | 1" in out.stderr, tamper

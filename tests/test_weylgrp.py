@@ -6,6 +6,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,15 +16,16 @@ import ellq
 from ellq import weylgrp
 from ellq.combinat import mn_character, partitions_of
 from ellq.elliptic import elliptic_fake_degree
-from ellq.exactq import QPolynomial, RationalFunction, poly_gcd
+from ellq.exactq import QPolynomial, RationalFunction, phi_product, poly_gcd
 from ellq.groups import FiniteGroup, GroupTooLargeError
 from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
-                          char_poly_matrix, char_poly_signed, closed_form_classes,
+                          char_poly_matrix, closed_form_classes,
                           exceptional_exponents, fake_degree,
                           fake_degree_values, group_order_from_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial,
-                          restrict_class_function, rootsystem, signed_cycle_type)
+                          restrict_class_function, rootsystem, signed_cycle_type,
+                          signed_type_det)
 
 
 def test_orders():
@@ -39,6 +41,20 @@ def test_enumeration_bound():
         build_group(GroupSpec("B", 7))
 
 
+def _cycle_det(pos, neg, family) -> QPolynomial:
+    """det(1 - qw) of a signed cycle type as the QPolynomial product of 1 - q^r
+    per positive cycle and 1 + q^r per negative one; type A divides by 1 - q."""
+    det = QPolynomial.one()
+    for r in pos:
+        det = det * (QPolynomial.one() - QPolynomial.monomial(r))
+    for r in neg:
+        det = det * (QPolynomial.one() + QPolynomial.monomial(r))
+    if family == "A":
+        det, rem = divmod(det, QPolynomial.of(1, -1))
+        assert rem.is_zero()
+    return det
+
+
 CLASSICAL = ([GroupSpec("A", n) for n in range(1, 8)] + [GroupSpec("B", n) for n in range(1, 7)]
              + [GroupSpec("D", n) for n in range(2, 7)])
 
@@ -51,9 +67,10 @@ def test_closed_form_classes_match_enumeration(spec):
     enumerated = grp.conjugacy_classes()
     assert len(model) == len(enumerated)
     for c, e in zip(model, enumerated):
-        cp = char_poly_signed(e.rep, spec.family)
+        cp = _cycle_det(*signed_cycle_type(e.rep), spec.family)
         assert (c.rep, c.size, c.order) == (e.rep, e.size, e.order)
         assert c.char_poly == cp
+        assert c.det1 == cp.evaluate(Fraction(1))
         assert c.elliptic == (cp.evaluate(Fraction(1)) != 0)
         assert c.signed_type == signed_cycle_type(e.rep)
     by_type = {}
@@ -119,7 +136,7 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
             for j in range(spec.rank)]
     model = WeylGroupData(spec, functools.partial(
         FiniteGroup.generate, gens, _mat_mult, _mat_inverse, _mat_identity(spec.rank)),
-        char_poly_matrix, lambda m: m)
+        SimpleNamespace(matrix=lambda m: m))
     W = build_group.__wrapped__(spec)
     grp = W.group
     assert len(grp.identity) == n_roots
@@ -127,7 +144,7 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
         assert s != grp.identity and grp.mult(s, s) == grp.identity
     assert len(W.classes()) == len(model.classes())
     for c, e in zip(W.classes(), model.classes()):
-        assert c.matrix == e.rep == W._matrix_fn(c.rep)
+        assert c.matrix == e.rep == W.roots.matrix(c.rep)
         assert (c.size, c.order, c.char_poly) == (e.size, e.order, e.char_poly)
         assert c.rep_str() == e.rep_str()
     assert W.character_table().values == model.character_table().values
@@ -350,7 +367,8 @@ def test_charpoly_palindromy():
         for c in W.classes():
             cp = c.char_poly
             winv = W.group.inv(c.rep)
-            cpi = W._char_poly_fn(winv)
+            cpi = (char_poly_matrix(W.roots.matrix(winv)) if W.roots
+                   else _cycle_det(*signed_cycle_type(winv), spec.family))
             rev = QPolynomial(list(reversed([cp.coeff(i) for i in range(cp.degree + 1)])))
             assert rev == cpi or rev == -cpi
 
@@ -589,10 +607,10 @@ def test_class_kernel_clears_each_class(spec):
     top = QPolynomial.one()
     for m in W.exponents:
         top = top * (QPolynomial.one() - QPolynomial.monomial(m + 1))
-    kernel = W.class_kernel()
+    kernel = W.fake_columns
     assert len(kernel) == len(W.classes())
     for k, c in zip(kernel, W.classes()):
-        assert k * c.char_poly == top * c.size
+        assert QPolynomial(k) * c.char_poly == top * c.size
 
 
 def test_class_function_of_wrong_length_is_refused():
@@ -693,6 +711,8 @@ def test_char_poly_matrix_matches_laplace(spec):
     W = build_group(spec)
     for c in W.classes():
         assert c.char_poly == char_poly_matrix(c.matrix) == _laplace_char_poly(c.matrix)
+        assert c.det1 == _laplace_char_poly(c.matrix).evaluate(Fraction(1))
+        assert QPolynomial(phi_product([c.sign], c.phi)) == c.char_poly
 
 
 @settings(max_examples=100, deadline=None)
@@ -718,25 +738,15 @@ def _signed_types(n):
 
 
 def test_signed_char_polys_match_polynomial_products():
-    """The shift-and-add steps against the QPolynomial product of 1 - q^r and
-    1 + q^r, for every signed type with n <= 8; type A divides by 1 - q."""
-    one_minus_q = QPolynomial.of(1, -1)
+    """The Phi-exponents of det(1 - qw) against the QPolynomial product of
+    1 - q^r and 1 + q^r, for every signed type with n <= 8; type A divides by
+    1 - q, which (1 + q) / (1 - q) shows is no polynomial."""
     for n in range(1, 9):
         for pos, neg in _signed_types(n):
-            want = QPolynomial.one()
-            for r in pos:
-                want = want * (QPolynomial.one() - QPolynomial.monomial(r))
-            for r in neg:
-                want = want * (QPolynomial.one() + QPolynomial.monomial(r))
-            assert char_poly_signed(None, "B", (pos, neg)) == want, (pos, neg)
-            assert char_poly_signed(None, "D", (pos, neg)) == want, (pos, neg)
-            if not neg:
-                quo, rem = divmod(want, one_minus_q)
-                assert rem.is_zero()
-                assert char_poly_signed(None, "A", (pos, ())) == quo, pos
-
-
-def test_signed_char_poly_type_a_checks_its_last_prefix_sum():
-    # (1 + q) / (1 - q) is no polynomial: the last prefix sum is 2, not 0
-    with pytest.raises(RuntimeError, match="1 - q does not divide"):
-        char_poly_signed(None, "A", ((), (1,)))
+            for family in ("B", "D") + (("A",) if not neg else ()):
+                sign, phi = signed_type_det(pos, neg, family)
+                assert all(e > 0 for e in phi.values()), (pos, neg, family)
+                want = _cycle_det(pos, neg, family)
+                assert QPolynomial(phi_product([sign], phi)) == want, (pos, neg, family)
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        phi_product([1], signed_type_det((), (1,), "A")[1])
