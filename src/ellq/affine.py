@@ -11,9 +11,8 @@ elliptic-class delta functions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exactq import QPolynomial, RF_ZERO, RationalFunction, cyclotomic_quotient, rref
 from .elliptic import VirtualCharacter, elliptic_fake_degree
@@ -23,8 +22,7 @@ from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poinca
 INF = 0  # bond marker for the infinite bond of affine A1
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
+class AffineDiagram(NamedTuple):
     name: str
     n_nodes: int                      # rank + 1, node 0 is the affine one
     edges: tuple[tuple[int, int, int], ...]  # (i, j, m) with m = order of s_i s_j
@@ -77,8 +75,7 @@ def _classify_component(nodes: list[int], edges: list[tuple[int, int, int]]) -> 
     raise NotImplementedError(f"unrecognized component with bonds {ms}")
 
 
-@dataclass
-class MaximalParahoric:
+class MaximalParahoric(NamedTuple):
     deleted_node: int
     specs: tuple[GroupSpec, ...]
     weyl: Union[WeylGroupData, ProductWeyl]
@@ -169,8 +166,7 @@ class AffineDatum:
         return classes
 
 
-@dataclass
-class AffineEllipticClass:
+class AffineEllipticClass(NamedTuple):
     parahoric_index: int
     class_index: int
     char_poly: QPolynomial
@@ -269,8 +265,7 @@ def ef_affine_elliptic_in_basis(datum: AffineDatum,
 # the G2 fixture: discrete-series basis of the affine elliptic space
 
 
-@dataclass
-class AffineModuleFixture:
+class AffineModuleFixture(NamedTuple):
     """A basis vector of the affine elliptic space: values on the elliptic
     classes (in published order), plus its isolated-point decomposition."""
     name: str

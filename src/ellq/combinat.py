@@ -7,7 +7,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactq import RationalFunction, RF_ONE
 
@@ -156,17 +156,14 @@ def distinguished_partitions(kind: str, n: int) -> list[Partition]:
     return out
 
 
-@dataclass(frozen=True)
-class SSymbol:
+class SSymbol(NamedTuple("SSymbol", [("top", tuple), ("bottom", tuple)])):
     """Two strictly increasing rows sharing the entry multiset {a_j + (j-1)}."""
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
-
-    def __post_init__(self):
-        for row in (self.top, self.bottom):
+    def __new__(cls, top: tuple[int, ...], bottom: tuple[int, ...]):
+        for row in (top, bottom):
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise ValueError(f"row not strictly increasing: {row}")
+        return super().__new__(cls, top, bottom)
 
     def entries(self) -> tuple[int, ...]:
         return tuple(sorted(self.top + self.bottom))

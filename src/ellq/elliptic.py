@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .combinat import contents, hook_lengths, n_invariant, transpose
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, RationalFunction, cyclotomic_quotient,
@@ -25,18 +24,16 @@ from .weylgrp import (GroupSpec, WeylGroupData, build_group,
                       parabolic_subgroup)
 
 
-@dataclass
 class VirtualCharacter:
     """A virtual character, as exact values on the conjugacy classes.
 
     Coordinates over the irreducibles are accepted too and converted through
     the character table.
     """
-    group: WeylGroupData
-    values: list
 
-    def __post_init__(self):
-        self.group.check_length(self.values)
+    def __init__(self, group: WeylGroupData, values: list):
+        self.group = group
+        self.values = group.check_length(values)
 
     @staticmethod
     def from_coords(W: WeylGroupData, coords: Sequence) -> "VirtualCharacter":
@@ -157,8 +154,7 @@ def hook_content_pairing(W: WeylGroupData, lam) -> RationalFunction:
 # linear independence of 1/det(1 - q w) over elliptic classes
 
 
-@dataclass
-class IndependenceReport:
+class IndependenceReport(NamedTuple):
     spec: GroupSpec
     n_elliptic: int
     rank: int
@@ -193,8 +189,7 @@ def independence_check(spec: GroupSpec) -> IndependenceReport:
 # radical of the elliptic pairing
 
 
-@dataclass
-class RadicalReport:
+class RadicalReport(NamedTuple):
     spec: GroupSpec
     gram_rank: int
     n_elliptic: int

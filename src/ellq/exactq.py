@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from operator import mul, sub
-from typing import AbstractSet, Iterable, Mapping, Sequence, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -383,8 +382,7 @@ def cyclotomic(n: int) -> QPolynomial:
     return QPolynomial(phi_product([1], {n: 1}))
 
 
-@dataclass(frozen=True)
-class CyclotomicFactorization:
+class CyclotomicFactorization(NamedTuple):
     """scalar * q^q_power * prod Phi_n^mult * remainder, reconstructing the input."""
 
     scalar: Fraction

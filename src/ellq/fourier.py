@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import lshift, mul
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import RF_ONE, RF_ZERO, RationalFunction
@@ -43,8 +42,7 @@ def small_group(name: str) -> FiniteGroup:
     return permutation_group(gens, n, key=lambda w: repr(tuple(w)))
 
 
-@dataclass(frozen=True)
-class MPair:
+class MPair(NamedTuple):
     x_class: int   # conjugacy class index in Gamma
     char_index: int  # row of the centralizer's character table
     label: tuple[str, str]
@@ -53,23 +51,22 @@ class MPair:
         return f"({self.label[0]},{self.label[1]})"
 
 
-@dataclass
 class FourierBlock:
     """Entries are Fractions when rational; exact real cyclotomic numbers
     otherwise (this happens for S5, whose 5- and 6-cycle pairs produce real
     quadratic irrationalities).  `scaled` is N = scale * matrix in integers,
     as the build made it: an int for a rational entry, and for an irrational
     one its power-basis coordinates as pairs (k, c) of Z[Z/conductor]."""
-    gamma_name: str
-    pairs: list[MPair]
-    matrix: list[list]
-    conductor: int
-    scaled: list[list] = field(repr=False, compare=False)
-    scale: int = field(repr=False, compare=False)
-    _positions: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._positions = {p.label: i for i, p in enumerate(self.pairs)}
+    def __init__(self, gamma_name: str, pairs: list[MPair], matrix: list[list],
+                 conductor: int, scaled: list[list], scale: int):
+        self.gamma_name = gamma_name
+        self.pairs = pairs
+        self.matrix = matrix
+        self.conductor = conductor
+        self.scaled = scaled
+        self.scale = scale
+        self._positions = {p.label: i for i, p in enumerate(pairs)}
 
     def index(self, label: tuple[str, str]) -> int:
         try:
@@ -274,8 +271,7 @@ def special_column_entry(gamma_name: str, y_pair, rho1_pair) -> Fraction:
 # families
 
 
-@dataclass
-class Family:
+class Family(NamedTuple):
     members: list[str]                # irreducible labels of W
     gamma: str                        # small group name; "trivial" if singleton
     embedding: dict[str, tuple[str, str]]  # member -> pair label in M(gamma)
@@ -381,8 +377,7 @@ def ef_map(W, coords: Sequence[Fraction]) -> list[Fraction]:
     return [sum(e[i][j] * Fraction(coords[j]) for j in range(n)) for i in range(n)]
 
 
-@dataclass
-class XWPairing:
+class XWPairing(NamedTuple):
     labels: list[str]              # "family_index:(x,sigma)"
     matrix: list[list[Fraction]]
 

@@ -26,11 +26,10 @@ on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import nullspace_mod, rref_mod
@@ -62,8 +61,7 @@ def permutation_group(generators: Sequence, degree: int, **kwargs) -> "FiniteGro
                                 bytes(range(degree)), **kwargs)
 
 
-@dataclass
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: object
     size: int
     order: int  # order of the elements
@@ -199,8 +197,7 @@ class FiniteGroup:
         return self._table
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Exact character table of a group of the given order: rows =
     irreducibles, columns = conjugacy classes (anything with a `size`).
 

@@ -6,16 +6,15 @@ broke.  Reports are deterministic and sorted by check id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactq import QPolynomial, RF_ZERO, cyclotomic_quotient
 
 PASS, FAIL, DISCREPANCY = "PASS", "FAIL", "DISCREPANCY"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_id: str
     status: str
     computed: str

@@ -18,9 +18,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum
 from .elliptic import sgn_fake_degree
@@ -46,8 +45,7 @@ def solve_marks(datum: RootSystem, subsystem: Sequence[tuple[int, ...]]) -> tupl
     return tuple(2 * sum(row) for row in inverse)
 
 
-@dataclass
-class EllipticParameter:
+class EllipticParameter(NamedTuple):
     """One elliptic pair (s, u): the semisimple part as a rational functional
     (root-of-unity exponents), the unipotent part through its sl2 weights."""
     datum: RootSystem
@@ -78,8 +76,7 @@ class EllipticParameter:
         return g0 == g2
 
 
-@dataclass
-class MxResult:
+class MxResult(NamedTuple):
     value: RationalFunction          # |m_x|, normalized positive at q -> infinity
     raw_sign: int                    # sign before normalization
     dropped_num: int
@@ -156,8 +153,7 @@ def m_x(param: EllipticParameter) -> MxResult:
 # conjecture engine
 
 
-@dataclass
-class UnipotentFixture:
+class UnipotentFixture(NamedTuple):
     """A distinguished (or quasi-distinguished) unipotent orbit with its
     component group, parameter packets, and fake-degree data."""
     name: str

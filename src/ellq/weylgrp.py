@@ -27,9 +27,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .combinat import border_strips, mn_character, partitions_of
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, cyclotomic, cyclotomic_quotient, exact_div,
@@ -38,22 +37,21 @@ from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeEr
                      _verify_table, permutation_group, row_order)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str  # 'A', 'B', 'D', 'G2', 'F4'
-    rank: int
+class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("rank", int)])):
+    """family 'A', 'B', 'D', 'G2' or 'F4', and rank; checked when made."""
 
-    def __post_init__(self):
-        if self.family not in ("A", "B", "D", "G2", "F4"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "G2" and self.rank != 2:
+    def __new__(cls, family: str, rank: int):
+        if family not in ("A", "B", "D", "G2", "F4"):
+            raise ValueError(f"unknown family {family!r}")
+        if family == "G2" and rank != 2:
             raise ValueError("G2 has rank 2")
-        if self.family == "F4" and self.rank != 4:
+        if family == "F4" and rank != 4:
             raise ValueError("F4 has rank 4")
-        if self.family == "D" and self.rank < 2:
+        if family == "D" and rank < 2:
             raise ValueError("D requires rank >= 2")
-        if self.rank < 1:
+        if rank < 1:
             raise ValueError("rank must be positive")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(s: str) -> "GroupSpec":
@@ -210,8 +208,7 @@ CARTAN_PAIRING = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A root system built by `rootsystem`: the roots in simple-root
     coordinates with the simple roots first, the simple reflections as
     permutations of the roots (for `groups.permutation_group`), the highest
@@ -296,15 +293,16 @@ def char_poly_matrix(m) -> QPolynomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WeylClassInfo:
-    rep: object
-    size: int
-    order: int
-    sign: int  # det(1 - q w) = sign prod Phi_n^phi[n]
-    phi: dict[int, int]
-    signed_type: Optional[tuple] = None  # (pos, neg) for B/D; cycle type for A
-    matrix: Optional[tuple] = None  # of rep on root coordinates, for G2 and F4
+    def __init__(self, rep, size: int, order: int, sign: int, phi: dict[int, int],
+                 signed_type: Optional[tuple] = None, matrix: Optional[tuple] = None):
+        self.rep = rep
+        self.size = size
+        self.order = order
+        self.sign = sign  # det(1 - q w) = sign prod Phi_n^phi[n]
+        self.phi = phi
+        self.signed_type = signed_type  # (pos, neg) for B/D; cycle type for A
+        self.matrix = matrix  # of rep on root coordinates, for G2 and F4
 
     @functools.cached_property
     def det1(self) -> int:  # det(1 - w), nonzero iff elliptic

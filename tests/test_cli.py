@@ -456,6 +456,36 @@ def test_verify_all_needs_no_gcd():
             == EXCEPTIONAL_OUTPUTS[("verify", "all")])
 
 
+def test_ellq_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter that imports every ellq module and runs a verify
+    suite loads neither dataclasses nor inspect, which with the modules they
+    pull in cost about 15 ms of every command's start-up, beyond what a bare
+    interpreter has loaded."""
+    import os
+    import subprocess
+    import sys
+
+    import ellq
+    package = Path(ellq.__file__).resolve().parent
+    modules = sorted(f"ellq.{p.stem}" for p in package.glob("*.py") if p.stem != "__main__")
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    listing = "print(' '.join(sorted(sys.modules)))\n"
+    code = ("import contextlib, importlib, io, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module(name)\n"
+            "from ellq.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['--json', 'verify', 'cyc']) == 0\n" + listing)
+    loaded = []
+    for argv in (["-c", "import sys\n" + listing], ["-c", code, *modules]):
+        out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        loaded.append(set(out.stdout.split()))
+    bare, used = loaded
+    assert len(modules) == 13 and set(modules) <= used
+    assert not {"dataclasses", "inspect"} & (used - bare)
+
+
 NO_DIVISION_GROUPS = (("G2", "G2"), ("F4", "F4"), ("A5", "A5"),
                       ("B5", "B --lambda 3,2"), ("D5", "D --lambda 3,2"))
 

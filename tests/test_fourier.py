@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import ellq
 from ellq.cyclo import CycNum, ring_terms
 from ellq.exactq import RationalFunction, RF_ONE, RF_Q, cyclotomic
 from ellq.fixtures import ft_z2_printed
-from ellq.fourier import (SUPPORTED_GAMMAS, _check_block, _x_labels,
+from ellq.fourier import (SUPPORTED_GAMMAS, FourierBlock, _check_block, _x_labels,
                           ef_induction_check, ef_map, ef_matrix, families_for,
                           fourier_matrix, generic_degree, m_set, plancherel_sum,
                           small_group, special_column_entry, xw_pairing)
@@ -241,7 +240,8 @@ def _tampered(name, *positions, add=1):
         else:
             mat[i][j] = tuple(ring_terms(v, block.conductor) if type(v) is int else v) + (
                 ring_terms(add, block.conductor) if type(add) is int else add)
-    return dataclasses.replace(block, scaled=mat)
+    return FourierBlock(block.gamma_name, block.pairs, block.matrix, block.conductor, mat,
+                        block.scale)
 
 
 def test_check_block_rejects_asymmetric_s3():
@@ -302,7 +302,8 @@ def test_check_block_slots_are_wide_enough(width):
     assert square != [[d * d, 0], [0, d * d]]
     for p, row in enumerate(square):
         assert row[0] + (row[1] << width) == d * d << width * p
-    block = dataclasses.replace(fourier_matrix("Z2"), scaled=n_mat, scale=d)
+    z2 = fourier_matrix("Z2")
+    block = FourierBlock(z2.gamma_name, z2.pairs, z2.matrix, z2.conductor, n_mat, d)
     with pytest.raises(RuntimeError, match="not an involution"):
         _check_block(block)
 

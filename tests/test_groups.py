@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -82,7 +81,7 @@ def _with_entry(table, i, j, value):
     """A copy of the table with values[i][j] replaced."""
     values = [list(row) for row in table.values]
     values[i][j] = value
-    return dataclasses.replace(table, values=values)
+    return table._replace(values=values)
 
 
 def test_verify_table_rejects_a_changed_integer_entry():
@@ -195,7 +194,7 @@ def test_verify_table_rejects_rational_values_lifted_off_by_one():
         values = [table.values[0]] + [[row[0]] + [v + shift for v in row[1:]]
                                       for row in table.values[1:]]
         with pytest.raises(RuntimeError, match="row orthogonality"):
-            _verify_table(dataclasses.replace(table, values=values))
+            _verify_table(table._replace(values=values))
 
 
 def test_cycnum_of_different_conductors_do_not_mix():

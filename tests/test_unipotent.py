@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -295,7 +294,7 @@ def test_q_part_prediction_sign_in_odd_rank():
     values = [-1 if c.elliptic else 0 for c in W.classes()]
     sgn = sgn_fake_degree(exponents_of(GroupSpec("A", 1)))
     assert elliptic_fake_degree(W, values) == sgn
-    fix = replace(FIXTURES["a1-reg"](), fake_values={("1", "1"): sgn})
+    fix = FIXTURES["a1-reg"]()._replace(fake_values={("1", "1"): sgn})
     assert q_part_prediction(fix, "1") == (1 - q) * sq_pairing(W, values) == (q - 1) / (q + 1)
 
 
