@@ -561,7 +561,7 @@ class WeylGroupData:
         labels = []
         for row in table.values:
             d = row[0]
-            b = fake_degree_values(self, list(row)).low_degree()
+            b = b_invariant(self, row)
             name = f"phi({d},{b})"
             if (d, b) == (1, 3):
                 name += "'" if row[short_class] == 1 else "''"
@@ -571,7 +571,7 @@ class WeylGroupData:
     def _labels_generic(self, table):
         by_key: dict[tuple, list[int]] = {}
         for i, row in enumerate(table.values):
-            b = fake_degree_values(self, list(row)).low_degree()
+            b = b_invariant(self, row)
             by_key.setdefault((row[0], b), []).append(i)
         labels = [""] * len(table.values)
         for (d, b), idxs in by_key.items():
@@ -651,6 +651,14 @@ def fake_degree_values(W: WeylGroupData, values: Sequence) -> QPolynomial:
     values = W.check_length(values)
     return QPolynomial(exact_div(sum(map(operator.mul, values, col)), W.order)
                        for col in zip(*W.fake_columns, strict=True))
+
+
+def b_invariant(W: WeylGroupData, values: Sequence) -> int:
+    """The lowest degree of fake_degree_values(W, values), -1 for zero: the
+    first k with sum chi(C) W.fake_columns[C][k] nonzero, so no division."""
+    values = W.check_length(values)
+    return next((k for k, col in enumerate(zip(*W.fake_columns, strict=True))
+                 if sum(map(operator.mul, values, col))), -1)
 
 
 def fake_degree(W: WeylGroupData, label: str) -> QPolynomial:

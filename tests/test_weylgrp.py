@@ -18,7 +18,7 @@ from ellq.combinat import mn_character, partitions_of
 from ellq.elliptic import elliptic_fake_degree
 from ellq.exactq import QPolynomial, RationalFunction, phi_product, poly_gcd
 from ellq.groups import FiniteGroup, GroupTooLargeError
-from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group,
+from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, b_invariant, build_group,
                           char_poly_matrix, closed_form_classes,
                           exceptional_exponents, fake_degree,
                           fake_degree_values, group_order_from_exponents,
@@ -544,6 +544,18 @@ def test_fake_degree_sum_rule():
         for row in tab.values:
             total = total + row[0] * fake_degree_values(W, row)
         assert total == W.poincare
+
+
+def test_b_invariant_is_the_lowest_degree_of_the_fake_degree():
+    # the labels read b from the first nonzero column sum, with no division
+    for t in ("G2", "F4", "A5", "B5", "D5"):
+        W = build_group(GroupSpec.parse(t))
+        for lab in W.irrep_labels():
+            b = fake_degree(W, lab).low_degree()
+            assert b_invariant(W, W.irrep_values(lab)) == b >= 0, (t, lab)
+        assert b_invariant(W, [0] * len(W.classes())) == -1
+        with pytest.raises(ValueError, match="values"):
+            b_invariant(W, [1])
 
 
 def test_fake_degree_at_one_is_dimension():
