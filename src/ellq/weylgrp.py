@@ -436,7 +436,6 @@ class WeylGroupData:
         self._labels: Optional[list[str]] = None
         self._index: dict[str, int] = {}
         self.exponents = exponents_of(spec)
-        self.poincare = poincare_polynomial(self.exponents)
         self.order = group_order_from_exponents(self.exponents)
 
     @property
@@ -712,7 +711,6 @@ class ProductWeyl:
         self.factors = [build_group(s) for s in specs]
         self.rank = sum(f.rank for f in self.factors)
         self.exponents = tuple(sorted(m for f in self.factors for m in f.exponents))
-        self.poincare = poincare_polynomial(self.exponents)
         self._classes = None
 
     @property

@@ -19,7 +19,7 @@ from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, poly_gcd, rref)
 from ellq.weylgrp import (GroupSpec, WeylGroupData, build_group, exceptional_exponents,
                           h_class_function, induce_class_function,
-                          parabolic_subgroup)
+                          parabolic_subgroup, poincare_polynomial)
 
 
 def phi(n):
@@ -389,7 +389,7 @@ def _class_kernel_route(W, values, phi1):
         kernel, rem = divmod(top, c.char_poly)
         assert rem.is_zero()
         num = num + kernel * (v * c.det1 * c.size)
-    den = W.poincare * ((-1) ** W.rank * W.order)
+    den = poincare_polynomial(W.exponents) * ((-1) ** W.rank * W.order)
     q1 = QPolynomial.of(-1, 1)
     return RationalFunction(num * q1 ** max(phi1, 0), den * q1 ** max(-phi1, 0))
 
