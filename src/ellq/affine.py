@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactq import QPolynomial, RF_ZERO, RationalFunction, cyclotomic_quotient, rref
 from .elliptic import VirtualCharacter, elliptic_fake_degree
@@ -270,7 +270,7 @@ class AffineModuleFixture(NamedTuple):
     classes (in published order), plus its isolated-point decomposition."""
     name: str
     values: tuple[int, ...]           # on classes in published order
-    s_is_identity: bool
+    springer: Optional[tuple[str, str]]  # (orbit, phi) of its appendix row when s=1
     restriction: dict[str, int]       # W-irreducible coordinates of the s=1 part
 
 
@@ -288,11 +288,12 @@ G2_CLASS_SIGNATURE = [
 G2_MU_EL = [Fraction(1, 6), Fraction(1, 6), Fraction(1, 12), Fraction(1, 4), Fraction(1, 3)]
 
 G2_BASIS = [
-    AffineModuleFixture("v1", (1, 1, 1, 1, 1), True, {"phi(1,6)": 1}),
-    AffineModuleFixture("v2", (2, 0, -1, -1, 0), True, {"phi(1,6)": 1, "phi(2,1)": 1}),
-    AffineModuleFixture("v3", (-1, 1, -1, -1, 1), True, {"phi(1,3)''": 1}),
-    AffineModuleFixture("v4", (0, 2, 0, 0, -1), False, {}),
-    AffineModuleFixture("v5", (0, 0, 3, -1, 0), False, {}),
+    AffineModuleFixture("v1", (1, 1, 1, 1, 1), ("G2", "1"), {"phi(1,6)": 1}),
+    AffineModuleFixture("v2", (2, 0, -1, -1, 0), ("G2(a1)", "(3)"),
+                        {"phi(1,6)": 1, "phi(2,1)": 1}),
+    AffineModuleFixture("v3", (-1, 1, -1, -1, 1), ("G2(a1)", "(21)"), {"phi(1,3)''": 1}),
+    AffineModuleFixture("v4", (0, 2, 0, 0, -1), None, {}),
+    AffineModuleFixture("v5", (0, 0, 3, -1, 0), None, {}),
 ]
 
 # printed matrices (published order); the affine 5x5 entry at (v3, v4) is
@@ -315,10 +316,6 @@ G2_EF_AFFINE_PRINTED = [
 # correspondence of the basis with the parameter set (identity block for the
 # Steinberg family, then pairs in M(S3)); fixes the expected transform matrix
 G2_BASIS_PAIRS = [None, ("1", "1"), ("1", "r"), ("g3", "1"), ("g2", "1")]
-
-
-def g2_affine_datum() -> AffineDatum:
-    return AffineDatum("G2")
 
 
 def g2_class_alignment(datum: AffineDatum) -> list[int]:
@@ -357,7 +354,7 @@ def g2_mu_canonical(datum: AffineDatum) -> list[Fraction]:
 def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalFunction:
     """Elliptic fake degree of the module: zero unless the isolated point is
     the identity, and then the finite elliptic fake degree of the restriction."""
-    if not fix.s_is_identity:
+    if fix.springer is None:
         return RF_ZERO
     W = build_group(base)
     coords = [0] * len(W.classes())
@@ -368,14 +365,14 @@ def affine_elliptic_fake(fix: AffineModuleFixture, base: GroupSpec) -> RationalF
 
 def g2_ef_affine_published_order() -> list[list[Fraction]]:
     """The affine elliptic transform of G2 in the basis v1..v5."""
-    datum = g2_affine_datum()
+    datum = AffineDatum("G2")
     basis = g2_basis_values_canonical(datum)
     return ef_affine_elliptic_in_basis(datum, basis)
 
 
 def g2_ef_j0_published_order() -> list[list[Fraction]]:
     """The finite-parahoric block in the published class order."""
-    datum = g2_affine_datum()
+    datum = AffineDatum("G2")
     align = g2_class_alignment(datum)
     p0 = datum.maximal_parahorics()[0]
     block = ef_elliptic_on_parahoric(p0.weyl)

@@ -174,7 +174,10 @@ class CycNum:
         return self.m == other.m and self.reduced() == other.reduced()
 
     def __hash__(self):
-        return hash((self.m, self.reduced()))
+        red = self.reduced()
+        if any(red[1:]):
+            return hash((self.m, red))
+        return hash(red[0] if red else 0)  # a rational hashes as the value it equals
 
     def __repr__(self):
         terms = [f"{v}*z{self.m}^{k}" for k, v in sorted(self.c.items())]

@@ -19,7 +19,8 @@ canonical with no gcd, and keeps its residual numerator and exponent map.
 Sums, differences and products of such values and of polynomials keep the
 map: a product adds the maps, ``phi_sum`` puts the terms over the
 exponent-wise largest denominator, and one ``cyclotomic_quotient`` reduces
-either; only the constructor, / and ** run ``poly_gcd``.  Cyclotomic
+either; only the constructor, / and ** run ``poly_gcd``, Euclid's algorithm
+on primitive integer remainders, and no command builds such a value.  Cyclotomic
 factorisation, for display, is read from the map; the residual numerator and
 values without a map have Phi_1, ..., Phi_30 stripped (30 is the largest
 index in the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on
@@ -246,7 +247,9 @@ class QPolynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeff(0))  # a constant hashes as the scalar it equals
 
     def __repr__(self):
         return f"QPolynomial('{self}')"
@@ -285,53 +288,17 @@ def _coerce_poly(x) -> QPolynomial:
     return NotImplemented
 
 
-def _int_primitive(coeffs: list[int]) -> list[int]:
-    g = gcd(*coeffs)
-    return coeffs if g in (0, 1) else [c // g for c in coeffs]
-
-
-def _to_int_poly(p: QPolynomial) -> list[int]:
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _int_primitive([int(c * den) for c in p.coeffs])
-
-
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of integer polynomials, lc(b)^(da-db+1) * a mod b."""
-    a = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[shift + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Monic gcd over the rationals (primitive pseudo-remainder sequence,
-    which avoids the coefficient blowup of naive Euclid on large inputs)."""
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    x = _to_int_poly(a)
-    y = _to_int_poly(b)
-    if len(x) < len(y):
-        x, y = y, x
-    while y and any(y):
-        r = _int_pseudo_rem(x, y)
-        r = _int_primitive(r)
-        x, y = y, r
-    g = QPolynomial(x)
-    return g.monic()
+    """Monic gcd over the rationals: Euclid's algorithm on the pseudo-
+    remainders lc(b)^(deg a - deg b + 1) a mod b, each scaled to a primitive
+    integer polynomial, so that the division steps stay in the integers."""
+    while not b.is_zero():
+        r = (a * b.leading ** max(a.degree - b.degree + 1, 0) % b).coeffs
+        den = lcm(*(c.denominator for c in r))
+        r = [int(c * den) for c in r]
+        g = gcd(*r)
+        a, b = b, QPolynomial(c // g for c in r)
+    return a.monic()
 
 
 def phi_product(a: Sequence, phi: Mapping[int, int]) -> list:
@@ -596,6 +563,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den.is_one():
+            return hash(self.num)  # a polynomial hashes as the QPolynomial it equals
         return hash((self.num.coeffs, self.den.coeffs))
 
     def __repr__(self):

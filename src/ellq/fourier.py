@@ -1,6 +1,7 @@
 """The nonabelian Fourier transform attached to a small finite group, family
-data for the realized Weyl groups, the pairing on the parameter set X(W), and
-generic degrees.
+data for the realized Weyl groups (the families of more than one member; every
+other irreducible is a family of its own), the pairing on the parameter set
+X(W), and generic degrees.
 
 Supported small groups: trivial, Z2^k (k <= 4), S3, S4, S5, as permutation
 groups whose elements are `bytes` (`groups.permutation_group`).  Each pair in
@@ -275,49 +276,40 @@ class Family(NamedTuple):
     members: list[str]                # irreducible labels of W
     gamma: str                        # small group name; "trivial" if singleton
     embedding: dict[str, tuple[str, str]]  # member -> pair label in M(gamma)
-    delta: dict[str, int]             # member -> +-1 (all +1 here)
 
 
 def _singleton(label: str) -> Family:
-    return Family([label], "trivial", {label: ("1", "1")}, {label: 1})
+    return Family([label], "trivial", {label: ("1", "1")})
 
 
-# family data for the groups where it is not forced to be singletons;
-# validated downstream by the printed transform matrices and the unipotent
-# degree identities
+# the families of more than one member, as (Gamma, member -> pair label in
+# M(Gamma)), for the groups where not every family is a singleton; every
+# other irreducible is a family of its own.  Validated downstream by the
+# printed transform matrices and the unipotent degree identities
 _FIXED_FAMILIES = {
     "G2": [
-        ["phi(1,0)"],
-        ["phi(1,6)"],
-        {
-            "gamma": "S3",
-            "embedding": {
-                "phi(2,1)": ("1", "1"),
-                "phi(2,2)": ("g2", "1"),
-                "phi(1,3)'": ("g3", "1"),
-                "phi(1,3)''": ("1", "r"),
-            },
-        },
+        ("S3", {
+            "phi(2,1)": ("1", "1"),
+            "phi(2,2)": ("g2", "1"),
+            "phi(1,3)'": ("g3", "1"),
+            "phi(1,3)''": ("1", "r"),
+        }),
     ],
     "B2": [
-        ["[2]x[]"],
-        ["[]x[1, 1]"],
-        {
-            "gamma": "Z2",
-            "embedding": {
-                "[1]x[1]": ("1", "1"),
-                "[]x[2]": ("1", "eps"),
-                "[1, 1]x[]": ("tau", "1"),
-            },
-        },
+        ("Z2", {
+            "[1]x[1]": ("1", "1"),
+            "[]x[2]": ("1", "eps"),
+            "[1, 1]x[]": ("tau", "1"),
+        }),
     ],
-    "B1": [["[1]x[]"], ["[]x[1]"]],
+    "B1": [],
 }
 
 
 def families_for(W: Union[WeylGroupData, ProductWeyl]) -> list[Family]:
     """Family partition of Irr(W).  Type A and products of type A's are all
-    singletons; G2 and B1/B2 carry fixed family data."""
+    singletons; G2 and B1/B2 list their families of more than one member,
+    after the singletons of every other irreducible in irrep_labels() order."""
     if isinstance(W, ProductWeyl):
         factor_fams = [families_for(f) for f in W.factors]
         if any(len(f.members) > 1 for fams in factor_fams for f in fams):
@@ -329,22 +321,12 @@ def families_for(W: Union[WeylGroupData, ProductWeyl]) -> list[Family]:
     key = str(spec)
     if key not in _FIXED_FAMILIES:
         raise NotImplementedError(f"no family data for {key}")
-    out = []
-    for item in _FIXED_FAMILIES[key]:
-        if isinstance(item, list):
-            out.extend(_singleton(lab) for lab in item)
-        else:
-            emb = {k: tuple(v) for k, v in item["embedding"].items()}
-            members = list(emb)
-            out.append(Family(members, item["gamma"], emb,
-                              {mb: 1 for mb in members}))
-    labels = set(W.irrep_labels())
-    covered = set()
-    for f in out:
-        covered.update(f.members)
-    if covered != labels:
+    labels = W.irrep_labels()
+    typed = [mb for _, emb in _FIXED_FAMILIES[key] for mb in emb]
+    if len(set(typed)) < len(typed) or not set(typed) <= set(labels):
         raise RuntimeError(f"family data does not partition Irr({key})")
-    return out
+    return ([_singleton(lab) for lab in labels if lab not in typed]
+            + [Family(list(emb), gamma, dict(emb)) for gamma, emb in _FIXED_FAMILIES[key]])
 
 
 @functools.lru_cache(maxsize=None)

@@ -170,7 +170,7 @@ def _suite_sp4():
     from .unipotent import FIXTURES, conjecture_rhs, mx_for, q_part_prediction
     out = []
     fix = FIXTURES["sp4-22"]()
-    x = cyclotomic_quotient({1: 2, 2: -2, 4: -1}, 1)  # q (1-q)^2 / (Phi2^2 Phi4)
+    x = fix.fake_values[("1", "1")]  # q (1-q)^2 / (Phi2^2 Phi4)
     got = abs(bn_fake_closed((1, 1)))
     out.append(_cmp("sp4/fake-recovery", got.factored(), x.factored(),
                     notes="closed form for [1,1]x[] recovers the published "
@@ -193,15 +193,13 @@ def _suite_sp4():
 
 
 def _suite_g2_affine():
-    from .affine import (AffineDatum, G2_BASIS, G2_EF_AFFINE_PRINTED,
-                         G2_EF_J0_PRINTED, affine_elliptic_fake,
-                         ef_elliptic_on_parahoric, g2_basis_values_canonical,
-                         g2_class_alignment, g2_conjectured_transform,
-                         g2_ef_affine_published_order, g2_ef_j0_published_order,
-                         g2_mu_canonical)
+    from .affine import (AffineDatum, G2_BASIS, G2_BASIS_PAIRS, G2_EF_AFFINE_PRINTED,
+                         G2_EF_J0_PRINTED, ef_elliptic_on_parahoric,
+                         g2_basis_values_canonical, g2_class_alignment,
+                         g2_conjectured_transform, g2_ef_affine_published_order,
+                         g2_ef_j0_published_order, g2_mu_canonical)
     from .fixtures import fake_degree_from_table
     from .unipotent import FIXTURES, conjecture_rhs
-    from .weylgrp import GroupSpec
     out = []
     d = AffineDatum("G2")
     types = [p.type_str() for p in d.maximal_parahorics()]
@@ -251,29 +249,29 @@ def _suite_g2_affine():
                     cyclotomic_quotient({1: 2, 3: -1}).factored()))
 
     fixg2 = FIXTURES["g2-a1"]()
-    targets = [
-        fake_degree_from_table("G2", "G2", "1"),
-        conjecture_rhs(fixg2, ("1", "1")),
-        conjecture_rhs(fixg2, ("1", "r")),
-        conjecture_rhs(fixg2, ("g3", "1")),
-        conjecture_rhs(fixg2, ("g2", "1")),
-    ]
-    for i, target in enumerate(targets):
-        got = d.formal_degree(basis[i])
-        out.append(_cmp(f"g2-affine/formal-v{i+1}", got.factored(), target.factored(),
+    for fix, pair, values in zip(G2_BASIS, G2_BASIS_PAIRS, basis):
+        # v1 alone spans the Steinberg family: its formal degree is its fake degree
+        target = (conjecture_rhs(fixg2, pair) if pair
+                  else fake_degree_from_table("G2", *fix.springer))
+        got = d.formal_degree(values)
+        out.append(_cmp(f"g2-affine/formal-{fix.name}", got.factored(), target.factored(),
                         notes="elliptic integral against nu matches the "
                               "transform pipeline"))
-    g2spec = GroupSpec("G2", 2)
-    fake_targets = [
-        fake_degree_from_table("G2", "G2", "1"),
-        fake_degree_from_table("G2", "G2(a1)", "(3)"),
-        fake_degree_from_table("G2", "G2(a1)", "(21)"),
-        RF_ZERO, RF_ZERO,
-    ]
-    for i, target in enumerate(fake_targets):
-        got = affine_elliptic_fake(G2_BASIS[i], g2spec)
-        out.append(_cmp(f"g2-affine/fake-v{i+1}", got.factored(), target.factored()))
+    for fix, got, want in _g2_fake_degrees():
+        out.append(_cmp(f"g2-affine/fake-{fix.name}", got.factored(), want.factored()))
     return out
+
+
+def _g2_fake_degrees():
+    """(module, its elliptic fake degree, the published value) for each G2
+    basis module; the published value is the appendix row (orbit, phi) when
+    the isolated point is the identity, and zero otherwise."""
+    from .affine import G2_BASIS, affine_elliptic_fake
+    from .fixtures import fake_degree_from_table
+    from .weylgrp import GroupSpec
+    for fix in G2_BASIS:
+        want = fake_degree_from_table("G2", *fix.springer) if fix.springer else RF_ZERO
+        yield fix, affine_elliptic_fake(fix, GroupSpec("G2", 2)), want
 
 
 def _suite_independence():
@@ -312,27 +310,14 @@ def _suite_independence():
 
 
 def _suite_appendix():
-    from .elliptic import VirtualCharacter, elliptic_fake_degree, sgn_fake_degree
+    from .elliptic import sgn_fake_degree
     from .fixtures import fake_degree_from_table
-    from .weylgrp import GroupSpec, build_group, exceptional_exponents
+    from .weylgrp import exceptional_exponents
     out = []
-    W = build_group(GroupSpec("G2", 2))
-
-    def combo(coeffs):
-        coords = [0] * len(W.classes())
-        for lab, c in coeffs.items():
-            coords[W.irrep_index(lab)] = c
-        return VirtualCharacter.from_coords(W, coords).values
-
-    rows = [
-        ("G2", "1", {"phi(1,6)": 1}),
-        ("G2(a1)", "(3)", {"phi(1,6)": 1, "phi(2,1)": 1}),
-        ("G2(a1)", "(21)", {"phi(1,3)''": 1}),
-    ]
-    for orbit, phi, coeffs in rows:
-        got = elliptic_fake_degree(W, combo(coeffs))
-        want = fake_degree_from_table("G2", orbit, phi)
-        out.append(_cmp(f"appendix-g2/{orbit}/{phi}", got.factored(), want.factored()))
+    for fix, got, want in _g2_fake_degrees():
+        if fix.springer:
+            orbit, phi = fix.springer
+            out.append(_cmp(f"appendix-g2/{orbit}/{phi}", got.factored(), want.factored()))
     # regular rows of every exceptional table match the closed form; for the
     # odd-rank E7 the prefactor convention flips the sign ((1-q)^7 = -(q-1)^7),
     # so the published positive numerator corresponds to -F of the sign character

@@ -435,25 +435,33 @@ def test_ef_matrix_is_built_once_per_group(capsys):
     assert (info.misses, info.hits) == (3, 7)
 
 
-def test_verify_all_needs_no_gcd():
-    """Every rational function of verify all is built and combined from its
-    Phi-exponents: a fresh interpreter whose poly_gcd raises gives the pin."""
+def test_exceptional_outputs_need_no_gcd():
+    """Every rational function of these commands, verify all among them, is
+    built and combined from its Phi-exponents: a fresh interpreter whose
+    poly_gcd raises gives every pin."""
     import os
     import subprocess
     import sys
 
     import ellq
+    argvs = list(EXCEPTIONAL_OUTPUTS)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
-    code = ("import ellq.exactq as exactq\n"
+    code = ("import contextlib, hashlib, io, json, sys\n"
+            "import ellq.exactq as exactq\n"
             "def refuse(*args):\n"
             "    raise AssertionError('poly_gcd called')\n"
             "exactq.poly_gcd = refuse\n"
             "from ellq.cli import main\n"
-            "raise SystemExit(main(['--json', 'verify', 'all']))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            "shas = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        assert main(['--json', *argv]) == 0, argv\n"
+            "    shas.append(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "print(json.dumps(shas))\n")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert (hashlib.sha256(out.stdout.encode()).hexdigest()
-            == EXCEPTIONAL_OUTPUTS[("verify", "all")])
+    assert json.loads(out.stdout) == [EXCEPTIONAL_OUTPUTS[argv] for argv in argvs]
 
 
 def test_ellq_loads_neither_dataclasses_nor_inspect():

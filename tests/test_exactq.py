@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellq import exactq
+from ellq.cyclo import CycNum
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, cyclotomic_quotient, factor_cyclotomic,
                          integer_rank, nullspace_mod, phi_product, poly_gcd, rref,
@@ -187,6 +188,22 @@ def test_json_round_trip():
     assert QPolynomial.from_json(p.to_json()) == p
     r = RationalFunction(p, QPolynomial.of(1, 2, 1))
     assert RationalFunction.from_json(r.to_json()) == r
+
+
+def test_equal_exact_values_hash_equal():
+    """Values that compare equal hash equal, so a set or a dict keeps one of
+    them: a constant polynomial and its scalar, a polynomial and the rational
+    function it is, a rational cyclotomic number and its value."""
+    p = QPolynomial.of(1, 2)
+    pairs = [(QPolynomial.of(3), 3), (QPolynomial.of(Fraction(1, 2)), Fraction(1, 2)),
+             (QPolynomial.zero(), 0), (RF_ONE, 1), (RationalFunction(p), p),
+             (RationalFunction(QPolynomial.zero()), 0),
+             (RationalFunction.of(QPolynomial.of(2, 2), QPolynomial.of(1, 1)), 2),
+             (CycNum.rational(4, 2), 2), (CycNum.rational(3, Fraction(-1, 3)), Fraction(-1, 3)),
+             (CycNum.zero(5), 0), (CycNum.zeta_pow(4, 2), -1)]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1, (a, b)
+    assert len({RationalFunction(p), p, RationalFunction.of(p, 2) * 2}) == 1
 
 
 def test_rref_rank_inverse_and_left_kernel():

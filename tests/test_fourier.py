@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import ellq
+from ellq import fourier
 from ellq.cyclo import CycNum, ring_terms
 from ellq.exactq import RationalFunction, RF_ONE, RF_Q, cyclotomic
 from ellq.fixtures import ft_z2_printed
@@ -367,7 +368,61 @@ def test_families_partition():
     a3 = build_group(GroupSpec("A", 3))
     assert all(len(f.members) == 1 for f in families_for(a3))
     for f in fams:
-        assert all(f.delta[m] == 1 for m in f.members)
+        assert list(f.embedding) == f.members
+
+
+# the family partitions as (members, Gamma, embedding), in order: a reference
+# typed apart from the family data, which holds only families of more than
+# one member and derives the singletons
+FAMILIES_BEFORE = {
+    ("G2", 2): [
+        (["phi(1,0)"], "trivial", {"phi(1,0)": ("1", "1")}),
+        (["phi(1,6)"], "trivial", {"phi(1,6)": ("1", "1")}),
+        (["phi(2,1)", "phi(2,2)", "phi(1,3)'", "phi(1,3)''"], "S3",
+         {"phi(2,1)": ("1", "1"), "phi(2,2)": ("g2", "1"), "phi(1,3)'": ("g3", "1"),
+          "phi(1,3)''": ("1", "r")}),
+    ],
+    ("B", 1): [
+        (["[1]x[]"], "trivial", {"[1]x[]": ("1", "1")}),
+        (["[]x[1]"], "trivial", {"[]x[1]": ("1", "1")}),
+    ],
+    ("B", 2): [
+        (["[2]x[]"], "trivial", {"[2]x[]": ("1", "1")}),
+        (["[]x[1, 1]"], "trivial", {"[]x[1, 1]": ("1", "1")}),
+        (["[1]x[1]", "[]x[2]", "[1, 1]x[]"], "Z2",
+         {"[1]x[1]": ("1", "1"), "[]x[2]": ("1", "eps"), "[1, 1]x[]": ("tau", "1")}),
+    ],
+    ("A", 3): [([lab], "trivial", {lab: ("1", "1")})
+               for lab in ("[4]", "[1, 1, 1, 1]", "[2, 2]", "[2, 1, 1]", "[3, 1]")],
+}
+
+
+def test_families_are_unchanged():
+    for (family, rank), before in FAMILIES_BEFORE.items():
+        W = build_group(GroupSpec(family, rank))
+        assert [tuple(f) for f in families_for(W)] == before
+    a1a1 = ProductWeyl((GroupSpec("A", 1), GroupSpec("A", 1)))
+    assert [tuple(f) for f in families_for(a1a1)] == [
+        ([lab], "trivial", {lab: ("1", "1")})
+        for lab in ("[2] (x) [2]", "[2] (x) [1, 1]", "[1, 1] (x) [2]", "[1, 1] (x) [1, 1]")]
+
+
+@pytest.mark.parametrize("families", [
+    # a member that is no irreducible of B2
+    [("Z2", {"[1]x[1]": ("1", "1"), "[]x[2]": ("1", "eps"), "[1,1]x[]": ("tau", "1")})],
+    # a member typed in two families
+    [("Z2", {"[1]x[1]": ("1", "1"), "[]x[2]": ("1", "eps")}),
+     ("Z2", {"[]x[2]": ("1", "1"), "[1, 1]x[]": ("1", "eps")})],
+], ids=["misspelt", "twice"])
+def test_family_data_must_partition_irr(monkeypatch, families):
+    monkeypatch.setitem(fourier._FIXED_FAMILIES, "B2", families)
+    with pytest.raises(RuntimeError, match=r"family data does not partition Irr\(B2\)"):
+        families_for(build_group(GroupSpec("B", 2)))
+
+
+def test_family_data_missing():
+    with pytest.raises(NotImplementedError, match="no family data for B3"):
+        families_for(build_group(GroupSpec("B", 3)))
 
 
 def test_xw_pairing_g2():
