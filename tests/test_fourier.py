@@ -374,7 +374,7 @@ def test_families_partition():
 # the family partitions as (members, Gamma, embedding), in order: a reference
 # typed apart from the family data, which holds only families of more than
 # one member and derives the singletons
-FAMILIES_BEFORE = {
+FAMILY_PARTITIONS = {
     ("G2", 2): [
         (["phi(1,0)"], "trivial", {"phi(1,0)": ("1", "1")}),
         (["phi(1,6)"], "trivial", {"phi(1,6)": ("1", "1")}),
@@ -397,10 +397,10 @@ FAMILIES_BEFORE = {
 }
 
 
-def test_families_are_unchanged():
-    for (family, rank), before in FAMILIES_BEFORE.items():
+def test_families_match_reference():
+    for (family, rank), want in FAMILY_PARTITIONS.items():
         W = build_group(GroupSpec(family, rank))
-        assert [tuple(f) for f in families_for(W)] == before
+        assert [tuple(f) for f in families_for(W)] == want
     a1a1 = ProductWeyl((GroupSpec("A", 1), GroupSpec("A", 1)))
     assert [tuple(f) for f in families_for(a1a1)] == [
         ([lab], "trivial", {lab: ("1", "1")})
