@@ -3,10 +3,12 @@
 Every elliptic conjugacy class of the affine Weyl group meets exactly one
 maximal proper parahoric subgroup W_J (one per deleted node of the affine
 diagram), in a single elliptic W_J-class; the elliptic measure of that class
-is |C_J|/|W_J|.  On top of this: the class function nu built from generic
-degrees, formal degrees as elliptic integrals, elliptic fake degrees of
-fixture modules, and the restriction of the family transform to
-elliptic-class delta functions.
+is |C_J|/|W_J|.  The parahoric types are closed forms: every one is A_n for
+affine A_n, deleting node j of affine C_n leaves B_j x B_{n-j} (B1 = A1, rank
+0 dropped), and affine G2 gives G2, A1 x A1 and A2.  On top of this: the
+class function nu built from generic degrees, formal degrees as elliptic
+integrals, elliptic fake degrees of fixture modules, and the restriction of
+the family transform to elliptic-class delta functions.
 """
 from __future__ import annotations
 
@@ -19,60 +21,30 @@ from .elliptic import VirtualCharacter, elliptic_fake_degree
 from .fourier import block_diagonal, ef_map, fourier_matrix, generic_degree
 from .weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, build_group, poincare_phi)
 
-INF = 0  # bond marker for the infinite bond of affine A1
 
-
-class AffineDiagram(NamedTuple):
-    name: str
-    n_nodes: int                      # rank + 1, node 0 is the affine one
-    edges: tuple[tuple[int, int, int], ...]  # (i, j, m) with m = order of s_i s_j
-
-
-def affine_diagram(base: str) -> AffineDiagram:
-    """The affine diagram of A_n, C_n or G2.  B1 = C1 = A1 and B2 = C2; B_n
-    for n >= 3 has a diagram of its own, which is not realised."""
+def parahoric_types(base: str) -> tuple[str, list[tuple[GroupSpec, ...]]]:
+    """The name of affine `base` and, for each node j = 0..n of its diagram
+    (node 0 the affine one), the factors of the parahoric that deleting j
+    leaves.  Affine C_n is 0 => 1 - ... - (n-1) <= n and affine G2 the chain
+    0 - 1 - 2 with bond orders 3 and 6.  B1 = C1 = A1 and B2 = C2; B_n for
+    n >= 3 has a diagram of its own, which is not realised."""
     base = base.strip().upper()
     if base == "G2":
-        return AffineDiagram("G2", 3, ((0, 1, 3), (1, 2, 6)))
+        return "G2", [(GroupSpec("G2", 2),), (GroupSpec("A", 1),) * 2, (GroupSpec("A", 2),)]
     family, rank = base[:1], base[1:]
     if family not in ("A", "B", "C"):
         raise NotImplementedError(f"no affine diagram for {base!r}")
     if not rank.isdigit() or int(rank) < 1:
         raise ValueError(f"affine {base}: the rank must be a positive integer")
     n = int(rank)
-    if n == 1:
-        return AffineDiagram("A1", 2, ((0, 1, INF),))
-    if family == "A":
-        edges = tuple((i, (i + 1) % (n + 1), 3) for i in range(n + 1))
-        return AffineDiagram(base, n + 1, edges)
+    if family == "A" or n == 1:
+        return (base if n > 1 else "A1"), [(GroupSpec("A", n),)] * (n + 1)
     if family == "B" and n >= 3:
         raise NotImplementedError(f"affine {base} differs from affine C{n} "
                                   "and is not realised")
-    # 0 => 1 - 2 - ... - (n-1) <= n
-    edges = [(0, 1, 4), (n - 1, n, 4)] + [(i, i + 1, 3) for i in range(1, n - 1)]
-    return AffineDiagram(f"C{n}", n + 1, tuple(edges))
-
-
-def _classify_component(nodes: list[int], edges: list[tuple[int, int, int]]) -> GroupSpec:
-    k = len(nodes)
-    if k == 1:
-        return GroupSpec("A", 1)
-    ms = sorted(m for _, _, m in edges)
-    if len(edges) != k - 1:
-        raise NotImplementedError("non-tree parahoric component")
-    if all(m == 3 for m in ms):
-        degs = {n: 0 for n in nodes}
-        for a, b, _ in edges:
-            degs[a] += 1
-            degs[b] += 1
-        if max(degs.values()) <= 2:
-            return GroupSpec("A", k)
-        return GroupSpec("D", k)
-    if ms.count(4) == 1 and all(m in (3, 4) for m in ms):
-        return GroupSpec("B", k)
-    if ms == [3, 6] or ms == [6]:
-        return GroupSpec("G2", 2)
-    raise NotImplementedError(f"unrecognized component with bonds {ms}")
+    # node j leaves B_j x B_{n-j}, with B1 = A1 and a factor of rank 0 dropped
+    return f"C{n}", [tuple(sorted((GroupSpec("B" if k > 1 else "A", k) for k in (j, n - j) if k),
+                                  key=str)) for j in range(n + 1)]
 
 
 class MaximalParahoric(NamedTuple):
@@ -89,26 +61,17 @@ class AffineDatum:
 
     def __init__(self, base: str):
         self.base = base
-        self.diagram = affine_diagram(base)
-        self.rank = self.diagram.n_nodes - 1
+        self.name, self._types = parahoric_types(base)
+        self.rank = len(self._types) - 1
         self._parahorics = None
         self._classes = None
         self._nu = None
 
     def maximal_parahorics(self) -> list[MaximalParahoric]:
-        if self._parahorics is not None:
-            return self._parahorics
-        out = []
-        for deleted in range(self.diagram.n_nodes):
-            nodes = [i for i in range(self.diagram.n_nodes) if i != deleted]
-            edges = [(a, b, m) for a, b, m in self.diagram.edges
-                     if a != deleted and b != deleted]
-            comps = _components(nodes, edges)
-            specs = tuple(sorted((_classify_component(ns, es) for ns, es in comps),
-                                 key=str))
-            out.append(MaximalParahoric(deleted, specs, _parahoric_weyl(specs)))
-        self._parahorics = out
-        return out
+        if self._parahorics is None:
+            self._parahorics = [MaximalParahoric(j, specs, _parahoric_weyl(specs))
+                                for j, specs in enumerate(self._types)]
+        return self._parahorics
 
     def elliptic_classes(self) -> list["AffineEllipticClass"]:
         """Disjoint union over maximal parahorics of their elliptic classes."""
@@ -131,16 +94,10 @@ class AffineDatum:
         if self._nu is not None:
             return self._nu
         sign = (-1) ** self.rank
-        out = []
-        paras = self.maximal_parahorics()
-        per_parahoric: dict[int, list[RationalFunction]] = {}
-        for cls in self.elliptic_classes():
-            p = paras[cls.parahoric_index]
-            if cls.parahoric_index not in per_parahoric:
-                per_parahoric[cls.parahoric_index] = _nu_on_parahoric(p.weyl)
-            out.append(per_parahoric[cls.parahoric_index][cls.class_index] * sign)
-        self._nu = out
-        return out
+        on_parahoric = [_nu_on_parahoric(p.weyl) for p in self.maximal_parahorics()]
+        self._nu = [on_parahoric[cls.parahoric_index][cls.class_index] * sign
+                    for cls in self.elliptic_classes()]
+        return self._nu
 
     def formal_degree(self, v_values: Sequence[RationalFunction]) -> RationalFunction:
         """<v, nu>^el over the affine group: sum v(C) nu(C) mu_el(C)."""
@@ -161,7 +118,7 @@ class AffineDatum:
         for values in functions:
             if len(values) != len(classes):
                 raise ValueError(f"an elliptic class function of affine "
-                                 f"{self.diagram.name} has {len(classes)} values, "
+                                 f"{self.name} has {len(classes)} values, "
                                  f"not {len(values)}")
         return classes
 
@@ -172,28 +129,6 @@ class AffineEllipticClass(NamedTuple):
     char_poly: QPolynomial
     size: int
     mu: Fraction
-
-
-def _components(nodes, edges):
-    comp = {n: n for n in nodes}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for a, b, _ in edges:
-        comp[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for n in nodes:
-        groups.setdefault(find(n), []).append(n)
-    out = []
-    for ns in groups.values():
-        es = [(a, b, m) for a, b, m in edges if find(a) == find(ns[0])]
-        out.append((sorted(ns), es))
-    out.sort()
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,24 +308,14 @@ def g2_ef_affine_published_order() -> list[list[Fraction]]:
 def g2_ef_j0_published_order() -> list[list[Fraction]]:
     """The finite-parahoric block in the published class order."""
     datum = AffineDatum("G2")
-    align = g2_class_alignment(datum)
-    p0 = datum.maximal_parahorics()[0]
-    block = ef_elliptic_on_parahoric(p0.weyl)
-    # classes of J0 occupy the leading block of the affine list
-    j0_positions = [i for i, c in enumerate(datum.elliptic_classes())
-                    if c.parahoric_index == 0]
-    pub = [j0_positions.index(align[k]) for k in range(3)]
-    return [[block[pub[i]][pub[j]] for j in range(3)] for i in range(3)]
+    block = ef_elliptic_on_parahoric(datum.maximal_parahorics()[0].weyl)
+    # the classes of J0 lead the affine list, so their indices index its block
+    pub = g2_class_alignment(datum)[:3]
+    return [[block[i][j] for j in pub] for i in pub]
 
 
 def g2_conjectured_transform() -> list[list[Fraction]]:
     """The submatrix of the parameter-set transform predicted to equal the
     affine elliptic transform in the basis v1..v5."""
-    block = fourier_matrix("S3")
-    n = len(G2_BASIS_PAIRS)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    out[0][0] = Fraction(1)
-    for i in range(1, n):
-        for j in range(1, n):
-            out[i][j] = block.entry(G2_BASIS_PAIRS[i], G2_BASIS_PAIRS[j])
-    return out
+    block, pairs = fourier_matrix("S3"), G2_BASIS_PAIRS[1:]
+    return block_diagonal([[[Fraction(1)]], [[block.entry(a, b) for b in pairs] for a in pairs]])

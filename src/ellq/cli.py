@@ -317,9 +317,7 @@ def _cmd_independence(args) -> int:
                                 for c, t in rep.dependencies]}
     lines = [f"{rep.spec}: {rep.n_elliptic} elliptic classes, rank {rep.rank}, "
              f"independent: {rep.independent}"]
-    for c, t in rep.dependencies:
-        combo = " + ".join(f"{ci}/det(1-q w_{ti})" for ci, ti in zip(c, t) if ci)
-        lines.append(f"  dependency: {combo} = 0")
+    lines.extend(f"  dependency: {combo} = 0" for combo in rep.dependency_strings())
     for a, b, cp in rep.coincident_pairs:
         lines.append(f"  coincident characteristic polynomial: {cp}")
     _emit(args, payload, lines)

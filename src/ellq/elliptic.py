@@ -163,6 +163,11 @@ class IndependenceReport(NamedTuple):
     # integer dependencies sum_i c_i / charpoly_i = 0, as (coefficients, types)
     dependencies: list[tuple[tuple, tuple]]
 
+    def dependency_strings(self) -> list[str]:
+        """Each dependency written "c/det(1-q w_t) + ...", zero terms left out."""
+        return [" + ".join(f"{c}/det(1-q w_{t})" for c, t in zip(combo, types) if c)
+                for combo, types in self.dependencies]
+
 
 def independence_check(spec: GroupSpec) -> IndependenceReport:
     """Exact rank of {1/det(1-qw)} over elliptic classes.  Each function is

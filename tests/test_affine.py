@@ -3,11 +3,10 @@ from fractions import Fraction
 import pytest
 
 from ellq.affine import (AffineDatum, G2_BASIS, G2_EF_AFFINE_PRINTED,
-                         G2_EF_J0_PRINTED, G2_MU_EL, affine_diagram,
-                         affine_elliptic_fake, ef_elliptic_on_parahoric,
+                         G2_EF_J0_PRINTED, G2_MU_EL, affine_elliptic_fake, ef_elliptic_on_parahoric,
                          g2_basis_values_canonical, g2_class_alignment,
                          g2_conjectured_transform, g2_ef_affine_published_order,
-                         g2_ef_j0_published_order, g2_mu_canonical)
+                         g2_ef_j0_published_order, g2_mu_canonical, parahoric_types)
 from ellq import affine
 from ellq.exactq import QPolynomial, RationalFunction, RF_Q, cyclotomic
 from ellq.unipotent import FIXTURES, conjecture_rhs
@@ -188,8 +187,28 @@ def test_unknown_base():
 
 
 def test_a1_diagram_degenerate():
-    assert affine_diagram("B1").name == "A1"
-    assert affine_diagram("C1").name == "A1"
+    assert parahoric_types("B1")[0] == parahoric_types("C1")[0] == "A1"
+
+
+# Bourbaki, Lie VI, Planches; Tits 1979, Reductive groups over local fields:
+# deleting node j of affine C_n leaves B_j x B_{n-j}, every node of affine A_n
+# leaves A_n
+@pytest.mark.parametrize("base, types", [
+    ("C3", ["B3", "A1 x B2", "A1 x B2", "B3"]),
+    ("C4", ["B4", "A1 x B3", "B2 x B2", "A1 x B3", "B4"]),
+    ("C5", ["B5", "A1 x B4", "B2 x B3", "B2 x B3", "A1 x B4", "B5"]),
+    ("A3", ["A3"] * 4),
+])
+def test_parahoric_types_published(base, types):
+    name, specs = parahoric_types(base)
+    assert name == base
+    assert [" x ".join(map(str, s)) for s in specs] == types
+
+
+@pytest.mark.parametrize("base", ["F4", "E6", "D4", "B3"])
+def test_parahoric_types_unrealised_bases_raise(base):
+    with pytest.raises(NotImplementedError):
+        parahoric_types(base)
 
 
 def test_nu_is_computed_once_per_datum(monkeypatch):

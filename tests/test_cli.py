@@ -435,6 +435,19 @@ def test_ef_matrix_is_built_once_per_group(capsys):
     assert (info.misses, info.hits) == (3, 7)
 
 
+def test_g2_elliptic_fake_degrees_are_computed_once(monkeypatch):
+    # the g2-affine and appendix-g2 suites read the elliptic fake degrees of
+    # the same three G2 basis modules: each is computed once per process
+    from ellq import affine, report
+    calls = []
+    elliptic_fake_degree = affine.elliptic_fake_degree
+    monkeypatch.setattr(affine, "elliptic_fake_degree",
+                        lambda W, values: calls.append(W) or elliptic_fake_degree(W, values))
+    report._g2_elliptic_fakes.cache_clear()
+    report.run_verify("all")
+    assert len(calls) == 3
+
+
 def test_exceptional_outputs_need_no_gcd():
     """Every rational function of these commands, verify all among them, is
     built and combined from its Phi-exponents: a fresh interpreter whose
