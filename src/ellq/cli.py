@@ -262,15 +262,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_affine(args) -> int:
     from .affine import AffineDatum, ef_elliptic_on_parahoric
-    d = AffineDatum(args.base.upper())
-    if args.formal and args.base.upper() != "G2":
+    base = args.base.strip().upper()
+    d = AffineDatum(base)
+    if args.formal and base != "G2":
         raise ValueError(f"--formal needs the packaged basis, which exists for g2 only, "
                          f"not {args.base}")
     lines = []
-    payload = {"base": args.base.upper()}
+    payload = {"base": base}
     types = [p.type_str() for p in d.maximal_parahorics()]
     payload["parahorics"] = types
-    lines.append(f"affine {args.base.upper()}: maximal parahorics {types}")
+    lines.append(f"affine {base}: maximal parahorics {types}")
     if args.classes or not (args.nu or args.ef or args.formal):
         cls = [{"parahoric": types[c.parahoric_index],
                 "charpoly": str(c.char_poly), "mu": str(c.mu)}

@@ -28,9 +28,10 @@ SUPPORTED_GAMMAS = ("trivial", "Z2", "Z2^2", "Z2^3", "Z2^4", "S3", "S4", "S5")
 
 @functools.lru_cache(maxsize=None)
 def small_group(name: str) -> FiniteGroup:
-    """Gamma as a permutation group.  An element's key is its tuple of
-    images: it picks the class representatives and the class order, and so
-    the labels of M(Gamma)."""
+    """Gamma as a permutation group.  An element's key is its bytes of
+    images, which sort as their tuple's repr on at most 10 points: it picks
+    the class representatives and the class order, and so the labels of
+    M(Gamma)."""
     if name not in SUPPORTED_GAMMAS:
         raise ValueError(f"unsupported group {name!r}")
     if name.startswith("Z2"):  # Z2^k: the transpositions (2i, 2i+1)
@@ -40,7 +41,7 @@ def small_group(name: str) -> FiniteGroup:
         n = 1 if name == "trivial" else int(name[1])
         swaps = range(n - 1)
     gens = [[*range(i), i + 1, i, *range(i + 2, n)] for i in swaps]
-    return permutation_group(gens, n, key=lambda w: repr(tuple(w)))
+    return permutation_group(gens, n, key=None)
 
 
 class MPair(NamedTuple):

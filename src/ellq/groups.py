@@ -9,10 +9,15 @@ p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace are the roots of its
 characteristic polynomial, computed through Hessenberg form in O(n^3) for
 any p, and found by evaluating it at every point of F_p: p is a few
 thousand at most (13 for G2, 73 for F4).
+The first split reads the first class matrix as it stands, on the standard
+basis; every later space is mapped through a class matrix with its basis
+packed coordinate by coordinate into ints (`_mat_vecs`) and solved for
+coordinates in its own span, which checks that the space is invariant.
 Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
-zeta_d^s, d the order of g).  Galois-stable ones, m_s = m_{ks} for every
-unit k mod d, give a rational value: the centred lift of chi(g) mod p, a
-plain int, as every Weyl group value is.  The others, in some centralizers
+zeta_d^s, d the order of g), for every row at once: each column of the
+table mod p is packed into one int, row r in its own slot.  Galois-stable
+ones, m_s = m_{ks} for every unit k mod d, give a rational value: the
+centred lift of chi(g) mod p, a plain int, as every Weyl group value is.  The others, in some centralizers
 in Gamma, are sums of roots of unity in Z[Z/exponent], reduced once by
 `cyclo.ring_reduce`; only a value that stays irrational is built as a
 `CycNum`.  The full orthogonality relations are then verified exactly, in
@@ -22,13 +27,18 @@ table is ever returned.
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
 `permutation_group`: an element is `bytes`, and a product is one
-`bytes.translate`.
+`bytes.translate` through the left factor, padded to a 256-byte table.  The
+conjugation orbits and the class matrices pad their fixed factor once and
+then only translate.  The key that picks class representatives is bytes too
+(`weylgrp.RootSystem.key` for G2 and F4, the element itself for Gamma), so
+no element is turned into a string.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import mul
+from operator import le, lshift, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
@@ -58,7 +68,7 @@ def permutation_group(generators: Sequence, degree: int, **kwargs) -> "FiniteGro
     pad = bytes(256 - degree)
     return FiniteGroup.generate([bytes(g) for g in generators],
                                 lambda a, b: b.translate(a + pad), perm_inv,
-                                bytes(range(degree)), **kwargs)
+                                bytes(range(degree)), pad=pad, **kwargs)
 
 
 class ConjClass(NamedTuple):
@@ -73,13 +83,17 @@ class FiniteGroup:
 
     `key` orders elements: each class is represented by its element of least
     key, and classes of equal size and order are sorted by their
-    representatives' keys.  Subgroups and centralizers inherit it.  The
-    classes and the character table are computed once and kept.
+    representatives' keys; with key None the elements themselves compare.
+    `pad`, given for a permutation group only, is the zero bytes that make an
+    element a full `bytes.translate` table: the class loops pad their fixed
+    factor with it once and multiply by translating.  Subgroups and
+    centralizers inherit both.  The classes and the character table are
+    computed once and kept.
     """
 
     def __init__(self, elements, mult: Callable, inv: Callable, identity,
                  generators: Sequence = (), lengths: Optional[dict] = None,
-                 key: Callable = repr):
+                 key: Optional[Callable] = repr, pad: Optional[bytes] = None):
         self.elements = list(elements)
         self.mult = mult
         self.inv = inv
@@ -87,13 +101,15 @@ class FiniteGroup:
         self.generators = list(generators)
         self.lengths = lengths
         self.key = key
+        self.pad = pad
         self._classes: Optional[list[ConjClass]] = None
         self._class_of: Optional[dict] = None
         self._table: Optional[CharacterTable] = None
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
-                 bound: int = DEFAULT_BOUND, key: Callable = repr) -> "FiniteGroup":
+                 bound: int = DEFAULT_BOUND, key: Optional[Callable] = repr,
+                 pad: Optional[bytes] = None) -> "FiniteGroup":
         """Enumerate the group generated by `generators` by breadth-first
         closure.  Each element's distance from the identity, its length in
         the generators, is kept in `lengths`."""
@@ -115,7 +131,7 @@ class FiniteGroup:
                             raise GroupTooLargeError(
                                 f"group exceeds enumeration bound {bound}")
             frontier = nxt
-        return FiniteGroup(elements, mult, inv, identity, generators, lengths, key)
+        return FiniteGroup(elements, mult, inv, identity, generators, lengths, key, pad)
 
     @property
     def order(self) -> int:
@@ -135,29 +151,28 @@ class FiniteGroup:
         {s g s^-1 : s in G}."""
         if self._classes is not None:
             return self._classes
-        mult, key = self.mult, self.key
-        conjugators = [(s, self.inv(s)) for s in self.generators or self.elements]
+        key = self.key
+        conjugates = self._conjugator([(s, self.inv(s))
+                                       for s in self.generators or self.elements])
         seen = set()
         raw = []
         for g in self.elements:
             if g in seen:
                 continue
             if not self.generators:
-                orbit = {mult(mult(s, g), s_inv) for s, s_inv in conjugators}
+                orbit = set(conjugates(g))
             else:
                 orbit = {g}
                 frontier = [g]
                 while frontier:
-                    x = frontier.pop()
-                    for s, s_inv in conjugators:
-                        y = mult(mult(s, x), s_inv)
+                    for y in conjugates(frontier.pop()):
                         if y not in orbit:
                             orbit.add(y)
                             frontier.append(y)
             seen |= orbit
             rep = min(orbit, key=key)
             raw.append(ConjClass(rep, len(orbit), self.element_order(rep), tuple(orbit)))
-        raw.sort(key=lambda c: (c.size, c.order, key(c.rep)))
+        raw.sort(key=lambda c: (c.size, c.order, c.rep if key is None else key(c.rep)))
         # identity class first
         for i, c in enumerate(raw):
             if c.rep == self.identity:
@@ -170,17 +185,33 @@ class FiniteGroup:
                 self._class_of[x] = i
         return raw
 
+    def _conjugator(self, pairs) -> Callable:
+        """x -> [s x s^-1 for each pair (s, s^-1)].  In a permutation group
+        s x s^-1 is s^-1 translated through x, then through s: each s is
+        padded here once, and x once per call."""
+        pad = self.pad
+        if pad is None:
+            mult = self.mult
+            return lambda x: [mult(mult(s, x), s_inv) for s, s_inv in pairs]
+        padded = [(s + pad, s_inv) for s, s_inv in pairs]
+
+        def conjugates(x):
+            xp = x + pad
+            return [s_inv.translate(xp).translate(sp) for sp, s_inv in padded]
+        return conjugates
+
     def class_of(self, g) -> int:
         self.conjugacy_classes()
         return self._class_of[g]
 
     def centralizer(self, x) -> "FiniteGroup":
         elems = [g for g in self.elements if self.mult(g, x) == self.mult(x, g)]
-        return FiniteGroup(elems, self.mult, self.inv, self.identity, key=self.key)
+        return FiniteGroup(elems, self.mult, self.inv, self.identity, key=self.key,
+                           pad=self.pad)
 
     def subgroup(self, gens: Sequence) -> "FiniteGroup":
         return FiniteGroup.generate(list(gens), self.mult, self.inv, self.identity,
-                                    bound=self.order, key=self.key)
+                                    bound=self.order, key=self.key, pad=self.pad)
 
     def exponent(self) -> int:
         from math import lcm
@@ -234,8 +265,17 @@ class CharacterTable(NamedTuple):
 # modular linear algebra
 
 
-def _mat_vec(a, v, p):
-    return [sum(map(mul, ra, v)) % p for ra in a]
+def _mat_vecs(a, vs, p):
+    """A v mod p for each v in vs, in one sum per row of A: the vs are
+    packed coordinate by coordinate into ints, v_t in the w bits from w t
+    on, and no slot of a row's sum reaches n p^2 < 2^w (n the length of v)."""
+    w = (len(a[0]) * p * p).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, w * len(vs), w)
+    packed = [sum(map(lshift, coords, shifts)) for coords in zip(*vs)]
+    rows = [[(t >> sh & mask) % p for sh in shifts] for t in
+            (sum(map(mul, ra, packed)) for ra in a)]
+    return list(zip(*rows))
 
 
 def _charpoly_mod(a, p):
@@ -322,14 +362,18 @@ def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
 def _class_matrix(group: FiniteGroup, classes, class_of, istar, p):
     """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j}, reduced mod p, read off
     the inverse class C_{i*} = C_i^{-1} (istar = i*), with no inversion."""
-    k_count = len(classes)
-    a = [[0] * k_count for _ in range(k_count)]
-    reps = [c.rep for c in classes]
-    mult = group.mult
-    for y in classes[istar].elements:
-        for k, z in enumerate(reps):
-            a[class_of[mult(y, z)]][k] += 1
-    return [[v % p for v in row] for row in a]
+    ys = classes[istar].elements
+    if group.pad is None:
+        mult = group.mult
+        products = [[mult(y, c.rep) for y in ys] for c in classes]
+    else:  # y z is z translated through y, padded once for every z
+        padded = [y + group.pad for y in ys]
+        products = [map(c.rep.translate, padded) for c in classes]
+    a = [[0] * len(classes) for _ in classes]
+    for k, col in enumerate(products):
+        for j, count in Counter(map(class_of.__getitem__, col)).items():
+            a[j][k] = count % p
+    return a
 
 
 def _dixon_table(group: FiniteGroup) -> CharacterTable:
@@ -340,8 +384,12 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
     p = _dixon_prime(group.order, exponent, min_above=max(kk, exponent) + 1)
     inv_class = [class_of[group.inv(c.rep)] for c in classes]
 
-    # common one-dimensional eigenspaces of the class matrices over F_p
-    spaces = [[_unit_vec(kk, i) for i in range(kk)]]
+    # common one-dimensional eigenspaces of the class matrices over F_p; on
+    # the standard basis A_i is its own coordinate matrix
+    standard = [_unit_vec(kk, i) for i in range(kk)]
+    spaces = [standard]
+    # classes in ascending size build the cheapest class matrices: F4 splits
+    # with 14 of them (6,875 products), against 21,000 products by descending size
     for i in range(1, kk):
         if all(len(s) == 1 for s in spaces):
             break
@@ -351,17 +399,14 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             if len(s) == 1:
                 new_spaces.append(s)
                 continue
-            targets = [_mat_vec(ai, v, p) for v in s]
-            r = _solve_in_span(s, targets, p)
-            cp = _charpoly_mod(r, p)
-            for lam in _roots_mod(cp, p):
-                rm = [[(r[a_][b_] - (lam if a_ == b_ else 0)) % p for b_ in range(len(s))]
-                      for a_ in range(len(s))]
-                cols = list(zip(*s))
-                eigenbasis = [[sum(map(mul, nv, col)) % p for col in cols]
-                              for nv in nullspace_mod(rm, len(rm), p)]
-                if eigenbasis:
-                    new_spaces.append(eigenbasis)
+            r = ai if s is standard else _solve_in_span(s, _mat_vecs(ai, s, p), p)
+            cols = list(zip(*s))
+            for lam in _roots_mod(_charpoly_mod(r, p), p):
+                rm = [[(x - lam) % p if a_ == b_ else x for b_, x in enumerate(row)]
+                      for a_, row in enumerate(r)]
+                null = nullspace_mod(rm, len(rm), p)
+                if null:
+                    new_spaces.append(null if s is standard else _mat_vecs(cols, null, p))
         spaces = new_spaces
     if not all(len(s) == 1 for s in spaces) or len(spaces) != kk:
         raise RuntimeError("character table eigenspace splitting failed")
@@ -384,36 +429,41 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
         rows_fp.append([chi1 * x * y % p for x, y in zip(w, size_inv)])
 
     # lift each value chi(g) = sum_s m_s zeta_d^s, d the order of g, through
-    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk}
+    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk}.
+    # Column c of the table mod p is packed into one int, row r in the b bits
+    # from b r on, so that sum_k packed[g^k] (omega_d^{-sk} / d mod p) holds
+    # every row's m_s mod p in its slot: no slot reaches d p^2 < 2^b.
     omega = pow(primitive_root(p), (p - 1) // exponent, p)
     power_class = _power_map(group, classes, class_of)
-    dft = []  # per class: 1/d and the rows omega_d^{-sk}, k < d, for s < d
-    for c in classes:
-        d = c.order
-        om_d = pow(omega, exponent // d, p)
-        dft.append((pow(d, -1, p), [[pow(om_d, -s * k % d, p) for k in range(d)]
-                                    for s in range(d)]))
+    b = (exponent * p * p).bit_length()
+    mask = (1 << b) - 1
+    shifts = range(0, b * len(rows_fp), b)
+    packed = [sum(map(lshift, col, shifts)) for col in zip(*rows_fp)]
+    degrees = [row[0] for row in rows_fp]  # in 1..sqrt|G|, below p/2
     half = p // 2
-    simple: list[list] = []
-    for row in rows_fp:
-        chi1 = row[0] if row[0] <= half else row[0] - p
-        srow = []
-        for j, (dinv, dft_rows) in enumerate(dft):
-            powers = [row[k] for k in power_class[j]]
-            ms = [sum(map(mul, powers, u)) * dinv % p for u in dft_rows]
-            ms = [m if m <= half else m - p for m in ms]
-            if not all(0 <= m <= chi1 for m in ms):
-                raise RuntimeError("eigenvalue multiplicity lift out of range")
-            d = len(ms)
-            if all(m == ms[gcd(s, d) % d] for s, m in enumerate(ms)):
-                # Galois-stable multiplicities: the value is an integer, and
-                # |chi(g)| <= chi(1) < p/2 makes it the centred lift of row[j]
-                srow.append(row[j] if row[j] <= half else row[j] - p)
-                continue
-            terms = {s * (exponent // d): m for s, m in enumerate(ms) if m}
-            coords = ring_reduce(terms.items(), exponent)
-            srow.append(CycNum(exponent, terms) if any(coords[1:]) else coords[0])
-        simple.append(srow)
+    columns = []
+    for j, (c, col) in enumerate(zip(classes, zip(*rows_fp))):
+        d = c.order
+        om_d, dinv = pow(omega, exponent // d, p), pow(d, -1, p)
+        powers = [packed[k] for k in power_class[j]]
+        sums = [sum(pow(om_d, -s * k % d, p) * dinv % p * x for k, x in enumerate(powers))
+                for s in range(d)]
+        ms = [[(t >> sh & mask) % p for sh in shifts] for t in sums]
+        # m_s mod p, read in 0..p-1, is at most chi(1) < p/2 exactly when
+        # its centred lift lies in 0..chi(1)
+        if not all(all(map(le, m, degrees)) for m in ms):
+            raise RuntimeError("eigenvalue multiplicity lift out of range")
+        # Galois-stable multiplicities, m_s = m_{gcd(s, d)}, give an integer
+        # value, and |chi(g)| <= chi(1) < p/2 makes it the centred lift
+        column = [x if x <= half else x - p for x in col]
+        if not all(m == ms[gcd(s, d) % d] for s, m in enumerate(ms)):
+            for r, mr in enumerate(zip(*ms)):
+                if any(m != mr[gcd(s, d) % d] for s, m in enumerate(mr)):
+                    terms = {s * (exponent // d): m for s, m in enumerate(mr) if m}
+                    coords = ring_reduce(terms.items(), exponent)
+                    column[r] = CycNum(exponent, terms) if any(coords[1:]) else coords[0]
+        columns.append(column)
+    simple = [list(row) for row in zip(*columns)]
     table = CharacterTable(group.order, classes, [simple[i] for i in row_order(simple)],
                            exponent)
     _verify_table(table)

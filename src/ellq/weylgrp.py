@@ -3,7 +3,8 @@ the classical types as signed permutations, that is permutations of the 2n
 points +-e_i, and G2 and F4 as permutations of the roots of their Cartan
 matrices (`rootsystem`, which also gives the dual root data of `unipotent`),
 whose integer matrices on the root lattice are built only for det(1 - q w)
-and for display.
+and for display: classes are ordered by `RootSystem.key`, bytes that sort as
+the repr of the matrix.
 
 Provides conjugacy classes, each with det(1 - q w) on the reflection
 representation kept as a sign and its Phi-exponents (closed form from the
@@ -208,7 +209,15 @@ CARTAN_PAIRING = {
 }
 
 
-class RootSystem(NamedTuple):
+class _RootData(NamedTuple):
+    rank: int
+    roots: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+    highest: tuple[int, ...]
+    center_order: int
+
+
+class RootSystem(_RootData):
     """A root system built by `rootsystem`: the roots in simple-root
     coordinates with the simple roots first, the simple reflections as
     permutations of the roots (for `groups.permutation_group`), the highest
@@ -216,11 +225,6 @@ class RootSystem(NamedTuple):
     center, det P.  As a dual root datum a coweight v is written in
     fundamental-coweight coordinates v_j = <alpha_j, v>, so it pairs with a
     root by dot product."""
-    rank: int
-    roots: tuple[tuple[int, ...], ...]
-    generators: tuple[tuple[int, ...], ...]
-    highest: tuple[int, ...]
-    center_order: int
 
     @property
     def positive_count(self) -> int:
@@ -233,8 +237,23 @@ class RootSystem(NamedTuple):
         """The matrix of w on root coordinates: column j is w(alpha_j)."""
         return tuple(zip(*(self.roots[k] for k in w[:self.rank])))
 
-    def key(self, w: bytes) -> str:
-        return repr(self.matrix(w))
+    @functools.cached_property
+    def _key_tables(self) -> tuple[bytes, ...]:
+        """Per coordinate i, the translate table from a root's index to the
+        rank of its coordinate i as repr sorts it: -1 < -2 < ... < -9 < 0 < 1
+        < ... < 9, an order that holds for single digits only."""
+        if any(abs(x) > 9 for r in self.roots for x in r):
+            raise RuntimeError("a root coordinate has more than one digit, "
+                               "so the byte key would not sort as the matrix repr")
+        pad = bytes(256 - len(self.roots))
+        return tuple(bytes(9 + x if x >= 0 else -1 - x for x in coords) + pad
+                     for coords in zip(*self.roots))
+
+    def key(self, w: bytes) -> bytes:
+        """Bytes that sort as repr(self.matrix(w)): row i of the matrix, the
+        coordinates i of the w(alpha_j), one byte per entry."""
+        head = w[:self.rank]
+        return b"".join([head.translate(t) for t in self._key_tables])
 
 
 def rootsystem(cartan, exponents) -> RootSystem:

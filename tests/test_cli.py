@@ -141,6 +141,15 @@ def test_affine_outputs(capsys):
     assert "A1 x A1" in out and "mu = 1/12" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--formal",), ("--json",), ("--json", "--formal")],
+                         ids=" ".join)
+def test_affine_base_is_read_stripped(capsys, flags):
+    # the base is named, checked for --formal and printed as parsed, blanks stripped
+    code, out = run(capsys, "affine", " g2 ", *flags)
+    assert (code, out) == run(capsys, "affine", "g2", *flags)
+    assert code == 0 and "affine  G2" not in out and '" G2' not in out
+
+
 def test_independence_cli(capsys):
     code, out = run(capsys, "independence", "--type", "B5")
     assert code == 0

@@ -9,7 +9,7 @@ import ellq
 from ellq.cyclo import CycNum
 from ellq.exactq import nullspace_mod
 from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
-                         _roots_mod, _solve_in_span, _verify_table,
+                         _mat_vecs, _roots_mod, _solve_in_span, _verify_table,
                          isprime, permutation_group, primitive_root)
 from ellq.fourier import SUPPORTED_GAMMAS, small_group
 from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_perm,
@@ -330,6 +330,49 @@ def test_class_matrix_reads_the_inverse_class():
                         == _class_matrix_by_inversion(cent, classes, class_of, i, p))
     # Z3 in S3 and S4, Z4 in S4 and S5, Z5 and two Z6 = Z3 x Z2 in S5
     assert sorted(non_real) == [3, 3, 4, 4, 5, 6, 6]
+
+
+def test_f4_split_builds_fourteen_class_matrices(monkeypatch):
+    # the split takes the classes in ascending size; by descending size it
+    # would build 9 matrices but make 21,000 products, against 6,875 here
+    import ellq.groups
+    calls = []
+    class_matrix = ellq.groups._class_matrix
+    monkeypatch.setattr(ellq.groups, "_class_matrix",
+                        lambda group, classes, *rest: calls.append(rest[1]) or
+                        class_matrix(group, classes, *rest))
+    grp = build_group.__wrapped__(GroupSpec("F4", 4)).group
+    assert len(grp.character_table().values) == 25
+    assert len(calls) == 14
+    assert sum(grp.conjugacy_classes()[istar].size * 25 for istar in calls) == 6875
+
+
+@st.composite
+def _matrix_and_vectors_mod_p(draw):
+    p = draw(st.sampled_from([2, 13, 73, 2017]))
+    rows, n, count = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    vectors = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                       min_size=count, max_size=count)
+    matrix = st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                      min_size=rows, max_size=rows)
+    return draw(matrix), draw(vectors), p
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_and_vectors_mod_p())
+def test_packed_mat_vecs_match_plain_products(avp):
+    a, vs, p = avp
+    assert _mat_vecs(a, vs, p) == [tuple(sum(x * y for x, y in zip(row, v)) % p for row in a)
+                                   for v in vs]
+
+
+@pytest.mark.parametrize("name", SUPPORTED_GAMMAS)
+def test_gamma_key_sorts_as_the_tuple_repr(name):
+    # the class representatives and order of Gamma, so the labels of M(Gamma),
+    # were chosen by repr(tuple(w)); the bytes themselves sort alike
+    gamma = small_group(name)
+    assert (sorted(gamma.elements, key=gamma.key)
+            == sorted(gamma.elements, key=lambda w: repr(tuple(w))))
 
 
 @given(st.permutations(range(40)), st.permutations(range(40)))

@@ -151,6 +151,25 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
     assert W.irrep_labels() == model.irrep_labels()
 
 
+@pytest.mark.parametrize("family", ["G2", "F4"])
+def test_root_key_sorts_as_the_matrix_repr(family):
+    # the pinned class representatives and class order of G2 and F4 were
+    # chosen by repr(matrix); the byte key must order every element alike
+    W = build_group.__wrapped__(GroupSpec(family, int(family[1])))
+    elements = W.group.elements
+    assert all(type(W.roots.key(w)) is bytes for w in elements[:3])
+    assert (sorted(elements, key=W.roots.key)
+            == sorted(elements, key=lambda w: repr(W.roots.matrix(w))))
+
+
+def test_root_key_refuses_a_two_digit_coordinate():
+    # the byte ranks hold for single-digit coordinates only
+    phi = weylgrp.RootSystem(1, ((1,), (10,)), ((1, 0),), (10,), 1)
+    with pytest.raises(RuntimeError, match="more than one digit"):
+        phi.key(bytes([0, 1]))
+    assert phi.matrix(bytes([1, 0])) == ((10,),)
+
+
 def test_f4_needs_no_matrix_product():
     W = build_group.__wrapped__(GroupSpec("F4", 4))
     # the roots are closed by reflecting coordinates, and the group is built
