@@ -152,8 +152,7 @@ class FiniteGroup:
         if self._classes is not None:
             return self._classes
         key = self.key
-        conjugates = self._conjugator([(s, self.inv(s))
-                                       for s in self.generators or self.elements])
+        conjugates = self._conjugator(self.generators or self.elements)
         seen = set()
         raw = []
         for g in self.elements:
@@ -185,10 +184,11 @@ class FiniteGroup:
                 self._class_of[x] = i
         return raw
 
-    def _conjugator(self, pairs) -> Callable:
-        """x -> [s x s^-1 for each pair (s, s^-1)].  In a permutation group
+    def _conjugator(self, conjugators) -> Callable:
+        """x -> [s x s^-1 for s in conjugators].  In a permutation group
         s x s^-1 is s^-1 translated through x, then through s: each s is
         padded here once, and x once per call."""
+        pairs = [(s, self.inv(s)) for s in conjugators]
         pad = self.pad
         if pad is None:
             mult = self.mult
