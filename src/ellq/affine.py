@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .exactq import QPolynomial, RF_ZERO, RationalFunction, cyclotomic_quotient, rref
@@ -168,32 +169,25 @@ def ef_elliptic_on_parahoric(weyl) -> list[list[Fraction]]:
     return [list(r) for r in zip(*columns)]
 
 
-def ef_affine_elliptic_delta(datum: AffineDatum) -> list[list[Fraction]]:
-    """Block-diagonal transform on all affine elliptic delta functions."""
+def ef_affine_elliptic_in_basis(datum: AffineDatum,
+                                basis_values: list[list]) -> list[list[Fraction]]:
+    """Matrix V^-1 D V of the affine elliptic transform in a given basis of
+    class functions (rows of basis_values = values on the elliptic classes,
+    columns of V): D is the block-diagonal transform on all affine elliptic
+    delta functions, and one elimination of the rows [V | D V] gives V^-1 D V."""
     blocks = [ef_elliptic_on_parahoric(p.weyl) for p in datum.maximal_parahorics()]
     n, covered = len(datum.elliptic_classes()), sum(map(len, blocks))
     if covered != n:
         raise RuntimeError(f"the parahoric blocks cover {covered} elliptic classes, not {n}")
-    return block_diagonal(blocks)
-
-
-def ef_affine_elliptic_in_basis(datum: AffineDatum,
-                                basis_values: list[list]) -> list[list[Fraction]]:
-    """Matrix of the affine elliptic transform in a given basis of class
-    functions (rows of basis_values = values on the elliptic classes)."""
-    d = ef_affine_elliptic_delta(datum)
-    n = len(datum.elliptic_classes())
     if len(basis_values) != n:
         raise ValueError("basis has the wrong size")
-    # columns of V are the value vectors of the basis functions
-    v = [[Fraction(basis_values[i][k]) for i in range(n)] for k in range(n)]
-    dv = [[sum(d[k][l] * v[l][i] for l in range(n)) for i in range(n)]
-          for k in range(n)]
-    _, rank, vinv = rref(v)
-    if rank < n:
+    cols = [[Fraction(x) for x in b] for b in basis_values]
+    reduced = rref([[col[k] for col in cols] + [sum(map(mul, row, col)) for col in cols]
+                    for k, row in enumerate(block_diagonal(blocks))])[0]
+    # V is invertible exactly when its n columns all hold pivots
+    if any(row[k] != 1 for k, row in enumerate(reduced)):
         raise ValueError("degenerate basis")
-    return [[sum(vinv[i][k] * dv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
+    return [row[n:] for row in reduced]
 
 
 # ---------------------------------------------------------------------------

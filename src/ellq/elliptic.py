@@ -51,9 +51,6 @@ class VirtualCharacter:
         _same_group(self, other, "a difference")
         return VirtualCharacter(self.group, [a - b for a, b in zip(self.values, other.values)])
 
-    def scale(self, c):
-        return VirtualCharacter(self.group, [c * v for v in self.values])
-
 
 def elliptic_pairing(W: WeylGroupData, f: Sequence, g: Sequence) -> Fraction:
     """<f, g>^el = (1/|W|) sum_w f(w) g(w) det(1 - w)."""

@@ -169,11 +169,10 @@ def fourier_matrix(gamma_name: str) -> FourierBlock:
     n = len(pairs)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     scaled = [[0] * n for _ in range(n)]
-    mult = gamma.mult
-    with_inverses = [(g, gamma.inv(g)) for g in gamma.elements]
     # g y g^-1 and g^-1 x g for every g, per class representative
-    conj = [([mult(mult(g, c.rep), g_inv) for g, g_inv in with_inverses],
-             [mult(mult(g_inv, c.rep), g) for g, g_inv in with_inverses]) for c in classes]
+    by_g = gamma.conjugator(gamma.elements)
+    by_g_inv = gamma.conjugator(map(gamma.inv, gamma.elements))
+    conj = [(by_g(c.rep), by_g_inv(c.rep)) for c in classes]
     for i, cx in enumerate(cents):
         cx_of = cx._class_of
         for j in range(i, len(classes)):

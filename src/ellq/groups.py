@@ -27,11 +27,13 @@ table is ever returned.
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
 `permutation_group`: an element is `bytes`, and a product is one
-`bytes.translate` through the left factor, padded to a 256-byte table.  The
-conjugation orbits and the class matrices pad their fixed factor once and
-then only translate.  The key that picks class representatives is bytes too
-(`weylgrp.RootSystem.key` for G2 and F4, the element itself for Gamma), so
-no element is turned into a string.
+`bytes.translate` through the left factor, padded to a 256-byte table.  A
+group of `bytes` derives that pad from its identity.  The conjugation orbits
+(`FiniteGroup.conjugator`) and the class matrices pad their fixed factor once
+and then only translate.  The key that picks class representatives is bytes
+too (`weylgrp.signed_key` for A, B and D, `weylgrp.RootSystem.key` for G2 and
+F4, the element itself for Gamma), so no element is turned into a string, and
+`sort_classes` orders the classes of every group.
 """
 from __future__ import annotations
 
@@ -68,7 +70,7 @@ def permutation_group(generators: Sequence, degree: int, **kwargs) -> "FiniteGro
     pad = bytes(256 - degree)
     return FiniteGroup.generate([bytes(g) for g in generators],
                                 lambda a, b: b.translate(a + pad), perm_inv,
-                                bytes(range(degree)), pad=pad, **kwargs)
+                                bytes(range(degree)), **kwargs)
 
 
 class ConjClass(NamedTuple):
@@ -78,22 +80,30 @@ class ConjClass(NamedTuple):
     elements: tuple = ()
 
 
+def sort_classes(classes, key: Optional[Callable]) -> list:
+    """The classes by size, then element order, then the key of the
+    representative (the representative itself when key is None).  The
+    identity is the one element of order 1, and its class has size 1, so its
+    class comes first."""
+    return sorted(classes, key=lambda c: (c.size, c.order, c.rep if key is None else key(c.rep)))
+
+
 class FiniteGroup:
     """A concrete finite group whose elements are hashable objects.
 
     `key` orders elements: each class is represented by its element of least
     key, and classes of equal size and order are sorted by their
     representatives' keys; with key None the elements themselves compare.
-    `pad`, given for a permutation group only, is the zero bytes that make an
-    element a full `bytes.translate` table: the class loops pad their fixed
-    factor with it once and multiply by translating.  Subgroups and
-    centralizers inherit both.  The classes and the character table are
-    computed once and kept.
+    Subgroups and centralizers inherit it.  `pad`, set when the elements are
+    `bytes` (those of a permutation group) and None otherwise, is the zero
+    bytes that make an element a full `bytes.translate` table: the class
+    loops pad their fixed factor with it once and multiply by translating.
+    The classes and the character table are computed once and kept.
     """
 
     def __init__(self, elements, mult: Callable, inv: Callable, identity,
                  generators: Sequence = (), lengths: Optional[dict] = None,
-                 key: Optional[Callable] = repr, pad: Optional[bytes] = None):
+                 key: Optional[Callable] = repr):
         self.elements = list(elements)
         self.mult = mult
         self.inv = inv
@@ -101,29 +111,26 @@ class FiniteGroup:
         self.generators = list(generators)
         self.lengths = lengths
         self.key = key
-        self.pad = pad
+        self.pad = bytes(256 - len(identity)) if type(identity) is bytes else None
         self._classes: Optional[list[ConjClass]] = None
         self._class_of: Optional[dict] = None
         self._table: Optional[CharacterTable] = None
 
     @staticmethod
     def generate(generators: Sequence, mult: Callable, inv: Callable, identity,
-                 bound: int = DEFAULT_BOUND, key: Optional[Callable] = repr,
-                 pad: Optional[bytes] = None) -> "FiniteGroup":
+                 bound: int = DEFAULT_BOUND, key: Optional[Callable] = repr) -> "FiniteGroup":
         """Enumerate the group generated by `generators` by breadth-first
         closure.  Each element's distance from the identity, its length in
-        the generators, is kept in `lengths`."""
+        the generators, is kept in `lengths`, which is also the seen-set."""
         lengths = {identity: 0}
         frontier = [identity]
         elements = [identity]
-        seen = {identity}
         while frontier:
             nxt = []
             for g in frontier:
                 for s in generators:
                     h = mult(g, s)
-                    if h not in seen:
-                        seen.add(h)
+                    if h not in lengths:
                         lengths[h] = lengths[g] + 1
                         elements.append(h)
                         nxt.append(h)
@@ -131,7 +138,7 @@ class FiniteGroup:
                             raise GroupTooLargeError(
                                 f"group exceeds enumeration bound {bound}")
             frontier = nxt
-        return FiniteGroup(elements, mult, inv, identity, generators, lengths, key, pad)
+        return FiniteGroup(elements, mult, inv, identity, generators, lengths, key)
 
     @property
     def order(self) -> int:
@@ -152,7 +159,7 @@ class FiniteGroup:
         if self._classes is not None:
             return self._classes
         key = self.key
-        conjugates = self._conjugator(self.generators or self.elements)
+        conjugates = self.conjugator(self.generators or self.elements)
         seen = set()
         raw = []
         for g in self.elements:
@@ -171,20 +178,14 @@ class FiniteGroup:
             seen |= orbit
             rep = min(orbit, key=key)
             raw.append(ConjClass(rep, len(orbit), self.element_order(rep), tuple(orbit)))
-        raw.sort(key=lambda c: (c.size, c.order, c.rep if key is None else key(c.rep)))
-        # identity class first
-        for i, c in enumerate(raw):
-            if c.rep == self.identity:
-                raw.insert(0, raw.pop(i))
-                break
-        self._classes = raw
+        self._classes = classes = sort_classes(raw, key)
         self._class_of = {}
-        for i, c in enumerate(raw):
+        for i, c in enumerate(classes):
             for x in c.elements:
                 self._class_of[x] = i
-        return raw
+        return classes
 
-    def _conjugator(self, conjugators) -> Callable:
+    def conjugator(self, conjugators) -> Callable:
         """x -> [s x s^-1 for s in conjugators].  In a permutation group
         s x s^-1 is s^-1 translated through x, then through s: each s is
         padded here once, and x once per call."""
@@ -206,12 +207,11 @@ class FiniteGroup:
 
     def centralizer(self, x) -> "FiniteGroup":
         elems = [g for g in self.elements if self.mult(g, x) == self.mult(x, g)]
-        return FiniteGroup(elems, self.mult, self.inv, self.identity, key=self.key,
-                           pad=self.pad)
+        return FiniteGroup(elems, self.mult, self.inv, self.identity, key=self.key)
 
     def subgroup(self, gens: Sequence) -> "FiniteGroup":
         return FiniteGroup.generate(list(gens), self.mult, self.inv, self.identity,
-                                    bound=self.order, key=self.key, pad=self.pad)
+                                    bound=self.order, key=self.key)
 
     def exponent(self) -> int:
         from math import lcm

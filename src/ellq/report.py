@@ -45,28 +45,12 @@ def _cmp(check_id, computed, expected, notes="", discrepancy_notes=None):
     return VerificationReport(check_id, FAIL, str(computed), str(expected), notes)
 
 
-SUITES = ("cyc", "fourier", "g2-formal", "sp4", "g2-affine", "independence",
-          "appendix-g2")
-
-
 def run_verify(suite: str) -> list[VerificationReport]:
     if suite == "all":
-        out = []
-        for s in SUITES:
-            out.extend(run_verify(s))
-        return out
-    fn = {
-        "cyc": _suite_cyc,
-        "fourier": _suite_fourier,
-        "g2-formal": _suite_g2_formal,
-        "sp4": _suite_sp4,
-        "g2-affine": _suite_g2_affine,
-        "independence": _suite_independence,
-        "appendix-g2": _suite_appendix,
-    }.get(suite)
-    if fn is None:
-        raise KeyError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    reports = fn()
+        return [r for s in SUITES for r in run_verify(s)]
+    if suite not in SUITES:
+        raise KeyError(f"unknown suite {suite!r}; choose from {(*SUITES, 'all')}")
+    reports = SUITES[suite]()
     reports.sort(key=lambda r: r.check_id)
     return reports
 
@@ -339,6 +323,11 @@ def _suite_appendix():
                               + (" (odd rank: sign absorbed by the (1-q)^l "
                                  "prefactor)" if l % 2 else "")))
     return out
+
+
+SUITES = {"cyc": _suite_cyc, "fourier": _suite_fourier, "g2-formal": _suite_g2_formal,
+          "sp4": _suite_sp4, "g2-affine": _suite_g2_affine,
+          "independence": _suite_independence, "appendix-g2": _suite_appendix}
 
 
 def _mat_str(m) -> str:

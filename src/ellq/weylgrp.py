@@ -3,8 +3,8 @@ the classical types as signed permutations, that is permutations of the 2n
 points +-e_i, and G2 and F4 as permutations of the roots of their Cartan
 matrices (`rootsystem`, which also gives the dual root data of `unipotent`),
 whose integer matrices on the root lattice are built only for det(1 - q w)
-and for display: classes are ordered by `RootSystem.key`, bytes that sort as
-the repr of the matrix.
+and for display.  Classes are ordered by bytes: `signed_key` on 2n points,
+and on the roots `RootSystem.key`, which sorts as the repr of the matrix.
 
 Provides conjugacy classes, each with det(1 - q w) on the reflection
 representation kept as a sign and its Phi-exponents (closed form from the
@@ -35,7 +35,7 @@ from .combinat import border_strips, mn_character, partitions_of
 from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, cyclotomic, cyclotomic_quotient, exact_div,
                      factor_cyclotomic, one_minus_qpow_exponents, phi_product)
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
-                     _verify_table, permutation_group, row_order)
+                     _verify_table, permutation_group, row_order, sort_classes)
 
 
 class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("rank", int)])):
@@ -118,8 +118,9 @@ def group_order_from_exponents(exponents: Sequence[int]) -> int:
 
 # ---------------------------------------------------------------------------
 # signed permutations (types A, B, D) as permutations of 2n points: point i-1
-# is e_i and point n+i-1 is -e_i.  The class representatives, the class order
-# and the display use the signed tuple w, whose w[i-1] is the signed image of i.
+# is e_i and point n+i-1 is -e_i.  The class representatives and the class
+# order use `signed_key`; the cycle type and the display use the signed tuple
+# w, whose w[i-1] is the signed image of i.
 
 
 def signed_perm(w) -> bytes:
@@ -133,6 +134,13 @@ def signed_tuple(b: bytes) -> tuple:
     """The signed tuple of the group element b."""
     n = len(b) // 2
     return tuple(k + 1 if k < n else n - k - 1 for k in b[:n])
+
+
+def signed_key(b: bytes) -> bytes:
+    """The images of the -e_i under the group element b: byte j - 1 for the
+    entry -j and n + j - 1 for +j, so the keys sort as the signed tuples do
+    entry by entry in the order -1 < -2 < ... < -n < 1 < ... < n."""
+    return b[len(b) // 2:]
 
 
 def signed_cycle_type(w) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -381,21 +389,16 @@ def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
         if split:
             size //= 2
         for half in ((0, 1) if split else (None,)):
-            out.append(WeylClassInfo(_least_element(n, pos, neg, fam != "A", half), size,
-                                     math.lcm(*pos, *(2 * r for r in neg)),
+            rep = signed_perm(_least_element(n, pos, neg, fam != "A", half))
+            out.append(WeylClassInfo(rep, size, math.lcm(*pos, *(2 * r for r in neg)),
                                      *signed_type_det(pos, neg, fam), (pos, neg)))
-    # the identity is the one class of size 1 and order 1, so it comes first
-    out.sort(key=lambda c: (c.size, c.order, repr(c.rep)))
-    for c in out:
-        c.rep = signed_perm(c.rep)
-    return out
+    return sort_classes(out, signed_key)
 
 
 def _least_element(n, pos, neg, signed, half):
     """The (signed) permutation of type (pos, neg), and of D-half `half` unless
     that is None, that is least entry by entry in the order
-    -1 < -2 < ... < -n < 1 < ... < n.  For n <= 9 this is the repr() order
-    that the enumeration key and the class sort use.
+    -1 < -2 < ... < -n < 1 < ... < n, that of `signed_key`.
 
     Call a cycle of length r and sign s natural when s = (-1)^r; in type A
     every cycle is.  Natural cycles come first, shortest first, the others
@@ -653,8 +656,7 @@ def build_group(spec: GroupSpec) -> WeylGroupData:
             e[n - 2], e[n - 1] = -n, -(n - 1)
         gens.append(e)
     return WeylGroupData(spec, functools.partial(
-        permutation_group, [signed_perm(g) for g in gens], 2 * npts,
-        key=lambda w: repr(signed_tuple(w))), None)
+        permutation_group, [signed_perm(g) for g in gens], 2 * npts, key=signed_key), None)
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +694,13 @@ def parabolic_subgroup(W: WeylGroupData, gen_indices: Sequence[int]) -> FiniteGr
 
 
 def induce_class_function(W: WeylGroupData, H: FiniteGroup, h_values) -> list[Fraction]:
-    """Induced class function; h_values maps each element of H to its value."""
-    out = []
-    for c in W.classes():
-        total = Fraction(0)
-        w = c.rep
-        for g in W.group.elements:
-            x = W.group.mult(W.group.mult(W.group.inv(g), w), g)
-            if x in h_values:
-                total += Fraction(h_values[x])
-        out.append(total / H.order)
-    return out
+    """Induced class function; h_values maps each element of H to its value.
+    By Frobenius, Ind f(C) = |W| / (|H| |C|) times the sum of f over the
+    elements of H in C."""
+    sums = [Fraction(0)] * len(W.classes())
+    for x, v in h_values.items():
+        sums[W.group.class_of(x)] += Fraction(v)
+    return [total * W.order / (H.order * c.size) for total, c in zip(sums, W.classes())]
 
 
 def h_class_function(H: FiniteGroup, values_per_class) -> dict:

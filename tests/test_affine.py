@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,6 +180,20 @@ def test_ef_affine_is_symmetric_and_invertible():
     prod = [[sum(inv[i][k] * efa[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_ef_affine_in_basis_refuses_bad_input():
+    datum = AffineDatum("G2")
+    basis = g2_basis_values_canonical(datum)
+    with pytest.raises(ValueError, match="wrong size"):
+        affine.ef_affine_elliptic_in_basis(datum, basis[:-1])
+    with pytest.raises(ValueError, match="degenerate basis"):
+        affine.ef_affine_elliptic_in_basis(datum, basis[:-1] + [basis[1]])
+    n = len(datum.elliptic_classes())
+    short = SimpleNamespace(maximal_parahorics=datum.maximal_parahorics,
+                            elliptic_classes=lambda: [None] * (n + 1))
+    with pytest.raises(RuntimeError, match=f"cover {n} elliptic classes, not {n + 1}"):
+        affine.ef_affine_elliptic_in_basis(short, basis)
 
 
 def test_unknown_base():

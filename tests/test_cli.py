@@ -222,6 +222,13 @@ def test_unsupported_input_exit_2(capsys, argv):
     assert ERROR_MESSAGES.get(tuple(argv), "") in lines[0]
 
 
+def test_unknown_suite_lists_every_suite(capsys):
+    assert main(["verify", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "ellq: error: unknown suite 'bogus'; choose from ('cyc', 'fourier', 'g2-formal', "
+        "'sp4', 'g2-affine', 'independence', 'appendix-g2', 'all')\n")
+
+
 # sha256 of --json stdout for the outputs that rest on Dixon tables, on the
 # formal-degree product or on the cyclotomic rendering of closed forms; each
 # was recorded before the code behind it changed

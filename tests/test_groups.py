@@ -11,8 +11,8 @@ from ellq.exactq import nullspace_mod
 from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
                          _mat_vecs, _roots_mod, _solve_in_span, _verify_table,
                          isprime, permutation_group, primitive_root)
-from ellq.fourier import SUPPORTED_GAMMAS, small_group
-from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_perm,
+from ellq.fourier import SUPPORTED_GAMMAS, _centralizers, small_group
+from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_key, signed_perm,
                           signed_tuple)
 
 
@@ -437,16 +437,37 @@ def test_signed_perm_product_matches_signed_tuples(wv):
     assert signed_tuple(grp.inv(signed_perm(w))) == sp_inv(w)
 
 
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(_signed_perms(n), _signed_perms(n))))
+def test_signed_key_sorts_entry_by_entry(wv):
+    # the enumeration's class order: -1 < -2 < ... < -n < 1 < ... < n, entry by entry
+    w, v = wv
+
+    def ranks(t):
+        return [(x > 0, abs(x)) for x in t]
+    assert (signed_key(signed_perm(w)) < signed_key(signed_perm(v))) == (ranks(w) < ranks(v))
+
+
+def _enumerated_groups(name):
+    """The groups a name stands for: a Weyl group or a Gamma; with ":cent"
+    the centralizers that `fourier` builds for a Gamma, with ":0,2" the
+    parabolic subgroup of a Weyl group on those generators."""
+    base, _, sub = name.partition(":")
+    if base in SUPPORTED_GAMMAS:
+        return _centralizers(base)[1] if sub else [small_group(base)]
+    W = build_group(GroupSpec.parse(base))
+    return [parabolic_subgroup(W, [int(i) for i in sub.split(",")])] if sub else [W.group]
+
+
 @pytest.mark.parametrize("name", (
     [f"A{n}" for n in range(1, 6)] + [f"B{n}" for n in range(1, 6)]
-    + [f"D{n}" for n in range(2, 6)] + ["G2", "F4"] + list(SUPPORTED_GAMMAS)))
+    + [f"D{n}" for n in range(2, 6)] + ["G2", "F4"] + list(SUPPORTED_GAMMAS)
+    + [f"{g}:cent" for g in SUPPORTED_GAMMAS]
+    + ["A4:0,2", "B3:0,2", "B4:1,2,3", "D4:0,1,3", "G2:1", "F4:1,2", "F4:0,3"]))
 def test_every_enumerated_group_is_a_permutation_group(name):
-    if name in SUPPORTED_GAMMAS:
-        grp = small_group(name)
-    else:
-        grp = build_group(GroupSpec.parse(name)).group
-    assert all(type(g) is bytes for g in grp.elements)
-    assert grp.mult.__code__ is permutation_group([], 1).mult.__code__
+    for grp in _enumerated_groups(name):
+        assert all(type(g) is bytes for g in grp.elements)
+        assert grp.mult.__code__ is permutation_group([], 1).mult.__code__
+        assert grp.pad == bytes(256 - len(grp.identity))
 
 
 def test_empty_parabolic_subgroup_is_trivial():

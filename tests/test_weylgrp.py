@@ -139,6 +139,7 @@ def test_root_permutations_match_matrix_enumeration(spec, n_roots):
         SimpleNamespace(matrix=lambda m: m))
     W = build_group.__wrapped__(spec)
     grp = W.group
+    assert model.group.pad is None  # the tuple matrices take the generic products
     assert len(grp.identity) == n_roots
     for s in grp.generators:
         assert s != grp.identity and grp.mult(s, s) == grp.identity
@@ -698,6 +699,38 @@ def test_induction_d_to_b():
             expect = [a + b for a, b in zip(B.class_function_bipartition(lam, ()),
                                             B.class_function_bipartition((), lam))]
             assert ind == [Fraction(x) for x in expect], (n, lam)
+
+
+def _induced_by_definition(W, H, h_values):
+    """Ind f(w) = (1/|H|) sum over g in W of f(g^-1 w g), f zero off its keys."""
+    grp = W.group
+    return [Fraction(sum(h_values.get(grp.mult(grp.mult(grp.inv(g), c.rep), g), 0)
+                         for g in grp.elements), H.order) for c in W.classes()]
+
+
+@pytest.mark.parametrize("name", ["G2", "B3"])
+def test_induction_matches_the_definition(name):
+    W = build_group(GroupSpec.parse(name))
+    n = len(W.group.generators)
+    for subset in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)):
+        H = parabolic_subgroup(W, subset)
+        functions = [h_class_function(H, row) for row in H.character_table().values]
+        # a function on H that is no class function of H: the length in W
+        functions.append({x: W.group.lengths[x] for x in H.elements})
+        for h_values in functions:
+            assert (induce_class_function(W, H, h_values)
+                    == _induced_by_definition(W, H, h_values)), subset
+
+
+@pytest.mark.parametrize("name", ["B5", "D5", "A6"])
+def test_enumerated_classes_build_no_signed_tuple(name, monkeypatch):
+    # the class step keys each element by signed_key, its bytes
+    def refuse(b):
+        raise AssertionError("a signed tuple was built")
+    monkeypatch.setattr(weylgrp, "signed_tuple", refuse)
+    W = build_group.__wrapped__(GroupSpec.parse(name))
+    assert len(W.group.conjugacy_classes()) == len(W.classes())
 
 
 def test_product_weyl():
