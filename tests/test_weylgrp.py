@@ -716,7 +716,7 @@ def test_induction_matches_the_definition(name):
             itertools.combinations(range(n), k) for k in range(n + 1)):
         H = parabolic_subgroup(W, subset)
         functions = [h_class_function(H, row) for row in H.character_table().values]
-        # a function on H that is no class function of H: the length in W
+        # the length in W, in general no class function of H
         functions.append({x: W.group.lengths[x] for x in H.elements})
         for h_values in functions:
             assert (induce_class_function(W, H, h_values)
