@@ -17,17 +17,19 @@ product of factors 1 - q^k into its exponent map.  It
 strips the Phi_n of the denominator from the numerator, so its result is
 canonical with no gcd, and keeps its residual numerator and exponent map.
 Sums, differences and products of such values and of polynomials keep the
-map: a product adds the maps, ``phi_sum`` puts the terms over the
-exponent-wise largest denominator, and one ``cyclotomic_quotient`` reduces
-either; only the constructor, / and ** run ``poly_gcd``, Euclid's algorithm
-on primitive integer remainders, and no command builds such a value.  Cyclotomic
-factorisation, for display, is read from the map; the residual numerator and
-values without a map have Phi_1, ..., Phi_30 stripped (30 is the largest
-index in the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on
-coefficient lists: an integer screen at q = 2, then an exact test mod
-q^n - 1, and only then a division, with no ``QPolynomial`` division.  Every
-product of Phi_n is multiplied into a coefficient list by ``phi_product``,
-from sparse steps q^d - 1.
+map: a product adds the maps, ``phi_sum`` factors out what its terms share
+(per Phi_n the least exponent, and the least q-power) and expands only the
+rest, and one ``cyclotomic_quotient`` reduces either; only the constructor,
+/ and ** run ``poly_gcd``, Euclid's algorithm on primitive integer
+remainders, and no command builds such a value.  Cyclotomic factorisation,
+for display, is read from the map; the residual numerator and values
+without a map have Phi_1, ..., Phi_30 stripped (30 is the largest index in
+the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on coefficient
+lists: an integer screen at q = 2, then an exact test mod q^n - 1, and only
+then a division, with no ``QPolynomial`` division.  The screen reads deg
+Phi_n and Phi_n(2) off the steps q^d - 1 of Phi_n, so Phi_n is expanded
+only once a screen passes.  Every product of Phi_n is multiplied into a
+coefficient list by ``phi_product``, from sparse steps q^d - 1.
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -304,13 +306,11 @@ def poly_gcd(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 def phi_product(a: Sequence, phi: Mapping[int, int]) -> list:
     """Coefficients of the polynomial with coefficients a times prod
     Phi_n^phi[n], n >= 1, exponents of either sign; ArithmeticError when the
-    product is no polynomial.  Each Phi_n, largest n first, becomes (q^n - 1)
-    / prod Phi_d over d | n, d < n.  Every q^d - 1 of positive exponent is
-    multiplied in first, as a shift and a subtraction; the rest are then
-    divided out exactly, from the top."""
-    a, steps = list(a), [phi.get(n, 0) for n in range(max(phi, default=0) + 1)]
-    for d in range(len(steps) // 2, 0, -1):
-        steps[d] -= sum(steps[2 * d::d])
+    product is no polynomial.  It is taken over its steps q^d - 1
+    (`_qpow_steps`): every step of positive exponent is multiplied in first,
+    as a shift and a subtraction; the rest are then divided out exactly,
+    from the top."""
+    a, steps = list(a), _qpow_steps(phi)
     for d, e in enumerate(steps):
         for _ in range(e):
             a = list(map(sub, [0] * d + a, a + [0] * d))
@@ -322,6 +322,15 @@ def phi_product(a: Sequence, phi: Mapping[int, int]) -> list:
                 raise ArithmeticError(f"q^{d} - 1 does not divide the product")
             a = a[d:]
     return a
+
+
+def _qpow_steps(phi: Mapping[int, int]) -> list[int]:
+    """The exponents e with prod Phi_n^phi[n] = prod (q^d - 1)^e[d]: each
+    Phi_n, largest n first, becomes (q^n - 1) / prod Phi_d over d | n, d < n."""
+    steps = [phi.get(n, 0) for n in range(max(phi, default=0) + 1)]
+    for d in range(len(steps) // 2, 0, -1):
+        steps[d] -= sum(steps[2 * d::d])
+    return steps
 
 
 def one_minus_qpow_exponents(ks: Mapping[int, int], qpow: int = 0,
@@ -390,7 +399,7 @@ def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
     v = p.low_degree()
     cs, factors = list(p.coeffs[v:]), {}
     for n in range(1, CYCLOTOMIC_BOUND + 1):
-        if n not in skip and cyclotomic(n).degree < len(cs):
+        if n not in skip and _phi_screen(n)[0] < len(cs):
             cs, k = strip_phi(cs, n)
             if k:
                 factors[n] = k
@@ -399,11 +408,22 @@ def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
 
 
 @functools.lru_cache(maxsize=None)
-def _phi_data(n: int) -> tuple:
-    """deg Phi_n, Phi_n(2), and the nonzero (j, c) of Phi_n below its top."""
-    cs = cyclotomic(n).coeffs
-    low = [(j, c) for j, c in enumerate(cs[:-1]) if c]
-    return len(cs) - 1, sum(c << j for j, c in enumerate(cs)), low
+def _phi_screen(n: int) -> tuple[int, int]:
+    """deg Phi_n and Phi_n(2), read off its steps q^d - 1 with no expansion."""
+    steps = _qpow_steps({n: 1})
+    top = bottom = 1
+    for d, e in enumerate(steps):
+        if e > 0:
+            top *= ((1 << d) - 1) ** e
+        elif e < 0:
+            bottom *= ((1 << d) - 1) ** -e
+    return sum(map(mul, range(len(steps)), steps)), top // bottom
+
+
+@functools.lru_cache(maxsize=None)
+def _phi_low(n: int) -> list:
+    """The nonzero (j, c) of Phi_n below its top."""
+    return [(j, c) for j, c in enumerate(cyclotomic(n).coeffs[:-1]) if c]
 
 
 def strip_phi(p: list, n: int, limit: int = -1) -> tuple[list, int]:
@@ -412,14 +432,19 @@ def strip_phi(p: list, n: int, limit: int = -1) -> tuple[list, int]:
     try screens in integers: Phi_n is monic, so it divides p only if Phi_n(2)
     divides d p(2), d clearing p's denominators (Gauss's lemma; 0 passes).
     The exact test follows: p folded mod q^n - 1 into n sums is 0 mod Phi_n.
-    Only then is p divided by Phi_n, and the remainder checked."""
-    deg, at2, low = _phi_data(n)
+    Only then is p divided by Phi_n, and the remainder checked.  The screen
+    needs only deg Phi_n and Phi_n(2) (`_phi_screen`); Phi_n is expanded
+    (`_phi_low`) only once a screen passes."""
+    deg, at2 = _phi_screen(n)
     k = 0
     while k != limit and len(p) > deg:
         val = functools.reduce(lambda v, c: v + v + c, reversed(p), 0)
         if type(val) is not int:
             val *= lcm(*(c.denominator for c in p))
-        if val % at2 or any(_divide_phi([sum(p[j::n]) for j in range(n)], deg, low)[:deg]):
+        if val % at2:
+            break
+        low = _phi_low(n)
+        if any(_divide_phi([sum(p[j::n]) for j in range(n)], deg, low)[:deg]):
             break
         p = _divide_phi(list(p), deg, low)
         if any(p[:deg]):
@@ -429,8 +454,9 @@ def strip_phi(p: list, n: int, limit: int = -1) -> tuple[list, int]:
 
 
 def _divide_phi(a: list, deg: int, low) -> list:
-    """a divided in place by the monic Phi_n of _phi_data: a[deg:] becomes the
-    quotient and a[:deg] the remainder."""
+    """a divided in place by the monic Phi_n of degree deg whose terms below
+    the top are low (`_phi_low`): a[deg:] becomes the quotient and a[:deg]
+    the remainder."""
     for i in range(len(a) - 1, deg - 1, -1):
         for j, c in low:
             a[i - deg + j] -= a[i] * c
@@ -673,18 +699,22 @@ def _phi_form(f: RationalFunction):
 
 
 def phi_sum(*forms) -> RationalFunction:
-    """The sum of the values given as phi_forms (residual, qpow, scalar, phi), put over
-    the exponent-wise largest denominator (q-power included) and reduced once."""
-    den: dict[int, int] = {}
-    for *_, phi in forms:
-        den.update({n: min(e, den.get(n, 0)) for n, e in phi.items() if e < 0})
-    qden = min(0, *(f[1] for f in forms))
+    """The sum of the values given as phi_forms (residual, qpow, scalar, phi),
+    reduced once.  What the terms share, for each n the least exponent of
+    Phi_n over the terms (0 where a term has none) and the least q-power, is
+    factored out; only the rest of each term is expanded and summed.  The
+    negative part of the shared map is the exponent-wise largest
+    denominator, and its positive part stays in the result's map."""
+    common = {n: min(phi.get(n, 0) for *_, phi in forms)
+              for n in set().union(*(phi for *_, phi in forms))}
+    common = {n: e for n, e in common.items() if e}
+    qcommon = min(f[1] for f in forms)
     scale = lcm(*(f[2].denominator for f in forms))
     num = QPolynomial.zero()
     for r, k, c, phi in forms:
-        up = {**phi, **{n: phi.get(n, 0) - e for n, e in den.items()}}
-        num = num + QPolynomial(phi_product(r.coeffs, up)).shift(k - qden) * int(c * scale)
-    return cyclotomic_quotient(den, qden, Fraction(1, scale) if scale > 1 else 1, num)
+        up = {**phi, **{n: phi.get(n, 0) - e for n, e in common.items()}}
+        num = num + QPolynomial(phi_product(r.coeffs, up)).shift(k - qcommon) * int(c * scale)
+    return cyclotomic_quotient(common, qcommon, Fraction(1, scale) if scale > 1 else 1, num)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]

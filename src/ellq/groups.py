@@ -492,7 +492,7 @@ def row_order(rows) -> list[int]:
     """The indices of character rows in table order: by degree, then value
     by value with rationals before irrationals, and the trivial row first."""
     def key(i):
-        return [rows[i][0]] + [(0, (Fraction(v),)) if isinstance(v, int) else (1, v.reduced())
+        return [rows[i][0]] + [(0, v) if isinstance(v, int) else (1, v.reduced())
                                for v in rows[i][1:]]
     order = sorted(range(len(rows)), key=key)
     trivial = [k for k, i in enumerate(order) if all(type(v) is int and v == 1 for v in rows[i])]
@@ -512,20 +512,31 @@ def _verify_table(table: CharacterTable) -> None:
     m = table.conductor
     if not all(isinstance(v, int) and v == 1 for v in table.values[0]):
         raise RuntimeError("first row is not the trivial character")
-    # Rational rows (every row of a Weyl group) pair as a plain integer sum;
-    # a pair with an irrational value pairs in Z[Z/m], reduced mod Phi_m once.
     rows = table.values
     sizes = [c.size for c in table.classes]
     integral = [all(type(v) is int for v in row) for row in rows]
-    weighted = [list(map(mul, row, sizes)) if i else None for row, i in zip(rows, integral)]
+    # The rational rows (every row of a Weyl group) pair all at once.  Column
+    # k, weighted by its class size, is packed into one int, rational row b_p
+    # in the w bits from w p on, so that sum_k chi_a(k) packed[k] holds
+    # <chi_a, chi_b_p> |W| in slot p.  No slot value reaches |W| max|chi|^2,
+    # under 2^(w-2) in size, so the sum is |W| in the slot of a alone exactly
+    # when these rows are orthonormal.
+    rational = [a for a in range(n) if integral[a]]
+    big = max(max(map(abs, rows[a])) for a in rational)
+    w = (order * big * big).bit_length() + 2
+    shifts = range(0, w * len(rational), w)
+    packed = [size * sum(map(lshift, col, shifts))
+              for size, col in zip(sizes, zip(*(rows[b] for b in rational)))]
+    for p, a in enumerate(rational):
+        if sum(map(mul, rows[a], packed)) != order << w * p:
+            b = next(b for b in rational if order * (a == b)
+                     != sum(x * y * c for x, y, c in zip(rows[a], rows[b], sizes)))
+            raise RuntimeError(f"row orthogonality fails for rows {min(a, b)},{max(a, b)}")
+    # a pair with an irrational value pairs in Z[Z/m], reduced mod Phi_m once
     lifted = [] if all(integral) else [[ring_terms(v, m) for v in row] for row in rows]
     for a in range(n):
         for b in range(a, n):
-            expected = order if a == b else 0
-            if integral[a] and integral[b]:
-                ok = sum(map(mul, weighted[a], rows[b])) == expected
-            else:
+            if not (integral[a] and integral[b]):
                 total = ring_sum(zip(sizes, lifted[a], lifted[b]), m, conj=True)
-                ok = ring_reduce(total.items(), m) == ring_reduce(((0, expected),), m)
-            if not ok:
-                raise RuntimeError(f"row orthogonality fails for rows {a},{b}")
+                if ring_reduce(total.items(), m) != ring_reduce(((0, order * (a == b)),), m):
+                    raise RuntimeError(f"row orthogonality fails for rows {a},{b}")

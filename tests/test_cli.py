@@ -240,6 +240,16 @@ EXCEPTIONAL_OUTPUTS = {
         "4f0b772679a48a65738e42d8220aaff6a5267314bda8320368a550d6bec5d276",
     ("efd", "--type", "E8"):
         "e68bb977e8fb0a309cc9049955bd0830d28b1b3e4590092da05c73d9dd90985a",
+    # Phi-form sums: terms that cancel to 0, a self-conjugate partition, two
+    # terms that share most of their factors, and a long one-row B product
+    ("efd", "--type", "D", "--lambda", "2,1"):
+        "36791e97394d074fd92a9fb317b5edd193ac35701e1d5598fb29333995cde5bc",
+    ("efd", "--type", "D", "--lambda", "4,3,2,1"):
+        "cf89cd11f0064690da66add98e4b78e5bace7491e374565b5416cf2196e7f032",
+    ("efd", "--type", "D", "--lambda", "12,12"):
+        "0beb40a700647525f057938817ed7b6df375a5df484f3b4a44493c98fa07094d",
+    ("efd", "--type", "B", "--lambda", "40"):
+        "878439483a860fcc55f5e6b194af3714671e70573f98406a255868d12c19d8e2",
     ("group", "--type", "G2", "--table"):
         "2297013f03ef3a1640b59052ca5b529a59cbe530b815031385276b392e728114",
     ("group", "--type", "G2", "--classes"):

@@ -1,11 +1,16 @@
 import functools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ellq
 from ellq import exactq
 from ellq.cyclo import CycNum
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
@@ -521,3 +526,126 @@ def test_quotients_and_factorisations_use_no_polynomial_division(monkeypatch):
     for row in table.values:
         for g in (elliptic_fake_degree(W, row), sq_pairing(W, row)):
             g.factored()
+
+
+# -- sums of Phi-forms, and Phi_n expanded only when it may divide --
+
+_SUM_INDICES = [1, 2, 3, 4, 5, 6, 12, 31]
+
+
+@st.composite
+def _phi_sum_terms(draw):
+    """Two or three phi_forms (residual, qpow, scalar, phi) with a shared
+    exponent map of either sign, exponents of their own, q-powers of either
+    sign around a shared offset, and, on request, a last term cancelling the
+    first, so that the sum is zero."""
+    shared = draw(st.dictionaries(st.sampled_from(_SUM_INDICES), st.integers(-3, 3),
+                                  max_size=4))
+    qbase = draw(st.integers(-3, 3))
+    terms = []
+    for _ in range(draw(st.integers(2, 3))):
+        own = draw(st.dictionaries(st.sampled_from(_SUM_INDICES), st.integers(-2, 2),
+                                   max_size=3))
+        phi = {n: shared.get(n, 0) + own.get(n, 0) for n in shared.keys() | own.keys()}
+        base = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(lambda b: b[0]))
+        terms.append((QPolynomial(base), qbase + draw(st.integers(0, 2)), draw(_NONZERO),
+                      {n: e for n, e in phi.items() if e}))
+    if draw(st.booleans()):
+        r, k, c, phi = terms[0]
+        terms[-1] = (r, k, -c, phi)
+    return terms
+
+
+def _gcd_value(r, k, c, phi):
+    """A phi_form as the constructor's numerator and denominator."""
+    num = r * QPolynomial.monomial(max(k, 0), c)
+    den = QPolynomial.monomial(max(-k, 0))
+    for n, e in phi.items():
+        if e > 0:
+            num = num * _ref_cyclotomic(n) ** e
+        else:
+            den = den * _ref_cyclotomic(n) ** -e
+    return num, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(_phi_sum_terms())
+def test_phi_sum_matches_gcd_route(terms):
+    """phi_sum, which expands only what its terms do not share, reaches the
+    value, the JSON and the rendering that the constructor reaches from the
+    cross-multiplied numerators and denominators."""
+    n1, d1 = _gcd_value(*terms[0])
+    for term in terms[1:]:
+        n2, d2 = _gcd_value(*term)
+        want = RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
+        n1, d1 = want.num, want.den
+    got = exactq.phi_sum(*terms)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got.to_json() == want.to_json()
+    assert got.factored() == want.factored()
+    residual, qpow, scalar, exponents = got.phi_form
+    assert cyclotomic_quotient(exponents, qpow, scalar, residual) == got
+
+
+def test_phi_sum_keeps_the_shared_factors_in_its_map():
+    # q^2 Phi_3^2 Phi_5 / Phi_4 + q^3 Phi_3 / Phi_4^2 = q^2 Phi_3 (Phi_3 Phi_4 Phi_5 + q) / Phi_4^2
+    terms = [(QPolynomial.one(), 2, 1, {3: 2, 5: 1, 4: -1}),
+             (QPolynomial.one(), 3, 1, {3: 1, 4: -2})]
+    got = exactq.phi_sum(*terms)
+    residual, qpow, scalar, exponents = got.phi_form
+    assert (qpow, scalar, exponents) == (2, 1, {3: 1, 4: -2})
+    assert residual == _ref_cyclotomic(3) * _ref_cyclotomic(4) * _ref_cyclotomic(5) + RF_Q.num
+
+
+def test_phi_screen_reads_degree_and_value_at_two():
+    for n in range(1, 61):
+        assert exactq._phi_screen(n) == (cyclotomic(n).degree, cyclotomic(n).evaluate(2)), n
+
+
+_COLD_PROBE = """
+import json
+import ellq
+from ellq import exactq
+from ellq.elliptic import bn_fake_closed, dn_fake_closed
+expanded, tried = [], []
+cyclotomic, strip_phi = exactq.cyclotomic, exactq.strip_phi
+def cyclotomic_probe(n):
+    expanded.append(n)
+    return cyclotomic(n)
+def strip_phi_probe(p, n, limit=-1):
+    tried.append(([str(c) for c in p], n))
+    return strip_phi(p, n, limit)
+exactq.cyclotomic, exactq.strip_phi = cyclotomic_probe, strip_phi_probe
+%s.factored()
+print(json.dumps({"expanded": expanded, "tried": tried}))
+"""
+
+
+def _cold_probe(expr):
+    """The n of every cyclotomic(n) call and the arguments (p, n) of every
+    strip_phi call made by expr.factored() in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ellq.__file__))}
+    out = subprocess.run([sys.executable, "-c", _COLD_PROBE % expr], env=env,
+                         capture_output=True, text=True, check=True)
+    data = json.loads(out.stdout)
+    return data["expanded"], [([Fraction(c) for c in p], n) for p, n in data["tried"]]
+
+
+def test_cold_bn_closed_form_expands_no_cyclotomic():
+    expanded, _ = _cold_probe("bn_fake_closed((10,))")
+    assert expanded == []
+
+
+def test_cold_dn_closed_form_expands_only_the_phi_that_pass_the_screen():
+    """Phi_n is expanded only for the n of a strip_phi call whose integer
+    screen passes: d p(2) divisible by Phi_n(2), p longer than Phi_n."""
+    expanded, tried = _cold_probe("dn_fake_closed((5, 3, 2))")
+
+    def screen_passes(p, n):
+        d = math.lcm(*(c.denominator for c in p))
+        val = sum(c * d * 2 ** j for j, c in enumerate(p))
+        phi = _ref_cyclotomic(n)
+        return len(p) > phi.degree and val % phi.evaluate(2) == 0
+    passed = {n for p, n in tried if screen_passes(p, n)}
+    assert set(expanded) == passed
+    assert passed and {n for _, n in tried} - passed

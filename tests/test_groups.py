@@ -106,6 +106,20 @@ def test_verify_table_rejects_a_changed_irrational_entry():
         _verify_table(_with_entry(table, i, j, v + CycNum.rational(v.m, 1)))
 
 
+@pytest.mark.parametrize("name", ["B5", "S5"])
+def test_verify_table_rejects_each_changed_entry_of_a_rational_table(name):
+    grp = small_group(name) if name in SUPPORTED_GAMMAS else build_group(GroupSpec.parse(name)).group
+    table = grp.character_table()
+    assert all(type(v) is int for row in table.values for v in row)
+    _verify_table(table)
+    # a change of 1 in row i alters <chi_i, chi_i> by |C| (2 chi_i(C) + 1), never 0
+    for i in range(1, len(table.values)):
+        for j, v in enumerate(table.values[i]):
+            with pytest.raises(RuntimeError, match=rf"row orthogonality fails for rows "
+                                                   rf"(\d+,{i}|{i},\d+)$"):
+                _verify_table(_with_entry(table, i, j, v + 1))
+
+
 def _tables_with_centralizers(name):
     """The Dixon tables of a group and of the centralizer of each class
     representative, every group freshly built."""
