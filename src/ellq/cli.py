@@ -126,7 +126,7 @@ def _cmd_group(args) -> int:
 def _cmd_fake(args) -> int:
     from .weylgrp import GroupSpec, build_group, fake_degree
     W = build_group(GroupSpec.parse(args.type))
-    labels = [args.irrep] if args.irrep else W.irrep_labels()
+    labels = W.irrep_labels() if args.irrep is None else [args.irrep]
     payload = {}
     lines = []
     for lab in labels:

@@ -61,7 +61,8 @@ def n_invariant(p: Partition) -> int:
 
 
 def g_poly(p: Partition, t: RationalFunction, s: RationalFunction) -> RationalFunction:
-    """Hook-content series t^{n(p)} prod(1 + s t^c) / prod(1 - t^h) at exact (t, s)."""
+    """Hook-content series t^{n(p)} prod(1 + s t^c) / prod(1 - t^h) at exact (t, s),
+    for t a rational constant or +-q^k, so that each 1 - t^h is q^k prod Phi_n."""
     num = t ** n_invariant(p)
     for _, c in contents(p):
         num = num * (RF_ONE + s * t ** c)

@@ -5,31 +5,28 @@ Polynomials are dense tuples of coefficients, constant term first.  A
 coefficient is a Python ``int`` whenever it is integral and a
 ``fractions.Fraction`` only when its denominator exceeds 1; every scalar
 division goes through ``exact_div``, so no coefficient is ever a float.
-Rational functions are kept in canonical form: numerator and denominator
-coprime, denominator monic.  ``cyclotomic_quotient`` is the one builder
-of a quotient num * scalar * q^k * prod Phi_n^e_n (exponents of either
-sign) whose denominator is known to be cyclotomic: every closed form is
-collected as such an exponent map, and every class sum over a Weyl group
-is an integer numerator over a known product of Phi_n (det(1 - qw) divides
-prod (1 - q^{d_i}) for every w; Springer 1974, Invent. Math. 25).  The one
-rule 1 - q^k = -prod_{d|k} Phi_d, ``one_minus_qpow_exponents``, turns every
-product of factors 1 - q^k into its exponent map.  It
-strips the Phi_n of the denominator from the numerator, so its result is
-canonical with no gcd, and keeps its residual numerator and exponent map.
-Sums, differences and products of such values and of polynomials keep the
-map: a product adds the maps, ``phi_sum`` factors out what its terms share
-(per Phi_n the least exponent, and the least q-power) and expands only the
-rest, and one ``cyclotomic_quotient`` reduces either; only the constructor,
-/ and ** run ``poly_gcd``, Euclid's algorithm on primitive integer
-remainders, and no command builds such a value.  Cyclotomic factorisation,
-for display, is read from the map; the residual numerator and values
-without a map have Phi_1, ..., Phi_30 stripped (30 is the largest index in
-the E8 tables).  Every Phi_n is stripped by ``strip_phi``, on coefficient
-lists: an integer screen at q = 2, then an exact test mod q^n - 1, and only
-then a division, with no ``QPolynomial`` division.  The screen reads deg
+A rational function has one form, its Phi-form: a residual numerator,
+prime to q and to the denominator, times scalar * q^k * prod Phi_n^e_n
+(exponents of either sign).  No other denominator arises: closed forms are
+collected as exponent maps, and every class sum over a Weyl group is an
+integer numerator over a known product of Phi_n (det(1 - qw) divides
+prod (1 - q^{d_i}); Springer 1974, Invent. Math. 25).  So a denominator
+that is not q^k prod Phi_n, n <= 30 (the largest index in the E8 tables),
+is refused.  ``cyclotomic_quotient`` builds every value: it strips the
+Phi_n of the denominator from the numerator, so numerator and denominator
+come out coprime with no gcd.  ``one_minus_qpow_exponents`` turns products
+of factors 1 - q^k into exponent maps.  A product adds the maps, a power
+scales them, an inverse negates them, and ``phi_sum`` factors out what its
+terms share (per Phi_n the least exponent, and the least q-power) and
+expands only the rest.  ``poly_gcd`` serves none of this; it stays as the
+reference that the tests reduce against, and perfbench imports it.
+Cyclotomic factorisation, for display, is read from the map and strips
+Phi_1, ..., Phi_30 from the residual only.  Every Phi_n is stripped by
+``strip_phi``, on coefficient lists: an integer screen at q = 2, then an
+exact test mod q^n - 1, and only then a division.  The screen reads deg
 Phi_n and Phi_n(2) off the steps q^d - 1 of Phi_n, so Phi_n is expanded
-only once a screen passes.  Every product of Phi_n is multiplied into a
-coefficient list by ``phi_product``, from sparse steps q^d - 1.
+only once a screen passes.  ``phi_product`` multiplies every product of
+Phi_n into a coefficient list from those sparse steps.
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -407,6 +404,17 @@ def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
     return CyclotomicFactorization(Fraction(p.leading), v, factors, p.monic())
 
 
+def _phi_factors(p: QPolynomial, skip: AbstractSet[int] = frozenset()
+                 ) -> CyclotomicFactorization:
+    """factor_cyclotomic(p, skip) for a p that is to be a denominator;
+    ValueError when p is not scalar * q^k * prod Phi_n, n <= CYCLOTOMIC_BOUND."""
+    f = factor_cyclotomic(p, skip)
+    if not f.remainder.is_one():
+        raise ValueError(f"denominator has the factor {f.remainder}, which is no "
+                         f"product of q and Phi_n with n <= {CYCLOTOMIC_BOUND}")
+    return f
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_screen(n: int) -> tuple[int, int]:
     """deg Phi_n and Phi_n(2), read off its steps q^d - 1 with no expansion."""
@@ -464,30 +472,25 @@ def _divide_phi(a: list, deg: int, low) -> list:
 
 
 class RationalFunction:
-    """Element of Q(q) in canonical form: gcd(num, den) = 1, den monic.
-
-    ``phi_form`` is (residual, qpow, scalar, phi) for a value built by
-    ``cyclotomic_quotient``, which is residual * scalar * q^qpow *
-    prod Phi_n^phi[n] with the residual integral and prime to q and to the
-    denominator.  +, - and * keep it when each operand has one or is a
-    polynomial, and need no gcd; it is None for a value built by the
-    constructor, by / or by **, or from an operand without one."""
+    """Element of Q(q) whose denominator is q^k prod Phi_n^e_n: num and den
+    coprime, den monic, and ``phi_form`` = (residual, qpow, scalar, phi) the
+    same value as residual * scalar * q^qpow * prod Phi_n^phi[n].  A
+    polynomial num has the form (num / q^v, v, 1, {}).  The constructor
+    refuses a den that is not q^k prod Phi_n with n <= CYCLOTOMIC_BOUND."""
 
     __slots__ = ("num", "den", "phi_form")
 
-    def __init__(self, num: QPolynomial, den: QPolynomial = None):
-        if den is None:
-            den = QPolynomial.one()
+    def __init__(self, num: QPolynomial, den: QPolynomial = QPolynomial.one()):
+        if den.is_one():
+            v = max(num.low_degree(), 0)
+            self.num, self.den, self.phi_form = num, den, (QPolynomial(num.coeffs[v:]), v, 1, {})
+            return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        self.phi_form = None
-        if num.is_zero():
-            den = QPolynomial.one()
-        elif not den.is_one():
-            g = poly_gcd(num, den) * den.leading  # so that den // g is monic
-            num, den = num // g, den // g
-        self.num = num
-        self.den = den
+        f = _phi_factors(den)
+        value = cyclotomic_quotient({n: -e for n, e in f.factors.items()}, -f.q_power,
+                                    exact_div(1, f.scalar), num)
+        self.num, self.den, self.phi_form = value.num, value.den, value.phi_form
 
     @staticmethod
     def of(num, den=1) -> "RationalFunction":
@@ -506,11 +509,8 @@ class RationalFunction:
         if other is NotImplemented:
             return NotImplemented
         if self.is_zero() or other.is_zero():
-            return (other if self.is_zero() else self) * 1  # a copy with its phi_form
-        forms = _phi_form(self), _phi_form(other)
-        if None not in forms:
-            return phi_sum(*forms)
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
+            return other if self.is_zero() else self
+        return phi_sum(self.phi_form, other.phi_form)
 
     __radd__ = __add__
 
@@ -528,18 +528,14 @@ class RationalFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and other:
-            form = _phi_form(self)
-            return _canonical(self.num * other, self.den,
-                              form and (form[0], form[1], form[2] * other, form[3]))
+            residual, qpow, scalar, phi = self.phi_form
+            return _canonical(self.num * other, self.den, (residual, qpow, scalar * other, phi))
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        forms = _phi_form(self), _phi_form(other)
-        if None not in forms:
-            (ra, ka, sa, pa), (rb, kb, sb, pb) = forms
-            phi = {n: pa.get(n, 0) + pb.get(n, 0) for n in pa.keys() | pb.keys()}
-            return cyclotomic_quotient(phi, ka + kb, sa * sb, ra * rb)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        (ra, ka, sa, pa), (rb, kb, sb, pb) = self.phi_form, other.phi_form
+        phi = {n: pa.get(n, 0) + pb.get(n, 0) for n in pa.keys() | pb.keys()}
+        return cyclotomic_quotient(phi, ka + kb, sa * sb, ra * rb)
 
     __rmul__ = __mul__
 
@@ -547,24 +543,27 @@ class RationalFunction:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return _coerce_rf(other) / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den, self.num) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+            return self.inverse() ** -n
+        residual, qpow, scalar, phi = self.phi_form
+        return cyclotomic_quotient({m: e * n for m, e in phi.items() if e * n}, qpow * n,
+                                   scalar ** n, residual ** n)
 
     def inverse(self) -> "RationalFunction":
+        """1 / self: the residual is factored (`_phi_factors`), as it becomes
+        the denominator, and the exponent map is negated."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RationalFunction(self.den, self.num)
+        residual, qpow, scalar, phi = self.phi_form
+        f = _phi_factors(residual, {n for n, e in phi.items() if e < 0})
+        inv = {n: -phi.get(n, 0) - f.factors.get(n, 0) for n in phi.keys() | f.factors.keys()}
+        return cyclotomic_quotient(inv, -qpow - f.q_power, exact_div(1, scalar * f.scalar))
 
     def evaluate(self, x: Scalar) -> Fraction:
         x = _frac(x)
@@ -603,13 +602,10 @@ class RationalFunction:
 
     def cyclotomic_factors(self) -> tuple[CyclotomicFactorization, CyclotomicFactorization]:
         """The factorisations of the numerator and of the denominator (nonzero
-        values only).  A value built by cyclotomic_quotient reads them from
-        its Phi-exponents and strips Phi_n only from its residual numerator,
-        none of the Phi_n of its denominator, to which cyclotomic_quotient
-        left it prime; any Phi_n past CYCLOTOMIC_BOUND joins the remainder,
-        as factor_cyclotomic would leave it."""
-        if self.phi_form is None:
-            return factor_cyclotomic(self.num), factor_cyclotomic(self.den)
+        values only), read from the Phi-exponents.  Phi_n are stripped only
+        from the residual numerator, and none of those of the denominator, to
+        which it is prime; any Phi_n past CYCLOTOMIC_BOUND joins the
+        remainder, as factor_cyclotomic would leave it."""
         residual, qpow, scalar, phi = self.phi_form
         res = factor_cyclotomic(residual, {n for n, e in phi.items() if e < 0})
 
@@ -687,15 +683,6 @@ def _canonical(num: QPolynomial, den: QPolynomial, phi_form) -> RationalFunction
     out = RationalFunction.__new__(RationalFunction)
     out.num, out.den, out.phi_form = num, den, phi_form
     return out
-
-
-def _phi_form(f: RationalFunction):
-    """f.phi_form, else (num / q^v, v, 1, {}) for a polynomial num with
-    lowest term q^v (v = 0 for zero), else None."""
-    if f.phi_form is not None or not f.den.is_one():
-        return f.phi_form
-    v = max(f.num.low_degree(), 0)
-    return QPolynomial(f.num.coeffs[v:]), v, 1, {}
 
 
 def phi_sum(*forms) -> RationalFunction:

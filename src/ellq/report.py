@@ -65,11 +65,11 @@ def exit_code(reports) -> int:
 def _suite_cyc():
     from .elliptic import cyc_denominator
     from .fixtures import cyc_table
-    from .weylgrp import exceptional_exponents
+    from .weylgrp import EXPONENTS
     out = []
     table = cyc_table()
     for name in ("G2", "F4", "E6", "E7", "E8"):
-        got = cyc_denominator(exceptional_exponents(name))
+        got = cyc_denominator(EXPONENTS[name])
         out.append(_cmp(f"cyc/{name}", _phi_str(got), _phi_str(table[name])))
     return out
 
@@ -303,7 +303,7 @@ def _suite_independence():
 def _suite_appendix():
     from .elliptic import sgn_fake_degree
     from .fixtures import fake_degree_from_table
-    from .weylgrp import exceptional_exponents
+    from .weylgrp import EXPONENTS
     out = []
     for fix, got, want in _g2_fake_degrees():
         if fix.springer:
@@ -313,8 +313,8 @@ def _suite_appendix():
     # odd-rank E7 the prefactor convention flips the sign ((1-q)^7 = -(q-1)^7),
     # so the published positive numerator corresponds to -F of the sign character
     for name in ("F4", "E6", "E7", "E8"):
-        f = sgn_fake_degree(exceptional_exponents(name))
-        l = len(exceptional_exponents(name))
+        f = sgn_fake_degree(EXPONENTS[name])
+        l = len(EXPONENTS[name])
         want = fake_degree_from_table(
             name, name, den={n: -e for n, e in f.phi_form[3].items() if e < 0}) * (-1) ** l
         out.append(_cmp(f"appendix-regular/{name}", str(f == want), "True",

@@ -95,7 +95,9 @@ def exponents_of(spec: GroupSpec) -> tuple[int, ...]:
 
 
 def exceptional_exponents(name: str) -> tuple[int, ...]:
-    """Exponent data for the exceptional types, including unrealized E6-E8."""
+    """EXPONENTS[name]; no module of ellq calls it, but the closed-forms
+    workload of perfbench/workloads.py does, so it stays until that reads
+    EXPONENTS."""
     return EXPONENTS[name]
 
 

@@ -39,10 +39,10 @@ def test_criterion_01_cyc_table():
     t0 = time.monotonic()
     from ellq.elliptic import cyc_denominator
     from ellq.fixtures import cyc_table
-    from ellq.weylgrp import exceptional_exponents
+    from ellq.weylgrp import EXPONENTS
     table = cyc_table()
     for name in ("G2", "F4", "E6", "E7", "E8"):
-        assert cyc_denominator(exceptional_exponents(name)) == table[name], name
+        assert cyc_denominator(EXPONENTS[name]) == table[name], name
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"criterion 1 must run in under a second, took {elapsed:.2f}s"
     report(1, f"cyc(W) denominators match for G2..E8 in {elapsed:.2f}s")

@@ -175,6 +175,7 @@ ERROR_MESSAGES = {
     ("group", "--type", "F2"): "type F2 does not exist: F has rank 4",
     ("efd", "--type", "E5"): "type E5 does not exist: E takes rank 6, 7 or 8",
     ("efd", "--type", "E9"): "type E9 does not exist: E takes rank 6, 7 or 8",
+    ("fake", "--type", "G2", "--irrep", ""): "G2 has no irreducible labelled ''",
 }
 
 

@@ -17,7 +17,7 @@ from ellq.elliptic import (VirtualCharacter, bn_fake_closed, cyc_denominator,
 from ellq.combinat import g_poly
 from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          cyclotomic, poly_gcd, rref)
-from ellq.weylgrp import (GroupSpec, WeylGroupData, build_group, exceptional_exponents,
+from ellq.weylgrp import (EXPONENTS, GroupSpec, WeylGroupData, build_group,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial)
 
@@ -116,8 +116,8 @@ def test_sgn_closed_trivial_group():
 
 
 def test_cyc_denominators():
-    assert cyc_denominator(exceptional_exponents("G2")) == {2: 2, 3: 1, 6: 1}
-    assert cyc_denominator(exceptional_exponents("E8"))[30] == 1
+    assert cyc_denominator(EXPONENTS["G2"]) == {2: 2, 3: 1, 6: 1}
+    assert cyc_denominator(EXPONENTS["E8"])[30] == 1
 
 
 def test_closed_form_factored_divides_no_polynomial(monkeypatch):

@@ -19,6 +19,44 @@ from ellq.exactq import (QPolynomial, RationalFunction, RF_ONE, RF_Q,
                          rref_mod)
 
 
+# -- references: the gcd reduction and the trial-division rendering --
+
+def _gcd_reduce(num, den):
+    """num / den reduced by poly_gcd, den monic: the canonical form that every
+    rational function must reach, computed with no Phi-form."""
+    if num.is_zero():
+        return num, QPolynomial.one()
+    g = poly_gcd(num, den) * den.leading  # so that den // g is monic
+    return num // g, den // g
+
+
+def _gcd_json(num, den):
+    return {"num": num.to_json(), "den": den.to_json()}
+
+
+def _trial_factored(num, den):
+    """The rendering of num / den with both sides trial-divided by every
+    Phi_n, n <= 30 (`factor_cyclotomic`): the reference for factored(),
+    which reads the factors off the Phi-form."""
+    if num.is_zero():
+        return "0"
+    numf, denf = factor_cyclotomic(num), factor_cyclotomic(den)
+    if den.is_one():
+        return str(numf)
+    scalar = exactq.exact_div(numf.scalar, denf.scalar)
+    return (f"{exactq._render_cyclotomic(scalar, numf, 'Phi2', ' * ')}"
+            f" / ({exactq._render_cyclotomic(1, denf, 'Phi2', ' ')})")
+
+
+def _is_phi_product(p):
+    """Whether the nonzero p is c q^k prod Phi_n^e_n, n <= 30, by QPolynomial
+    division (`_divmod_strip`)."""
+    p = QPolynomial(p.coeffs[p.low_degree():])
+    for n in range(1, 31):
+        p = _divmod_strip(p, n)[0]
+    return p.degree == 0
+
+
 def test_cyclotomic_small():
     assert str(cyclotomic(1)) == "q - 1"
     assert str(cyclotomic(2)) == "q + 1"
@@ -86,7 +124,7 @@ def test_cyclotomic_quotient_matches_gcd_constructor(phi, k, c, common):
     want = RationalFunction(num * extra, den * extra)
     got = cyclotomic_quotient(phi, k, c)
     assert got == want
-    assert got.to_json() == want.to_json()
+    assert got.to_json() == want.to_json() == _gcd_json(*_gcd_reduce(num * extra, den * extra))
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,7 +148,7 @@ def test_cyclotomic_quotient_reduces_a_numerator_like_gcd(phi, k, c, base, v, da
             den = den * cyclotomic(n) ** -e
     want = RationalFunction(top, den)
     got = cyclotomic_quotient(phi, k, c, num)
-    assert (got.num, got.den) == (want.num, want.den)
+    assert (got.num, got.den) == (want.num, want.den) == _gcd_reduce(top, den)
     assert got.to_json() == want.to_json()
     assert cyclotomic_quotient(phi, k, c, QPolynomial.zero()).is_zero()
 
@@ -140,19 +178,59 @@ def _phi_operands(draw):
 @given(_phi_operands(), _phi_operands(), st.one_of(st.integers(-3, 3), _NONZERO))
 def test_phi_arithmetic_matches_gcd_route(a, b, c):
     """+, -, * and scalar multiples of values in Phi-exponent form stay in it:
-    each result is what the constructor reaches from the cross-multiplied
-    numerator and denominator, and prints as trial division prints it."""
+    each result is what the gcd reaches from the cross-multiplied numerator
+    and denominator, and prints as trial division prints it."""
     cases = [(a + b, a.num * b.den + b.num * a.den, a.den * b.den),
              (a - b, a.num * b.den - b.num * a.den, a.den * b.den),
              (a * b, a.num * b.num, a.den * b.den),
              (a * c, a.num * c, a.den), (c * a, a.num * c, a.den),
              (-a, -a.num, a.den)]
     for got, num, den in cases:
-        want = RationalFunction(num, den)
-        assert (got.num, got.den) == (want.num, want.den)
+        want = _gcd_reduce(num, den)
+        assert (got.num, got.den) == want
         residual, qpow, scalar, exponents = got.phi_form
         assert cyclotomic_quotient(exponents, qpow, scalar, residual) == got
-        assert got.factored() == want.factored()
+        assert got.factored() == _trial_factored(*want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_phi_operands(), _phi_operands(), st.integers(0, 3))
+def test_phi_division_and_powers_invert(a, b, n):
+    """/ and negative powers negate the divisor's map and factor only its
+    residual: they undo * and positive powers whenever that residual is
+    c q^k prod Phi_n, n <= 30, and refuse it otherwise; ** n is n-fold *."""
+    assert b ** n == functools.reduce(lambda x, y: x * y, [b] * n, RF_ONE)
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        return
+    if not _is_phi_product(b.phi_form[0]):
+        for refused in (b.inverse, lambda: a / b, lambda: b ** -1):
+            with pytest.raises(ValueError):
+                refused()
+        return
+    assert (a / b) * b == a
+    assert b ** -2 * b ** 2 == RF_ONE
+    assert b.inverse() * b == RF_ONE
+
+
+def test_denominators_that_are_no_phi_product_are_refused():
+    """The constructor and from_json refuse q^2 + q + 2 and Phi_31 as a
+    denominator, alone or next to Phi_n; inverse, / and ** -1 refuse a
+    value whose residual numerator is either of them."""
+    odd = QPolynomial.of(2, 1, 1)
+    for bad in (odd, cyclotomic(31), odd * cyclotomic(3) * QPolynomial.q()):
+        with pytest.raises(ValueError, match="no product of q and Phi_n with n <= 30"):
+            RationalFunction(QPolynomial.one(), bad)
+        with pytest.raises(ValueError):
+            RationalFunction.from_json({"num": ["1"], "den": bad.to_json()})
+        value = cyclotomic_quotient({3: -1}, 1, 2, bad)
+        for refused in (value.inverse, lambda: RF_ONE / value, lambda: value ** -1,
+                        lambda: 1 / value):
+            with pytest.raises(ValueError):
+                refused()
+    # Phi_31 in the map is no residual: its inverse is the polynomial Phi_31
+    assert cyclotomic_quotient({31: -1}).inverse() == RationalFunction(cyclotomic(31))
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +242,12 @@ def test_rational_function_canonical(a, b):
         with pytest.raises(ZeroDivisionError):
             RationalFunction(pa, pb)
         return
+    if not _is_phi_product(pb):
+        with pytest.raises(ValueError, match="no product of q and Phi_n with n <= 30"):
+            RationalFunction(pa, pb)
+        return
     r = RationalFunction(pa, pb)
+    assert (r.num, r.den) == _gcd_reduce(pa, pb)
     assert r.den.leading == 1
     assert poly_gcd(r.num, r.den).degree <= 0 or r.num.is_zero()
     # re-reducing is a fixed point
@@ -349,9 +432,10 @@ def test_phi_product_division_by_a_non_divisor_raises():
        st.integers(0, 2), st.data())
 def test_carried_rendering_matches_trial_division(phi, k, c, base, v, data):
     """factored() read from the Phi-exponents, with the residual numerator
-    trial-divided, prints what trial division of the whole value prints.
-    The residual shares some Phi_n with the map, on either side, and Phi_n
-    past 30 fall into the remainders."""
+    trial-divided, prints what trial division of the whole gcd-reduced value
+    prints.  The residual shares some Phi_n with the map, on either side,
+    and Phi_n past 30 fall into the remainders; the constructor refuses a
+    denominator with such a Phi_n and otherwise reaches the same value."""
     num = QPolynomial.monomial(v) * QPolynomial(base)
     for n in sorted(phi):
         num = num * _ref_cyclotomic(n) ** data.draw(st.integers(0, 2), label=f"Phi{n}")
@@ -362,9 +446,13 @@ def test_carried_rendering_matches_trial_division(phi, k, c, base, v, data):
             top = top * _ref_cyclotomic(n) ** e
         else:
             den = den * _ref_cyclotomic(n) ** -e
-    got, want = cyclotomic_quotient(phi, k, c, num), RationalFunction(top, den)
-    assert got.phi_form is not None and want.phi_form is None
-    assert got.factored() == want.factored()
+    got = cyclotomic_quotient(phi, k, c, num)
+    assert got.factored() == _trial_factored(*_gcd_reduce(top, den))
+    if all(n <= 30 for n, e in phi.items() if e < 0):
+        assert RationalFunction(top, den) == got
+    else:
+        with pytest.raises(ValueError):
+            RationalFunction(top, den)
 
 
 # -- the integer-first coefficient kernel against an all-Fraction reference --
@@ -438,12 +526,17 @@ def test_integer_kernel_matches_fraction_reference(p, d):
     if not d.is_zero():
         quo, rem = divmod(p, d)
         assert (_ref(quo), _ref(rem)) == _ref_divmod(a, b)
-        r = RationalFunction(p, d)
-        g = _ref_gcd(a, b)
-        num, den = _ref_divmod(a, g)[0], _ref_divmod(b, g)[0]
-        assert _ref(r.num) == ([c / den[-1] for c in num] if num else [])
-        assert _ref(r.den) == (_ref_monic(den) if num else [1])
-        results += [quo, rem, r.num, r.den]
+        results += [quo, rem]
+        if not _is_phi_product(d):
+            with pytest.raises(ValueError):
+                RationalFunction(p, d)
+        else:
+            r = RationalFunction(p, d)
+            g = _ref_gcd(a, b)
+            num, den = _ref_divmod(a, g)[0], _ref_divmod(b, g)[0]
+            assert _ref(r.num) == ([c / den[-1] for c in num] if num else [])
+            assert _ref(r.den) == (_ref_monic(den) if num else [1])
+            results += [r.num, r.den]
     assert all(_canonical(x) for x in results)
 
 
@@ -557,7 +650,7 @@ def _phi_sum_terms(draw):
 
 
 def _gcd_value(r, k, c, phi):
-    """A phi_form as the constructor's numerator and denominator."""
+    """A phi_form as a numerator and a denominator, for `_gcd_reduce`."""
     num = r * QPolynomial.monomial(max(k, 0), c)
     den = QPolynomial.monomial(max(-k, 0))
     for n, e in phi.items():
@@ -572,17 +665,16 @@ def _gcd_value(r, k, c, phi):
 @given(_phi_sum_terms())
 def test_phi_sum_matches_gcd_route(terms):
     """phi_sum, which expands only what its terms do not share, reaches the
-    value, the JSON and the rendering that the constructor reaches from the
-    cross-multiplied numerators and denominators."""
+    value, the JSON and the rendering that the gcd and trial division reach
+    from the cross-multiplied numerators and denominators."""
     n1, d1 = _gcd_value(*terms[0])
     for term in terms[1:]:
         n2, d2 = _gcd_value(*term)
-        want = RationalFunction(n1 * d2 + n2 * d1, d1 * d2)
-        n1, d1 = want.num, want.den
+        n1, d1 = _gcd_reduce(n1 * d2 + n2 * d1, d1 * d2)
     got = exactq.phi_sum(*terms)
-    assert (got.num, got.den) == (want.num, want.den)
-    assert got.to_json() == want.to_json()
-    assert got.factored() == want.factored()
+    assert (got.num, got.den) == (n1, d1)
+    assert got.to_json() == _gcd_json(n1, d1)
+    assert got.factored() == _trial_factored(n1, d1)
     residual, qpow, scalar, exponents = got.phi_form
     assert cyclotomic_quotient(exponents, qpow, scalar, residual) == got
 

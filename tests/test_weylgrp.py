@@ -18,9 +18,9 @@ from ellq.combinat import mn_character, partitions_of
 from ellq.elliptic import elliptic_fake_degree
 from ellq.exactq import QPolynomial, RationalFunction, phi_product, poly_gcd
 from ellq.groups import FiniteGroup, GroupTooLargeError
-from ellq.weylgrp import (GroupSpec, ProductWeyl, WeylGroupData, b_invariant, build_group,
+from ellq.weylgrp import (EXPONENTS, GroupSpec, ProductWeyl, WeylGroupData, b_invariant, build_group,
                           char_poly_matrix, closed_form_classes,
-                          exceptional_exponents, fake_degree,
+                          fake_degree,
                           fake_degree_values, group_order_from_exponents,
                           h_class_function, induce_class_function,
                           parabolic_subgroup, poincare_polynomial,
@@ -407,7 +407,7 @@ def test_exponents_and_poincare():
         assert group_order_from_exponents(W.exponents) == W.order
         assert poincare_polynomial(W.exponents).evaluate(1) == W.order
     for name, order in [("E6", 51840), ("E7", 2903040), ("E8", 696729600)]:
-        assert group_order_from_exponents(exceptional_exponents(name)) == order
+        assert group_order_from_exponents(EXPONENTS[name]) == order
 
 
 def test_poincare_equals_length_enumeration():
