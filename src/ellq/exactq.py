@@ -11,17 +11,17 @@ prime to q and to the denominator, times scalar * q^k * prod Phi_n^e_n
 collected as exponent maps, and every class sum over a Weyl group is an
 integer numerator over a known product of Phi_n (det(1 - qw) divides
 prod (1 - q^{d_i}); Springer 1974, Invent. Math. 25).  So a denominator
-that is not q^k prod Phi_n, n <= 30 (the largest index in the E8 tables),
-is refused.  ``cyclotomic_quotient`` builds every value: it strips the
-Phi_n of the denominator from the numerator, so numerator and denominator
-come out coprime with no gcd.  ``one_minus_qpow_exponents`` turns products
-of factors 1 - q^k into exponent maps.  A product adds the maps, a power
-scales them, an inverse negates them, and ``phi_sum`` factors out what its
-terms share (per Phi_n the least exponent, and the least q-power) and
-expands only the rest.  ``poly_gcd`` serves none of this; it stays as the
-reference that the tests reduce against, and perfbench imports it.
-Cyclotomic factorisation, for display, is read from the map and strips
-Phi_1, ..., Phi_30 from the residual only.  Every Phi_n is stripped by
+that is not q^k prod Phi_n is refused, n of any size (B_16 has Phi_32).
+``cyclotomic_quotient`` builds every value: it strips the Phi_n of the
+denominator from the numerator, so the two come out coprime with no gcd.
+``one_minus_qpow_exponents`` turns products of factors 1 - q^k into
+exponent maps.  A product adds the maps, a power scales them, an inverse
+negates them, and ``phi_sum`` factors out what its terms share (per Phi_n
+the least exponent, and the least q-power) and expands only the rest.
+``poly_gcd`` serves none of this; it stays as the reference that the tests
+reduce against, and perfbench imports it.  Cyclotomic factorisation, for
+display, is read from the map and strips Phi_1, ..., Phi_30 (as far as the
+E8 tables go) from the residual only.  Every Phi_n is stripped by
 ``strip_phi``, on coefficient lists: an integer screen at q = 2, then an
 exact test mod q^n - 1, and only then a division.  The screen reads deg
 Phi_n and Phi_n(2) off the steps q^d - 1 of Phi_n, so Phi_n is expanded
@@ -38,7 +38,7 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul, sub
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
@@ -387,15 +387,16 @@ def _render_cyclotomic(scalar: Scalar, f: CyclotomicFactorization,
     return sep.join(parts)
 
 
-def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
+def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset(),
+                      indices: Iterable[int] = range(1, CYCLOTOMIC_BOUND + 1)
                       ) -> CyclotomicFactorization:
-    """Exact factorisation by stripping Phi_n, n <= CYCLOTOMIC_BOUND (`strip_phi`);
+    """Exact factorisation by stripping Phi_n, n in indices (`strip_phi`);
     the Phi_n with n in skip are known not to divide p and are not tried."""
     if p.is_zero():
         raise ValueError("zero input")
     v = p.low_degree()
     cs, factors = list(p.coeffs[v:]), {}
-    for n in range(1, CYCLOTOMIC_BOUND + 1):
+    for n in indices:
         if n not in skip and _phi_screen(n)[0] < len(cs):
             cs, k = strip_phi(cs, n)
             if k:
@@ -404,15 +405,19 @@ def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset()
     return CyclotomicFactorization(Fraction(p.leading), v, factors, p.monic())
 
 
-def _phi_factors(p: QPolynomial, skip: AbstractSet[int] = frozenset()
-                 ) -> CyclotomicFactorization:
-    """factor_cyclotomic(p, skip) for a p that is to be a denominator;
-    ValueError when p is not scalar * q^k * prod Phi_n, n <= CYCLOTOMIC_BOUND."""
-    f = factor_cyclotomic(p, skip)
-    if not f.remainder.is_one():
-        raise ValueError(f"denominator has the factor {f.remainder}, which is no "
-                         f"product of q and Phi_n with n <= {CYCLOTOMIC_BOUND}")
-    return f
+@functools.lru_cache(maxsize=None)
+def _phi_indices(d: int) -> tuple[int, ...]:
+    """Every n with deg Phi_n = phi(n) <= d, ascending, built prime by prime:
+    phi(p^a) = p^(a-1) (p - 1), so only primes p <= d + 1 divide such n."""
+    found = [(1, 1)]
+    for p in range(2, d + 2):
+        if all(p % r for r in range(2, isqrt(p) + 1)):
+            for n, t in list(found):
+                n, t = n * p, t * (p - 1)
+                while t <= d:
+                    found.append((n, t))
+                    n, t = n * p, t * p
+    return tuple(sorted(n for n, t in found if t <= d))
 
 
 @functools.lru_cache(maxsize=None)
@@ -476,7 +481,7 @@ class RationalFunction:
     coprime, den monic, and ``phi_form`` = (residual, qpow, scalar, phi) the
     same value as residual * scalar * q^qpow * prod Phi_n^phi[n].  A
     polynomial num has the form (num / q^v, v, 1, {}).  The constructor
-    refuses a den that is not q^k prod Phi_n with n <= CYCLOTOMIC_BOUND."""
+    refuses a den that is not q^k prod Phi_n (see `inverse`)."""
 
     __slots__ = ("num", "den", "phi_form")
 
@@ -487,9 +492,7 @@ class RationalFunction:
             return
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        f = _phi_factors(den)
-        value = cyclotomic_quotient({n: -e for n, e in f.factors.items()}, -f.q_power,
-                                    exact_div(1, f.scalar), num)
+        value = RationalFunction(num) * RationalFunction(den).inverse()
         self.num, self.den, self.phi_form = value.num, value.den, value.phi_form
 
     @staticmethod
@@ -556,12 +559,17 @@ class RationalFunction:
                                    scalar ** n, residual ** n)
 
     def inverse(self) -> "RationalFunction":
-        """1 / self: the residual is factored (`_phi_factors`), as it becomes
-        the denominator, and the exponent map is negated."""
+        """1 / self: the residual, as it becomes the denominator, is factored
+        over every Phi_n that fits (`_phi_indices`), and the exponent map is
+        negated; ValueError when the residual is no product of Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         residual, qpow, scalar, phi = self.phi_form
-        f = _phi_factors(residual, {n for n, e in phi.items() if e < 0})
+        f = factor_cyclotomic(residual, {n for n, e in phi.items() if e < 0},
+                              _phi_indices(residual.degree))
+        if not f.remainder.is_one():
+            raise ValueError(f"denominator has the factor {f.remainder}, "
+                             f"which is no product of q and Phi_n")
         inv = {n: -phi.get(n, 0) - f.factors.get(n, 0) for n in phi.keys() | f.factors.keys()}
         return cyclotomic_quotient(inv, -qpow - f.q_power, exact_div(1, scalar * f.scalar))
 

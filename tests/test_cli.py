@@ -50,6 +50,17 @@ def test_efd_json_round_trip(capsys):
     assert RationalFunction.from_json(data["value"]) == bn_fake_closed((1, 1))
 
 
+def test_efd_json_round_trip_with_phi_past_30(capsys):
+    """1 - q^32 under the B_16 fake degree leaves Phi_32 in the denominator,
+    which the JSON reader must accept."""
+    code, out = run(capsys, "efd", "--type", "B", "--lambda", "16", "--json")
+    assert code == 0
+    from ellq.elliptic import bn_fake_closed
+    from ellq.exactq import RationalFunction
+    value = RationalFunction.from_json(json.loads(out)["value"])
+    assert value == bn_fake_closed((16,)) and value.phi_form[3][32] == -1
+
+
 @pytest.mark.parametrize("group", ["G2", "F4"])
 def test_efd_sgn_definitional(capsys, group):
     code, out = run(capsys, "--json", "efd", "--type", group, "--definitional")

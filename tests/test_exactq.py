@@ -48,11 +48,24 @@ def _trial_factored(num, den):
             f" / ({exactq._render_cyclotomic(1, denf, 'Phi2', ' ')})")
 
 
+@functools.lru_cache(maxsize=None)
+def _phi_at_most(d):
+    """Every n with phi(n) <= d, from a totient sieve up to 2 d^2 + 1, as
+    phi(n) >= sqrt(n / 2)."""
+    top = 2 * d * d + 2
+    phi = list(range(top))
+    for p in range(2, top):
+        if phi[p] == p:
+            for m in range(p, top, p):
+                phi[m] -= phi[m] // p
+    return [n for n in range(1, top) if phi[n] <= d]
+
+
 def _is_phi_product(p):
-    """Whether the nonzero p is c q^k prod Phi_n^e_n, n <= 30, by QPolynomial
-    division (`_divmod_strip`)."""
+    """Whether the nonzero p is c q^k prod Phi_n^e_n, by QPolynomial division
+    (`_divmod_strip`) by every Phi_n of degree phi(n) <= deg p."""
     p = QPolynomial(p.coeffs[p.low_degree():])
-    for n in range(1, 31):
+    for n in _phi_at_most(p.degree):
         p = _divmod_strip(p, n)[0]
     return p.degree == 0
 
@@ -157,6 +170,16 @@ _NONZERO = st.fractions(min_value=Fraction(-5), max_value=Fraction(5)).filter(la
 
 
 @st.composite
+def _phi_denominators(draw):
+    """c q^k prod Phi_n^e_n, n from Phi_1 to Phi_12 and Phi_31, e <= 2."""
+    den = QPolynomial.monomial(draw(st.integers(0, 2)), draw(_NONZERO))
+    for n, e in draw(st.dictionaries(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 31]),
+                                     st.integers(1, 2), max_size=3)).items():
+        den = den * _ref_cyclotomic(n) ** e
+    return den
+
+
+@st.composite
 def _phi_operands(draw):
     """Zero, a polynomial from the constructor, or a cyclotomic_quotient
     value whose numerator shares some Phi_n with its exponent map."""
@@ -198,7 +221,8 @@ def test_phi_arithmetic_matches_gcd_route(a, b, c):
 def test_phi_division_and_powers_invert(a, b, n):
     """/ and negative powers negate the divisor's map and factor only its
     residual: they undo * and positive powers whenever that residual is
-    c q^k prod Phi_n, n <= 30, and refuse it otherwise; ** n is n-fold *."""
+    c q^k prod Phi_n (Phi_31 included), and refuse it otherwise; ** n is
+    n-fold *."""
     assert b ** n == functools.reduce(lambda x, y: x * y, [b] * n, RF_ONE)
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -215,12 +239,12 @@ def test_phi_division_and_powers_invert(a, b, n):
 
 
 def test_denominators_that_are_no_phi_product_are_refused():
-    """The constructor and from_json refuse q^2 + q + 2 and Phi_31 as a
-    denominator, alone or next to Phi_n; inverse, / and ** -1 refuse a
-    value whose residual numerator is either of them."""
+    """The constructor and from_json refuse q^2 + q + 2 as a denominator,
+    alone or next to q, Phi_3 and Phi_31; inverse, / and ** -1 refuse a
+    value whose residual numerator is such a polynomial."""
     odd = QPolynomial.of(2, 1, 1)
-    for bad in (odd, cyclotomic(31), odd * cyclotomic(3) * QPolynomial.q()):
-        with pytest.raises(ValueError, match="no product of q and Phi_n with n <= 30"):
+    for bad in (odd, odd * cyclotomic(3) * QPolynomial.q(), odd * cyclotomic(31)):
+        with pytest.raises(ValueError, match="no product of q and Phi_n$"):
             RationalFunction(QPolynomial.one(), bad)
         with pytest.raises(ValueError):
             RationalFunction.from_json({"num": ["1"], "den": bad.to_json()})
@@ -233,26 +257,47 @@ def test_denominators_that_are_no_phi_product_are_refused():
     assert cyclotomic_quotient({31: -1}).inverse() == RationalFunction(cyclotomic(31))
 
 
+def test_phi_n_past_30_in_a_denominator_is_accepted():
+    """Every Phi_n whose degree fits is tried in a denominator, not only
+    n <= 30: the type B and D closed forms hold larger n (1 - q^32 leaves
+    Phi_32 under the B_16 fake degree), and their JSON must read back."""
+    from ellq.elliptic import bn_fake_closed, dn_fake_closed
+    big = cyclotomic(31) * cyclotomic(32) * cyclotomic(40) ** 2 * QPolynomial.q()
+    r = RationalFunction(QPolynomial.of(1, 1), big * 3)
+    assert r.phi_form[1:] == (-1, Fraction(1, 3), {31: -1, 32: -1, 40: -2})
+    assert r.inverse() == RationalFunction(big * 3, QPolynomial.of(1, 1))
+    assert RationalFunction.from_json(r.to_json()) == r
+    for v in (bn_fake_closed((16,)), bn_fake_closed((20, 20)), dn_fake_closed((15, 2))):
+        assert any(n > 30 for n, e in v.phi_form[3].items() if e < 0)
+        assert RationalFunction.from_json(v.to_json()) == v
+        assert RationalFunction(v.num, v.den) == v
+        assert v / v == RF_ONE
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=1, max_size=6),
-       st.lists(st.integers(-4, 4), min_size=1, max_size=6))
-def test_rational_function_canonical(a, b):
-    pa, pb = QPolynomial(a), QPolynomial(b)
-    if pb.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            RationalFunction(pa, pb)
-        return
-    if not _is_phi_product(pb):
-        with pytest.raises(ValueError, match="no product of q and Phi_n with n <= 30"):
-            RationalFunction(pa, pb)
-        return
-    r = RationalFunction(pa, pb)
-    assert (r.num, r.den) == _gcd_reduce(pa, pb)
-    assert r.den.leading == 1
-    assert poly_gcd(r.num, r.den).degree <= 0 or r.num.is_zero()
-    # re-reducing is a fixed point
-    again = RationalFunction(r.num, r.den)
-    assert again == r
+       st.lists(st.integers(-4, 4), min_size=1, max_size=6), _phi_denominators())
+def test_rational_function_canonical(a, b, phi_den):
+    """Over a Phi-product denominator, and over it times an arbitrary b: the
+    constructor reaches the gcd-reduced form, and refuses a b that is no
+    Phi-product (and a zero b)."""
+    pa = QPolynomial(a)
+    for pb in (phi_den, phi_den * QPolynomial(b)):
+        if pb.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                RationalFunction(pa, pb)
+            continue
+        if not _is_phi_product(pb):
+            with pytest.raises(ValueError, match="no product of q and Phi_n$"):
+                RationalFunction(pa, pb)
+            continue
+        r = RationalFunction(pa, pb)
+        assert (r.num, r.den) == _gcd_reduce(pa, pb)
+        assert r.den.leading == 1
+        assert poly_gcd(r.num, r.den).degree <= 0 or r.num.is_zero()
+        # re-reducing is a fixed point
+        again = RationalFunction(r.num, r.den)
+        assert again == r
 
 
 def test_evaluation_and_field_ops():
@@ -434,8 +479,8 @@ def test_carried_rendering_matches_trial_division(phi, k, c, base, v, data):
     """factored() read from the Phi-exponents, with the residual numerator
     trial-divided, prints what trial division of the whole gcd-reduced value
     prints.  The residual shares some Phi_n with the map, on either side,
-    and Phi_n past 30 fall into the remainders; the constructor refuses a
-    denominator with such a Phi_n and otherwise reaches the same value."""
+    and Phi_n past 30 fall into the remainders of the rendering; the
+    constructor reaches the same value, such Phi_n included."""
     num = QPolynomial.monomial(v) * QPolynomial(base)
     for n in sorted(phi):
         num = num * _ref_cyclotomic(n) ** data.draw(st.integers(0, 2), label=f"Phi{n}")
@@ -448,11 +493,7 @@ def test_carried_rendering_matches_trial_division(phi, k, c, base, v, data):
             den = den * _ref_cyclotomic(n) ** -e
     got = cyclotomic_quotient(phi, k, c, num)
     assert got.factored() == _trial_factored(*_gcd_reduce(top, den))
-    if all(n <= 30 for n, e in phi.items() if e < 0):
-        assert RationalFunction(top, den) == got
-    else:
-        with pytest.raises(ValueError):
-            RationalFunction(top, den)
+    assert RationalFunction(top, den) == got
 
 
 # -- the integer-first coefficient kernel against an all-Fraction reference --
@@ -514,8 +555,8 @@ _poly = st.lists(_coeff, max_size=6).map(QPolynomial)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_poly, _poly)
-def test_integer_kernel_matches_fraction_reference(p, d):
+@given(_poly, _poly, _phi_denominators())
+def test_integer_kernel_matches_fraction_reference(p, d, phi_den):
     a, b = _ref(p), _ref(d)
     results = [p, d, p + d, p - d, p * d, p.monic(), poly_gcd(p, d)]
     assert _ref(p + d) == _ref_add(a, b)
@@ -527,16 +568,20 @@ def test_integer_kernel_matches_fraction_reference(p, d):
         quo, rem = divmod(p, d)
         assert (_ref(quo), _ref(rem)) == _ref_divmod(a, b)
         results += [quo, rem]
-        if not _is_phi_product(d):
+    # the constructor over a Phi-product denominator, and over an arbitrary d
+    for den_poly in (phi_den, phi_den * d):
+        if den_poly.is_zero():
+            continue
+        if not _is_phi_product(den_poly):
             with pytest.raises(ValueError):
-                RationalFunction(p, d)
-        else:
-            r = RationalFunction(p, d)
-            g = _ref_gcd(a, b)
-            num, den = _ref_divmod(a, g)[0], _ref_divmod(b, g)[0]
-            assert _ref(r.num) == ([c / den[-1] for c in num] if num else [])
-            assert _ref(r.den) == (_ref_monic(den) if num else [1])
-            results += [r.num, r.den]
+                RationalFunction(p, den_poly)
+            continue
+        r = RationalFunction(p, den_poly)
+        g = _ref_gcd(a, _ref(den_poly))
+        num, den = _ref_divmod(a, g)[0], _ref_divmod(_ref(den_poly), g)[0]
+        assert _ref(r.num) == ([c / den[-1] for c in num] if num else [])
+        assert _ref(r.den) == (_ref_monic(den) if num else [1])
+        results += [r.num, r.den]
     assert all(_canonical(x) for x in results)
 
 
