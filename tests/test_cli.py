@@ -42,23 +42,16 @@ def test_efd_b(capsys):
 
 
 def test_efd_json_round_trip(capsys):
-    code, out = run(capsys, "efd", "--type", "B", "--n", "2", "--lambda", "1,1", "--json")
-    assert code == 0
-    data = json.loads(out)
+    """The --json value reads back, also with Phi_n past 30 in its
+    denominator: 1 - q^32 leaves Phi_32 under the B_16 fake degree."""
     from ellq.elliptic import bn_fake_closed
     from ellq.exactq import RationalFunction
-    assert RationalFunction.from_json(data["value"]) == bn_fake_closed((1, 1))
-
-
-def test_efd_json_round_trip_with_phi_past_30(capsys):
-    """1 - q^32 under the B_16 fake degree leaves Phi_32 in the denominator,
-    which the JSON reader must accept."""
-    code, out = run(capsys, "efd", "--type", "B", "--lambda", "16", "--json")
-    assert code == 0
-    from ellq.elliptic import bn_fake_closed
-    from ellq.exactq import RationalFunction
-    value = RationalFunction.from_json(json.loads(out)["value"])
-    assert value == bn_fake_closed((16,)) and value.phi_form[3][32] == -1
+    for lam in ((1, 1), (16,)):
+        code, out = run(capsys, "efd", "--type", "B", "--n", str(sum(lam)), "--lambda",
+                        ",".join(map(str, lam)), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert RationalFunction.from_json(data["value"]) == bn_fake_closed(lam)
 
 
 @pytest.mark.parametrize("group", ["G2", "F4"])
