@@ -57,15 +57,15 @@ def ring_reduce(terms, m: int) -> list:
     return out
 
 
-def ring_sum(products, m: int, conj: bool = False) -> dict[int, int]:
-    """sum c a b, or sum c a conj(b) when conj, over the triples (c, a, b) of
-    an int and two elements of Z[Z/m], unreduced as {k: coefficient}."""
-    sign = -1 if conj else 1
+def ring_sum(products, m: int) -> dict[int, int]:
+    """sum c a conj(b) over the triples (c, a, b) of an int and two elements
+    of Z[Z/m], unreduced as {k: coefficient}: each Fourier entry, and each
+    pair of rows of a Gram check (`groups.gram_mismatch`) that is not all int."""
     total: dict[int, int] = {}
     for c, a, b in products:
         for ka, ca in a:
             for kb, cb in b:
-                k = (ka + sign * kb) % m
+                k = (ka - kb) % m
                 total[k] = total.get(k, 0) + c * ca * cb
     return total
 

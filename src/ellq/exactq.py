@@ -24,9 +24,9 @@ display, is read from the map and strips Phi_1, ..., Phi_30 (as far as the
 E8 tables go) from the residual only.  Every Phi_n is stripped by
 ``strip_phi``, on coefficient lists: an integer screen at q = 2, then an
 exact test mod q^n - 1, and only then a division.  The screen reads deg
-Phi_n and Phi_n(2) off the steps q^d - 1 of Phi_n, so Phi_n is expanded
-only once a screen passes.  ``phi_product`` multiplies every product of
-Phi_n into a coefficient list from those sparse steps.
+Phi_n and Phi_n(2) from q^n - 1 = prod Phi_d over d | n, so Phi_n is
+expanded only once a screen passes.  ``phi_product`` multiplies every
+product of Phi_n into a coefficient list from its sparse steps q^d - 1.
 
 ``rref`` is the one Gauss-Jordan elimination over Q, for inverses and
 linear solves.  Ranks come from ``integer_rank``: the rank modulo a prime,
@@ -422,15 +422,14 @@ def _phi_indices(d: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _phi_screen(n: int) -> tuple[int, int]:
-    """deg Phi_n and Phi_n(2), read off its steps q^d - 1 with no expansion."""
-    steps = _qpow_steps({n: 1})
-    top = bottom = 1
-    for d, e in enumerate(steps):
-        if e > 0:
-            top *= ((1 << d) - 1) ** e
-        elif e < 0:
-            bottom *= ((1 << d) - 1) ** -e
-    return sum(map(mul, range(len(steps)), steps)), top // bottom
+    """deg Phi_n and Phi_n(2), with no expansion: q^n - 1 is the product of
+    the Phi_d over d | n, so both come from the proper divisors' values."""
+    deg, at2 = n, (1 << n) - 1
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            e, v = _phi_screen(d)
+            deg, at2 = deg - e, at2 // v
+    return deg, at2
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,12 +15,11 @@ import functools
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from operator import lshift, mul
 from typing import NamedTuple, Sequence, Union
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import RF_ONE, RF_ZERO, RationalFunction
-from .groups import CharacterTable, ConjClass, FiniteGroup, permutation_group
+from .groups import CharacterTable, ConjClass, FiniteGroup, gram_mismatch, permutation_group
 from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
 
 SUPPORTED_GAMMAS = ("trivial", "Z2", "Z2^2", "Z2^3", "Z2^4", "S3", "S4", "S5")
@@ -191,8 +190,7 @@ def fourier_matrix(gamma_name: str) -> FourierBlock:
                     if sa and sb:
                         t = sum(c * sa[u] * sb[v] for (u, v), c in counts)
                     else:
-                        total = ring_sum(((c, ta[u], tb[v]) for (u, v), c in counts), m,
-                                         conj=True)
+                        total = ring_sum(((c, ta[u], tb[v]) for (u, v), c in counts), m)
                         coords = ring_reduce(total.items(), m)
                         t = coords[0]
                         if any(coords[1:]):
@@ -212,46 +210,24 @@ def fourier_matrix(gamma_name: str) -> FourierBlock:
 
 def _check_block(block: FourierBlock) -> None:
     """Exact symmetry, realness, and the involution property M^2 = 1, checked
-    on the integer matrix N = D M of the build: N is symmetric and real, and
-    N N = D^2 I.  Rational rows pair as int sums; a pair of rows with an
-    irrational entry, pairs (k, c) of Z[Z/m], is summed in Z[Z/m] and
-    reduced mod Phi_m once."""
+    on the integer matrix N = D M of the build: N N = D^2 I.  N symmetric
+    makes column j row j, and N real makes conjugation leave each entry's
+    reduction as it is, so N N is the Gram matrix of the rows of N
+    (`groups.gram_mismatch`, which checks every character table too)."""
     rows, d, m = block.scaled, block.scale, block.conductor
     n = len(rows)
-    integral = [all(type(v) is int for v in row) for row in rows]
     for i, row in enumerate(rows):
         for j in range(i + 1, n):
             a, b = row[j], rows[j][i]
             if a != b and (type(a) is type(b) is int or ring_reduce(ring_terms(a, m), m)
                            != ring_reduce(ring_terms(b, m), m)):
                 raise RuntimeError("Fourier matrix not symmetric")
-        for v in () if integral[i] else row:
+        for v in row:
             if type(v) is tuple and ring_reduce(((-k % m, c) for k, c in v), m) \
                     != ring_reduce(v, m):
                 raise RuntimeError("Fourier matrix not real")
-    # The rational rows pair all at once.  Column k of N on them is packed
-    # into one int, rational row j_p in the w bits from w p on, so that
-    # sum_k N[i][k] packed[k] holds (N N)[i][j_p] in slot p.  No slot value
-    # reaches 2^(w-1) in size, so the sum is D^2 in the slot of i alone
-    # exactly when these entries of N N are those of D^2 I.
-    rational = [i for i in range(n) if integral[i]]
-    big = max((max(map(abs, rows[i])) for i in rational), default=0)
-    w = max(n * big * big, d * d).bit_length() + 1
-    shifts = range(0, w * len(rational), w)
-    packed = [sum(map(lshift, col, shifts)) for col in zip(*(rows[j] for j in rational))]
-    for p, i in enumerate(rational):
-        if sum(map(mul, rows[i], packed)) != d * d << w * p:
-            raise RuntimeError("Fourier matrix not an involution")
-    if len(rational) == n:
-        return
-    terms = [[ring_terms(v, m) for v in row] for row in rows]
-    for i in range(n):
-        for j in range(i, n):
-            if not (integral[i] and integral[j]):
-                # N is symmetric, so column j of N is row j
-                acc = ring_sum(zip([1] * n, terms[i], terms[j]), m)
-                if ring_reduce(acc.items(), m) != ring_reduce([(0, d * d * (i == j))], m):
-                    raise RuntimeError("Fourier matrix not an involution")
+    if gram_mismatch(rows, [1] * n, d * d, m) is not None:
+        raise RuntimeError("Fourier matrix not an involution")
 
 
 def special_column_entry(gamma_name: str, y_pair, rho1_pair) -> Fraction:

@@ -14,15 +14,15 @@ basis; every later space is mapped through a class matrix with its basis
 packed coordinate by coordinate into ints (`_mat_vecs`) and solved for
 coordinates in its own span, which checks that the space is invariant.
 Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
-zeta_d^s, d the order of g), for every row at once: each column of the
-table mod p is packed into one int, row r in its own slot.  Galois-stable
-ones, m_s = m_{ks} for every unit k mod d, give a rational value: the
-centred lift of chi(g) mod p, a plain int, as every Weyl group value is.  The others, in some centralizers
-in Gamma, are sums of roots of unity in Z[Z/exponent], reduced once by
-`cyclo.ring_reduce`; only a value that stays irrational is built as a
-`CycNum`.  The full orthogonality relations are then verified exactly, in
-integers and in Z[Z/m]; any failure is a hard error, and no approximate
-table is ever returned.
+zeta_d^s, d the order of g), for every row at once, by the same packed
+product.  Galois-stable ones, m_s = m_{ks} for every unit k mod d, give a
+rational value: the centred lift of chi(g) mod p, a plain int, as every
+Weyl group value is.  The others, in some centralizers in Gamma, are sums
+of roots of unity in Z[Z/exponent], reduced once by `cyclo.ring_reduce`;
+only a value that stays irrational is built as a `CycNum`.  The
+orthogonality relations are then verified exactly by `gram_mismatch`, the
+one Gram check, which `fourier` runs on its blocks too; any failure is a
+hard error, and no approximate table is ever returned.
 
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
@@ -429,35 +429,28 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
         rows_fp.append([chi1 * x * y % p for x, y in zip(w, size_inv)])
 
     # lift each value chi(g) = sum_s m_s zeta_d^s, d the order of g, through
-    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk}.
-    # Column c of the table mod p is packed into one int, row r in the b bits
-    # from b r on, so that sum_k packed[g^k] (omega_d^{-sk} / d mod p) holds
-    # every row's m_s mod p in its slot: no slot reaches d p^2 < 2^b.
+    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk},
+    # for every row at once: one packed product (`_mat_vecs`) of the d x d
+    # matrix (omega_d^{-sk} / d mod p) with the rows read along the powers of g
     omega = pow(primitive_root(p), (p - 1) // exponent, p)
     power_class = _power_map(group, classes, class_of)
-    b = (exponent * p * p).bit_length()
-    mask = (1 << b) - 1
-    shifts = range(0, b * len(rows_fp), b)
-    packed = [sum(map(lshift, col, shifts)) for col in zip(*rows_fp)]
-    degrees = [row[0] for row in rows_fp]  # in 1..sqrt|G|, below p/2
-    half = p // 2
+    cols = list(zip(*rows_fp))  # cols[0] holds the degrees, in 1..sqrt|G|
     columns = []
-    for j, (c, col) in enumerate(zip(classes, zip(*rows_fp))):
+    for c, col, powers in zip(classes, cols, power_class):
         d = c.order
         om_d, dinv = pow(omega, exponent // d, p), pow(d, -1, p)
-        powers = [packed[k] for k in power_class[j]]
-        sums = [sum(pow(om_d, -s * k % d, p) * dinv % p * x for k, x in enumerate(powers))
-                for s in range(d)]
-        ms = [[(t >> sh & mask) % p for sh in shifts] for t in sums]
+        dft = [[pow(om_d, -s * k % d, p) * dinv % p for k in range(d)] for s in range(d)]
+        mults = _mat_vecs(dft, list(zip(*map(cols.__getitem__, powers))), p)
         # m_s mod p, read in 0..p-1, is at most chi(1) < p/2 exactly when
         # its centred lift lies in 0..chi(1)
-        if not all(all(map(le, m, degrees)) for m in ms):
+        if not all(map(le, map(max, mults), cols[0])):
             raise RuntimeError("eigenvalue multiplicity lift out of range")
         # Galois-stable multiplicities, m_s = m_{gcd(s, d)}, give an integer
         # value, and |chi(g)| <= chi(1) < p/2 makes it the centred lift
-        column = [x if x <= half else x - p for x in col]
+        column = [x if 2 * x < p else x - p for x in col]
+        ms = list(zip(*mults))
         if not all(m == ms[gcd(s, d) % d] for s, m in enumerate(ms)):
-            for r, mr in enumerate(zip(*ms)):
+            for r, mr in enumerate(mults):
                 if any(m != mr[gcd(s, d) % d] for s, m in enumerate(mr)):
                     terms = {s * (exponent // d): m for s, m in enumerate(mr) if m}
                     coords = ring_reduce(terms.items(), exponent)
@@ -503,40 +496,46 @@ def row_order(rows) -> list[int]:
 
 
 def _verify_table(table: CharacterTable) -> None:
-    """Exact first/second orthogonality; raises on any failure."""
-    kk = len(table.classes)
-    n = table.n_irreps
-    if n != kk:
+    """Row orthogonality (`gram_mismatch`), hence column orthogonality too, as
+    the table is square; raises on any failure."""
+    if table.n_irreps != len(table.classes):
         raise RuntimeError("wrong number of irreducibles")
-    order = table.order
-    m = table.conductor
     if not all(isinstance(v, int) and v == 1 for v in table.values[0]):
         raise RuntimeError("first row is not the trivial character")
-    rows = table.values
-    sizes = [c.size for c in table.classes]
+    ab = gram_mismatch(table.values, [c.size for c in table.classes], table.order, table.conductor)
+    if ab is not None:
+        raise RuntimeError("row orthogonality fails for rows %d,%d" % ab)
+
+
+def gram_mismatch(rows, weights, norm: int, m: int) -> Optional[tuple[int, int]]:
+    """The first pair a <= b of rows with sum_k weights[k] rows[a][k]
+    conj(rows[b][k]) != norm delta_ab (weights >= 0), or None: the Gram check
+    of every character table and Fourier block.  Entries are ints, CycNums
+    or pairs (k, c) of Z[Z/m].  The all-int rows pair at once: column k,
+    weighted, is packed into one int, row b_t in the w bits from w t on, so
+    sum_k rows[a][k] packed[k] holds entry (a, b_t) in slot t, off from norm
+    delta by less than 2^w; any other pair is summed in Z[Z/m] and reduced
+    mod Phi_m once."""
+    n = len(rows)
     integral = [all(type(v) is int for v in row) for row in rows]
-    # The rational rows (every row of a Weyl group) pair all at once.  Column
-    # k, weighted by its class size, is packed into one int, rational row b_p
-    # in the w bits from w p on, so that sum_k chi_a(k) packed[k] holds
-    # <chi_a, chi_b_p> |W| in slot p.  No slot value reaches |W| max|chi|^2,
-    # under 2^(w-2) in size, so the sum is |W| in the slot of a alone exactly
-    # when these rows are orthonormal.
-    rational = [a for a in range(n) if integral[a]]
-    big = max(max(map(abs, rows[a])) for a in rational)
-    w = (order * big * big).bit_length() + 2
-    shifts = range(0, w * len(rational), w)
-    packed = [size * sum(map(lshift, col, shifts))
-              for size, col in zip(sizes, zip(*(rows[b] for b in rational)))]
-    for p, a in enumerate(rational):
-        if sum(map(mul, rows[a], packed)) != order << w * p:
-            b = next(b for b in rational if order * (a == b)
-                     != sum(x * y * c for x, y, c in zip(rows[a], rows[b], sizes)))
-            raise RuntimeError(f"row orthogonality fails for rows {min(a, b)},{max(a, b)}")
-    # a pair with an irrational value pairs in Z[Z/m], reduced mod Phi_m once
-    lifted = [] if all(integral) else [[ring_terms(v, m) for v in row] for row in rows]
+    ints = [a for a in range(n) if integral[a]]
+    big = max((max(map(abs, rows[a]), default=0) for a in ints), default=0)
+    w = max(sum(weights) * big * big, norm).bit_length() + 1
+    shifts = range(0, w * len(ints), w)
+    packed = [c * sum(map(lshift, col, shifts))
+              for c, col in zip(weights, zip(*(rows[b] for b in ints)))]
+    for t, a in enumerate(ints):
+        if sum(map(mul, rows[a], packed)) != norm << w * t:
+            b = next(b for b in ints if norm * (a == b)
+                     != sum(x * y * c for x, y, c in zip(rows[a], rows[b], weights)))
+            return min(a, b), max(a, b)
+    if len(ints) == n:
+        return None
+    terms = [[ring_terms(v, m) for v in row] for row in rows]
     for a in range(n):
         for b in range(a, n):
             if not (integral[a] and integral[b]):
-                total = ring_sum(zip(sizes, lifted[a], lifted[b]), m, conj=True)
-                if ring_reduce(total.items(), m) != ring_reduce(((0, order * (a == b)),), m):
-                    raise RuntimeError(f"row orthogonality fails for rows {a},{b}")
+                total = ring_sum(zip(weights, terms[a], terms[b]), m)
+                if ring_reduce(total.items(), m) != ring_reduce(((0, norm * (a == b)),), m):
+                    return a, b
+    return None

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ellq.cyclo import CycNum, _zeta_power_basis, ring_reduce, ring_terms
+from ellq.cyclo import CycNum, _zeta_power_basis, ring_reduce, ring_sum, ring_terms
 from ellq.exactq import QPolynomial, cyclotomic
 
 DIVISORS_OF_60 = [m for m in range(1, 61) if 60 % m == 0]
@@ -40,6 +40,30 @@ def test_ring_reduce_matches_division_and_cycnum(m):
         for k, c in terms:
             num = num + CycNum.zeta_pow(m, k, c)
         assert list(num.reduced()) == coords
+
+
+
+def _random_element(rng, m):
+    """Pairs (k, c) of Z[Z/m], k possibly repeated, and the CycNum they sum to."""
+    terms = [(rng.randrange(m), rng.randint(-9, 9)) for _ in range(rng.randint(0, 5))]
+    num = CycNum.zero(m)
+    for k, c in terms:
+        num = num + CycNum.zeta_pow(m, k, c)
+    return terms, num
+
+
+@pytest.mark.parametrize("m", DIVISORS_OF_60)
+def test_ring_sum_is_the_hermitian_pairing(m):
+    # sum c a conj(b), reduced, against CycNum's product with the conjugate
+    rng = random.Random(100 + m)
+    for _ in range(20):
+        triples, ref = [], CycNum.zero(m)
+        for _ in range(rng.randint(0, 4)):
+            c = rng.randint(-5, 5)
+            (a, x), (b, y) = _random_element(rng, m), _random_element(rng, m)
+            triples.append((c, a, b))
+            ref = ref + x * y.conj() * c
+        assert ring_reduce(ring_sum(triples, m).items(), m) == list(ref.reduced())
 
 
 def test_ring_terms_lifts_to_the_larger_conductor():

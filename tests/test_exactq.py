@@ -267,7 +267,8 @@ def test_phi_n_past_30_in_a_denominator_is_accepted():
     assert r.phi_form[1:] == (-1, Fraction(1, 3), {31: -1, 32: -1, 40: -2})
     assert r.inverse() == RationalFunction(big * 3, QPolynomial.of(1, 1))
     assert RationalFunction.from_json(r.to_json()) == r
-    for v in (bn_fake_closed((16,)), bn_fake_closed((20, 20)), dn_fake_closed((15, 2))):
+    for v in (bn_fake_closed((16,)), bn_fake_closed((20, 20)), bn_fake_closed((40,)),
+              dn_fake_closed((15, 2))):
         assert any(n > 30 for n, e in v.phi_form[3].items() if e < 0)
         assert RationalFunction.from_json(v.to_json()) == v
         assert RationalFunction(v.num, v.den) == v
@@ -735,7 +736,7 @@ def test_phi_sum_keeps_the_shared_factors_in_its_map():
 
 
 def test_phi_screen_reads_degree_and_value_at_two():
-    for n in range(1, 61):
+    for n in range(1, 421):
         assert exactq._phi_screen(n) == (cyclotomic(n).degree, cyclotomic(n).evaluate(2)), n
 
 
