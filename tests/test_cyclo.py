@@ -42,7 +42,6 @@ def test_ring_reduce_matches_division_and_cycnum(m):
         assert list(num.reduced()) == coords
 
 
-
 def _random_element(rng, m):
     """Pairs (k, c) of Z[Z/m], k possibly repeated, and the CycNum they sum to."""
     terms = [(rng.randrange(m), rng.randint(-9, 9)) for _ in range(rng.randint(0, 5))]
