@@ -75,6 +75,9 @@ def _appendix_raw() -> dict:
                 need(type(N.get(k)) is int, f"{row}.N.{k}")
             need(isinstance(N["aux"], list) and all(
                 isinstance(a, str) and a in raw["aux"] for a in N["aux"]), f"{row}.N.aux")
+    for group in ("G2", "F4", "E6", "E7", "E8"):
+        for key in ("cyc", "tables"):
+            need(group in raw[key], f"{key}.{group}")
     return raw
 
 

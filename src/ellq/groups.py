@@ -10,9 +10,11 @@ characteristic polynomial, computed through Hessenberg form in O(n^3) for
 any p, and found by evaluating it at every point of F_p: p is a few
 thousand at most (13 for G2, 73 for F4).
 The first split reads the first class matrix as it stands, on the standard
-basis; every later space is mapped through a class matrix with its basis
-packed coordinate by coordinate into ints (`_mat_vecs`) and solved for
-coordinates in its own span, which checks that the space is invariant.
+basis.  Every eigenbasis is kept reduced, 1 at its own pivot and 0 at the
+others, so a later split maps the basis through a class matrix, packed
+coordinate by coordinate into ints (`_mat_vecs`), reads the coordinates of
+the images at the pivots, and checks with one more product that the space
+is invariant.
 Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
 zeta_d^s, d the order of g), for every row at once, by the same packed
 product.  Galois-stable ones, m_s = m_{ks} for every unit k mod d, give a
@@ -39,12 +41,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import le, lshift, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
-from .exactq import nullspace_mod, rref_mod
+from .exactq import nullspace_mod
 
 
 # the most elements any enumeration may produce
@@ -214,11 +216,7 @@ class FiniteGroup:
                                     bound=self.order, key=self.key)
 
     def exponent(self) -> int:
-        from math import lcm
-        e = 1
-        for c in self.conjugacy_classes():
-            e = lcm(e, c.order)
-        return e
+        return lcm(*(c.order for c in self.conjugacy_classes()))
 
     # -- character table -----------------------------------------------------
 
@@ -322,20 +320,6 @@ def _roots_mod(f, p):
     return [x for x, v in enumerate(values) if v == 0]
 
 
-def _solve_in_span(basis_cols, targets, p):
-    """Express each target vector in the span of basis_cols; returns the
-    coefficient matrix R with target_j = sum_i R[i][j] basis_i."""
-    d = len(basis_cols)
-    aug = [[b[row] for b in basis_cols] + [tv[row] for tv in targets]
-           for row in range(len(basis_cols[0]))]
-    m, pivots = rref_mod(aug, d, p)
-    if len(pivots) < d:
-        raise ValueError("basis columns not independent")
-    if any(x % p for row in m[d:] for x in row[d:]):
-        raise ValueError("target not in span")
-    return [row[d:] for row in m[:d]]
-
-
 # ---------------------------------------------------------------------------
 # Dixon's algorithm
 
@@ -384,38 +368,49 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
     p = _dixon_prime(group.order, exponent, min_above=max(kk, exponent) + 1)
     inv_class = [class_of[group.inv(c.rep)] for c in classes]
 
-    # common one-dimensional eigenspaces of the class matrices over F_p; on
-    # the standard basis A_i is its own coordinate matrix
-    standard = [_unit_vec(kk, i) for i in range(kk)]
-    spaces = [standard]
+    # common one-dimensional eigenspaces of the class matrices over F_p, each
+    # with its pivots: vector t is 1 at piv[t] and 0 at the other pivots, so a
+    # vector of the span has its coordinates there.  On the standard basis A_i
+    # is its own coordinate matrix
+    standard = [[int(j == i) for j in range(kk)] for i in range(kk)]
+    spaces = [(standard, range(kk))]
     # classes in ascending size build the cheapest class matrices: F4 splits
     # with 14 of them (6,875 products), against 21,000 products by descending size
     for i in range(1, kk):
-        if all(len(s) == 1 for s in spaces):
+        if all(len(s) == 1 for s, _ in spaces):
             break
         ai = _class_matrix(group, classes, class_of, inv_class[i], p)
         new_spaces = []
-        for s in spaces:
+        for s, piv in spaces:
             if len(s) == 1:
-                new_spaces.append(s)
+                new_spaces.append((s, piv))
                 continue
-            r = ai if s is standard else _solve_in_span(s, _mat_vecs(ai, s, p), p)
             cols = list(zip(*s))
+            if s is standard:
+                r = ai
+            else:
+                images = _mat_vecs(ai, s, p)
+                r = [[v[k] for v in images] for k in piv]
+                if _mat_vecs(cols, list(zip(*r)), p) != images:
+                    raise RuntimeError("eigenspace not invariant under a class matrix")
             for lam in _roots_mod(_charpoly_mod(r, p), p):
                 rm = [[(x - lam) % p if a_ == b_ else x for b_, x in enumerate(row)]
                       for a_, row in enumerate(r)]
+                # kernel vector f is 1 at its free column f, its last nonzero
+                # entry, and 0 at the other free ones: its image is reduced
                 null = nullspace_mod(rm, len(rm), p)
                 if null:
-                    new_spaces.append(null if s is standard else _mat_vecs(cols, null, p))
+                    new_spaces.append((null if s is standard else _mat_vecs(cols, null, p),
+                                       [piv[max(k for k, x in enumerate(v) if x)] for v in null]))
         spaces = new_spaces
-    if not all(len(s) == 1 for s in spaces) or len(spaces) != kk:
+    if not all(len(s) == 1 for s, _ in spaces) or len(spaces) != kk:
         raise RuntimeError("character table eigenspace splitting failed")
 
     # normalize: w[identity] = 1, then recover chi(1) and the values mod p
     size_inv = [pow(c.size, -1, p) for c in classes]
     bound = isqrt(group.order)
     rows_fp = []
-    for (w,) in spaces:
+    for (w,), _ in spaces:
         if w[0] % p == 0:
             raise RuntimeError("eigenvector vanishes at the identity class")
         scale = pow(w[0], -1, p)
@@ -461,12 +456,6 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
                            exponent)
     _verify_table(table)
     return table
-
-
-def _unit_vec(n, i):
-    v = [0] * n
-    v[i] = 1
-    return v
 
 
 def _power_map(group, classes, class_of):

@@ -652,6 +652,15 @@ def _fixtures_row(n: str) -> str:
             f'"phi": "1", "N": {n}}}]}}}}')
 
 
+def _packaged_without(section: str, group: str) -> str:
+    """The packaged tables file with no entry for group in section."""
+    from importlib import resources
+    with resources.files("ellq.data").joinpath("appendix_tables.json").open() as fh:
+        data = json.load(fh)
+    del data[section][group]
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("content, key", [
     ("[1, 2]", ""), ("7", ""), ('{"cyc": []}', "cyc"), ('{"cyc": {"G2": 5}}', "cyc"),
     ("{}", "cyc"), ("not json", ""), (_fixtures_row("5"), "tables.G2[0]"),
@@ -665,9 +674,10 @@ def _fixtures_row(n: str) -> str:
     (_fixtures_row('{"phi": {}, "qpow": 0}'), "tables.G2[0].N.sign"),
     (_fixtures_row('{"phi": {}, "qpow": 0, "sign": 1, "scalar": "2"}'),
      "tables.G2[0].N.scalar"),
+    (_packaged_without("tables", "G2"), "tables.G2"), (_packaged_without("cyc", "E7"), "cyc.E7"),
 ], ids=["list", "number", "cyc-list", "cyc-entry", "empty", "not-json", "row-N",
         "cyc-leaf", "cyc-key", "aux-entry", "aux-ref-int", "aux-ref-missing", "N-phi",
-        "N-qpow", "N-sign", "N-scalar"])
+        "N-qpow", "N-sign", "N-scalar", "no-tables-G2", "no-cyc-E7"])
 def test_malformed_fixtures_file_exit_2(capsys, tmp_path, content, key):
     from ellq.fixtures import set_fixtures_dir
     file = tmp_path / "appendix_tables.json"

@@ -397,8 +397,9 @@ def test_nullspace_mod_is_the_reduced_kernel(p, shape, zero):
     for v, f in zip(basis, free):
         assert len(v) == ncols and all(0 <= x < p for x in v)
         assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in rows)
-        # 1 at its own free column, 0 at the others
+        # 1 at its own free column, 0 at the others, and 0 after it
         assert [v[g] for g in free] == [int(g == f) for g in free]
+        assert max(k for k, x in enumerate(v) if x) == f
 
 
 def test_integer_rank_of_nothing_and_of_zero_columns():

@@ -9,7 +9,7 @@ import ellq
 from ellq.cyclo import CycNum
 from ellq.exactq import nullspace_mod
 from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
-                         _mat_vecs, _roots_mod, _solve_in_span, _verify_table,
+                         _mat_vecs, _roots_mod, _verify_table,
                          isprime, permutation_group, primitive_root)
 from ellq.fourier import SUPPORTED_GAMMAS, _centralizers, small_group
 from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_key, signed_perm,
@@ -41,20 +41,13 @@ def test_smallest_primitive_roots():
     assert [primitive_root(p) for p in (7, 23, 41, 71)] == [3, 5, 6, 7]
 
 
-def test_mod_p_nullspace_and_span_solve():
+def test_mod_p_nullspace():
     p = 7
     # rank 2 over F_7: row 3 = row 1 + row 2
     a = [[1, 2, 3], [0, 1, 4], [1, 3, 0]]
     (v,) = nullspace_mod(a, 3, p)
     assert v == [5, 3, 1]
     assert all(sum(x * y for x, y in zip(row, v)) % p == 0 for row in a)
-    basis = [[1, 0, 2], [0, 1, 3]]
-    targets = [[2, 3, (2 * 2 + 3 * 3) % p], [1, 6, (2 + 18) % p]]
-    assert _solve_in_span(basis, targets, p) == [[2, 1], [3, 6]]
-    with pytest.raises(ValueError, match="not in span"):
-        _solve_in_span(basis, [[0, 0, 1]], p)
-    with pytest.raises(ValueError, match="not independent"):
-        _solve_in_span([[1, 0, 2], [2, 0, 4]], targets, p)
 
 
 def _poly_mul_mod(a, b, p):
@@ -360,6 +353,44 @@ def test_f4_split_builds_fourteen_class_matrices(monkeypatch):
     assert len(grp.character_table().values) == 25
     assert len(calls) == 14
     assert sum(grp.conjugacy_classes()[istar].size * 25 for istar in calls) == 6875
+
+
+def _diagonal(*values):
+    """A stand-in for `_class_matrix` that returns diag(values) mod p."""
+    return lambda group, classes, class_of, istar, p: [
+        [v % p * (j == k) for k in range(len(values))] for j, v in enumerate(values)]
+
+
+def _class_matrices(*stand_ins):
+    """A stand-in for `_class_matrix` that asks each stand-in in turn."""
+    calls = iter(stand_ins)
+    return lambda *args: next(calls)(*args)
+
+
+def _power_map_to_last_power(power_map):
+    """`_power_map` with every power of g put in the class of g^(d-1)."""
+    return lambda *args: [[row[-1]] * len(row) for row in power_map(*args)]
+
+
+# S3 has 3 classes and p = 13: the identity, 3 transpositions, 2 3-cycles
+@pytest.mark.parametrize("attr, stand_in, message", [
+    # nothing splits
+    ("_class_matrix", lambda: _diagonal(0, 0, 0), "eigenspace splitting failed"),
+    # the span of e_0 and e_1, split off first, is not invariant under the ones matrix
+    ("_class_matrix", lambda: _class_matrices(_diagonal(0, 0, 1), lambda *a: [[1] * 3] * 3),
+     "eigenspace not invariant"),
+    # the eigenvector of 0 is e_2
+    ("_class_matrix", lambda: _diagonal(2, 1, 0), "vanishes at the identity class"),
+    # the eigenvector of 0 is e_0, which gives chi(1)^2 = 6 mod 13: no square
+    ("_class_matrix", lambda: _diagonal(0, 1, 2), "degree lift out of range"),
+    # the sign character read as -1 at the identity power too: m_0 = -1
+    ("_power_map", lambda: _power_map_to_last_power(ellq.groups._power_map),
+     "multiplicity lift out of range"),
+], ids=["split", "invariant", "identity", "degree", "multiplicity"])
+def test_every_dixon_guard_fires(monkeypatch, attr, stand_in, message):
+    monkeypatch.setattr(ellq.groups, attr, stand_in())
+    with pytest.raises(RuntimeError, match=message):
+        small_group.__wrapped__("S3").character_table()
 
 
 @st.composite
