@@ -35,7 +35,7 @@ def parahoric_types(base: str) -> tuple[str, list[tuple[GroupSpec, ...]]]:
     family, rank = base[:1], base[1:]
     if family not in ("A", "B", "C"):
         raise NotImplementedError(f"no affine diagram for {base!r}")
-    if not rank.isdigit() or int(rank) < 1:
+    if not (rank.isascii() and rank.isdigit()) or int(rank) < 1:
         raise ValueError(f"affine {base}: the rank must be a positive integer")
     n = int(rank)
     if family == "A" or n == 1:

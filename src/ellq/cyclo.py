@@ -1,11 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
-The hot paths (Dixon's irrational values, the orthogonality check of a
-character table, the Fourier blocks and their check) work in the integer
-group ring Z[Z/m]: an element is a sparse sequence of pairs (k, c), meaning
-sum c zeta_m^k with int c.  `ring_reduce` takes one to its coordinates in
-the power basis of Q(zeta_m), ints again since Phi_m is monic; it is the
-only reduction modulo Phi_m.  `CycNum` keeps such an element, with rational
+The hot paths (the orthogonality check of a character table, the Fourier
+blocks and their check) work in the integer group ring Z[Z/m]: an element
+is a sparse sequence of pairs (k, c), meaning sum c zeta_m^k with int c.
+`ring_reduce` takes one to its coordinates in the power basis of
+Q(zeta_m), ints again since Phi_m is monic; it is the only reduction
+modulo Phi_m.  `CycNum` keeps such an element, with rational
 coefficients, for values that stay irrational.
 
 Only the ring operations are provided: character values and Fourier

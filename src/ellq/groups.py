@@ -1,30 +1,28 @@
 """Generic finite group machinery: enumeration from generators, conjugacy
 classes, centralizers, subgroups, and exact character tables.
 
-Dixon's algorithm serves the groups with no closed-form table: G2, F4 and
-the centralizers in the Fourier groups Gamma (the tables of types A, B and D
-are closed form, in `weylgrp`).  It splits common eigenspaces of the
-class-sum matrices over a prime field F_p (p = 1 mod exponent,
-p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace are the roots of its
-characteristic polynomial, computed through Hessenberg form in O(n^3) for
-any p, and found by evaluating it at every point of F_p: p is a few
-thousand at most (13 for G2, 73 for F4).
+A cyclic group of order n has its table in closed form, chi_j(g^k) =
+zeta_n^(jk) for a generator g (`_cyclic_table`).  Dixon's algorithm serves
+every other group ellq tabulates: G2, F4 and the non-cyclic centralizers in
+the Fourier groups Gamma (the tables of types A, B and D are closed form,
+in `weylgrp`).  All of these are rational, every class holding g^k for
+each k prime to the order of g, so every value is an integer; a group that
+is neither cyclic nor rational is refused.  Dixon splits common
+eigenspaces of the class-sum matrices over a prime field F_p
+(p = 1 mod exponent, p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace
+are the roots of its characteristic polynomial, computed through
+Hessenberg form in O(n^3) for any p, and found by evaluating it at every
+point of F_p: p is a few thousand at most (13 for G2, 73 for F4).
 The first split reads the first class matrix as it stands, on the standard
 basis.  Every eigenbasis is kept reduced, 1 at its own pivot and 0 at the
 others, so a later split maps the basis through a class matrix, packed
 coordinate by coordinate into ints (`_mat_vecs`), reads the coordinates of
 the images at the pivots, and checks with one more product that the space
-is invariant.
-Each value chi(g) is lifted from its eigenvalue multiplicities m_s (of
-zeta_d^s, d the order of g), for every row at once, by the same packed
-product.  Galois-stable ones, m_s = m_{ks} for every unit k mod d, give a
-rational value: the centred lift of chi(g) mod p, a plain int, as every
-Weyl group value is.  The others, in some centralizers in Gamma, are sums
-of roots of unity in Z[Z/exponent], reduced once by `cyclo.ring_reduce`;
-only a value that stays irrational is built as a `CycNum`.  The
-orthogonality relations are then verified exactly by `gram_mismatch`, the
-one Gram check, which `fourier` runs on its blocks too; any failure is a
-hard error, and no approximate table is ever returned.
+is invariant.  Each value chi(g) is the centred lift of chi(g) mod p, a
+plain int, exact as |chi(g)| <= chi(1) < p/2.  The orthogonality relations
+of either table are then verified exactly by `gram_mismatch`, the one Gram
+check, which `fourier` runs on its blocks too; any failure is a hard error,
+and no approximate table is ever returned.
 
 Elements are any hashable objects.  Every group ellq enumerates (A, B and D
 on the 2n points +-e_i, G2 and F4 on their roots, and Gamma) is a
@@ -42,7 +40,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import le, lshift, mul
+from operator import lshift, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
@@ -221,8 +219,10 @@ class FiniteGroup:
     # -- character table -----------------------------------------------------
 
     def character_table(self) -> "CharacterTable":
+        """The closed form for a cyclic group, Dixon's algorithm otherwise."""
         if self._table is None:
-            self._table = _dixon_table(self)
+            g = next((c.rep for c in self.conjugacy_classes() if c.order == self.order), None)
+            self._table = _dixon_table(self) if g is None else _cyclic_table(self, g)
         return self._table
 
 
@@ -230,8 +230,8 @@ class CharacterTable(NamedTuple):
     """Exact character table of a group of the given order: rows =
     irreducibles, columns = conjugacy classes (anything with a `size`).
 
-    Values are ints where the character is rational (always, for Weyl groups)
-    and CycNum otherwise.
+    Values are ints where the character is rational (always, outside a
+    cyclic group) and CycNum otherwise.
     """
     order: int
     classes: list
@@ -329,14 +329,10 @@ def isprime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
-def primitive_root(p: int) -> int:
-    """The smallest generator of the multiplicative group modulo the prime p."""
-    factors = [f for f in range(2, p) if (p - 1) % f == 0 and isprime(f)]
-    return next(g for g in range(1, p)
-                if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
-
-
 def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
+    """The least prime p > max(2 isqrt(order), min_above) with p = 1 mod
+    exponent: p is then prime to |G|, as every prime factor of |G| divides
+    the exponent, so every class size is a unit mod p."""
     p = max(2 * isqrt(order), min_above) + 1
     while not (isprime(p) and p % exponent == 1 % exponent):
         p += 1
@@ -360,10 +356,32 @@ def _class_matrix(group: FiniteGroup, classes, class_of, istar, p):
     return a
 
 
+def _cyclic_table(group: FiniteGroup, g) -> CharacterTable:
+    """The table of the group generated by g, of order n: chi_j(g^k) =
+    zeta_n^(jk), the int 1 or -1 where that root of unity is rational."""
+    n = group.order
+    power, h = {}, group.identity
+    for k in range(n):
+        power[h] = k
+        h = group.mult(h, g)
+    classes = group.conjugacy_classes()
+    rows = [[1 if jk == 0 else -1 if 2 * jk == n else CycNum(n, {jk: 1})
+             for jk in (j * power[c.rep] % n for c in classes)] for j in range(n)]
+    return _ordered_table(group, rows, n)
+
+
 def _dixon_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
     kk = len(classes)
     class_of = group._class_of
+    # rational: each class holds g^k for every k prime to the order of g
+    for i, c in enumerate(classes):
+        h = c.rep
+        for k in range(2, c.order):
+            h = group.mult(h, c.rep)
+            if gcd(k, c.order) == 1 and class_of[h] != i:
+                raise NotImplementedError(f"no character table for a group of order "
+                                          f"{group.order} that is neither rational nor cyclic")
     exponent = group.exponent()
     p = _dixon_prime(group.order, exponent, min_above=max(kk, exponent) + 1)
     inv_class = [class_of[group.inv(c.rep)] for c in classes]
@@ -423,51 +441,17 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             raise RuntimeError("irreducible degree lift out of range")
         rows_fp.append([chi1 * x * y % p for x, y in zip(w, size_inv)])
 
-    # lift each value chi(g) = sum_s m_s zeta_d^s, d the order of g, through
-    # its eigenvalue multiplicities m_s = (1/d) sum_k chi(g^k) omega_d^{-sk},
-    # for every row at once: one packed product (`_mat_vecs`) of the d x d
-    # matrix (omega_d^{-sk} / d mod p) with the rows read along the powers of g
-    omega = pow(primitive_root(p), (p - 1) // exponent, p)
-    power_class = _power_map(group, classes, class_of)
-    cols = list(zip(*rows_fp))  # cols[0] holds the degrees, in 1..sqrt|G|
-    columns = []
-    for c, col, powers in zip(classes, cols, power_class):
-        d = c.order
-        om_d, dinv = pow(omega, exponent // d, p), pow(d, -1, p)
-        dft = [[pow(om_d, -s * k % d, p) * dinv % p for k in range(d)] for s in range(d)]
-        mults = _mat_vecs(dft, list(zip(*map(cols.__getitem__, powers))), p)
-        # m_s mod p, read in 0..p-1, is at most chi(1) < p/2 exactly when
-        # its centred lift lies in 0..chi(1)
-        if not all(map(le, map(max, mults), cols[0])):
-            raise RuntimeError("eigenvalue multiplicity lift out of range")
-        # Galois-stable multiplicities, m_s = m_{gcd(s, d)}, give an integer
-        # value, and |chi(g)| <= chi(1) < p/2 makes it the centred lift
-        column = [x if 2 * x < p else x - p for x in col]
-        ms = list(zip(*mults))
-        if not all(m == ms[gcd(s, d) % d] for s, m in enumerate(ms)):
-            for r, mr in enumerate(mults):
-                if any(m != mr[gcd(s, d) % d] for s, m in enumerate(mr)):
-                    terms = {s * (exponent // d): m for s, m in enumerate(mr) if m}
-                    coords = ring_reduce(terms.items(), exponent)
-                    column[r] = CycNum(exponent, terms) if any(coords[1:]) else coords[0]
-        columns.append(column)
-    simple = [list(row) for row in zip(*columns)]
-    table = CharacterTable(group.order, classes, [simple[i] for i in row_order(simple)],
-                           exponent)
+    # |chi(g)| <= chi(1) < p/2, so chi(g) is the centred lift of its residue
+    return _ordered_table(group, [[x if 2 * x < p else x - p for x in row] for row in rows_fp],
+                          exponent)
+
+
+def _ordered_table(group: FiniteGroup, rows, conductor: int) -> CharacterTable:
+    """The verified table of the given rows, in `row_order`."""
+    table = CharacterTable(group.order, group.conjugacy_classes(),
+                           [rows[i] for i in row_order(rows)], conductor)
     _verify_table(table)
     return table
-
-
-def _power_map(group, classes, class_of):
-    pm = []
-    for c in classes:
-        row = []
-        g = group.identity
-        for _ in range(c.order):
-            row.append(class_of[g])
-            g = group.mult(g, c.rep)
-        pm.append(row)
-    return pm
 
 
 def row_order(rows) -> list[int]:

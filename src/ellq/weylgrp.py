@@ -63,9 +63,10 @@ class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("rank", int)])):
         if u in ("E6", "E7", "E8"):
             raise ValueError(f"type {u} is supported by efd only")
         ranks = {"E": "takes rank 6, 7 or 8", "F": "has rank 4", "G": "has rank 2"}
-        if u[:1] in ranks and s[1:].isdigit():
+        digits = s[1:].isascii() and s[1:].isdigit()
+        if u[:1] in ranks and digits:
             raise ValueError(f"type {u} does not exist: {u[0]} {ranks[u[0]]}")
-        if not s[1:].isdigit():
+        if not digits:
             raise ValueError(f"group type {s!r} is not a family and a rank, e.g. B5")
         return GroupSpec(u[0], int(s[1:]))
 
@@ -526,8 +527,6 @@ class WeylGroupData:
                                   for k, lab in enumerate(labels)])
             else:
                 self._table = self.group.character_table()
-                if not all(type(v) is int for row in self._table.values for v in row):
-                    raise RuntimeError("Weyl group character table must be rational")
         return self._table
 
     def _closed_form_rows(self) -> list[tuple[str, list[int]]]:

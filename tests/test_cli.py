@@ -180,6 +180,12 @@ ERROR_MESSAGES = {
     ("efd", "--type", "E5"): "type E5 does not exist: E takes rank 6, 7 or 8",
     ("efd", "--type", "E9"): "type E9 does not exist: E takes rank 6, 7 or 8",
     ("fake", "--type", "G2", "--irrep", ""): "G2 has no irreducible labelled ''",
+    # a rank is ASCII digits: int() would take '٣' as 3 and refuse '²'
+    ("group", "--type", "B²"): "group type 'B²' is not a family and a rank",
+    ("group", "--type", "E٦"): "group type 'E٦' is not a family and a rank",
+    ("group", "--type", "B٣"): "group type 'B٣' is not a family and a rank",
+    ("affine", "c²"): "affine C²: the rank must be a positive integer",
+    ("affine", "c٣"): "affine C٣: the rank must be a positive integer",
 }
 
 

@@ -10,7 +10,7 @@ from ellq.cyclo import CycNum
 from ellq.exactq import nullspace_mod
 from ellq.groups import (FiniteGroup, _charpoly_mod, _class_matrix, _dixon_prime,
                          _mat_vecs, _roots_mod, _verify_table,
-                         isprime, permutation_group, primitive_root)
+                         isprime, permutation_group)
 from ellq.fourier import SUPPORTED_GAMMAS, _centralizers, small_group
 from ellq.weylgrp import (GroupSpec, build_group, parabolic_subgroup, signed_key, signed_perm,
                           signed_tuple)
@@ -35,10 +35,6 @@ def test_isprime_matches_sieve():
         if sieve[i]:
             sieve[i * i::i] = [False] * len(range(i * i, n, i))
     assert [k for k in range(n) if isprime(k)] == [k for k in range(n) if sieve[k]]
-
-
-def test_smallest_primitive_roots():
-    assert [primitive_root(p) for p in (7, 23, 41, 71)] == [3, 5, 6, 7]
 
 
 def test_mod_p_nullspace():
@@ -115,24 +111,67 @@ def test_verify_table_rejects_each_changed_entry_of_a_rational_table(name):
 
 
 def _tables_with_centralizers(name):
-    """The Dixon tables of a group and of the centralizer of each class
-    representative, every group freshly built."""
+    """The table of a group and, for the centralizer of each class
+    representative, its table or the NotImplementedError that refuses it;
+    every group freshly built."""
     if name in SUPPORTED_GAMMAS:
         grp = small_group.__wrapped__(name)
     else:
         grp = build_group.__wrapped__(GroupSpec.parse(name)).group
-    return [grp.character_table()] + [grp.centralizer(c.rep).character_table()
-                                      for c in grp.conjugacy_classes()[1:]]
+    out = [grp.character_table()]
+    for c in grp.conjugacy_classes()[1:]:
+        cent = grp.centralizer(c.rep)
+        try:
+            out.append(cent.character_table())
+        except NotImplementedError as e:
+            out.append((cent.order, e))
+    return out
 
 
 @pytest.mark.parametrize("name", ["G2", "F4", *SUPPORTED_GAMMAS])
 def test_dixon_rational_values_are_plain_ints(name):
     tables = _tables_with_centralizers(name)
     assert all(type(v) is int for row in tables[0].values for v in row)
+    refused = []
     for table in tables[1:]:
+        if type(table) is tuple:
+            order, error = table
+            assert str(error) == (f"no character table for a group of order {order} "
+                                  "that is neither rational nor cyclic")
+            refused.append(order)
+            continue
         for row in table.values:
             for v in row:
                 assert type(v) is int or (isinstance(v, CycNum) and not v.is_rational())
+    if name == "F4":  # 15 of its 24 centralizers are neither rational nor cyclic
+        assert len(tables) - 1 == 24
+        assert sorted(refused, reverse=True) == [96, 72, 72, 36, 36, 36, 36, 32, 32,
+                                                 16, 16, 12, 12, 12, 12]
+    else:
+        assert refused == []
+
+
+def test_z3_x_z3_is_refused():
+    # neither rational (g and g^2 are not conjugate) nor cyclic
+    grp = permutation_group([[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]], 6)
+    assert grp.order == 9
+    with pytest.raises(NotImplementedError, match="^no character table for a group of "
+                                                  "order 9 that is neither rational nor cyclic$"):
+        grp.character_table()
+
+
+def test_cyclic_groups_take_the_closed_form(monkeypatch):
+    import ellq.groups
+    calls = []
+    dixon_table = ellq.groups._dixon_table
+    monkeypatch.setattr(ellq.groups, "_dixon_table",
+                        lambda group: calls.append(group.order) or dixon_table(group))
+    for n in range(1, 13):
+        table = permutation_group([[*range(1, n), 0]], n).character_table()
+        assert table.order == table.conductor == table.n_irreps == n
+    assert calls == []
+    assert small_group.__wrapped__("S3").character_table().n_irreps == 3
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("name", ["G2", "F4"])
@@ -172,8 +211,8 @@ def _cyclic_centralizers():
 
 
 def test_cyclic_centralizer_tables_match_the_closed_form():
-    # chi_a(g^b) = zeta_n^(ab) for a generator g of Z_n: a second route to
-    # Dixon's irrational values, row by row as sets
+    # chi_a(g^b) = zeta_n^(ab) for a generator g of Z_n, built here from the
+    # test's own powers of g: a second route to `_cyclic_table`, row by row as sets
     found = _cyclic_centralizers()
     assert sorted(n for n, _ in found) == [3, 3, 4, 4, 6, 6]
     for n, cent in found:
@@ -187,11 +226,11 @@ def test_cyclic_centralizer_tables_match_the_closed_form():
 
         def coords(v):
             return (v if isinstance(v, CycNum) else CycNum.rational(n, v)).reduced()
-        dixon = {tuple(coords(v) for v in row) for row in table.values}
+        computed = {tuple(coords(v) for v in row) for row in table.values}
         closed = {tuple(CycNum.zeta_pow(n, a * b).reduced() for b in exps)
                   for a in range(n)}
-        assert len(dixon) == n
-        assert dixon == closed
+        assert len(computed) == n
+        assert computed == closed
         assert any(isinstance(v, CycNum) for row in table.values for v in row)
 
 
@@ -367,28 +406,20 @@ def _class_matrices(*stand_ins):
     return lambda *args: next(calls)(*args)
 
 
-def _power_map_to_last_power(power_map):
-    """`_power_map` with every power of g put in the class of g^(d-1)."""
-    return lambda *args: [[row[-1]] * len(row) for row in power_map(*args)]
-
-
 # S3 has 3 classes and p = 13: the identity, 3 transpositions, 2 3-cycles
-@pytest.mark.parametrize("attr, stand_in, message", [
+@pytest.mark.parametrize("stand_in, message", [
     # nothing splits
-    ("_class_matrix", lambda: _diagonal(0, 0, 0), "eigenspace splitting failed"),
+    (lambda: _diagonal(0, 0, 0), "eigenspace splitting failed"),
     # the span of e_0 and e_1, split off first, is not invariant under the ones matrix
-    ("_class_matrix", lambda: _class_matrices(_diagonal(0, 0, 1), lambda *a: [[1] * 3] * 3),
+    (lambda: _class_matrices(_diagonal(0, 0, 1), lambda *a: [[1] * 3] * 3),
      "eigenspace not invariant"),
     # the eigenvector of 0 is e_2
-    ("_class_matrix", lambda: _diagonal(2, 1, 0), "vanishes at the identity class"),
+    (lambda: _diagonal(2, 1, 0), "vanishes at the identity class"),
     # the eigenvector of 0 is e_0, which gives chi(1)^2 = 6 mod 13: no square
-    ("_class_matrix", lambda: _diagonal(0, 1, 2), "degree lift out of range"),
-    # the sign character read as -1 at the identity power too: m_0 = -1
-    ("_power_map", lambda: _power_map_to_last_power(ellq.groups._power_map),
-     "multiplicity lift out of range"),
-], ids=["split", "invariant", "identity", "degree", "multiplicity"])
-def test_every_dixon_guard_fires(monkeypatch, attr, stand_in, message):
-    monkeypatch.setattr(ellq.groups, attr, stand_in())
+    (lambda: _diagonal(0, 1, 2), "degree lift out of range"),
+], ids=["split", "invariant", "identity", "degree"])
+def test_every_dixon_guard_fires(monkeypatch, stand_in, message):
+    monkeypatch.setattr(ellq.groups, "_class_matrix", stand_in())
     with pytest.raises(RuntimeError, match=message):
         small_group.__wrapped__("S3").character_table()
 

@@ -1,6 +1,9 @@
 """Every import in the package is used: a module-level import somewhere in
-its module, a function-local one somewhere in its function."""
+its module, a function-local one somewhere in its function.  Every private
+module-level function is referenced somewhere in the package outside its
+own definition."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ellq
@@ -54,3 +57,43 @@ def test_package_has_no_unused_imports():
     found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
              for line, name in _unused_imports(path.read_text())]
     assert found == []
+
+
+def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """module:name of each module-level `def _name` (not a dunder) that no
+    module of `sources` (name -> source) refers to, as a name, an attribute
+    or an imported name, outside the function's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere.update(_references(tree))
+    return [f"{module}:{fn.name}" for module, tree in trees.items() for fn in tree.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and fn.name.startswith("_") and not fn.name.endswith("__")
+            and everywhere[fn.name] == _references(fn)[fn.name]]
+
+
+def _references(tree) -> Counter:
+    """How often tree refers to each name, attribute and imported name."""
+    return Counter(node.id if isinstance(node, ast.Name) else
+                   node.attr if isinstance(node, ast.Attribute) else node.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_unreferenced_function_scan_sees_every_module():
+    sources = {"a": ("def _used(): pass\n"
+                     "def _power_map(): return _power_map()\n"
+                     "def _imported(): pass\n"
+                     "def _by_attribute(): pass\n"
+                     "def __getattr__(name): pass\n"
+                     "def public(): return _used()\n"),
+               "b": ("from .a import _imported\n"
+                     "from . import a\n"
+                     "x = a._by_attribute\n")}
+    assert _unreferenced_private_functions(sources) == ["a:_power_map"]
+
+
+def test_package_has_no_unreferenced_private_functions():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unreferenced_private_functions(sources) == []
