@@ -39,7 +39,7 @@ def parahoric_types(base: str) -> tuple[str, list[tuple[GroupSpec, ...]]]:
         raise ValueError(f"affine {base}: the rank must be a positive integer")
     n = int(rank)
     if family == "A" or n == 1:
-        return (base if n > 1 else "A1"), [(GroupSpec("A", n),)] * (n + 1)
+        return f"A{n}", [(GroupSpec("A", n),)] * (n + 1)
     if family == "B" and n >= 3:
         raise NotImplementedError(f"affine {base} differs from affine C{n} "
                                   "and is not realised")

@@ -170,6 +170,10 @@ def _cmd_efd(args) -> int:
             return W.class_function_bipartition(lam, ())
     else:
         if args.lam is not None:
+            fam, rank = t[:1], t[1:]
+            if fam in ("B", "D") and rank.isascii() and rank.isdigit():
+                raise ValueError("--lambda takes the rank from --n: "
+                                 f"write --type {fam} --n {int(rank)}")
             raise ValueError(f"--lambda applies to types B and D only, not {args.type}")
         if t in EXPONENTS and args.n is not None:
             raise ValueError(f"--n does not apply to {t}")
@@ -251,12 +255,8 @@ def _cmd_mx(args) -> int:
 def _cmd_verify(args) -> int:
     from .report import exit_code, render_text, run_verify
     reports = run_verify(args.suite)
-    if args.json:
-        print(json.dumps({"suite": args.suite,
-                          "reports": [r.to_json() for r in reports]},
-                         indent=1, sort_keys=True))
-    else:
-        print(render_text(reports))
+    _emit(args, {"suite": args.suite, "reports": [r.to_json() for r in reports]},
+          [render_text(reports)])
     return exit_code(reports)
 
 
@@ -264,6 +264,7 @@ def _cmd_affine(args) -> int:
     from .affine import AffineDatum, ef_elliptic_on_parahoric
     base = args.base.strip().upper()
     d = AffineDatum(base)
+    base = f"{base[0]}{d.rank}"  # the rank without leading zeros
     if args.formal and base != "G2":
         raise ValueError(f"--formal needs the packaged basis, which exists for g2 only, "
                          f"not {args.base}")

@@ -1,12 +1,14 @@
-"""Partition combinatorics, symmetric-group characters, the hook-content
-series, and the two-row symbols attached to distinguished unipotent classes
-in types B/C/D.
+"""Partition combinatorics, the one Murnaghan-Nakayama recursion (for the
+W(B_n) bipartition characters; S_n is its case gamma = ()), one class-size
+formula for S_n and W(B_n), the hook-content series, and the two-row
+symbols attached to distinguished unipotent classes in types B/C/D.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from .exactq import RationalFunction, RF_ONE
@@ -98,31 +100,36 @@ def border_strips(lam: Partition, r: int) -> tuple[tuple[Partition, int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def mn_bipartition(lam: Partition, gamma: Partition, cycles: tuple) -> int:
+    """The W(B_n)-irreducible lam x gamma at the signed cycles (r, e), e = +-1,
+    by the hyperoctahedral Murnaghan-Nakayama rule (Geck-Pfeiffer 5.5): one
+    cycle at a time, each border strip of size r taken from lam, plus e times
+    each taken from gamma, signed by (-1)^height."""
+    if not cycles:
+        return int(not lam and not gamma)
+    (r, e), rest = cycles[0], cycles[1:]
+    return (sum(s * mn_bipartition(new, gamma, rest) for new, s in border_strips(lam, r))
+            + e * sum(s * mn_bipartition(lam, new, rest) for new, s in border_strips(gamma, r)))
+
+
 def mn_character(lam: Partition, alpha: Partition) -> int:
-    """Irreducible S_n character chi^lam at cycle type alpha (Murnaghan-Nakayama).
+    """Irreducible S_n character chi^lam at cycle type alpha (Murnaghan-Nakayama):
+    the bipartition lam x () at the positive cycles alpha.
 
     >>> mn_character((2, 1), (3,))
     -1
     """
     if sum(lam) != sum(alpha):
         raise ValueError(f"size mismatch: |{lam}| != |{alpha}|")
-    if not lam:
-        return 1
-    return sum(sign * mn_character(new_lam, alpha[1:])
-               for new_lam, sign in border_strips(lam, alpha[0]))
+    return mn_bipartition(tuple(lam), (), tuple((r, 1) for r in alpha))
 
 
-def conjugacy_class_size_sn(alpha: Partition) -> int:
-    """Size of the S_n class of cycle type alpha."""
-    n = sum(alpha)
-    z = 1
-    mult: dict[int, int] = {}
-    for a in alpha:
-        z *= a
-        mult[a] = mult.get(a, 0) + 1
-    for m in mult.values():
-        z *= math.factorial(m)
-    return math.factorial(n) // z
+def conjugacy_class_size_sn(*types: Partition, k: int = 1) -> int:
+    """k^n n!/prod (kr)^m m! over the parts r, of multiplicity m, of types: the
+    S_n class of cycle type alpha, or with k = 2 the W(B_n) class of (pos, neg)."""
+    n = sum(map(sum, types))
+    return k ** n * math.factorial(n) // math.prod(
+        (k * r) ** m * math.factorial(m) for t in types for r, m in Counter(t).items())
 
 
 # ---------------------------------------------------------------------------

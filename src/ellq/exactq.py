@@ -405,13 +405,18 @@ def factor_cyclotomic(p: QPolynomial, skip: AbstractSet[int] = frozenset(),
     return CyclotomicFactorization(Fraction(p.leading), v, factors, p.monic())
 
 
+def isprime(n: int) -> bool:
+    """Primality by trial division: the n here are a few thousand at most."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_indices(d: int) -> tuple[int, ...]:
     """Every n with deg Phi_n = phi(n) <= d, ascending, built prime by prime:
     phi(p^a) = p^(a-1) (p - 1), so only primes p <= d + 1 divide such n."""
     found = [(1, 1)]
     for p in range(2, d + 2):
-        if all(p % r for r in range(2, isqrt(p) + 1)):
+        if isprime(p):
             for n, t in list(found):
                 n, t = n * p, t * (p - 1)
                 while t <= d:

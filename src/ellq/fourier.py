@@ -20,7 +20,8 @@ from typing import NamedTuple, Sequence, Union
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
 from .exactq import RF_ONE, RF_ZERO, RationalFunction
 from .groups import CharacterTable, ConjClass, FiniteGroup, gram_mismatch, permutation_group
-from .weylgrp import ProductWeyl, WeylGroupData, fake_degree_values
+from .weylgrp import (ProductWeyl, WeylGroupData, fake_degree_values, h_class_function,
+                      induce_class_function, parabolic_subgroup)
 
 SUPPORTED_GAMMAS = ("trivial", "Z2", "Z2^2", "Z2^3", "Z2^4", "S3", "S4", "S5")
 
@@ -402,7 +403,6 @@ def ef_induction_check(W: WeylGroupData, gen_indices: Sequence[int]) -> bool:
     subgroup on the given simple generators.  The parabolic factors here are
     symmetric groups or sign groups, whose own transform is the identity, so
     the check is that induced characters are fixed."""
-    from .weylgrp import h_class_function, induce_class_function, parabolic_subgroup
     H = parabolic_subgroup(W, list(gen_indices))
     table = W.character_table()
     for row in H.character_table().values:

@@ -4,15 +4,16 @@ classes, centralizers, subgroups, and exact character tables.
 A cyclic group of order n has its table in closed form, chi_j(g^k) =
 zeta_n^(jk) for a generator g (`_cyclic_table`).  Dixon's algorithm serves
 every other group ellq tabulates: G2, F4 and the non-cyclic centralizers in
-the Fourier groups Gamma (the tables of types A, B and D are closed form,
-in `weylgrp`).  All of these are rational, every class holding g^k for
-each k prime to the order of g, so every value is an integer; a group that
-is neither cyclic nor rational is refused.  Dixon splits common
-eigenspaces of the class-sum matrices over a prime field F_p
-(p = 1 mod exponent, p > 2*sqrt(|G|)).  The eigenvalues on each eigenspace
-are the roots of its characteristic polynomial, computed through
-Hessenberg form in O(n^3) for any p, and found by evaluating it at every
-point of F_p: p is a few thousand at most (13 for G2, 73 for F4).
+the Fourier groups Gamma (types A, B and D are closed form, in `weylgrp`).
+All are rational, every class holding g^k for each k prime to the order of
+g, so every value is an integer and every class its own inverse; a group
+neither cyclic nor rational is refused.  Dixon splits common eigenspaces of
+the class matrices (A_i from the products x z_k, x in C_i) over a prime
+field F_p (p = 1 mod exponent, p > 2*sqrt(|G|)).  The eigenvalues on each
+eigenspace are the roots of its characteristic polynomial, computed through
+Hessenberg form in O(n^3) for any p (`_charpoly_mod`, also behind
+`weylgrp.char_poly_matrix`), and found by evaluating it at every point of
+F_p: p is a few thousand at most (13 for G2, 73 for F4).
 The first split reads the first class matrix as it stands, on the standard
 basis.  Every eigenbasis is kept reduced, 1 at its own pivot and 0 at the
 others, so a later split maps the basis through a class matrix, packed
@@ -44,7 +45,7 @@ from operator import lshift, mul
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .cyclo import CycNum, ring_reduce, ring_sum, ring_terms
-from .exactq import nullspace_mod
+from .exactq import isprime, nullspace_mod
 
 
 # the most elements any enumeration may produce
@@ -152,29 +153,23 @@ class FiniteGroup:
         return n
 
     def conjugacy_classes(self) -> list[ConjClass]:
-        """Orbit partition under conjugation, deterministically ordered.  A
-        group with generators closes each orbit under them, breadth first; a
-        group without (a centralizer) takes each orbit in one pass,
-        {s g s^-1 : s in G}."""
+        """Orbit partition under conjugation, deterministically ordered: each
+        orbit is closed breadth first under the generators, or under every
+        element in a group built without them (a centralizer)."""
         if self._classes is not None:
             return self._classes
         key = self.key
         conjugates = self.conjugator(self.generators or self.elements)
-        seen = set()
-        raw = []
+        seen, raw = set(), []
         for g in self.elements:
             if g in seen:
                 continue
-            if not self.generators:
-                orbit = set(conjugates(g))
-            else:
-                orbit = {g}
-                frontier = [g]
-                while frontier:
-                    for y in conjugates(frontier.pop()):
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
+            orbit, frontier = {g}, [g]
+            while frontier:
+                for y in conjugates(frontier.pop()):
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
             seen |= orbit
             rep = min(orbit, key=key)
             raw.append(ConjClass(rep, len(orbit), self.element_order(rep), tuple(orbit)))
@@ -324,11 +319,6 @@ def _roots_mod(f, p):
 # Dixon's algorithm
 
 
-def isprime(n: int) -> bool:
-    """Primality by trial division; Dixon primes are a few thousand at most."""
-    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
-
-
 def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
     """The least prime p > max(2 isqrt(order), min_above) with p = 1 mod
     exponent: p is then prime to |G|, as every prime factor of |G| divides
@@ -339,10 +329,10 @@ def _dixon_prime(order: int, exponent: int, min_above: int) -> int:
     return p
 
 
-def _class_matrix(group: FiniteGroup, classes, class_of, istar, p):
-    """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j}, reduced mod p, read off
-    the inverse class C_{i*} = C_i^{-1} (istar = i*), with no inversion."""
-    ys = classes[istar].elements
+def _class_matrix(group: FiniteGroup, classes, class_of, i, p):
+    """A_i[j][k] = #{x in C_i : x^{-1} z_k in C_j} mod p: as Dixon's groups are
+    rational, C_i = C_i^{-1}, so this counts x in C_i with x z_k in C_j."""
+    ys = classes[i].elements
     if group.pad is None:
         mult = group.mult
         products = [[mult(y, c.rep) for y in ys] for c in classes]
@@ -384,7 +374,6 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
                                           f"{group.order} that is neither rational nor cyclic")
     exponent = group.exponent()
     p = _dixon_prime(group.order, exponent, min_above=max(kk, exponent) + 1)
-    inv_class = [class_of[group.inv(c.rep)] for c in classes]
 
     # common one-dimensional eigenspaces of the class matrices over F_p, each
     # with its pivots: vector t is 1 at piv[t] and 0 at the other pivots, so a
@@ -397,7 +386,7 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
     for i in range(1, kk):
         if all(len(s) == 1 for s, _ in spaces):
             break
-        ai = _class_matrix(group, classes, class_of, inv_class[i], p)
+        ai = _class_matrix(group, classes, class_of, i, p)
         new_spaces = []
         for s, piv in spaces:
             if len(s) == 1:
@@ -433,7 +422,7 @@ def _dixon_table(group: FiniteGroup) -> CharacterTable:
             raise RuntimeError("eigenvector vanishes at the identity class")
         scale = pow(w[0], -1, p)
         w = [x * scale % p for x in w]
-        dot = sum(w[kx] * w[inv_class[kx]] * size_inv[kx] for kx in range(kk)) % p
+        dot = sum(x * x * y for x, y in zip(w, size_inv)) % p
         chi1_sq = group.order * pow(dot, -1, p) % p
         # chi(1) <= sqrt|G| < p/2, so at most one root of chi1_sq lies in range
         chi1 = next((x for x in range(1, bound + 1) if x * x % p == chi1_sq), None)

@@ -8,18 +8,19 @@ and on the roots `RootSystem.key`, which sorts as the repr of the matrix.
 
 Provides conjugacy classes, each with det(1 - q w) on the reflection
 representation kept as a sign and its Phi-exponents (closed form from the
-signed cycle type for A, B and D; det(1 - q M) factored once for G2 and F4),
-elliptic flags, labeled exact character tables, fake degrees, and induction
-from subgroups.  Every class sum against 1/det(1 - q w) reads the integer
-columns prod Phi_n^top_n / det(1 - q w) of `columns`, with no polynomial
-division.  The classes and the labelled character tables of types A, B and D
-come in closed form from their signed cycle types (Murnaghan-Nakayama, its
-hyperoctahedral form for the bipartition characters of Geck-Pfeiffer 5.5, and
-the split restrictions to D_n of Geck-Pfeiffer 5.6), checked by the
-orthogonality relations; Dixon's algorithm on the enumerated group serves G2
-and F4 only.  The elements of A, B and D are enumerated only when a class
-lookup or a subgroup needs them, and the enumerated classes are then checked
-against the closed form.
+signed cycle type for A, B and D; for G2 and F4, det(1 - q M) is the
+Hessenberg charpoly of `groups` mod 2^127 - 1, lifted exactly, and factored
+once), elliptic flags, labeled exact character tables, fake degrees, and
+induction from subgroups.  Every class sum against 1/det(1 - q w) reads the
+integer columns prod Phi_n^top_n / det(1 - q w) of `columns`, with no
+polynomial division.  The classes and the labelled character tables of types
+A, B and D come in closed form from their signed cycle types (the
+hyperoctahedral Murnaghan-Nakayama rule of Geck-Pfeiffer 5.5, whose case
+gamma = () gives type A, and the split restrictions to D_n of Geck-Pfeiffer
+5.6), checked by the orthogonality relations; Dixon's algorithm on the
+enumerated group serves G2 and F4 only.  The elements of A, B and D are
+enumerated only when a class lookup or a subgroup needs them, and the
+enumerated classes are then checked against the closed form.
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .combinat import border_strips, mn_character, partitions_of
-from .exactq import (CYCLOTOMIC_BOUND, QPolynomial, cyclotomic, cyclotomic_quotient, exact_div,
-                     factor_cyclotomic, one_minus_qpow_exponents, phi_product)
+from .combinat import conjugacy_class_size_sn, mn_bipartition, mn_character, partitions_of
+from .exactq import (CYCLOTOMIC_BOUND, RANK_PRIMES, QPolynomial, cyclotomic, cyclotomic_quotient,
+                     exact_div, factor_cyclotomic, one_minus_qpow_exponents, phi_product)
 from .groups import (DEFAULT_BOUND, CharacterTable, FiniteGroup, GroupTooLargeError,
-                     _verify_table, permutation_group, row_order, sort_classes)
+                     _charpoly_mod, _verify_table, permutation_group, row_order, sort_classes)
 
 
 class GroupSpec(NamedTuple("GroupSpec", [("family", str), ("rank", int)])):
@@ -183,23 +184,12 @@ def signed_type_det(pos, neg, family: str) -> tuple[int, dict[int, int]]:
 def bipartition_value(lam, gamma, pos, neg) -> int:
     """Character of the W(B_n)-irreducible lam x gamma at signed cycle type,
     by the hyperoctahedral Murnaghan-Nakayama rule (Geck-Pfeiffer 5.5)."""
-    return _bip(tuple(lam), tuple(gamma), signed_cycles(pos, neg))
+    return mn_bipartition(tuple(lam), tuple(gamma), signed_cycles(pos, neg))
 
 
 def signed_cycles(pos, neg) -> tuple:
-    """The signed cycles (r, 1) and (r, -1) of a signed cycle type, as _bip takes them."""
+    """The signed cycles (r, 1) and (r, -1) of a signed cycle type, as mn_bipartition takes them."""
     return tuple((r, 1) for r in pos) + tuple((r, -1) for r in neg)
-
-
-@functools.lru_cache(maxsize=None)
-def _bip(lam, gamma, cycles) -> int:
-    """One signed cycle (r, e) at a time: each border strip of size r taken
-    from lam, plus e times each taken from gamma, signed by (-1)^height."""
-    if not cycles:
-        return int(not lam and not gamma)
-    (r, e), rest = cycles[0], cycles[1:]
-    return (sum(sign * _bip(new, gamma, rest) for new, sign in border_strips(lam, r))
-            + e * sum(sign * _bip(lam, new, rest) for new, sign in border_strips(gamma, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,19 +295,14 @@ def _reflect(cartan, j, r):
 
 
 def char_poly_matrix(m) -> QPolynomial:
-    """det(1 - q M) = sum c_k q^k of an integer matrix M, whose c_k are those of
-    det(x - M) = sum c_k x^(n-k), by Faddeev-LeVerrier in integers on the columns
-    of N_k = M N_(k-1) + c_(k-1) I, with c_k = -tr(M N_k) / k exact or ArithmeticError."""
-    c, cols = [1], [[0] * len(m) for _ in m]
-    for k in range(1, len(m) + 1):
-        cols = [[sum(map(operator.mul, row, col)) + c[-1] * (i == j)
-                 for i, row in enumerate(m)] for j, col in enumerate(cols)]
-        c_k, rem = divmod(-sum(sum(map(operator.mul, row, col))
-                               for row, col in zip(m, cols)), k)
-        if rem:
-            raise ArithmeticError(f"tr(M N_{k}) is not divisible by {k}")
-        c.append(c_k)
-    return QPolynomial(c)
+    """det(1 - q M) of an integer matrix M: det(x - M) modulo p = 2^127 - 1
+    (`groups._charpoly_mod`), reversed, each coefficient lifted centred.  The
+    coefficient of q^k is a sum of k x k minors, so prod_i (1 + sum_j |m_ij|)
+    bounds them all: ArithmeticError unless it is below p/2."""
+    p = RANK_PRIMES[1]
+    if 2 * math.prod(1 + sum(map(abs, row)) for row in m) >= p:
+        raise ArithmeticError("det(1 - qM) is not bounded below p/2 for p = 2^127 - 1")
+    return QPolynomial([x if 2 * x < p else x - p for x in reversed(_charpoly_mod(m, p))])
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +370,7 @@ def closed_form_classes(spec: GroupSpec) -> list[WeylClassInfo]:
                  for neg in partitions_of(j) if fam == "B" or len(neg) % 2 == 0]
     out = []
     for pos, neg in types:
-        # |W(B_n)| / prod (2r)^m m!, over parts r of multiplicity m; n!/prod r^m m! in A
-        size = k ** n * math.factorial(n) // math.prod(
-            (k * r) ** m * math.factorial(m) for t in (pos, neg) for r, m in Counter(t).items())
+        size = conjugacy_class_size_sn(pos, neg, k=k)
         split = fam == "D" and not neg and all(r % 2 == 0 for r in pos)
         if split:
             size //= 2
@@ -549,7 +532,7 @@ class WeylGroupData:
             diff = [_split_difference(lam, c) for c in classes]
             rows += [(label, [(r + d) // 2 for r, d in zip(res, diff)]),
                      (label, [(r - d) // 2 for r, d in zip(res, diff)])]
-        _bip.cache_clear()  # the memo serves one table at a time
+        mn_bipartition.cache_clear()  # the memo serves one table at a time
         return rows
 
     # -- irreducible labels ---------------------------------------------------
@@ -614,7 +597,7 @@ class WeylGroupData:
     def class_function_bipartition(self, lam, gam) -> list[int]:
         """Values of lam x gam (type B; restriction for type D) on the classes."""
         lam, gam = tuple(lam), tuple(gam)
-        return [_bip(lam, gam, cycles) for cycles in self._signed_cycles]
+        return [mn_bipartition(lam, gam, cycles) for cycles in self._signed_cycles]
 
     def sign_values(self) -> list[int]:
         """det_E(w) per class: the sign character.  det(1 - q w), of degree l,

@@ -154,6 +154,14 @@ def test_affine_base_is_read_stripped(capsys, flags):
     assert code == 0 and "affine  G2" not in out and '" G2' not in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)], ids=" ".join)
+def test_affine_rank_is_printed_without_leading_zeros(capsys, flags):
+    code, out = run(capsys, "affine", "a02", *flags)
+    assert (code, out) == run(capsys, "affine", "a2", *flags)
+    assert code == 0 and "A02" not in out
+    assert "affine B2:" in run(capsys, "affine", "b2")[1]
+
+
 def test_independence_cli(capsys):
     code, out = run(capsys, "independence", "--type", "B5")
     assert code == 0
@@ -169,6 +177,11 @@ ERROR_MESSAGES = {
     ("efd", "--type", "D", "--lambda", "1"): "--lambda 1 is out of range: its size is 1",
     ("efd", "--type", "D", "--n", "1", "--lambda", "1"):
         "--lambda 1 is out of range: its size is 1",
+    # a B or D type with its rank written in takes --n instead
+    ("efd", "--type", "B4", "--lambda", "2,2"): "--lambda takes the rank from --n: "
+                                                "write --type B --n 4",
+    ("efd", "--type", "D2", "--lambda", "1,1"): "--lambda takes the rank from --n: "
+                                                "write --type D --n 2",
     ("affine", "c2", "--formal"): "--formal needs the packaged basis, which exists for g2 only, "
                                   "not c2",
     ("affine", "a1", "--formal"): "--formal needs the packaged basis, which exists for g2 only, "

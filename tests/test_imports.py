@@ -1,7 +1,7 @@
 """Every import in the package is used: a module-level import somewhere in
 its module, a function-local one somewhere in its function.  Every private
-module-level function is referenced somewhere in the package outside its
-own definition."""
+module-level function and private method is referenced somewhere in the
+package outside its own definition."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -60,17 +60,27 @@ def test_package_has_no_unused_imports():
 
 
 def _unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """module:name of each module-level `def _name` (not a dunder) that no
-    module of `sources` (name -> source) refers to, as a name, an attribute
-    or an imported name, outside the function's own definition."""
+    """module:name of each `def _name` (not a dunder), at module level or in
+    the body of a module-level class, that no module of `sources` (name ->
+    source) refers to, as a name, an attribute or an imported name, outside
+    the function's own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = Counter()
     for tree in trees.values():
         everywhere.update(_references(tree))
-    return [f"{module}:{fn.name}" for module, tree in trees.items() for fn in tree.body
+    return [f"{module}:{fn.name}" for module, tree in trees.items()
+            for fn in _module_and_class_bodies(tree)
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and fn.name.startswith("_") and not fn.name.endswith("__")
             and everywhere[fn.name] == _references(fn)[fn.name]]
+
+
+def _module_and_class_bodies(tree):
+    """The statements of the module tree and of its module-level classes."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
 
 
 def _references(tree) -> Counter:
@@ -87,11 +97,16 @@ def test_unreferenced_function_scan_sees_every_module():
                      "def _imported(): pass\n"
                      "def _by_attribute(): pass\n"
                      "def __getattr__(name): pass\n"
-                     "def public(): return _used()\n"),
+                     "def public(): return _used()\n"
+                     "class C:\n"
+                     "    def _method(self): return self._helper()\n"
+                     "    def _helper(self): pass\n"
+                     "    def _dead(self): return self._dead()\n"
+                     "    def __init__(self): self._method()\n"),
                "b": ("from .a import _imported\n"
                      "from . import a\n"
                      "x = a._by_attribute\n")}
-    assert _unreferenced_private_functions(sources) == ["a:_power_map"]
+    assert _unreferenced_private_functions(sources) == ["a:_power_map", "a:_dead"]
 
 
 def test_package_has_no_unreferenced_private_functions():

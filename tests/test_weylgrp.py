@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import ellq
 from ellq import weylgrp
-from ellq.combinat import mn_character, partitions_of
+from ellq.combinat import mn_bipartition, mn_character, partitions_of
 from ellq.elliptic import elliptic_fake_degree
-from ellq.exactq import QPolynomial, RationalFunction, phi_product, poly_gcd
+from ellq.exactq import RANK_PRIMES, QPolynomial, RationalFunction, phi_product, poly_gcd
 from ellq.groups import FiniteGroup, GroupTooLargeError
 from ellq.weylgrp import (EXPONENTS, GroupSpec, ProductWeyl, WeylGroupData, b_invariant, build_group,
                           char_poly_matrix, closed_form_classes,
@@ -518,7 +518,7 @@ def test_d_restrictions_match_assignment_loop(n):
 def test_bipartition_memo_serves_one_table():
     W = build_group.__wrapped__(GroupSpec("B", 4))
     W.character_table()
-    assert weylgrp._bip.cache_info().currsize == 0
+    assert mn_bipartition.cache_info().currsize == 0
 
 
 def test_bipartition_labels_b2():
@@ -786,6 +786,21 @@ def test_char_poly_matrix_matches_laplace(spec):
                        min_size=n, max_size=n)))
 def test_char_poly_matrix_matches_laplace_on_integer_matrices(m):
     assert char_poly_matrix(m) == _laplace_char_poly(m)
+
+
+def test_char_poly_matrix_lifts_below_half_the_prime_and_refuses_from_there():
+    # prod_i (1 + sum_j |m_ij|) bounds every coefficient of det(1 - qM); the
+    # centred lift mod p = 2^127 - 1 is exact while it is below p/2
+    p = RANK_PRIMES[1]
+    a = (p - 3) // 2
+    for m in ([[a]], [[-a]], [[2 ** 64 - 2, 0], [0, 2 ** 62 - 1]], [[0, a], [0, 0]]):
+        assert 2 * math.prod(1 + sum(map(abs, row)) for row in m) < p
+        assert char_poly_matrix(m) == _laplace_char_poly(m), m
+    # diag(2^64 - 1, 2^62 - 1) has the coefficient (2^64 - 1)(2^62 - 1) > p/2 at q^2
+    for m in ([[a + 1]], [[-a - 1]], [[2 ** 64 - 1, 0], [0, 2 ** 62 - 1]], [[0, a + 1], [0, 0]]):
+        assert 2 * math.prod(1 + sum(map(abs, row)) for row in m) >= p
+        with pytest.raises(ArithmeticError):
+            char_poly_matrix(m)
 
 
 def test_center_order_is_the_determinant_of_the_cartan_pairing():
